@@ -361,7 +361,9 @@ def cmd_solve(args):
     print(f"domain: {res.domain}")
     if res.truncated_axes:
         print(f"truncated axes: {res.truncated_axes}")
-    header, rows = _solve_csv(P, res)
+    header = rows = None
+    if args.out is not None and args.out.endswith(".csv"):
+        header, rows = _solve_csv(P, res)
     _emit(args, {
         "b": list(res.b),
         "constant": res.constant,

@@ -780,12 +780,23 @@ def half_line(lo="-2", label=1) -> LabeledPolyhedron:
 
 
 def box(bounds, labels=None) -> LabeledPolyhedron:
-    """Axis-aligned product of intervals; bounds = [(lo, hi or None), ...]."""
+    """Axis-aligned product of intervals; bounds = [(lo, hi or None), ...].
+
+    labels gives one label per facet in row order: for each axis the lower
+    facet, then the upper one if present. Offsets scale with the labels, as
+    in interval, so each facet stays at its bound. Default: all labels 1.
+    """
     dim = len(bounds)
     rows = []
     for d, (lo, hi) in enumerate(bounds):
         e = tuple(1 if k == d else 0 for k in range(dim))
-        rows.append((e, 1, -Fraction(lo)))
+        rows.append((e, -Fraction(lo)))
         if hi is not None:
-            rows.append((tuple(-x for x in e), 1, Fraction(hi)))
-    return from_halfspaces(dim, rows)
+            rows.append((tuple(-x for x in e), Fraction(hi)))
+    if labels is None:
+        labels = [1] * len(rows)
+    elif len(labels) != len(rows):
+        raise ValueError(f"box has {len(rows)} facets but {len(labels)} labels")
+    return from_halfspaces(
+        dim, [(e, m, a * m) for (e, a), m in zip(rows, labels)]
+    )

@@ -318,101 +318,53 @@ def _solve_domain(P: LabeledPolyhedron, b, truncation):
     return list(zip(lo, hi)), tuple(cuts)
 
 
-def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
-          tol: float = 1e-11, max_iter: int = 80,
-          initial=None) -> SolveResult:
-    """Solve the soliton equation for the correction s by spectral collocation.
+def _tensor(arrays) -> np.ndarray:
+    """Rows (a_0[i], a_1[j], ...) over the grid of per-axis arrays, C order."""
+    return np.column_stack(
+        [g.ravel() for g in np.meshgrid(*arrays, indexing="ij")]
+    )
 
-    Nodes on a truncation plane trade their equation row for a vanishing
-    second normal derivative of s. The affine gauge is pinned at the node
-    nearest the domain center. Supports 1D and 2D product domains.
+
+def _solve_axis(P: LabeledPolyhedron, b, x, cut, anchor, start, tol, max_iter):
+    """Gauss-Newton collocation of the 1D soliton equation at the nodes x.
+
+    The unknowns are the values of s and the constant c. The rows are R - c
+    at every node off the cut mask, s'' = 0 on it, and s = s' = 0 at the
+    anchor. The Jacobian is exact: R depends on s through
+    x s' - s - log D, and the density D is affine in s'' with slope prod L.
+    Returns s, s', s'' at the nodes and the iteration count.
     """
-    n = P.dim
-    if n > 2:
-        raise NotAProduct("the collocation solver supports dimensions 1 and 2")
-    if b is None:
-        b = np.array(find_soliton_vector(P).b)
-    else:
-        b = np.asarray(b, dtype=float)
-    if grid is None:
-        grid = (48,) if n == 1 else (24, 24)
-    elif isinstance(grid, int):
-        grid = (grid,) * n
-    domain, cuts = _solve_domain(P, b, truncation)
-
-    axes = [lobatto_nodes(lo, hi, g) for (lo, hi), g in zip(domain, grid)]
-    if n == 1:
-        X = axes[0][:, None]
-        D1 = differentiation_matrix(axes[0])
-        ops = {"x": D1, "xx": D1 @ D1}
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        X = np.column_stack([g0.ravel(), g1.ravel()])
-        Da = differentiation_matrix(axes[0])
-        Db = differentiation_matrix(axes[1])
-        I0 = np.eye(len(axes[0]))
-        I1 = np.eye(len(axes[1]))
-        ops = {
-            "x": np.kron(Da, I1),
-            "y": np.kron(I0, Db),
-            "xx": np.kron(Da @ Da, I1),
-            "yy": np.kron(I0, Db @ Db),
-            "xy": np.kron(Da, Db),
-        }
-    m = len(X)
-
-    cut_rows: list[tuple[int, str]] = []
-    is_cut_node = np.zeros(m, dtype=bool)
-    for d, side in cuts:
-        coord = X[:, d]
-        target = domain[d][1] if side == "upper" else domain[d][0]
-        on = np.abs(coord - target) < 1e-12 * (1 + abs(target))
-        is_cut_node |= on
-        key = "xx" if d == 0 else "yy"
-        for idx in np.where(on)[0]:
-            cut_rows.append((idx, key))
-
-    anchor = int(np.argmin(np.sum((X - X.mean(axis=0)) ** 2, axis=1)))
-
-    def derivatives(svals):
-        if n == 1:
-            grad = (ops["x"] @ svals)[:, None]
-            hess = (ops["xx"] @ svals)[:, None, None]
-        else:
-            gx = ops["x"] @ svals
-            gy = ops["y"] @ svals
-            grad = np.column_stack([gx, gy])
-            hess = np.empty((m, 2, 2))
-            hess[:, 0, 0] = ops["xx"] @ svals
-            hess[:, 1, 1] = ops["yy"] @ svals
-            hess[:, 0, 1] = hess[:, 1, 0] = ops["xy"] @ svals
-        return grad, hess
-
-    interior = ~is_cut_node
+    X = x[:, None]
+    m = len(x)
+    D1 = differentiation_matrix(x)
+    D2 = D1 @ D1
+    eq = ~cut
+    # the rows after the equations are linear in z = (s, c)
+    lin = np.vstack([D2[cut], np.eye(m)[anchor], D1[anchor]])
+    lin = np.column_stack([lin, np.zeros(len(lin))])
+    L = np.maximum(X @ P.scaled_normal_matrix().T + P.offsets_array(), 0.0)
+    prod_L = np.prod(L, axis=1)
 
     def residual_vector(z):
-        svals, c = z[:-1], z[-1]
-        grad, hess = derivatives(svals)
-        R = _residual_core(P, b, X, svals, grad, hess, strict=False)
+        s = z[:-1]
+        R = _residual_core(P, b, X, s, (D1 @ s)[:, None],
+                           (D2 @ s)[:, None, None], strict=False)
         if R is None:
             return None
-        rows = [R[interior] - c]
-        for idx, key in cut_rows:
-            rows.append(np.array([ops[key][idx] @ svals]))
-        rows.append(np.array([svals[anchor]]))
-        rows.append(grad[anchor])
-        return np.concatenate(rows)
+        return np.concatenate([R[eq] - z[-1], lin @ z])
 
-    if initial is not None:
-        z = np.append(np.asarray(initial, dtype=float).ravel(), 0.0)
-        if len(z) != m + 1:
-            raise ValueError("initial correction grid has the wrong shape")
-    else:
-        z = np.zeros(m + 1)
+    def jacobian(z):
+        weight = prod_L / _density(P, L, (D2 @ z[:-1])[:, None, None])
+        J_s = x[:, None] * D1 - np.eye(m) - weight[:, None] * D2
+        return np.vstack([np.column_stack([J_s[eq], -np.ones(eq.sum())]), lin])
+
+    z = np.zeros(m + 1)
+    if start is not None:
+        z[:-1] = start
     phi = residual_vector(z)
     if phi is None:
         raise NotConvexHere("initial correction leaves the density nonpositive")
-    z[-1] = float(np.mean(phi[: interior.sum()])) + z[-1]
+    z[-1] = float(np.mean(phi[: eq.sum()]))
     phi = residual_vector(z)
     norm = float(np.linalg.norm(phi, np.inf))
 
@@ -420,21 +372,7 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
     for it in range(1, max_iter + 1):
         if norm <= tol:
             break
-        J = np.empty((len(phi), len(z)))
-        for j in range(len(z)):
-            h = 1e-7 * max(1.0, abs(z[j]))
-            zp = z.copy()
-            zp[j] += h
-            pp = residual_vector(zp)
-            if pp is None:
-                zp[j] -= 2 * h
-                pp = residual_vector(zp)
-                if pp is None:
-                    raise NoConvergence("density collapsed while forming Jacobian")
-                J[:, j] = (phi - pp) / h
-            else:
-                J[:, j] = (pp - phi) / h
-        step, *_ = np.linalg.lstsq(J, -phi, rcond=None)
+        step, *_ = np.linalg.lstsq(jacobian(z), -phi, rcond=None)
         lam = 1.0
         improved = False
         while lam > 1e-12:
@@ -454,21 +392,77 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
         raise NoConvergence(
             f"collocation residual stalled at {norm:.3e} after {it} iterations"
         )
+    s = z[:-1]
+    return s, D1 @ s, D2 @ s, it
 
-    svals = z[:-1]
-    grad, hess = derivatives(svals)
+
+def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
+          tol: float = 1e-11, max_iter: int = 80,
+          initial=None) -> SolveResult:
+    """Solve the soliton equation for the correction s by spectral collocation.
+
+    Supports 1D and 2D product domains. In 2D, product_check splits P into
+    two 1D factors. The canonical potential, log det Hess u and the residual
+    separate over them, so the tensor sum s_1(x) + s_2(y) of the factor
+    solutions solves the 2D equation with constant c_1 + c_2. Each axis is
+    solved by Gauss-Newton with the exact Jacobian. A node on a truncation
+    plane trades its equation row for a vanishing second derivative of s.
+    The affine gauge is pinned on each axis at the node nearest the axis
+    center; a 2D initial grid starts each factor from its slice through the
+    other axis's anchor. The reported constant and deviation come from the
+    residual on the full grid.
+    """
+    n = P.dim
+    if n > 2:
+        raise NotAProduct("the collocation solver supports dimensions 1 and 2")
+    if b is None:
+        b = np.array(find_soliton_vector(P).b)
+    else:
+        b = np.asarray(b, dtype=float)
+    if grid is None:
+        grid = (48,) if n == 1 else (24, 24)
+    elif isinstance(grid, int):
+        grid = (grid,) * n
+    grid = tuple(grid)
+    domain, cuts = _solve_domain(P, b, truncation)
+    factors = [P] if n == 1 else [f.polyhedron for f in product_check(P)]
+
+    axes = [lobatto_nodes(lo, hi, g) for (lo, hi), g in zip(domain, grid)]
+    anchors = [int(np.argmin((x - x.mean()) ** 2)) for x in axes]
+    on_cut = [np.zeros(len(x), dtype=bool) for x in axes]
+    for d, side in cuts:
+        on_cut[d][-1 if side == "upper" else 0] = True
+    if initial is not None:
+        initial = np.asarray(initial, dtype=float)
+        if initial.size != np.prod(grid):
+            raise ValueError("initial correction grid has the wrong shape")
+        initial = initial.reshape(grid)
+
+    sols = []
+    for d in range(n):
+        start = None
+        if initial is not None:
+            start = initial[tuple(slice(None) if k == d else anchors[k]
+                                  for k in range(n))]
+        sols.append(_solve_axis(factors[d], b[d:d + 1], axes[d], on_cut[d],
+                                anchors[d], start, tol, max_iter))
+    s_axes, ds_axes, dds_axes, its = zip(*sols)
+
+    X = _tensor(axes)
+    svals = _tensor(s_axes).sum(axis=1)
+    grad = _tensor(ds_axes)
+    hess = _tensor(dds_axes)[:, :, None] * np.eye(n)
+    interior = ~_tensor(on_cut).any(axis=1)
     R = _residual_core(P, b, X, svals, grad, hess, strict=True)
     c_star = float(np.mean(R[interior]))
     deviation = float(np.max(np.abs(R[interior] - c_star)))
-    values = svals if n == 1 else svals.reshape(grid)
-    corr = GridCorrection(axes, values)
     return SolveResult(
         b=tuple(map(float, b)),
-        correction=corr,
+        correction=GridCorrection(axes, svals.reshape(grid)),
         constant=c_star,
         residual_deviation=deviation,
-        iterations=it,
-        grid=tuple(grid),
+        iterations=max(its),
+        grid=grid,
         domain=tuple((float(lo), float(hi)) for lo, hi in domain),
         truncated_axes=tuple(cuts),
         truncation=truncation if cuts else None,

@@ -71,6 +71,16 @@ def test_interval_shrinker_normalized():
     assert interval(-2, Fraction(2, 3), 1, 3).is_shrinker_normalized()
 
 
+def test_box_labels_keep_facets_at_their_bounds():
+    P = box([(-2, 2), (-2, 2)], labels=[3, 1, 2, 1])
+    assert [f.label for f in P.facets] == [3, 1, 2, 1]
+    assert sorted(v.point for v in vertices(P)) == sorted(
+        v.point for v in vertices(square())
+    )
+    with pytest.raises(ValueError):
+        box([(-2, 2), (-2, None)], labels=[1, 2, 3, 4])
+
+
 def test_empty_infeasible_rejected():
     with pytest.raises(EmptyPolyhedron):
         from_halfspaces(1, [((1,), 1, 0), ((-1,), 1, -2)])  # x >= 0 and x <= -2

@@ -291,6 +291,36 @@ def test_solve_2d_perturbed_start():
     assert float(np.max(np.abs(res.correction.values))) <= 1e-5
 
 
+@pytest.mark.parametrize(
+    "P, grid",
+    [
+        # orbifold rectangle: labels 1, 3 on x and 2, 1 on y, even grid
+        (box([(-2, "2/3"), (-1, 2)], labels=[1, 3, 2, 1]), 16),
+        # half-strip: the y axis is cut at the truncation plane
+        (box([(-2, 1), ("-2/3", None)], labels=[1, 2, 3]), 13),
+    ],
+)
+def test_solve_2d_is_tensor_sum_of_factor_solves(P, grid):
+    b = find_soliton_vector(P).b
+    res = solve(P, b=b, grid=grid)
+    assert res.residual_deviation <= 1e-9
+    sols = [solve(f.polyhedron, b=[b[d]], grid=grid)
+            for d, f in enumerate(product_check(P))]
+    for d, sol in enumerate(sols):
+        assert np.array_equal(res.correction.axes[d], sol.correction.axes[0])
+    s1, s2 = (sol.correction.values for sol in sols)
+    assert np.allclose(res.correction.values, s1[:, None] + s2[None, :],
+                       rtol=0.0, atol=1e-12)
+    assert res.constant == pytest.approx(sols[0].constant + sols[1].constant,
+                                         abs=1e-10)
+    assert float(np.max(np.abs(res.correction.values))) > 1e-3
+
+
+def test_solve_fine_teardrop_grid():
+    res = solve(TEARDROP, grid=128)
+    assert res.residual_deviation <= 1e-9
+
+
 def teardrop_oracle(b):
     """u'' = 1/W on (-2, 2/3) from the boundary value problem for W."""
     Cc = (2.0 / b - 1.0 / b**2) * math.exp(2.0 * b)
