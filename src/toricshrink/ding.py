@@ -13,6 +13,12 @@ With this normalization a constant shift of v cancels exactly between the two
 terms, and at b = b_X linear tilts leave both terms unchanged, so D descends
 to potentials modulo affine functions. Along linear interpolations of
 symplectic potentials D is convex; the scan here samples it.
+
+d1, ding and convexity_scan share one quadrature: both integrals are taken at
+Gauss nodes fixed once, inside the correction grid, and the scan evaluates it
+at blends of the endpoint node values. Potentials given only as objects with
+value/gradient/hessian have no grid and are integrated by adaptive Gauss.
+The numerics cover dimensions 1 and 2.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
@@ -32,7 +37,7 @@ from .shrinker import _correction_arrays, _density, find_soliton_vector
 
 
 class DivergentD1(ValueError):
-    """The dual volume cannot be certified finite at the requested accuracy."""
+    """The dual volume is not finite, or its truncation tail estimate exceeds tol."""
 
 
 class NotInE(ValueError):
@@ -51,6 +56,10 @@ class DingValue:
 # ---------------------------------------------------------------------------
 # regions
 
+_ORDER = 25            # Gauss order on the refined simplices of both integrals
+_CANONICAL_ORDER = 20  # Gauss order on the slabs of the canonical potential integral
+
+
 def _beta(P: LabeledPolyhedron) -> np.ndarray:
     # e^{-<grad u_P, x> + u_P} decays like e^{-<beta, x>} with this beta
     return 0.5 * np.sum(P.scaled_normal_matrix(), axis=0)
@@ -64,27 +73,71 @@ def _fitted_plan(P, w, correction, tol, exc):
             return build_plan(P, w, tol=tol)
         except RuntimeError as err:
             raise exc(str(err)) from err
-    W = P.scaled_normal_matrix()
-    a = P.offsets_array()
-    res = linprog(-w, A_ub=-W, b_ub=a, bounds=list(correction.domain),
-                  method="highs")
-    if not res.success:
+    # T is the largest level <w,x> reached on P intersected with the grid box
+    lo, hi = np.array(correction.domain, dtype=float).T
+    eye = np.eye(P.dim)
+    pts = _float_vertices(np.vstack([P.scaled_normal_matrix(), eye, -eye]),
+                          np.concatenate([P.offsets_array(), -lo, hi]))
+    if len(pts) == 0:
         raise exc("could not fit a truncation level inside the correction grid")
-    T = float(-res.fun) * (1.0 - 1e-12) - 1e-12
+    T = float(np.max(pts @ w)) * (1.0 - 1e-12) - 1e-12
     try:
         return build_plan(P, w, tol=tol, truncation=T)
     except ValueError as err:
         raise exc(f"correction grid too small for a usable truncation: {err}") from err
 
 
-def _tail_relative(pl, value):
-    return pl.tail_bound / max(abs(value), 1e-300)
+def _split_longest_edge(S):
+    """Squared length of the longest edge of S and the halves bisecting it."""
+    pts = np.asarray(S.points, dtype=float)
+    best = (-1.0, 0, 1)
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d2 = float(np.sum((pts[i] - pts[j]) ** 2))
+            if d2 > best[0]:
+                best = (d2, i, j)
+    d2, i, j = best
+    mid = 0.5 * (pts[i] + pts[j])
+    A = pts.copy()
+    A[i] = mid
+    B = pts.copy()
+    B[j] = mid
+    return d2, Simplex(tuple(map(tuple, A))), Simplex(tuple(map(tuple, B)))
+
+
+def _refined(simplices, weight, pieces_cap: int = 4096):
+    """Bisect simplices until edges resolve the e^{-<weight,x>} length scale."""
+    nw = float(np.linalg.norm(np.asarray(weight, dtype=float)))
+    if nw == 0.0:
+        return list(simplices)
+    target2 = (3.0 / nw) ** 2
+    out = []
+    stack = list(simplices)
+    while stack:
+        S = stack.pop()
+        d2, A, B = _split_longest_edge(S)
+        if d2 <= target2 or len(out) + len(stack) >= pieces_cap:
+            out.append(S)
+        else:
+            stack += [A, B]
+    return out
+
+
+def _adaptive_gauss(S, f, tol, budget):
+    coarse = gauss_integral_simplex(S, f, order=14)
+    fine = gauss_integral_simplex(S, f, order=24)
+    if abs(fine - coarse) <= tol or budget[0] <= 0:
+        return fine
+    _, A, B = _split_longest_edge(S)
+    budget[0] -= 1
+    return (_adaptive_gauss(A, f, 0.5 * tol, budget)
+            + _adaptive_gauss(B, f, 0.5 * tol, budget))
 
 
 # ---------------------------------------------------------------------------
-# the potential integral
+# the two integrands
 
-def _canonical_linear(P: LabeledPolyhedron, b, pl, order: int = 20) -> float:
+def _canonical_linear(P: LabeledPolyhedron, b, pl) -> float:
     """int_P u_P e^{-<b,x>} dx over the plan region.
 
     Each facet term L_k log L_k is integrated over geometric slabs
@@ -125,112 +178,10 @@ def _canonical_linear(P: LabeledPolyhedron, b, pl, order: int = 20) -> float:
             pts = _float_vertices(A, aa)
             if len(pts) >= P.dim + 1:
                 for S in _triangulate(pts):
-                    pieces.append(gauss_integral_simplex(S, term, order=order))
+                    pieces.append(
+                        gauss_integral_simplex(S, term, order=_CANONICAL_ORDER))
             hi = lo if lo > floor else 0.0
     return stable_sum(pieces)
-
-
-def _adaptive_gauss(S, f, tol, budget):
-    coarse = gauss_integral_simplex(S, f, order=14)
-    fine = gauss_integral_simplex(S, f, order=24)
-    if abs(fine - coarse) <= tol or budget[0] <= 0:
-        return fine
-    pts = np.asarray(S.points, dtype=float)
-    best = (-1.0, 0, 1)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d2 = float(np.sum((pts[i] - pts[j]) ** 2))
-            if d2 > best[0]:
-                best = (d2, i, j)
-    _, i, j = best
-    mid = 0.5 * (pts[i] + pts[j])
-    A = pts.copy()
-    A[i] = mid
-    B = pts.copy()
-    B[j] = mid
-    budget[0] -= 1
-    return (_adaptive_gauss(Simplex(tuple(map(tuple, A))), f, 0.5 * tol, budget)
-            + _adaptive_gauss(Simplex(tuple(map(tuple, B))), f, 0.5 * tol, budget))
-
-
-def _linear_term(P, b_X, v, corr, pl, order):
-    F = pl.exp_integral()
-    if isinstance(corr, _Duck):
-        barr = np.asarray(b_X, dtype=float)
-
-        def f(X):
-            return np.asarray(v.value(X), dtype=float) * np.exp(-(X @ barr))
-
-        budget = [512]
-        total = stable_sum(
-            _adaptive_gauss(S, f, 1e-11 * max(1.0, F), budget)
-            for S in pl.simplices
-        )
-    else:
-        total = _canonical_linear(P, b_X, pl, order=order)
-        if corr is not None:
-            barr = np.asarray(b_X, dtype=float)
-
-            def f(X):
-                return np.asarray(corr.value(X), dtype=float) * np.exp(-(X @ barr))
-
-            total += stable_sum(
-                gauss_integral_simplex(S, f, order=order)
-                for S in _refined(pl.simplices, barr)
-            )
-    if not math.isfinite(total):
-        raise NotInE("potential integral against the soliton weight is not finite")
-    return total / F
-
-
-class _Duck:
-    """Marker for potentials outside the canonical + correction family."""
-
-
-def _correction_or_duck(v, P):
-    home = getattr(v, "polyhedron", None)
-    if home is not None and home != P:
-        raise ValueError("potential belongs to a different polyhedron")
-    try:
-        return correction_of(v)
-    except TypeError:
-        if all(hasattr(v, name) for name in ("value", "gradient", "hessian")):
-            return _Duck()
-        raise
-
-
-# ---------------------------------------------------------------------------
-# the dual volume
-
-def _refined(simplices, weight, pieces_cap: int = 4096):
-    """Bisect simplices until edges resolve the e^{-<weight,x>} length scale."""
-    nw = float(np.linalg.norm(np.asarray(weight, dtype=float)))
-    if nw == 0.0:
-        return list(simplices)
-    target2 = (3.0 / nw) ** 2
-    out = []
-    stack = list(simplices)
-    while stack:
-        S = stack.pop()
-        pts = np.asarray(S.points, dtype=float)
-        best = (-1.0, 0, 1)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                d2 = float(np.sum((pts[i] - pts[j]) ** 2))
-                if d2 > best[0]:
-                    best = (d2, i, j)
-        d2, i, j = best
-        if d2 <= target2 or len(out) + len(stack) >= pieces_cap:
-            out.append(S)
-            continue
-        mid = 0.5 * (pts[i] + pts[j])
-        A = pts.copy()
-        A[i] = mid
-        B = pts.copy()
-        B[j] = mid
-        stack.append(Simplex(tuple(map(tuple, A))))
-        stack.append(Simplex(tuple(map(tuple, B))))
-    return out
 
 
 def _stable_d1_evaluator(P: LabeledPolyhedron):
@@ -268,67 +219,159 @@ def _direct_d1_integrand(v):
     return f
 
 
-def d1(v, P: LabeledPolyhedron, tol: float = 1e-8, order: int = 25) -> float:
-    """Dual volume of v: int_P e^{v - <grad v, x>} det(Hess v) dx.
+def _checked(pl, tol, dual, linear=None, t=0.0):
+    """d1, or the DingValue at t when the potential integral is given.
 
-    Corrected potentials on P with n <= 2 use the boundary-stable form of
-    the integrand; anything else with value/gradient/hessian is integrated
-    directly at interior Gauss nodes. For unbounded P the region is cut
-    inside the correction grid and the dropped tail, estimated through the
-    e^{-<beta,x>} decay of the canonical factor, must stay below tol
-    relative to the result. The potential is assumed strictly convex with
-    surjective gradient; see check_space_E for a screening routine.
+    The d1 tail estimate comes from the e^{-<beta,x>} plan pl.
     """
-    corr = _correction_or_duck(v, P)
-    if isinstance(corr, _Duck) or P.dim > 2:
-        pl = _fitted_plan(P, _beta(P), None, tol, DivergentD1)
-        f = _direct_d1_integrand(v)
-        budget = [512]
-        total = stable_sum(
-            _adaptive_gauss(S, f, 1e-12, budget) for S in pl.simplices
-        )
-    else:
-        beta = _beta(P)
-        pl = _fitted_plan(P, beta, corr, tol, DivergentD1)
-        evaluate = _stable_d1_evaluator(P)
-
-        def f(X):
-            s_val, s_grad, s_hess = _correction_arrays(corr, X, P.dim)
-            return evaluate(X, s_val, s_grad, s_hess)
-
-        total = stable_sum(
-            gauss_integral_simplex(S, f, order=order)
-            for S in _refined(pl.simplices, beta)
-        )
-    if not (math.isfinite(total) and total > 0.0):
-        raise DivergentD1(f"dual volume evaluated to {total}")
-    if _tail_relative(pl, total) > tol:
+    if linear is not None and not math.isfinite(linear):
+        raise NotInE("potential integral against the soliton weight is not finite")
+    if not (math.isfinite(dual) and dual > 0.0):
+        raise DivergentD1(f"dual volume evaluated to {dual} at t = {t}")
+    if pl.tail_bound / max(abs(dual), 1e-300) > tol:
         raise DivergentD1(
             f"truncation tail estimate {pl.tail_bound:.3e} exceeds "
-            f"tolerance {tol:g} relative to d1 = {total:.6g}"
+            f"tolerance {tol:g} relative to d1 = {dual:.6g} at t = {t}"
         )
-    return float(total)
+    if linear is None:
+        return float(dual)
+    return DingValue(t=float(t), d1=float(dual), value=float(linear - math.log(dual)))
 
 
 # ---------------------------------------------------------------------------
-# the Ding functional
+# one quadrature for d1, ding and the scan
 
-def ding(v, P: LabeledPolyhedron, b_X=None, tol: float = 1e-8,
-         order: int = 25) -> DingValue:
+class _DingQuadrature:
+    """Gauss nodes and weights of both Ding integrals, fixed once.
+
+    The dual volume uses the e^{-<beta,x>} plan; the potential integral, when
+    b_X is given, uses the e^{-<b_X,x>} plan with that weight folded into the
+    Gauss weights and its canonical part computed once. On unbounded P both
+    plans are cut inside the grid of the correction, so every correction on
+    that grid is evaluated at the same nodes.
+    """
+
+    def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None):
+        self.dim = P.dim
+        self.tol = tol
+        self.linear_rules = None
+        if b_X is not None:
+            b = np.asarray(b_X, dtype=float)
+            pl = _fitted_plan(P, b, grid, tol, NotInE)
+            self.F = pl.exp_integral()
+            self.canonical = _canonical_linear(P, b, pl)
+            rules = (gauss_simplex_rule(S, _ORDER) for S in _refined(pl.simplices, b))
+            self.linear_rules = [(X, Wq * np.exp(-(X @ b))) for X, Wq in rules]
+        beta = _beta(P)
+        self.plan = _fitted_plan(P, beta, grid, tol, DivergentD1)
+        self.integrand = _stable_d1_evaluator(P)
+        self.dual_rules = [gauss_simplex_rule(S, _ORDER)
+                           for S in _refined(self.plan.simplices, beta)]
+
+    def sample(self, correction):
+        """Correction arrays at the d1 nodes and values at the linear nodes."""
+        dual = [_correction_arrays(correction, X, self.dim) for X, _ in self.dual_rules]
+        if self.linear_rules is None:
+            return dual, None
+        values = [np.zeros(len(X)) if correction is None
+                  else np.asarray(correction.value(X), dtype=float)
+                  for X, _ in self.linear_rules]
+        return dual, values
+
+    def evaluate(self, samples, t=0.0):
+        """d1, or the DingValue at t when b_X was given, of sampled corrections."""
+        dual_s, values = samples
+        linear = None
+        if values is not None:
+            linear = (self.canonical + stable_sum(
+                float(np.dot(wexp, s)) for (_, wexp), s in zip(self.linear_rules, values)
+            )) / self.F
+        dual = stable_sum(
+            float(np.dot(Wq, self.integrand(X, *s)))
+            for (X, Wq), s in zip(self.dual_rules, dual_s)
+        )
+        return _checked(self.plan, self.tol, dual, linear, t)
+
+
+class _Duck:
+    """Marker for potentials outside the canonical + correction family."""
+
+
+def _correction_or_duck(v, P):
+    if P.dim > 2:
+        raise ValueError("Ding numerics are implemented in dimensions 1 and 2")
+    home = getattr(v, "polyhedron", None)
+    if home is not None and home != P:
+        raise ValueError("potential belongs to a different polyhedron")
+    try:
+        return correction_of(v)
+    except TypeError:
+        if all(hasattr(v, name) for name in ("value", "gradient", "hessian")):
+            return _Duck()
+        raise
+
+
+def _adaptive(v, P: LabeledPolyhedron, tol: float, b_X=None):
+    """d1, or D when b_X is given, of a potential known only as an object.
+
+    Such a potential has no grid to fit the plans in, so each integrand is
+    integrated by adaptive Gauss over the plan for its weight.
+    """
+    linear = None
+    if b_X is not None:
+        pl = _fitted_plan(P, b_X, None, tol, NotInE)
+        F = pl.exp_integral()
+
+        def f(X):
+            return np.asarray(v.value(X), dtype=float) * np.exp(-(X @ b_X))
+
+        budget = [512]
+        linear = stable_sum(
+            _adaptive_gauss(S, f, 1e-11 * max(1.0, F), budget) for S in pl.simplices
+        ) / F
+    pl = _fitted_plan(P, _beta(P), None, tol, DivergentD1)
+    f = _direct_d1_integrand(v)
+    budget = [512]
+    dual = stable_sum(_adaptive_gauss(S, f, 1e-12, budget) for S in pl.simplices)
+    return _checked(pl, tol, dual, linear)
+
+
+# ---------------------------------------------------------------------------
+# the dual volume and the Ding functional
+
+def d1(v, P: LabeledPolyhedron, tol: float = 1e-8) -> float:
+    """Dual volume of v: int_P e^{v - <grad v, x>} det(Hess v) dx.
+
+    Canonical and corrected potentials use the boundary-stable form of the
+    integrand at fixed Gauss nodes; anything else with value/gradient/hessian
+    is integrated directly by adaptive Gauss. For unbounded P the region is
+    cut inside the correction grid and the dropped tail, estimated through
+    the e^{-<beta,x>} decay of the canonical factor, must stay below tol
+    relative to the result. The potential is assumed strictly convex with
+    surjective gradient; see check_space_E for a screening routine.
+    Dimensions 1 and 2 only.
+    """
+    corr = _correction_or_duck(v, P)
+    if isinstance(corr, _Duck):
+        return _adaptive(v, P, tol)
+    q = _DingQuadrature(P, corr, tol)
+    return q.evaluate(q.sample(corr))
+
+
+def ding(v, P: LabeledPolyhedron, b_X=None, tol: float = 1e-8) -> DingValue:
     """D(v) = (1/F(b_X)) int_P v e^{-<b_X,x>} dx - log d1(v), tagged t = 0.
 
     b_X defaults to the soliton vector of P; only there is D invariant under
-    affine changes of v.
+    affine changes of v. Dimensions 1 and 2 only.
     """
+    corr = _correction_or_duck(v, P)
     if b_X is None:
         b_X = find_soliton_vector(P).b
     b_X = np.asarray(b_X, dtype=float)
-    corr = _correction_or_duck(v, P)
-    grid = None if isinstance(corr, _Duck) else corr
-    pl = _fitted_plan(P, b_X, grid, tol, NotInE)
-    linear = _linear_term(P, b_X, v, corr, pl, order)
-    dual = d1(v, P, tol=tol, order=order)
-    return DingValue(t=0.0, d1=dual, value=linear - math.log(dual))
+    if isinstance(corr, _Duck):
+        return _adaptive(v, P, tol, b_X)
+    q = _DingQuadrature(P, corr, tol, b_X)
+    return q.evaluate(q.sample(corr))
 
 
 @dataclass(frozen=True)
@@ -385,13 +428,16 @@ class Geodesic:
 
 
 def convexity_scan(v0, v1, P: LabeledPolyhedron, b_X=None, num_t: int = 9,
-                   tol: float = 1e-8, order: int = 25) -> list[DingValue]:
+                   tol: float = 1e-8) -> list[DingValue]:
     """Sample D along the geodesic from v0 to v1 at num_t uniform t values.
 
-    All samples share one quadrature region and one set of Gauss nodes, so
-    differences across t are free of regridding noise. The canonical part of
-    the potential integral is t-independent and computed once.
+    Every sample is one evaluation of the quadrature that ding uses, at the
+    blend of the endpoint corrections' node values, so differences across t
+    are free of regridding noise and the endpoints equal ding of v0 and v1
+    whenever both carry a correction. Dimensions 1 and 2 only.
     """
+    if P.dim > 2:
+        raise ValueError("Ding numerics are implemented in dimensions 1 and 2")
     if num_t < 2:
         raise ValueError("a scan needs at least two sample points")
     geo = Geodesic(v0, v1)
@@ -399,61 +445,15 @@ def convexity_scan(v0, v1, P: LabeledPolyhedron, b_X=None, num_t: int = 9,
         raise ValueError("geodesic endpoints live on a different polyhedron")
     if b_X is None:
         b_X = find_soliton_vector(P).b
-    b_X = np.asarray(b_X, dtype=float)
     c0, c1 = geo.corrections()
-
-    pl_b = _fitted_plan(P, b_X, c0, tol, NotInE)
-    F = pl_b.exp_integral()
-    canonical = _canonical_linear(P, b_X, pl_b, order=20)
-
-    beta = _beta(P)
-    pl_d = _fitted_plan(P, beta, c0, tol, DivergentD1)
-    if P.dim > 2:
-        raise ValueError("scan uses the stable integrand, dimensions 1 and 2")
-    evaluate = _stable_d1_evaluator(P)
-    rules = [gauss_simplex_rule(S, order) for S in _refined(pl_d.simplices, beta)]
-    cached = []
-    for X, Wq in rules:
-        z = np.zeros(len(X)), np.zeros((len(X), P.dim)), \
-            np.zeros((len(X), P.dim, P.dim))
-        e0 = z if c0 is None else _correction_arrays(c0, X, P.dim)
-        e1 = z if c1 is None else _correction_arrays(c1, X, P.dim)
-        cached.append((X, Wq, e0, e1))
-
-    lin_rules = [gauss_simplex_rule(S, order)
-                 for S in _refined(pl_b.simplices, b_X)]
-    lin_cached = []
-    for X, Wq in lin_rules:
-        wexp = Wq * np.exp(-(X @ b_X))
-        s0 = 0.0 if c0 is None else np.asarray(c0.value(X), dtype=float)
-        s1 = 0.0 if c1 is None else np.asarray(c1.value(X), dtype=float)
-        lin_cached.append((wexp, s0, s1))
-
+    q = _DingQuadrature(P, c0, tol, b_X)
+    (dual0, lin0), (dual1, lin1) = q.sample(c0), q.sample(c1)
     out = []
     for t in np.linspace(0.0, 1.0, num_t):
-        svals = stable_sum(
-            float(np.dot(wexp, (1.0 - t) * s0 + t * s1))
-            for wexp, s0, s1 in lin_cached
-        )
-        linear = (canonical + svals) / F
-        dual = stable_sum(
-            float(np.dot(Wq, evaluate(
-                X,
-                (1.0 - t) * e0[0] + t * e1[0],
-                (1.0 - t) * e0[1] + t * e1[1],
-                (1.0 - t) * e0[2] + t * e1[2],
-            )))
-            for X, Wq, e0, e1 in cached
-        )
-        if not (math.isfinite(dual) and dual > 0.0):
-            raise DivergentD1(f"dual volume evaluated to {dual} at t = {t}")
-        if _tail_relative(pl_d, dual) > tol:
-            raise DivergentD1(
-                f"truncation tail estimate {pl_d.tail_bound:.3e} exceeds "
-                f"tolerance {tol:g} relative to d1 at t = {t}"
-            )
-        out.append(DingValue(t=float(t), d1=float(dual),
-                             value=float(linear - math.log(dual))))
+        dual = [tuple((1.0 - t) * a + t * b for a, b in zip(e0, e1))
+                for e0, e1 in zip(dual0, dual1)]
+        lin = [(1.0 - t) * s0 + t * s1 for s0, s1 in zip(lin0, lin1)]
+        out.append(q.evaluate((dual, lin), t))
     return out
 
 

@@ -1,13 +1,15 @@
 """Exact integer linear algebra: primitive vectors, Smith normal form, lattice quotients.
 
-Everything here runs on plain Python integers (arbitrary precision), so
-intermediate growth during row/column reduction can never overflow or wrap.
+Everything here runs on plain Python integers and Fractions (arbitrary
+precision), so intermediate growth during row/column reduction can never
+overflow or wrap. rref is the one exact elimination of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 
 class ZeroNormal(ValueError):
@@ -213,23 +215,37 @@ def saturation_basis(A) -> list[tuple[int, ...]]:
     return [tuple(Vinv[i]) for i in range(rank)]
 
 
-def unimodular_inverse(V) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix (integer Gauss-Jordan)."""
-    from fractions import Fraction
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals: (reduced rows, pivot columns).
 
+    Columns are taken left to right; each pivot is the first nonzero entry at
+    or below the current row, scaled to 1 and cleared from every other row.
+    """
+    R = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(R[0]) if R else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        inv = R[r][c]
+        R[r] = [x / inv for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+    return R, pivots
+
+
+def unimodular_inverse(V) -> list[list[int]]:
+    """Exact inverse of a unimodular integer matrix (Gauss-Jordan over Fractions)."""
     n = len(V)
-    M = [[Fraction(V[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if M[i][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        M[col] = [x / inv for x in M[col]]
-        for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[col])]
-    out = [[M[i][n + j] for j in range(n)] for i in range(n)]
+    R, pivots = rref([list(V[i]) + [int(i == j) for j in range(n)] for i in range(n)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is not unimodular")
+    out = [row[n:] for row in R]
     for row in out:
         for x in row:
             if x.denominator != 1:

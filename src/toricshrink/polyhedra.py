@@ -23,6 +23,7 @@ from .lattice import (
     integer_rank,
     primitive_reduce,
     quotient_group,
+    rref,
     saturation_basis,
     AbelianGroup,
 )
@@ -60,48 +61,23 @@ class DegenerateProjection(ValueError):
 def _solve_square(M, rhs):
     """Solve M x = rhs exactly; returns tuple of Fractions or None if singular."""
     n = len(rhs)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if A[i][col] != 0), None)
-        if piv is None:
-            return None
-        A[col], A[piv] = A[piv], A[col]
-        inv = A[col][col]
-        A[col] = [x / inv for x in A[col]]
-        for i in range(n):
-            if i != col and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[col])]
-    return tuple(A[i][n] for i in range(n))
+    R, pivots = rref([list(M[i]) + [rhs[i]] for i in range(n)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(R[i][n] for i in range(n))
 
 
 def _kernel_direction(M, n):
     """One-dimensional kernel of an (n-1) x n exact system, or None."""
-    rows = [[Fraction(x) for x in row] for row in M]
-    cols = list(range(n))
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in cols if c not in pivots]
+    R, pivots = rref(M)
+    free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         return None
     f = free[0]
     w = [Fraction(0)] * n
     w[f] = Fraction(1)
     for i, c in enumerate(pivots):
-        w[c] = -rows[i][f]
+        w[c] = -R[i][f]
     return tuple(w)
 
 
@@ -606,34 +582,16 @@ def structure_group(P: LabeledPolyhedron, face_spec) -> AbelianGroup:
 def _coordinates_in_basis(vec, basis) -> list[int]:
     """Integer coordinates of vec in a saturated lattice basis (rows)."""
     k = len(basis)
-    n = len(vec)
-    # solve c * basis = vec via Gaussian elimination on the transposed system
-    A = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(vec[i])] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = A[r][c]
-        A[r] = [x / inv for x in A[r]]
-        for i in range(n):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [p - f * q for p, q in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) != k:
+    # solve c * basis = vec by elimination on the transposed system
+    R, pivots = rref([[basis[j][i] for j in range(k)] + [vec[i]]
+                      for i in range(len(vec))])
+    if pivots[:k] != list(range(k)):
         raise ValueError("basis rows are dependent")
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = A[i][k]
-    for i in range(r, n):
-        if A[i][k] != 0:
-            raise ValueError("vector is outside the span of the basis")
+    if k in pivots:
+        raise ValueError("vector is outside the span of the basis")
     out = []
-    for s in sol:
+    for i in range(k):
+        s = R[i][k]
         if s.denominator != 1:
             raise ValueError("vector is not in the lattice spanned by the basis")
         out.append(int(s))

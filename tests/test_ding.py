@@ -71,19 +71,22 @@ def test_d1_canonical_closed_forms():
     assert d1(CanonicalPotential(td), td) == pytest.approx(exact, rel=1e-10)
 
 
+class Quadratic:
+    """v = |x|^2 / 2 in 1D, given only through value/gradient/hessian."""
+
+    def value(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return 0.5 * np.sum(X**2, axis=1)
+
+    def gradient(self, X):
+        return np.atleast_2d(np.asarray(X, dtype=float)).copy()
+
+    def hessian(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return np.broadcast_to(np.eye(1), (len(X), 1, 1)).copy()
+
+
 def test_d1_gaussian_on_large_box():
-    class Quadratic:
-        def value(self, X):
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            return 0.5 * np.sum(X**2, axis=1)
-
-        def gradient(self, X):
-            return np.atleast_2d(np.asarray(X, dtype=float)).copy()
-
-        def hessian(self, X):
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-            return np.broadcast_to(np.eye(1), (len(X), 1, 1)).copy()
-
     P = box([(-8, 8)])
     got = d1(Quadratic(), P)
     assert got == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-6)
@@ -222,6 +225,28 @@ def test_ding_pentagon_gauge_invariance():
     assert got.value == pytest.approx(base.value, abs=1e-7)
 
 
+def test_ding_of_potential_given_as_object():
+    # D = (1/16) int_{-8}^{8} x^2/2 dx - log int e^{-x^2/2} dx; the Gaussian
+    # tail beyond |x| = 8 is below 1e-14
+    P = box([(-8, 8)])
+    got = ding(Quadratic(), P, b_X=[0.0])
+    root = math.sqrt(2.0 * math.pi)
+    assert got.d1 == pytest.approx(root, abs=1e-10)
+    assert got.value == pytest.approx(32.0 / 3.0 - math.log(root), abs=1e-10)
+
+
+def test_ding_numerics_reject_dimension_three():
+    P = box([(-2, 2), (-2, 2), (-2, 2)])
+    v = CanonicalPotential(P)
+    b = [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="dimensions 1 and 2"):
+        d1(v, P)
+    with pytest.raises(ValueError, match="dimensions 1 and 2"):
+        ding(v, P, b_X=b)
+    with pytest.raises(ValueError, match="dimensions 1 and 2"):
+        convexity_scan(v, v, P, b_X=b)
+
+
 # ---------------------------------------------------------------------------
 # geodesics and scans
 
@@ -253,6 +278,27 @@ def test_scan_matches_single_evaluations():
     assert scan[-1].value == pytest.approx(ding(v1, P, b_X=[0.0]).value, abs=1e-10)
     mid = Geodesic(v0, v1).at(0.5)
     assert scan[2].value == pytest.approx(ding(mid, P, b_X=[0.0]).value, abs=1e-10)
+
+
+def test_scan_endpoints_equal_ding_of_corrected_endpoints():
+    rectangle = from_halfspaces(
+        2, [((1, 0), 1, 2), ((-1, 0), 3, 2), ((0, 1), 2, 2), ((0, -1), 1, 2)]
+    )
+    for P, grid, truncation in ((rectangle, 14, 12.0), (half_line(-2), 48, 32.0)):
+        b = find_soliton_vector(P).b
+        s0 = solve(P, b=b, grid=grid, truncation=truncation).correction
+        s1 = GridCorrection(s0.axes, s0.values + 0.3 * bump_values(s0.axes))
+        v0, v1 = CorrectedPotential(P, s0), CorrectedPotential(P, s1)
+        scan = convexity_scan(v0, v1, P, b_X=b, num_t=3)
+        assert ding(v0, P, b_X=b).value == scan[0].value
+        assert ding(v1, P, b_X=b).value == scan[-1].value
+
+
+def test_scan_between_canonical_potentials_is_flat():
+    P = interval(-2, 2)
+    v = CanonicalPotential(P)
+    scan = convexity_scan(v, v, P, b_X=[0.0], num_t=3)
+    assert [s.value for s in scan] == [ding(v, P, b_X=[0.0]).value] * 3
 
 
 def test_scan_convexity_random_geodesics():

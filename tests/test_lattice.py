@@ -11,6 +11,7 @@ from toricshrink.lattice import (
     integer_kernel,
     primitive_reduce,
     quotient_group,
+    rref,
     saturation_basis,
     smith_normal_form,
     unimodular_inverse,
@@ -139,6 +140,16 @@ class TestKernelAndSaturation:
     def test_unimodular_inverse(self):
         V = [[1, 1], [0, 1]]
         assert unimodular_inverse(V) == [[1, -1], [0, 1]]
+
+    def test_rref_of_rank_deficient_rows(self):
+        R, pivots = rref([[0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 5]])
+        assert pivots == [1, 3]
+        assert R == [[0, 1, 2, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+
+    def test_unimodular_inverse_rejects_singular_and_non_unimodular(self):
+        for V in ([[2, 3, 1], [1, 2, 1], [0, 1, 1]], [[2, 0], [0, 1]]):
+            with pytest.raises(ValueError, match="not unimodular"):
+                unimodular_inverse(V)
 
 
 def coset_group_structure(gens):
