@@ -96,9 +96,9 @@ def _load_potential(P, path):
         data = data["correction"]
     try:
         corr = GridCorrection.from_dict(data)
+        return CorrectedPotential(P, corr), corr
     except (KeyError, TypeError, ValueError) as err:
         _fail(EXIT_IO, "parse", f"bad potential payload: {err}")
-    return CorrectedPotential(P, corr), corr
 
 
 def _parse_b(text, dim):
@@ -112,6 +112,18 @@ def _parse_b(text, dim):
         _fail(EXIT_IO, "parse",
               f"weight vector has {len(vals)} entries for dimension {dim}")
     return vals
+
+
+def _soliton_vector(P, tol=1e-12):
+    """find_soliton_vector, with its failures mapped to exit codes."""
+    try:
+        return find_soliton_vector(P, tol=tol)
+    except DivergentWeight as err:
+        _fail(EXIT_VALIDATION, "validation", f"weighted volume diverges: {err}")
+    except ValueError as err:  # quadrature exists in dimensions 1 and 2 only
+        _fail(EXIT_VALIDATION, "validation", err)
+    except NoConvergence as err:
+        _fail(EXIT_NUMERIC, "convergence", err)
 
 
 def _jsonable(obj):
@@ -268,13 +280,7 @@ def cmd_fan(args):
 
 def cmd_soliton_vector(args):
     P = _load(args)
-    try:
-        sol = find_soliton_vector(P, tol=args.tol)
-    except DivergentWeight as err:
-        _fail(EXIT_VALIDATION, "validation",
-              f"weighted volume diverges: {err}")
-    except NoConvergence as err:
-        _fail(EXIT_NUMERIC, "convergence", err)
+    sol = _soliton_vector(P, tol=args.tol)
     print(f"b: {list(sol.b)}")
     print(f"F: {sol.F_value!r}")
     print(f"gradient norm: {sol.gradient_norm!r}")
@@ -293,10 +299,7 @@ def cmd_residual(args):
     u, corr = _load_potential(P, args.potential)
     b = _parse_b(args.b, P.dim)
     if b is None:
-        try:
-            b = list(find_soliton_vector(P, tol=args.tol).b)
-        except DivergentWeight as err:
-            _fail(EXIT_VALIDATION, "validation", err)
+        b = list(_soliton_vector(P, tol=args.tol).b)
     rng = np.random.default_rng(args.seed)
     X = P.sample_interior(rng, args.samples)
     try:
@@ -391,10 +394,7 @@ def cmd_ding_scan(args):
         v0 = CanonicalPotential(P)
     b = _parse_b(args.b, P.dim)
     if b is None:
-        try:
-            b = list(find_soliton_vector(P).b)
-        except DivergentWeight as err:
-            _fail(EXIT_VALIDATION, "validation", err)
+        b = list(_soliton_vector(P).b)
     try:
         scan = convexity_scan(v0, v1, P, b_X=b, num_t=args.num_t, tol=args.tol)
     except (DivergentD1, NotInE, NotConvexHere, DivergentWeight) as err:
@@ -421,15 +421,14 @@ def cmd_check_potential(args):
     u, _ = _load_potential(P, args.potential)
     b = _parse_b(args.b, P.dim)
     if b is None:
-        try:
-            b = list(find_soliton_vector(P, tol=args.tol).b)
-        except DivergentWeight as err:
-            _fail(EXIT_VALIDATION, "validation", err)
+        b = list(_soliton_vector(P, tol=args.tol).b)
     boundary = check_boundary_conditions(P, u)
     try:
         space = check_space_E(P, u, b, seed=args.seed)
     except (NotConvexHere, DivergentWeight) as err:
         _fail(EXIT_VALIDATION, "validation", f"potential outside the space: {err}")
+    except ValueError as err:  # the plan's dimension check
+        _fail(EXIT_VALIDATION, "validation", err)
     print(f"boundary corrections bounded: {boundary.correction_ok}")
     print(f"boundary density positive: {boundary.density_ok}")
     print(f"hessian positive: {space.hessian_positive}")

@@ -2,8 +2,8 @@
 
 A labeled polyhedron is P = { x : <x, m_i n_i> + a_i >= 0 } with primitive
 integer normals n_i, positive integer labels m_i, and rational offsets a_i.
-Discrete predicates (vertices, cones, ranks) use exact Fraction/integer
-arithmetic; LP feasibility checks (irredundancy, interior points) use HiGHS.
+Predicates and verdicts (vertices, cones, ranks, nonempty interior,
+irredundant facets, nonempty faces) use exact Fraction/integer arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .lattice import (
     integer_kernel,
@@ -27,8 +26,6 @@ from .lattice import (
     saturation_basis,
     AbelianGroup,
 )
-
-_MARGIN = 1e-9  # LP margin below which a feasibility verdict is "touching"
 
 
 class EmptyPolyhedron(ValueError):
@@ -65,6 +62,25 @@ def _solve_square(M, rhs):
     if pivots[:n] != list(range(n)):
         return None
     return tuple(R[i][n] for i in range(n))
+
+
+def _subset_solutions(rows, offsets, fixed=0):
+    """Exact vertices of { y : <rows[i], y> + offsets[i] >= 0 }.
+
+    The first `fixed` rows hold with equality and join every square system;
+    the rest are chosen in all combinations. Yields (y, row values) for each
+    feasible solution, once per subset that produces it.
+    """
+    offsets = [Fraction(a) for a in offsets]
+    for subset in itertools.combinations(range(fixed, len(rows)), len(rows[0]) - fixed):
+        chosen = list(range(fixed)) + list(subset)
+        y = _solve_square([rows[i] for i in chosen], [-offsets[i] for i in chosen])
+        if y is None:
+            continue
+        vals = [sum(r * yi for r, yi in zip(row, y) if r) + a
+                for row, a in zip(rows, offsets)]
+        if all(v >= 0 for v in vals[fixed:]):
+            yield y, vals
 
 
 def _kernel_direction(M, n):
@@ -155,9 +171,16 @@ class Cone:
         gens = self.generators or ()
         if not gens:
             return bool(np.linalg.norm(x) <= tol)
-        G = np.array([[float(g) for g in ray] for ray in gens], dtype=float).T
-        _, rnorm = nnls(G, x)
-        return bool(rnorm <= tol * (1.0 + np.linalg.norm(x)))
+        G = np.array([[float(g) for g in ray] for ray in gens], dtype=float)
+        # Caratheodory: x is in the cone iff it is in the cone on some rank(G)
+        # independent generators, where lstsq gives its coordinates; B max(c, 0)
+        # lies in the cone for any subset, so dependent subsets do no harm
+        for subset in itertools.combinations(G, np.linalg.matrix_rank(G)):
+            B = np.array(subset).T
+            c = np.linalg.lstsq(B, x, rcond=None)[0]
+            if np.linalg.norm(B @ np.maximum(c, 0.0) - x) <= tol * (1.0 + np.linalg.norm(x)):
+                return True
+        return False
 
     def contains_line(self) -> tuple[int, ...] | None:
         """A line direction inside the cone, or None (half-space form only)."""
@@ -365,46 +388,31 @@ class LabeledPolyhedron:
 # construction-time LP checks
 
 def _lp_max_margin(P: LabeledPolyhedron, equalities: tuple[int, ...] = ()):
-    """Maximize the worst normalized slack over non-equality facets; t capped at 1.
+    """Maximize t, the smallest lattice slack <n_i, x> + a_i/m_i over the
+    non-equality facets, with t capped at 1; exact over Fractions.
 
-    Returns (t_star, x_star) or (None, None) when HiGHS reports infeasible
-    (only possible when the equality system itself is inconsistent).
+    x is kept orthogonal to the lineality space, so the lifted system in
+    (x, t) is pointed and the optimum is one of its vertices. The equality
+    normals must be independent. Returns (t_star, x_star).
     """
-    n = P.dim
-    A = P.scaled_normal_matrix()
-    a = P.offsets_array()
-    scale = np.linalg.norm(A, axis=1)
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    rows_ub, rhs_ub = [], []
-    rows_eq, rhs_eq = [], []
-    for i in range(len(P.facets)):
-        if i in equalities:
-            rows_eq.append(np.append(A[i], 0.0))
-            rhs_eq.append(-a[i])
-        else:
-            rows_ub.append(np.append(-A[i], scale[i]))
-            rhs_ub.append(a[i])
-    res = linprog(
-        c,
-        A_ub=np.array(rows_ub) if rows_ub else None,
-        b_ub=np.array(rhs_ub) if rhs_ub else None,
-        A_eq=np.array(rows_eq) if rows_eq else None,
-        b_eq=np.array(rhs_eq) if rhs_eq else None,
-        bounds=[(None, None)] * n + [(None, 1.0)],
-        method="highs",
-    )
-    if res.status != 0:
-        return None, None
-    return float(res.x[-1]), np.array(res.x[:n])
+    lineality = integer_kernel([list(f.normal) for f in P.facets])
+    free = [f for i, f in enumerate(P.facets) if i not in equalities]
+    rows = ([P.facets[i].scaled_normal + (0,) for i in equalities]
+            + [k + (0,) for k in lineality] + [(0,) * P.dim + (-1,)]
+            + [f.normal + (-1,) for f in free])
+    offsets = ([P.facets[i].offset for i in equalities] + [0] * len(lineality)
+               + [1] + [f.offset / f.label for f in free])
+    fixed = len(equalities) + len(lineality)
+    y, _ = max(_subset_solutions(rows, offsets, fixed), key=lambda sol: sol[0][-1])
+    return y[-1], y[:-1]
 
 
 def _check_interior_nonempty(P: LabeledPolyhedron) -> None:
     t, _ = _lp_max_margin(P)
-    if t is None or t <= _MARGIN:
+    if t <= 0:
         raise EmptyPolyhedron(
             "inequality system has empty interior"
-            if t is not None and t > -_MARGIN
+            if t == 0
             else "inequality system is infeasible"
         )
 
@@ -412,7 +420,7 @@ def _check_interior_nonempty(P: LabeledPolyhedron) -> None:
 def _check_irredundant(P: LabeledPolyhedron) -> None:
     for i in range(len(P.facets)):
         t, _ = _lp_max_margin(P, equalities=(i,))
-        if t is None or t <= _MARGIN:
+        if t <= 0:
             raise RedundantFacet(
                 f"facet {i} (normal {P.facets[i].normal}) does not meet the "
                 "polyhedron in a facet; labels on it would be meaningless"
@@ -421,10 +429,8 @@ def _check_irredundant(P: LabeledPolyhedron) -> None:
 
 @lru_cache(maxsize=256)
 def _interior_point_cached(P: LabeledPolyhedron) -> tuple[float, ...]:
-    t, x = _lp_max_margin(P)
-    if t is None or t <= _MARGIN:
-        raise EmptyPolyhedron("no interior point")
-    return tuple(x)
+    # construction proved the margin positive
+    return tuple(map(float, _lp_max_margin(P)[1]))
 
 
 def _interior_point(P: LabeledPolyhedron) -> np.ndarray:
@@ -433,10 +439,8 @@ def _interior_point(P: LabeledPolyhedron) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _facet_interior_point_cached(P: LabeledPolyhedron, i: int) -> tuple[float, ...]:
-    t, x = _lp_max_margin(P, equalities=(i,))
-    if t is None or t <= _MARGIN:
-        raise RedundantFacet(f"facet {i} has no relative interior on P")
-    return tuple(x)
+    # construction proved the margin positive on every facet
+    return tuple(map(float, _lp_max_margin(P, equalities=(i,))[1]))
 
 
 def _facet_interior_point(P: LabeledPolyhedron, i: int) -> np.ndarray:
@@ -457,23 +461,12 @@ def _enumerate_vertices(P: LabeledPolyhedron):
     n = P.dim
     if n > 3:
         raise ValueError("vertex enumeration implemented for n <= 3 only")
-    scaled = [f.scaled_normal for f in P.facets]
-    offs = [f.offset for f in P.facets]
-    found: dict[tuple, tuple] = {}
-    for subset in itertools.combinations(range(len(P.facets)), n):
-        M = [scaled[i] for i in subset]
-        rhs = [-offs[i] for i in subset]
-        x = _solve_square(M, rhs)
-        if x is None:
-            continue
-        vals = [
-            sum(Fraction(s) * xi for s, xi in zip(scaled[j], x)) + offs[j]
-            for j in range(len(P.facets))
-        ]
-        if any(v < 0 for v in vals):
-            continue
-        active = tuple(j for j, v in enumerate(vals) if v == 0)
-        found[x] = active
+    found = {
+        x: tuple(j for j, v in enumerate(vals) if v == 0)
+        for x, vals in _subset_solutions(
+            [f.scaled_normal for f in P.facets], [f.offset for f in P.facets]
+        )
+    }
     return tuple(sorted(found.items()))
 
 
@@ -567,7 +560,7 @@ def structure_group(P: LabeledPolyhedron, face_spec) -> AbelianGroup:
     if integer_rank(normals) != k:
         raise ValueError("selected facet normals are linearly dependent")
     t, _ = _lp_max_margin(P, equalities=face_spec)
-    if t is None or t < -_MARGIN:
+    if t < 0:
         raise EmptyFace(f"facets {face_spec} have no common point on P")
 
     basis = saturation_basis(normals)  # k rows spanning the saturation

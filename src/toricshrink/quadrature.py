@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
-from scipy.special import gamma, gammaincc
 
 from .polyhedra import LabeledPolyhedron, asymptotic_cone, vertices
 
@@ -239,6 +237,7 @@ def _float_vertices(A, a, tol=1e-9):
 
 
 def _triangulate(points) -> list[Simplex]:
+    """Split an interval at its points, or a convex polygon as a fan."""
     n = points.shape[1]
     if n == 1:
         xs = np.sort(points[:, 0])
@@ -247,21 +246,25 @@ def _triangulate(points) -> list[Simplex]:
             for i in range(len(xs) - 1)
             if xs[i + 1] - xs[i] > 1e-12
         ]
-    if len(points) == n + 1:
-        S = Simplex(tuple(map(tuple, points)))
-        if S.volume <= 1e-13:
-            raise ValueError("degenerate region: vertices span no volume")
-        return [S]
-    tri = Delaunay(points, qhull_options="QJ")
+    # the centroid is interior, so the vertices have distinct angles around it
+    d = points - points.mean(axis=0)
+    ring = points[np.argsort(np.arctan2(d[:, 1], d[:, 0]))]
     out = []
-    for idx in tri.simplices:
-        S = Simplex(tuple(tuple(points[i]) for i in idx))
+    for i in range(1, len(ring) - 1):
+        S = Simplex((tuple(ring[0]), tuple(ring[i]), tuple(ring[i + 1])))
         if S.volume > 1e-13:
             out.append(S)
-    return sorted(out, key=lambda s: s.points)
+    return out
 
 
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi}
+
+
+def _upper_gamma(s: int, x: float) -> float:
+    """Gamma(s) Q(s, x) = (s-1)! e^{-x} sum_{k<s} x^k / k! for integer s >= 1."""
+    return math.factorial(s - 1) * math.exp(-x) * math.fsum(
+        x**k / math.factorial(k) for k in range(s)
+    )
 
 
 @dataclass(frozen=True)
@@ -320,9 +323,7 @@ def _tail_bounds(P: LabeledPolyhedron, b, rays, T):
     bounds = []
     for d in range(3):
         s = d + n
-        val = math.exp(C0) * omega * eps ** (-s) * float(gamma(s)) \
-            * float(gammaincc(s, eps * r_T))
-        bounds.append(val)
+        bounds.append(math.exp(C0) * omega * eps ** (-s) * _upper_gamma(s, eps * r_T))
     return eps, tuple(bounds)
 
 
@@ -333,11 +334,13 @@ def plan(P: LabeledPolyhedron, b, tol: float = 1e-10,
     Bounded polyhedra are triangulated exactly. Unbounded ones are cut by
     <b,x> <= T, with T grown until the certified tail drops below tol unless
     a fixed truncation is supplied. Raises DivergentWeight when b fails to be
-    positive on some recession direction.
+    positive on some recession direction, and ValueError in dimension > 2.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (P.dim,):
         raise ValueError("weight vector has the wrong dimension")
+    if P.dim > 2:
+        raise ValueError("quadrature plans are implemented in dimensions 1 and 2")
     cone = asymptotic_cone(P)
     line = cone.contains_line()
     if line is not None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from toricshrink.cli import main
-from toricshrink.polyhedra import half_line, interval, save_polyhedron
+from toricshrink.polyhedra import box, half_line, interval, save_polyhedron
 
 
 @pytest.fixture
@@ -22,6 +22,13 @@ def teardrop_file(tmp_path):
 def interval_file(tmp_path):
     path = tmp_path / "interval.json"
     save_polyhedron(interval(-2, 2), path)
+    return str(path)
+
+
+@pytest.fixture
+def cube_file(tmp_path):
+    path = tmp_path / "cube.json"
+    save_polyhedron(box([(-2, 2)] * 3), path)
     return str(path)
 
 
@@ -208,3 +215,36 @@ def test_console_entry_point(teardrop_file):
     )
     assert proc.returncode == 0
     assert "proper: True" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["soliton-vector"],
+    ["residual"],
+    ["check-potential"],
+    ["check-potential", "--b", "0,0,0"],
+])
+def test_3d_numerics_are_validation_errors(cube_file, capsys, argv):
+    # the quadrature exists in dimensions 1 and 2 only
+    assert main([argv[0], cube_file] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:")
+    assert err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, toricshrink.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_potential_of_wrong_dimension_is_parse_error(cube_file, interval_file,
+                                                     tmp_path, capsys):
+    art = tmp_path / "round.json"
+    assert main(["solve", interval_file, "--out", str(art)]) == 0
+    capsys.readouterr()
+    assert main(["ding-scan", cube_file, "--potential", str(art)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:")
+    assert err.count("\n") == 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import nnls
 from scipy.spatial import HalfspaceIntersection
 
 from toricshrink.polyhedra import (
@@ -89,6 +90,19 @@ def test_empty_infeasible_rejected():
 def test_empty_interior_rejected():
     with pytest.raises(EmptyPolyhedron):
         from_halfspaces(1, [((1,), 1, 0), ((-1,), 1, 0)])  # the single point 0
+
+
+def test_thin_interval_accepted():
+    # width 1e-12 lies below any float margin, yet the interior is nonempty
+    P = from_halfspaces(1, [((1,), 1, 0), ((-1,), 1, Fraction(1, 10**12))])
+    assert P.interior_contains(P.interior_point(), margin=0.0)
+
+
+def test_shallow_corner_cut_is_a_facet():
+    # the cut facet is an edge of length sqrt(2) * 1e-10
+    cut = ((-1, -1), 1, 4 - Fraction(1, 10**10))
+    P = from_halfspaces(2, [(r.normal, r.label, r.offset) for r in square().facets] + [cut])
+    assert len(vertices(P)) == 5
 
 
 def test_slack_facet_rejected():
@@ -278,6 +292,20 @@ def test_generator_cone_membership():
     assert C.contains([2.0, 1.0])
     assert not C.contains([-1.0, 0.0])
     assert not C.contains([0.0, 1.0])
+
+
+@pytest.mark.parametrize("gens", [((1, 2),), ((2, -1), (1, 1), (-1, 3))])
+def test_generator_cone_membership_matches_nnls(gens):
+    C = Cone(dim=2, generators=tuple(tuple(map(Fraction, g)) for g in gens),
+             authoritative="generators")
+    G = np.array(gens, dtype=float).T
+    rng = np.random.default_rng(11)
+    # random points, plus multiples of each generator so a ray has members
+    points = list(rng.normal(size=(200, 2)))
+    points += [c * G[:, j] for j in range(G.shape[1]) for c in rng.normal(size=20)]
+    for x in points:
+        expected = nnls(G, x)[1] <= 1e-9 * (1.0 + np.linalg.norm(x))
+        assert C.contains(x) == expected
 
 
 @given(st.lists(

@@ -1,12 +1,14 @@
 """Closed-form weighted integrals checked against analytic values and dense Gauss."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gamma, gammaincc
 
-from toricshrink.polyhedra import box, from_halfspaces, half_line, interval
+from toricshrink.polyhedra import box, from_halfspaces, half_line, interval, vertices
 from toricshrink.quadrature import (
     DivergentWeight,
     Simplex,
@@ -17,6 +19,7 @@ from toricshrink.quadrature import (
     stable_sum,
     moment_integral_simplex,
     plan,
+    _upper_gamma,
 )
 
 
@@ -227,6 +230,42 @@ def test_divergent_on_improper_polyhedron():
     strip = from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 1, 2)])
     with pytest.raises(DivergentWeight):
         plan(strip, [1.0, 0.0])
+
+
+def test_closed_form_tail_matches_scipy():
+    for s in range(1, 5):
+        for x in np.linspace(0.0, 60.0, 241):
+            expected = gamma(s) * gammaincc(s, x)
+            assert _upper_gamma(s, x) == pytest.approx(expected, rel=1e-13)
+
+
+def _shoelace_area(P):
+    pts = [v.point for v in vertices(P)]
+    c = np.mean([[float(x) for x in p] for p in pts], axis=0)
+    ring = sorted(pts, key=lambda p: math.atan2(float(p[1]) - c[1], float(p[0]) - c[0]))
+    return abs(sum(p[0] * q[1] - q[0] * p[1]
+                   for p, q in zip(ring, ring[1:] + ring[:1]))) / 2
+
+
+@pytest.mark.parametrize("rows", [
+    # hexagon: the square with two opposite corners cut
+    [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, 0), 1, 2), ((0, -1), 1, 2),
+     ((1, 1), 1, 2), ((-1, -1), 1, 2)],
+    # pentagon: the square with one corner cut
+    [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, 0), 1, 2), ((0, -1), 1, 2),
+     ((-1, -1), 1, 2)],
+])
+def test_fan_triangulation_covers_polygon(rows):
+    P = from_halfspaces(2, rows)
+    area = _shoelace_area(P)
+    assert isinstance(area, Fraction)
+    volumes = [S.volume for S in plan(P, [0.0, 0.0]).simplices]
+    assert stable_sum(volumes) == pytest.approx(float(area), rel=1e-14)
+
+
+def test_plan_rejects_dimension_three():
+    with pytest.raises(ValueError, match="dimensions 1 and 2"):
+        plan(box([(-2, 2)] * 3), [0.0, 0.0, 0.0])
 
 
 def test_plan_deterministic():
