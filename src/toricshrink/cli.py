@@ -178,8 +178,6 @@ def cmd_validate(args):
     print(f"simple: {report.simple}")
     if report.improper_line is not None:
         print(f"contains line: {tuple(report.improper_line)}")
-    if report.irrational_edge is not None:
-        print(f"irrational edge witness: {report.irrational_edge}")
     if report.nonsimple_vertex is not None:
         print(f"non-simple vertex witness: {report.nonsimple_vertex}")
     payload = {
@@ -187,7 +185,6 @@ def cmd_validate(args):
         "rational": report.rational,
         "simple": report.simple,
         "improper_line": report.improper_line,
-        "irrational_edge": report.irrational_edge,
         "nonsimple_vertex": report.nonsimple_vertex,
         "facets": [
             {"normal": list(f.normal), "label": f.label, "offset": f.offset}

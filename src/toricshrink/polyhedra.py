@@ -4,6 +4,9 @@ A labeled polyhedron is P = { x : <x, m_i n_i> + a_i >= 0 } with primitive
 integer normals n_i, positive integer labels m_i, and rational offsets a_i.
 Predicates and verdicts (vertices, cones, ranks, nonempty interior,
 irredundant facets, nonempty faces) use exact Fraction/integer arithmetic.
+Construction, face verdicts, vertices and interior points all read one
+cached enumeration: the vertices and extreme recession rays of P with its
+lineality space projected out.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,34 +58,6 @@ class DegenerateProjection(ValueError):
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over Fractions (desk-scale dimensions only)
-
-def _solve_square(M, rhs):
-    """Solve M x = rhs exactly; returns tuple of Fractions or None if singular."""
-    n = len(rhs)
-    R, pivots = rref([list(M[i]) + [rhs[i]] for i in range(n)])
-    if pivots[:n] != list(range(n)):
-        return None
-    return tuple(R[i][n] for i in range(n))
-
-
-def _subset_solutions(rows, offsets, fixed=0):
-    """Exact vertices of { y : <rows[i], y> + offsets[i] >= 0 }.
-
-    The first `fixed` rows hold with equality and join every square system;
-    the rest are chosen in all combinations. Yields (y, row values) for each
-    feasible solution, once per subset that produces it.
-    """
-    offsets = [Fraction(a) for a in offsets]
-    for subset in itertools.combinations(range(fixed, len(rows)), len(rows[0]) - fixed):
-        chosen = list(range(fixed)) + list(subset)
-        y = _solve_square([rows[i] for i in chosen], [-offsets[i] for i in chosen])
-        if y is None:
-            continue
-        vals = [sum(r * yi for r, yi in zip(row, y) if r) + a
-                for row, a in zip(rows, offsets)]
-        if all(v >= 0 for v in vals[fixed:]):
-            yield y, vals
-
 
 def _kernel_direction(M, n):
     """One-dimensional kernel of an (n-1) x n exact system, or None."""
@@ -255,13 +231,6 @@ class Cone:
             return self.is_pointed() and not self.ray_generators()
         return not self.generators
 
-    def full_dimensional(self) -> bool:
-        """Generator form only: do the rays span the ambient space."""
-        if self.authoritative != "generators":
-            raise ValueError("full-dimensionality check needs the generator form")
-        gens = [list(rational_to_primitive(g)) for g in (self.generators or ())]
-        return integer_rank(gens) == self.dim
-
 
 def dual_cone(C: Cone) -> Cone:
     """Dual cone C' = { v : <v, w> >= 0 for all w in C }, in generator form."""
@@ -294,7 +263,6 @@ class ValidationReport:
     rational: bool
     simple: bool
     improper_line: tuple[int, ...] | None = None
-    irrational_edge: tuple | None = None
     nonsimple_vertex: tuple | None = None
 
     @property
@@ -321,8 +289,7 @@ class LabeledPolyhedron:
         for f in self.facets:
             if len(f.normal) != self.dim:
                 raise ValueError("facet normal length does not match dimension")
-        _check_interior_nonempty(self)
-        _check_irredundant(self)
+        _check_construction(self)
 
     # -- numeric views -------------------------------------------------------
 
@@ -344,10 +311,11 @@ class LabeledPolyhedron:
         return bool(np.all(self.linear_values(x) > margin))
 
     def interior_point(self) -> np.ndarray:
-        return _interior_point(self)
+        return _relative_interior_point(*_face(self))
 
     def facet_interior_point(self, i: int) -> np.ndarray:
-        return _facet_interior_point(self, i)
+        i = range(len(self.facets))[i]  # negative i counts from the end, as for a list
+        return _relative_interior_point(*_face(self, (i,)))
 
     def is_shrinker_normalized(self) -> bool:
         return all(f.offset == 2 for f in self.facets)
@@ -385,66 +353,103 @@ class LabeledPolyhedron:
 
 
 # ---------------------------------------------------------------------------
-# construction-time LP checks
+# the skeleton: one exact enumeration per polyhedron
 
-def _lp_max_margin(P: LabeledPolyhedron, equalities: tuple[int, ...] = ()):
-    """Maximize t, the smallest lattice slack <n_i, x> + a_i/m_i over the
-    non-equality facets, with t capped at 1; exact over Fractions.
+class _Skeleton(NamedTuple):
+    """Vertices (point, active facets) and extreme rays (primitive direction,
+    facets parallel to it) of P ∩ L^perp, where L is the lineality space."""
 
-    x is kept orthogonal to the lineality space, so the lifted system in
-    (x, t) is pointed and the optimum is one of its vertices. The equality
-    normals must be independent. Returns (t_star, x_star).
-    """
-    lineality = integer_kernel([list(f.normal) for f in P.facets])
-    free = [f for i, f in enumerate(P.facets) if i not in equalities]
-    rows = ([P.facets[i].scaled_normal + (0,) for i in equalities]
-            + [k + (0,) for k in lineality] + [(0,) * P.dim + (-1,)]
-            + [f.normal + (-1,) for f in free])
-    offsets = ([P.facets[i].offset for i in equalities] + [0] * len(lineality)
-               + [1] + [f.offset / f.label for f in free])
-    fixed = len(equalities) + len(lineality)
-    y, _ = max(_subset_solutions(rows, offsets, fixed), key=lambda sol: sol[0][-1])
-    return y[-1], y[:-1]
-
-
-def _check_interior_nonempty(P: LabeledPolyhedron) -> None:
-    t, _ = _lp_max_margin(P)
-    if t <= 0:
-        raise EmptyPolyhedron(
-            "inequality system has empty interior"
-            if t == 0
-            else "inequality system is infeasible"
-        )
-
-
-def _check_irredundant(P: LabeledPolyhedron) -> None:
-    for i in range(len(P.facets)):
-        t, _ = _lp_max_margin(P, equalities=(i,))
-        if t <= 0:
-            raise RedundantFacet(
-                f"facet {i} (normal {P.facets[i].normal}) does not meet the "
-                "polyhedron in a facet; labels on it would be meaningless"
-            )
+    lineality: tuple[tuple[int, ...], ...]
+    vertices: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
+    rays: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 @lru_cache(maxsize=256)
-def _interior_point_cached(P: LabeledPolyhedron) -> tuple[float, ...]:
-    # construction proved the margin positive
-    return tuple(map(float, _lp_max_margin(P)[1]))
+def _skeleton(P: LabeledPolyhedron) -> _Skeleton:
+    """Extreme rays of { (x, s) : <x, m_i n_i> + a_i s >= 0, s >= 0, x in L^perp }.
+
+    The cone is pointed, so each extreme ray is the kernel of the lineality
+    rows and n - dim L independent tight rows. Rays with s > 0 scale to the
+    vertices, rays with s = 0 are the recession rays; P is empty iff no ray
+    has s > 0.
+    """
+    n = P.dim
+    lineality = tuple(integer_kernel([list(f.normal) for f in P.facets]))
+    # each row scaled by its offset's denominator, so all arithmetic on
+    # primitive integer rays is in integers
+    rows = [
+        tuple(c * f.offset.denominator for c in f.scaled_normal) + (f.offset.numerator,)
+        for f in P.facets
+    ] + [(0,) * n + (1,)]
+    fixed = [k + (0,) for k in lineality]
+    verts, rays = {}, {}
+    for subset in itertools.combinations(rows, n - len(lineality)):
+        w = _kernel_direction(fixed + list(subset), n + 1)
+        if w is None:
+            continue
+        w = rational_to_primitive(w)
+        vals = [sum(r * wi for r, wi in zip(row, w)) for row in rows]
+        if min(vals) < 0:
+            if max(vals) > 0:
+                continue
+            w, vals = [-x for x in w], [-v for v in vals]
+        *x, s = w
+        active = tuple(i for i, v in enumerate(vals[:-1]) if v == 0)
+        if s:
+            verts[tuple(Fraction(xi, s) for xi in x)] = active
+        else:
+            rays[tuple(x)] = active
+    return _Skeleton(lineality, tuple(sorted(verts.items())), tuple(sorted(rays.items())))
 
 
-def _interior_point(P: LabeledPolyhedron) -> np.ndarray:
-    return np.array(_interior_point_cached(P))
+def _face(P: LabeledPolyhedron, spec=()):
+    """Vertices and rays of the skeleton on which every facet in spec is tight."""
+    sk = _skeleton(P)
+    return tuple(
+        [g for g, active in items if set(spec) <= set(active)]
+        for items in (sk.vertices, sk.rays)
+    )
 
 
-@lru_cache(maxsize=1024)
-def _facet_interior_point_cached(P: LabeledPolyhedron, i: int) -> tuple[float, ...]:
-    # construction proved the margin positive on every facet
-    return tuple(map(float, _lp_max_margin(P, equalities=(i,))[1]))
+def _affine_dim(points, rays) -> int:
+    """Dimension of conv(points) + cone(rays); -1 when there are no points."""
+    if not points:
+        return -1
+    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    return len(rref(rows + [list(r) for r in rays])[1])
 
 
-def _facet_interior_point(P: LabeledPolyhedron, i: int) -> np.ndarray:
-    return np.array(_facet_interior_point_cached(P, i))
+def _relative_interior_point(points, rays) -> np.ndarray:
+    """Barycenter of the points plus the sum of the rays, exact until the return.
+
+    Every generator enters with a positive weight, so the point lies in the
+    relative interior of conv(points) + cone(rays).
+    """
+    return np.array([
+        float(sum(p[d] for p in points) / len(points) + sum(r[d] for r in rays))
+        for d in range(len(points[0]))
+    ])
+
+
+def _check_construction(P: LabeledPolyhedron) -> None:
+    """Raise unless P has nonempty interior and no redundant facet."""
+    sk = _skeleton(P)
+    if not sk.vertices:
+        raise EmptyPolyhedron("inequality system is infeasible")
+    dim = P.dim - len(sk.lineality)
+    if _affine_dim(*_face(P)) < dim:
+        raise EmptyPolyhedron("inequality system has empty interior")
+    # an (n-1)-dimensional facet is still redundant when an earlier facet
+    # gives the same half-space
+    seen = set()
+    for i, f in enumerate(P.facets):
+        halfspace = (f.normal, f.offset / f.label)
+        if halfspace in seen or _affine_dim(*_face(P, (i,))) < dim - 1:
+            raise RedundantFacet(
+                f"facet {i} (normal {f.normal}) does not meet the "
+                "polyhedron in a facet; labels on it would be meaningless"
+            )
+        seen.add(halfspace)
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +460,13 @@ def asymptotic_cone(P: LabeledPolyhedron) -> Cone:
     return Cone(dim=P.dim, halfspaces=tuple(f.normal for f in P.facets))
 
 
-@lru_cache(maxsize=256)
 def _enumerate_vertices(P: LabeledPolyhedron):
     """All vertices with exact active sets: [(point Fractions, active indices)]."""
-    n = P.dim
-    if n > 3:
+    if P.dim > 3:
         raise ValueError("vertex enumeration implemented for n <= 3 only")
-    found = {
-        x: tuple(j for j, v in enumerate(vals) if v == 0)
-        for x, vals in _subset_solutions(
-            [f.scaled_normal for f in P.facets], [f.offset for f in P.facets]
-        )
-    }
-    return tuple(sorted(found.items()))
+    sk = _skeleton(P)
+    # with a lineality space P has no vertices; the skeleton's are those of P ∩ L^perp
+    return () if sk.lineality else sk.vertices
 
 
 def vertices(P: LabeledPolyhedron) -> list[VertexData]:
@@ -484,15 +483,12 @@ def vertices(P: LabeledPolyhedron) -> list[VertexData]:
         scaled = [P.facets[i].scaled_normal for i in active]
         for k, i in enumerate(active):
             others = [scaled[j] for j in range(n) if j != k]
-            if n == 1:
-                w = (Fraction(1),)
-            else:
-                w = _kernel_direction(others, n)
-                if w is None:
-                    raise NotSimple(
-                        f"dependent edge system at vertex "
-                        f"{tuple(float(p) for p in point)}"
-                    )
+            w = _kernel_direction(others, n)
+            if w is None:
+                raise NotSimple(
+                    f"dependent edge system at vertex "
+                    f"{tuple(float(p) for p in point)}"
+                )
             inward = sum(Fraction(s) * wi for s, wi in zip(scaled[k], w))
             if inward < 0:
                 w = tuple(-x for x in w)
@@ -529,7 +525,6 @@ def validate(P: LabeledPolyhedron) -> ValidationReport:
         rational=rational,
         simple=simple,
         improper_line=line,
-        irrational_edge=None,
         nonsimple_vertex=witness,
     )
 
@@ -559,8 +554,7 @@ def structure_group(P: LabeledPolyhedron, face_spec) -> AbelianGroup:
     k = len(face_spec)
     if integer_rank(normals) != k:
         raise ValueError("selected facet normals are linearly dependent")
-    t, _ = _lp_max_margin(P, equalities=face_spec)
-    if t < 0:
+    if not _face(P, face_spec)[0]:
         raise EmptyFace(f"facets {face_spec} have no common point on P")
 
     basis = saturation_basis(normals)  # k rows spanning the saturation

@@ -16,7 +16,14 @@ from scipy.optimize import brentq
 
 from toricshrink.ding import convexity_scan, second_differences
 from toricshrink.lattice import quotient_group
-from toricshrink.polyhedra import box, half_line, interval, structure_group, vertices
+from toricshrink.polyhedra import (
+    box,
+    from_halfspaces,
+    half_line,
+    interval,
+    structure_group,
+    vertices,
+)
 from toricshrink.potentials import (
     CanonicalPotential,
     CorrectedPotential,
@@ -63,6 +70,22 @@ def affine_residual(xs, vals):
     A = np.column_stack([np.ones_like(xs), xs])
     coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
     return float(np.max(np.abs(vals - A @ coef)))
+
+
+def test_polyhedron_construction_is_fast():
+    octahedron = [((sx, sy, sz), 1, 1)
+                  for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    # twelve lines tangent to a near-circle, each one an edge of the 12-gon
+    directions = [(1, 0), (2, 1), (1, 2), (0, 1), (-1, 2), (-2, 1),
+                  (-1, 0), (-2, -1), (-1, -2), (0, -1), (1, -2), (2, -1)]
+    dodecagon = [(d, 1, 5 if 0 in d else 11) for d in directions]
+    for dim, rows in ((3, octahedron), (2, dodecagon)):
+        with _Timer(0.15) as t:
+            P = from_halfspaces(dim, rows)
+        # both inequality systems are symmetric under x -> -x
+        assert P.interior_point().tolist() == [0.0] * dim
+        _report(f"{dim}D polyhedron with {len(rows)} facets built", t)
+    assert len(vertices(P)) == 12
 
 
 def test_gaussian_soliton_vector():

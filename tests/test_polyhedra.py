@@ -1,5 +1,6 @@
 """Exactness and classification tests for labeled polyhedra."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +133,14 @@ def test_vertex_touching_facet_rejected():
                 ((1, 1), 1, 0),
             ],
         )
+
+
+@pytest.mark.parametrize("copy", [((1, 0), 1, 2), ((1, 0), 2, 4)])
+def test_repeated_halfspace_rejected(copy):
+    # the copy meets the square in a whole edge; only the repeat makes it redundant
+    rows = [(f.normal, f.label, f.offset) for f in square().facets]
+    with pytest.raises(RedundantFacet):
+        from_halfspaces(2, rows + [copy])
 
 
 def test_nonprimitive_normal_rejected():
@@ -527,6 +536,22 @@ def test_interior_and_facet_points():
         assert abs(vals[i]) < 1e-8
         others = np.delete(vals, i)
         assert np.all(others > 1e-6)
+
+
+def test_square_interior_point_ignores_facet_order():
+    rows = [(f.normal, f.label, f.offset) for f in square().facets]
+    for order in itertools.permutations(rows):
+        assert from_halfspaces(2, order).interior_point().tolist() == [0.0, 0.0]
+
+
+def test_strip_points_and_structure_group():
+    # the strip |x| <= 2 has the y-axis as lineality space
+    strip = from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 1, 2)])
+    assert strip.interior_contains(strip.interior_point())
+    for i in range(2):
+        vals = strip.linear_values(strip.facet_interior_point(i))
+        assert vals[i] == 0 and vals[1 - i] > 0
+    assert structure_group(strip, [0]).is_trivial
 
 
 def test_sample_interior_respects_domain():
