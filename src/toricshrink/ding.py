@@ -23,6 +23,7 @@ The numerics cover dimensions 1 and 2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +32,8 @@ import numpy as np
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
     NotConvexHere, correction_of
-from .quadrature import Simplex, _float_vertices, _triangulate, \
-    gauss_integral_simplex, gauss_simplex_rule, plan as build_plan, stable_sum
+from .quadrature import Simplex, _clip, _fan, _ring, gauss_integral_simplex, \
+    gauss_simplex_rule, plan as build_plan, stable_sum
 from .shrinker import _correction_arrays, _density, find_soliton_vector
 
 
@@ -74,13 +75,12 @@ def _fitted_plan(P, w, correction, tol, exc):
         except RuntimeError as err:
             raise exc(str(err)) from err
     # T is the largest level <w,x> reached on P intersected with the grid box
-    lo, hi = np.array(correction.domain, dtype=float).T
-    eye = np.eye(P.dim)
-    pts = _float_vertices(np.vstack([P.scaled_normal_matrix(), eye, -eye]),
-                          np.concatenate([P.offsets_array(), -lo, hi]))
-    if len(pts) == 0:
+    ring = _ring(np.array(list(itertools.product(*correction.domain)), dtype=float))
+    for wk, ak in zip(P.scaled_normal_matrix(), P.offsets_array()):
+        ring = _clip(ring, wk, ak)
+    if len(ring) == 0:
         raise exc("could not fit a truncation level inside the correction grid")
-    T = float(np.max(pts @ w)) * (1.0 - 1e-12) - 1e-12
+    T = float(np.max(ring @ w)) * (1.0 - 1e-12) - 1e-12
     try:
         return build_plan(P, w, tol=tol, truncation=T)
     except ValueError as err:
@@ -142,44 +142,26 @@ def _canonical_linear(P: LabeledPolyhedron, b, pl) -> float:
 
     Each facet term L_k log L_k is integrated over geometric slabs
     2^{-m-1} R < L_k <= 2^{-m} R where it is smooth, so plain Gauss rules
-    converge; the leftover sliver at L_k <= 1e-8 R is below rounding.
+    converge; each slab is the plan ring clipped twice. The leftover sliver
+    at L_k <= 1e-8 R is below rounding.
     """
     b = np.asarray(b, dtype=float)
-    W = P.scaled_normal_matrix()
-    a = P.offsets_array()
-    rows = [W]
-    offs = [a]
-    if pl.truncation is not None:
-        rows.append(-b[None, :])
-        offs.append(np.array([pl.truncation]))
-    A0 = np.vstack(rows)
-    a0 = np.concatenate(offs)
-    region = np.array([p for S in pl.simplices for p in S.points])
+    ring = np.array(pl.ring)
     pieces = []
-    for k in range(len(P.facets)):
-        wk = W[k]
-        ak = float(a[k])
+    for wk, ak in zip(P.scaled_normal_matrix(), P.offsets_array()):
 
         def term(X, wk=wk, ak=ak):
             L = X @ wk + ak
             return 0.5 * L * np.log(L) * np.exp(-(X @ b))
 
-        R = float(np.max(region @ wk + ak))
+        R = float(np.max(ring @ wk + ak))
         hi = R
         floor = 1e-8 * R
         while hi > floor:
-            lo = 0.5 * hi
-            if lo <= floor:
-                lo = floor
-            A = np.vstack([A0, -wk[None, :]])
-            aa = np.concatenate([a0, [hi - ak]])
-            A[k] = wk
-            aa[k] = ak - lo
-            pts = _float_vertices(A, aa)
-            if len(pts) >= P.dim + 1:
-                for S in _triangulate(pts):
-                    pieces.append(
-                        gauss_integral_simplex(S, term, order=_CANONICAL_ORDER))
+            lo = max(0.5 * hi, floor)
+            slab = _clip(_clip(ring, wk, ak - lo), -wk, hi - ak)
+            for S in _fan(slab):
+                pieces.append(gauss_integral_simplex(S, term, order=_CANONICAL_ORDER))
             hi = lo if lo > floor else 0.0
     return stable_sum(pieces)
 

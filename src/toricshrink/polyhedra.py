@@ -321,11 +321,15 @@ class LabeledPolyhedron:
         return all(f.offset == 2 for f in self.facets)
 
     def is_bounded(self) -> bool:
-        cone = asymptotic_cone(self)
-        return cone.is_pointed() and not cone.ray_generators()
+        sk = _skeleton(self)
+        return not sk.lineality and not sk.rays
 
     def recession_rays(self) -> list[tuple[int, ...]]:
-        return asymptotic_cone(self).ray_generators()
+        """Primitive integer generators of the extreme rays of C(P), sorted."""
+        sk = _skeleton(self)
+        if sk.lineality:
+            raise ValueError("cone contains a line; no pointed ray description")
+        return [r for r, _ in sk.rays]
 
     def sample_interior(self, rng: np.random.Generator, count: int,
                         ray_scale: float = 3.0) -> np.ndarray:

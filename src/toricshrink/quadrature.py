@@ -1,20 +1,23 @@
 """Exponentially weighted integrals over polyhedra.
 
-Integrals of x^alpha e^{-<b,x>} over a labeled polyhedron are computed by
-triangulating a truncated region and evaluating each simplex in closed form
-through divided differences of exp. Truncation error is certified by an
-explicit tail bound built from the recession rays.
+The integral of e^{-<b,x>} over a labeled polyhedron and its first and second
+moments are computed by fanning a convex region into simplices and evaluating
+each simplex in closed form from one table of divided differences of exp.
+The region's corners are read from the polyhedron's exact skeleton: its
+vertices and, on unbounded P, one crossing of the level <b,x> = T per
+unbounded edge. Truncation error is certified by an explicit tail bound built
+from the recession rays. Convex regions are kept as rings of corners, which
+half-plane clips cut further.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .polyhedra import LabeledPolyhedron, asymptotic_cone, vertices
+from .polyhedra import LabeledPolyhedron, _skeleton
 
 
 class DivergentWeight(ValueError):
@@ -23,10 +26,6 @@ class DivergentWeight(ValueError):
     def __init__(self, message, ray=None):
         super().__init__(message)
         self.ray = ray
-
-
-class UnsupportedMoment(ValueError):
-    """Moment order outside the implemented range |alpha| <= 2."""
 
 
 def stable_sum(values) -> float:
@@ -136,46 +135,25 @@ def exp_integral_simplex(S: Simplex, b) -> float:
     return math.factorial(S.dim) * S.volume * divided_difference_exp(t)
 
 
-def moment_integral_simplex(S: Simplex, b, alpha) -> float:
-    """Closed form of the integral of x^alpha e^{-<b,x>}, |alpha| <= 2.
+def simplex_moments(S: Simplex, b):
+    """Integrals of e^{-<b,x>}, x e^{-<b,x>} and x x^T e^{-<b,x>} over S.
 
-    Moments reduce to divided differences with repeated nodes: appending a
-    copy of node i differentiates with respect to t_i, which inserts a factor
-    lambda_i in the barycentric integral representation.
+    With nodes t = -V b at the vertex rows V, the three are n! vol times
+    exp[t], V^T e_1 and V^T E_2 V, where (e_1)_i = exp[t, t_i] and
+    (E_2)_il = (1 + delta_il) exp[t, t_i, t_l]: appending a copy of node i
+    differentiates with respect to t_i, which inserts a factor lambda_i in
+    the barycentric integral representation.
     """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != S.dim or any(a < 0 for a in alpha):
-        raise UnsupportedMoment(f"bad multi-index {alpha}")
-    order = sum(alpha)
-    if order > 2:
-        raise UnsupportedMoment("moments implemented for |alpha| <= 2 only")
-    b = np.asarray(b, dtype=float)
     V = S.array()
-    t = -(V @ b)
+    t = list(-(V @ np.asarray(b, dtype=float)))
+    k = len(t)
+    e1 = np.array([divided_difference_exp(t + [t[i]]) for i in range(k)])
+    E2 = np.empty((k, k))
+    for i in range(k):
+        for l in range(i, k):
+            E2[i, l] = E2[l, i] = (1 + (i == l)) * divided_difference_exp(t + [t[i], t[l]])
     scale = math.factorial(S.dim) * S.volume
-    if order == 0:
-        return scale * divided_difference_exp(t)
-    nodes = list(t)
-    if order == 1:
-        j = alpha.index(1)
-        total = stable_sum(
-            V[i, j] * divided_difference_exp(nodes + [t[i]]) for i in range(len(nodes))
-        )
-        return scale * total
-    if 2 in alpha:
-        j = k = alpha.index(2)
-    else:
-        j = alpha.index(1)
-        k = alpha.index(1, j + 1)
-    terms = []
-    for i in range(len(nodes)):
-        for l in range(len(nodes)):
-            factor = 2.0 if i == l else 1.0
-            terms.append(
-                factor * V[i, j] * V[l, k]
-                * divided_difference_exp(nodes + [t[i], t[l]])
-            )
-    return scale * stable_sum(terms)
+    return scale * divided_difference_exp(t), scale * (V.T @ e1), scale * (V.T @ E2 @ V)
 
 
 # ---------------------------------------------------------------------------
@@ -212,46 +190,45 @@ def gauss_integral_simplex(S: Simplex, f, order: int = 20) -> float:
 
 
 # ---------------------------------------------------------------------------
-# truncation and triangulation
+# convex rings
 
-def _float_vertices(A, a, tol=1e-9):
-    """Vertices of { x : A x + a >= 0 } by subset solves, float arithmetic."""
-    N, n = A.shape
-    pts = []
-    scale = 1.0 + np.max(np.abs(a))
-    for subset in itertools.combinations(range(N), n):
-        M = A[list(subset)]
-        if abs(np.linalg.det(M)) < 1e-12:
-            continue
-        x = np.linalg.solve(M, -a[list(subset)])
-        if np.all(A @ x + a >= -tol * scale):
-            pts.append(x)
-    if not pts:
-        return np.empty((0, n))
-    pts = np.array(pts)
-    # dedupe on a rounded key
-    seen = {}
-    for p in pts:
-        seen[tuple(np.round(p, 9))] = p
-    return np.array(sorted(seen.values(), key=tuple))
+def _ring(points) -> np.ndarray:
+    """Corners of a convex region in fan order.
 
-
-def _triangulate(points) -> list[Simplex]:
-    """Split an interval at its points, or a convex polygon as a fan."""
-    n = points.shape[1]
-    if n == 1:
-        xs = np.sort(points[:, 0])
-        return [
-            Simplex(((xs[i],), (xs[i + 1],)))
-            for i in range(len(xs) - 1)
-            if xs[i + 1] - xs[i] > 1e-12
-        ]
-    # the centroid is interior, so the vertices have distinct angles around it
+    On a line: the two ends. In the plane: counterclockwise by angle around
+    the centroid, which is interior, so the angles are distinct.
+    """
+    if points.shape[1] == 1:
+        return np.array([points.min(axis=0), points.max(axis=0)])
     d = points - points.mean(axis=0)
-    ring = points[np.argsort(np.arctan2(d[:, 1], d[:, 0]))]
+    return points[np.argsort(np.arctan2(d[:, 1], d[:, 0]))]
+
+
+def _clip(ring, w, c) -> np.ndarray:
+    """The part of a ring where <w,x> + c >= 0, as a ring in the same order.
+
+    An edge gets a crossing when its ends lie strictly on opposite sides,
+    decided by the signs of the values: their product can underflow to -0.0.
+    An interval's ring is its one edge, a polygon's ring is closed.
+    """
+    f = ring @ w + c
+    s = np.sign(f)
     out = []
-    for i in range(1, len(ring) - 1):
-        S = Simplex((tuple(ring[0]), tuple(ring[i]), tuple(ring[i + 1])))
+    for i in range(len(ring)):
+        if s[i] >= 0:
+            out.append(ring[i])
+        j = (i + 1) % len(ring)
+        if s[i] * s[j] < 0 and (ring.shape[1] > 1 or i == 0):
+            out.append(ring[i] + f[i] / (f[i] - f[j]) * (ring[j] - ring[i]))
+    return np.array(out).reshape(-1, ring.shape[1])
+
+
+def _fan(ring) -> list[Simplex]:
+    """Simplices from the first corner of a ring to each later edge."""
+    n = ring.shape[1]
+    out = []
+    for i in range(1, len(ring) - n + 1):
+        S = Simplex((tuple(ring[0]),) + tuple(map(tuple, ring[i : i + n])))
         if S.volume > 1e-13:
             out.append(S)
     return out
@@ -269,14 +246,16 @@ def _upper_gamma(s: int, x: float) -> float:
 
 @dataclass(frozen=True)
 class QuadraturePlan:
-    """Triangulated truncated region with a certified truncation error bound.
+    """A fanned, possibly truncated region with a certified truncation error bound.
 
+    ring holds the region's corners in fan order and simplices their fan.
     tail_bounds[d] bounds the discarded integral of |x|^d e^{-<b,x>} for
     d = 0, 1, 2; tail_bound is their sum.
     """
 
     polyhedron: LabeledPolyhedron
     b: tuple[float, ...]
+    ring: tuple[tuple[float, ...], ...]
     simplices: tuple[Simplex, ...]
     truncation: float | None
     epsilon: float
@@ -290,11 +269,12 @@ class QuadraturePlan:
         barr = np.array(self.b)
         return stable_sum(exp_integral_simplex(S, barr) for S in self.simplices)
 
-    def moment(self, alpha) -> float:
+    def moments(self):
+        """Integrals of e^{-<b,x>}, x e^{-<b,x>} and x x^T e^{-<b,x>} over the region."""
         barr = np.array(self.b)
-        return stable_sum(
-            moment_integral_simplex(S, barr, alpha) for S in self.simplices
-        )
+        parts = zip(*(simplex_moments(S, barr) for S in self.simplices))
+        F, m1, m2 = (np.apply_along_axis(stable_sum, 0, np.array(p)) for p in parts)
+        return float(F), m1, m2
 
     def integrate(self, f, order: int = 20) -> float:
         """Dense Gauss integration of f(x) e^{-<b,x>} over the plan region."""
@@ -306,17 +286,13 @@ class QuadraturePlan:
         return stable_sum(gauss_integral_simplex(S, g, order) for S in self.simplices)
 
 
-def _tail_bounds(P: LabeledPolyhedron, b, rays, T):
+def _tail_bounds(b, rays, verts, T):
     """Certified bounds on the integrals of |x|^d e^{-<b,x>} beyond <b,x> = T."""
-    n = P.dim
-    b = np.asarray(b, dtype=float)
+    n = len(b)
     bnorm = float(np.linalg.norm(b))
-    eps = min(
-        float(np.dot(b, r) / np.linalg.norm(r)) for r in np.array(rays, dtype=float)
-    )
-    verts = [v.point_float for v in vertices(P)]
-    R = max(float(np.linalg.norm(v)) for v in verts)
-    mb = min(float(np.dot(b, v)) for v in verts)
+    eps = float(np.min(rays @ b / np.linalg.norm(rays, axis=1)))
+    R = float(np.max(np.linalg.norm(verts, axis=1)))
+    mb = float(np.min(verts @ b))
     C0 = eps * R - mb
     r_T = max(0.0, T) / bnorm
     omega = _SPHERE_AREA[n]
@@ -331,82 +307,68 @@ def plan(P: LabeledPolyhedron, b, tol: float = 1e-10,
          truncation: float | None = None) -> QuadraturePlan:
     """Build a quadrature plan for the weight e^{-<b,x>} on P.
 
-    Bounded polyhedra are triangulated exactly. Unbounded ones are cut by
-    <b,x> <= T, with T grown until the certified tail drops below tol unless
-    a fixed truncation is supplied. Raises DivergentWeight when b fails to be
-    positive on some recession direction, and ValueError in dimension > 2.
+    The corners come from the exact skeleton of P. A bounded P is the fan
+    of its vertices. An unbounded one is cut by <b,x> <= T, with T grown
+    until the certified tail drops below tol unless a fixed truncation is
+    supplied; the cut region's corners are the vertices and the crossing
+    v + (T - <b,v>) / <b,r> r of each unbounded edge, a vertex v and a ray r
+    on n - 1 common facets. Raises DivergentWeight when P contains a line or
+    b fails to be positive on some recession direction, and ValueError in
+    dimension > 2.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (P.dim,):
         raise ValueError("weight vector has the wrong dimension")
     if P.dim > 2:
         raise ValueError("quadrature plans are implemented in dimensions 1 and 2")
-    cone = asymptotic_cone(P)
-    line = cone.contains_line()
-    if line is not None:
+    sk = _skeleton(P)
+    if sk.lineality:
+        line = sk.lineality[0]
         raise DivergentWeight(
             f"polyhedron contains the line {line}; no weight is integrable",
             ray=line,
         )
-    rays = cone.ray_generators()
-    for r in rays:
+    for r, _ in sk.rays:
         if float(np.dot(b, r)) <= 0.0:
             raise DivergentWeight(
                 f"weight is not integrable along recession direction {r}", ray=r
             )
-
-    if not rays:
-        pts = np.array([v.point_float for v in vertices(P)])
-        simplices = _triangulate(pts)
-        return QuadraturePlan(
-            polyhedron=P,
-            b=tuple(float(x) for x in b),
-            simplices=tuple(simplices),
-            truncation=None,
-            epsilon=math.inf,
-            tail_bounds=(0.0, 0.0, 0.0),
-        )
-
-    verts = [v.point_float for v in vertices(P)]
-    base_T = max(float(np.dot(b, v)) for v in verts)
-
-    def build(T):
-        A = np.vstack([P.scaled_normal_matrix(), -b[None, :]])
-        a = np.append(P.offsets_array(), T)
-        pts = _float_vertices(A, a)
-        if len(pts) < P.dim + 1:
-            raise ValueError(f"truncation level {T} leaves a degenerate region")
-        return _triangulate(pts)
-
-    if truncation is not None:
-        T = float(truncation)
-        if T <= base_T:
-            raise ValueError(
-                f"truncation {T} must exceed max vertex level {base_T:.6g}"
-            )
-        eps, bounds = _tail_bounds(P, b, rays, T)
-        simplices = build(T)
-        return QuadraturePlan(
-            polyhedron=P,
-            b=tuple(float(x) for x in b),
-            simplices=tuple(simplices),
-            truncation=T,
-            epsilon=eps,
-            tail_bounds=bounds,
-        )
-
-    T = max(1.0, base_T + P.dim + 2.0)
-    for _ in range(200):
-        eps, bounds = _tail_bounds(P, b, rays, T)
-        if sum(bounds) <= tol:
-            simplices = build(T)
-            return QuadraturePlan(
-                polyhedron=P,
-                b=tuple(float(x) for x in b),
-                simplices=tuple(simplices),
-                truncation=T,
-                epsilon=eps,
-                tail_bounds=bounds,
-            )
-        T *= 1.3
-    raise RuntimeError("tail bound failed to reach tolerance within 200 doublings")
+    verts = np.array([[float(x) for x in p] for p, _ in sk.vertices])
+    T, eps, bounds = None, math.inf, (0.0, 0.0, 0.0)
+    corners = verts
+    if sk.rays:
+        rays = np.array([r for r, _ in sk.rays], dtype=float)
+        base_T = float(np.max(verts @ b))
+        if truncation is not None:
+            T = float(truncation)
+            if T <= base_T:
+                raise ValueError(
+                    f"truncation {T} must exceed max vertex level {base_T:.6g}"
+                )
+            eps, bounds = _tail_bounds(b, rays, verts, T)
+        else:
+            T = max(1.0, base_T + P.dim + 2.0)
+            for _ in range(200):
+                eps, bounds = _tail_bounds(b, rays, verts, T)
+                if sum(bounds) <= tol:
+                    break
+                T *= 1.3
+            else:
+                raise RuntimeError(
+                    "tail bound failed to reach tolerance within 200 doublings")
+        corners = np.vstack([verts] + [
+            v + (T - float(v @ b)) / float(r @ b) * r
+            for v, (_, active) in zip(verts, sk.vertices)
+            for r, (_, parallel) in zip(rays, sk.rays)
+            if len(set(active) & set(parallel)) == P.dim - 1
+        ])
+    ring = _ring(corners)
+    return QuadraturePlan(
+        polyhedron=P,
+        b=tuple(float(x) for x in b),
+        ring=tuple(map(tuple, ring)),
+        simplices=tuple(_fan(ring)),
+        truncation=T,
+        epsilon=eps,
+        tail_bounds=bounds,
+    )

@@ -42,19 +42,8 @@ def weighted_volume(P: LabeledPolyhedron, b, tol: float = 1e-12) -> float:
 
 def grad_hess_F(P: LabeledPolyhedron, b, tol: float = 1e-12):
     """F(b) with its gradient -int x e^{-<b,x>} and Hessian of second moments."""
-    pl = build_plan(P, b, tol=tol)
-    n = P.dim
-    F = pl.exp_integral()
-    g = np.empty(n)
-    H = np.empty((n, n))
-    for j in range(n):
-        alpha = tuple(int(i == j) for i in range(n))
-        g[j] = -pl.moment(alpha)
-    for j in range(n):
-        for k in range(j, n):
-            alpha = tuple(int(i == j) + int(i == k) for i in range(n))
-            H[j, k] = H[k, j] = pl.moment(alpha)
-    return F, g, H
+    F, m1, m2 = build_plan(P, b, tol=tol).moments()
+    return F, -m1, m2
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,29 @@ def test_half_line_recession_ray():
     assert not P.is_bounded()
 
 
+@pytest.mark.parametrize("dim, rows", [
+    (2, [((1, 0), 1, 2), ((0, 1), 1, 2)]),  # quadrant
+    (1, [((1,), 1, 2)]),  # half-line
+    (2, [((1, 0), 1, 2), ((-1, 0), 2, 2), ((0, 1), 3, 2)]),  # half-strip
+    (2, [((1, 0), 1, 2), ((1, 1), 1, 2)]),  # wedge with non-orthogonal rays
+    (3, [((1, 0, 0), 1, 2), ((0, 1, 0), 1, 2), ((0, 0, 1), 1, 2)]),  # orthant
+    (3, [((1, 0, 0), 1, 2), ((0, 1, 0), 1, 2), ((0, 0, 1), 1, 2),
+         ((-1, -1, -1), 1, 2)]),  # simplex
+])
+def test_recession_rays_match_asymptotic_cone(dim, rows):
+    P = from_halfspaces(dim, rows)
+    cone = asymptotic_cone(P)
+    assert P.recession_rays() == cone.ray_generators()
+    assert P.is_bounded() == (cone.is_pointed() and not cone.ray_generators())
+
+
+def test_recession_rays_refuse_a_line():
+    strip = from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 1, 2)])
+    assert not strip.is_bounded()
+    with pytest.raises(ValueError, match="line"):
+        strip.recession_rays()
+
+
 def test_dual_cone_2d_exact_generators():
     C = Cone(dim=2, generators=((Fraction(1), Fraction(0)), (Fraction(1), Fraction(2))),
              authoritative="generators")

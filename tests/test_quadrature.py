@@ -12,13 +12,15 @@ from toricshrink.polyhedra import box, from_halfspaces, half_line, interval, ver
 from toricshrink.quadrature import (
     DivergentWeight,
     Simplex,
-    UnsupportedMoment,
     divided_difference_exp,
     exp_integral_simplex,
     gauss_integral_simplex,
     stable_sum,
-    moment_integral_simplex,
+    simplex_moments,
     plan,
+    _clip,
+    _fan,
+    _ring,
     _upper_gamma,
 )
 
@@ -99,15 +101,10 @@ def test_unit_interval_exponential():
 def test_standard_triangle_area_and_first_moment():
     S = Simplex(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
     assert exp_integral_simplex(S, [0.0, 0.0]) == pytest.approx(0.5, rel=1e-14)
-    assert moment_integral_simplex(S, [0.0, 0.0], (1, 0)) == pytest.approx(
-        1.0 / 6.0, rel=1e-12
-    )
-    assert moment_integral_simplex(S, [0.0, 0.0], (1, 1)) == pytest.approx(
-        1.0 / 24.0, rel=1e-12
-    )
-    assert moment_integral_simplex(S, [0.0, 0.0], (2, 0)) == pytest.approx(
-        1.0 / 12.0, rel=1e-12
-    )
+    _, m1, m2 = simplex_moments(S, [0.0, 0.0])
+    assert m1[0] == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert m2[0, 1] == pytest.approx(1.0 / 24.0, rel=1e-12)
+    assert m2[0, 0] == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
 def test_closed_form_matches_dense_gauss_on_random_simplices():
@@ -136,8 +133,10 @@ def test_moments_match_dense_gauss():
                 for j in range(n)
                 for k in range(j, n)
             ]
+            _, m1, m2 = simplex_moments(S, b)
             for alpha in alphas:
-                exact = moment_integral_simplex(S, b, alpha)
+                index = tuple(i for i, a in enumerate(alpha) for _ in range(a))
+                exact = m1[index] if len(index) == 1 else m2[index]
 
                 def f(X, alpha=alpha):
                     out = np.exp(-(X @ b))
@@ -158,14 +157,6 @@ def test_translation_covariance():
     lhs = exp_integral_simplex(shifted, b)
     rhs = math.exp(-float(b @ c)) * exp_integral_simplex(S, b)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_unsupported_moment_orders():
-    S = Simplex(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
-    with pytest.raises(UnsupportedMoment):
-        moment_integral_simplex(S, [0.0, 0.0], (1, 2))
-    with pytest.raises(UnsupportedMoment):
-        moment_integral_simplex(S, [0.0, 0.0], (3,))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +180,9 @@ def test_half_line_plan_matches_analytic():
     assert pl.truncation is not None and pl.tail_bound <= 1e-12
     assert pl.exp_integral() == pytest.approx(2.0 * math.e, rel=1e-10)
     # first moment vanishes exactly at b = 1/2: the soliton normalization
-    assert pl.moment((1,)) == pytest.approx(0.0, abs=1e-9)
-    assert pl.moment((2,)) == pytest.approx(8.0 * math.e, rel=1e-9)
+    _, m1, m2 = pl.moments()
+    assert m1[0] == pytest.approx(0.0, abs=1e-9)
+    assert m2[0, 0] == pytest.approx(8.0 * math.e, rel=1e-9)
 
 
 def test_quadrant_plan_is_product():
@@ -216,6 +208,18 @@ def test_fixed_truncation():
     assert err <= pl.tail_bound + 1e-11
     with pytest.raises(ValueError, match="truncation"):
         plan(P, [0.5], truncation=-2.0)
+
+
+def test_wedge_plan_with_oblique_rays():
+    # {x >= -2, x + y >= -2}: the recession rays (0, 1) and (1, -1) are not
+    # orthogonal; u = x + 2, v = x + y + 2 make the integral a product
+    P = from_halfspaces(2, [((1, 0), 1, 2), ((1, 1), 1, 2)])
+    for b1, b2 in ((1.0, 0.4), (0.75, 0.5)):
+        exact = math.exp(2 * b1) / ((b1 - b2) * b2)
+        assert plan(P, [b1, b2]).exp_integral() == pytest.approx(exact, rel=1e-12)
+    # cut at <b,x> = 6: the triangle (-2, 0), (-2, 16), (14, -16)
+    pl = plan(P, [1.0, 0.5], truncation=6)
+    assert stable_sum(S.volume for S in pl.simplices) == pytest.approx(128.0, rel=1e-14)
 
 
 def test_divergent_weight_reports_ray():
@@ -261,6 +265,46 @@ def test_fan_triangulation_covers_polygon(rows):
     assert isinstance(area, Fraction)
     volumes = [S.volume for S in plan(P, [0.0, 0.0]).simplices]
     assert stable_sum(volumes) == pytest.approx(float(area), rel=1e-14)
+
+
+def _ring_area(ring):
+    x, y = ring[:, 0], ring[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _orientation(S):
+    (p, q, r) = np.array(S.points)
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def test_clip_halves_tile_the_ring():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        angles = np.sort(rng.uniform(-np.pi, np.pi, size=rng.integers(3, 9)))
+        ring = rng.uniform(0.5, 3.0) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        ring = ring @ rng.uniform(-1, 1, size=(2, 2)) + rng.uniform(-5, 5, size=2)
+        if _ring_area(ring) < 0:
+            ring = ring[::-1]
+        w = rng.normal(size=2)
+        lines = [(w, -float(w @ (ring.mean(axis=0) + rng.uniform(-1, 1, size=2))))]
+        corner = ring[rng.integers(len(ring))]
+        lines.append((w, -float(corner @ w)))  # through a corner
+        for w, c in lines:
+            # the same line scaled so far down that f[i] * f[j] underflows
+            for scale in (1.0, 1e-170):
+                halves = [_clip(ring, scale * w, scale * c),
+                          _clip(ring, -scale * w, -scale * c)]
+                fans = [_fan(h) for h in halves]
+                assert all(_orientation(S) > 0 for fan in fans for S in fan)
+                total = stable_sum(S.volume for fan in fans for S in fan)
+                assert total == pytest.approx(_ring_area(ring), rel=1e-12)
+
+
+def test_clip_of_an_interval():
+    ring = _ring(np.array([[3.0], [-1.0]]))
+    assert _clip(ring, np.array([1.0]), -1.0).tolist() == [[1.0], [3.0]]
+    assert _clip(ring, np.array([-1.0]), 1.0).tolist() == [[-1.0], [1.0]]
+    assert _clip(ring, np.array([1.0]), -5.0).shape == (0, 1)
 
 
 def test_plan_rejects_dimension_three():
