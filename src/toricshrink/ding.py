@@ -14,11 +14,12 @@ terms, and at b = b_X linear tilts leave both terms unchanged, so D descends
 to potentials modulo affine functions. Along linear interpolations of
 symplectic potentials D is convex; the scan here samples it.
 
-d1, ding and convexity_scan share one quadrature: both integrals are taken at
-Gauss nodes fixed once, inside the correction grid, and the scan evaluates it
-at blends of the endpoint node values. Potentials given only as objects with
-value/gradient/hessian have no grid and are integrated by adaptive Gauss.
-The numerics cover dimensions 1 and 2.
+d1, ding and convexity_scan take canonical or corrected potentials u_P + s
+and share one quadrature: both integrals are taken at Gauss nodes fixed
+once, inside the correction grid, and the scan evaluates it at blends of the
+endpoint node values. The d1 integrand is e^{-R_0}, where R_0 is the soliton
+residual at b = 0, which shrinker evaluates boundary-stably. The numerics
+cover dimensions 1 and 2.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import numpy as np
 
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
-    NotConvexHere, correction_of
+    correction_of
 from .quadrature import Simplex, _clip, _fan, _ring, gauss_integral_simplex, \
     gauss_simplex_rule, plan as build_plan, stable_sum
-from .shrinker import _correction_arrays, _density, find_soliton_vector
+from .shrinker import _correction_arrays, _residual_core, find_soliton_vector
 
 
 class DivergentD1(ValueError):
@@ -87,26 +88,8 @@ def _fitted_plan(P, w, correction, tol, exc):
         raise exc(f"correction grid too small for a usable truncation: {err}") from err
 
 
-def _split_longest_edge(S):
-    """Squared length of the longest edge of S and the halves bisecting it."""
-    pts = np.asarray(S.points, dtype=float)
-    best = (-1.0, 0, 1)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d2 = float(np.sum((pts[i] - pts[j]) ** 2))
-            if d2 > best[0]:
-                best = (d2, i, j)
-    d2, i, j = best
-    mid = 0.5 * (pts[i] + pts[j])
-    A = pts.copy()
-    A[i] = mid
-    B = pts.copy()
-    B[j] = mid
-    return d2, Simplex(tuple(map(tuple, A))), Simplex(tuple(map(tuple, B)))
-
-
 def _refined(simplices, weight, pieces_cap: int = 4096):
-    """Bisect simplices until edges resolve the e^{-<weight,x>} length scale."""
+    """Halve simplices at their longest edge until edges resolve e^{-<weight,x>}."""
     nw = float(np.linalg.norm(np.asarray(weight, dtype=float)))
     if nw == 0.0:
         return list(simplices)
@@ -115,27 +98,22 @@ def _refined(simplices, weight, pieces_cap: int = 4096):
     stack = list(simplices)
     while stack:
         S = stack.pop()
-        d2, A, B = _split_longest_edge(S)
-        if d2 <= target2 or len(out) + len(stack) >= pieces_cap:
+        pts = np.asarray(S.points, dtype=float)
+        # the first longest edge (i, j), i < j, in row-major order
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        i, j = np.unravel_index(np.argmax(d2), d2.shape)
+        if d2[i, j] <= target2 or len(out) + len(stack) >= pieces_cap:
             out.append(S)
-        else:
-            stack += [A, B]
+            continue
+        for k in (i, j):
+            half = pts.copy()
+            half[k] = 0.5 * (pts[i] + pts[j])
+            stack.append(Simplex(tuple(map(tuple, half))))
     return out
 
 
-def _adaptive_gauss(S, f, tol, budget):
-    coarse = gauss_integral_simplex(S, f, order=14)
-    fine = gauss_integral_simplex(S, f, order=24)
-    if abs(fine - coarse) <= tol or budget[0] <= 0:
-        return fine
-    _, A, B = _split_longest_edge(S)
-    budget[0] -= 1
-    return (_adaptive_gauss(A, f, 0.5 * tol, budget)
-            + _adaptive_gauss(B, f, 0.5 * tol, budget))
-
-
 # ---------------------------------------------------------------------------
-# the two integrands
+# the canonical part of the potential integral
 
 def _canonical_linear(P: LabeledPolyhedron, b, pl) -> float:
     """int_P u_P e^{-<b,x>} dx over the plan region.
@@ -166,75 +144,25 @@ def _canonical_linear(P: LabeledPolyhedron, b, pl) -> float:
     return stable_sum(pieces)
 
 
-def _stable_d1_evaluator(P: LabeledPolyhedron):
-    W = P.scaled_normal_matrix()
-    a = P.offsets_array()
-    beta = _beta(P)
-    if np.any(a <= 0.0):
-        raise DivergentD1("a facet offset <= 0 makes the dual volume diverge")
-    exps = a / 2.0 - 1.0
-    powered = bool(np.any(exps != 0.0))
-
-    def evaluate(X, s_val, s_grad, s_hess):
-        L = X @ W.T + a[None, :]
-        D = _density(P, L, s_hess)
-        if np.any(D <= 0.0):
-            raise NotConvexHere("potential is not convex on the quadrature nodes")
-        vals = D * np.exp(s_val - np.einsum("mi,mi->m", s_grad, X) - X @ beta)
-        if powered:
-            vals = vals * np.prod(L ** exps[None, :], axis=1)
-        return vals
-
-    return evaluate
-
-
-def _direct_d1_integrand(v):
-    def f(X):
-        val = np.asarray(v.value(X), dtype=float)
-        grad = np.asarray(v.gradient(X), dtype=float)
-        hess = np.asarray(v.hessian(X), dtype=float)
-        det = np.linalg.det(hess)
-        if np.any(det <= 0.0):
-            raise NotConvexHere("potential is not convex on the quadrature nodes")
-        return det * np.exp(val - np.einsum("mi,mi->m", grad, X))
-
-    return f
-
-
-def _checked(pl, tol, dual, linear=None, t=0.0):
-    """d1, or the DingValue at t when the potential integral is given.
-
-    The d1 tail estimate comes from the e^{-<beta,x>} plan pl.
-    """
-    if linear is not None and not math.isfinite(linear):
-        raise NotInE("potential integral against the soliton weight is not finite")
-    if not (math.isfinite(dual) and dual > 0.0):
-        raise DivergentD1(f"dual volume evaluated to {dual} at t = {t}")
-    if pl.tail_bound / max(abs(dual), 1e-300) > tol:
-        raise DivergentD1(
-            f"truncation tail estimate {pl.tail_bound:.3e} exceeds "
-            f"tolerance {tol:g} relative to d1 = {dual:.6g} at t = {t}"
-        )
-    if linear is None:
-        return float(dual)
-    return DingValue(t=float(t), d1=float(dual), value=float(linear - math.log(dual)))
-
-
 # ---------------------------------------------------------------------------
 # one quadrature for d1, ding and the scan
 
 class _DingQuadrature:
     """Gauss nodes and weights of both Ding integrals, fixed once.
 
-    The dual volume uses the e^{-<beta,x>} plan; the potential integral, when
-    b_X is given, uses the e^{-<b_X,x>} plan with that weight folded into the
-    Gauss weights and its canonical part computed once. On unbounded P both
-    plans are cut inside the grid of the correction, so every correction on
-    that grid is evaluated at the same nodes.
+    The dual volume uses the e^{-<beta,x>} plan; its integrand
+    e^{v - <grad v, x>} det(Hess v) is e^{-R_0}, with R_0 the soliton residual
+    at b = 0, evaluated boundary-stably by shrinker. The potential integral,
+    when b_X is given, uses the e^{-<b_X,x>} plan with that weight folded
+    into the Gauss weights and its canonical part computed once. On unbounded
+    P both plans are cut inside the grid of the correction, so every
+    correction on that grid is evaluated at the same nodes.
     """
 
     def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None):
-        self.dim = P.dim
+        if np.any(P.offsets_array() <= 0.0):
+            raise DivergentD1("a facet offset <= 0 makes the dual volume diverge")
+        self.P = P
         self.tol = tol
         self.linear_rules = None
         if b_X is not None:
@@ -246,13 +174,12 @@ class _DingQuadrature:
             self.linear_rules = [(X, Wq * np.exp(-(X @ b))) for X, Wq in rules]
         beta = _beta(P)
         self.plan = _fitted_plan(P, beta, grid, tol, DivergentD1)
-        self.integrand = _stable_d1_evaluator(P)
         self.dual_rules = [gauss_simplex_rule(S, _ORDER)
                            for S in _refined(self.plan.simplices, beta)]
 
     def sample(self, correction):
         """Correction arrays at the d1 nodes and values at the linear nodes."""
-        dual = [_correction_arrays(correction, X, self.dim) for X, _ in self.dual_rules]
+        dual = [_correction_arrays(correction, X, self.P.dim) for X, _ in self.dual_rules]
         if self.linear_rules is None:
             return dual, None
         values = [np.zeros(len(X)) if correction is None
@@ -261,61 +188,44 @@ class _DingQuadrature:
         return dual, values
 
     def evaluate(self, samples, t=0.0):
-        """d1, or the DingValue at t when b_X was given, of sampled corrections."""
+        """d1, or the DingValue at t when b_X was given, of sampled corrections.
+
+        The d1 tail estimate comes from the e^{-<beta,x>} plan.
+        """
         dual_s, values = samples
         linear = None
         if values is not None:
             linear = (self.canonical + stable_sum(
                 float(np.dot(wexp, s)) for (_, wexp), s in zip(self.linear_rules, values)
             )) / self.F
+            if not math.isfinite(linear):
+                raise NotInE("potential integral against the soliton weight is not finite")
+        origin = np.zeros(self.P.dim)
         dual = stable_sum(
-            float(np.dot(Wq, self.integrand(X, *s)))
+            float(np.dot(Wq, np.exp(-_residual_core(self.P, origin, X, *s))))
             for (X, Wq), s in zip(self.dual_rules, dual_s)
         )
-        return _checked(self.plan, self.tol, dual, linear, t)
+        if not (math.isfinite(dual) and dual > 0.0):
+            raise DivergentD1(f"dual volume evaluated to {dual} at t = {t}")
+        tail = self.plan.tail_bound
+        if tail / dual > self.tol:
+            raise DivergentD1(
+                f"truncation tail estimate {tail:.3e} exceeds "
+                f"tolerance {self.tol:g} relative to d1 = {dual:.6g} at t = {t}"
+            )
+        if linear is None:
+            return float(dual)
+        return DingValue(t=float(t), d1=float(dual), value=float(linear - math.log(dual)))
 
 
-class _Duck:
-    """Marker for potentials outside the canonical + correction family."""
-
-
-def _correction_or_duck(v, P):
+def _corrections(P: LabeledPolyhedron, *potentials):
+    """Corrections of canonical or corrected potentials on P; None if canonical."""
     if P.dim > 2:
         raise ValueError("Ding numerics are implemented in dimensions 1 and 2")
-    home = getattr(v, "polyhedron", None)
-    if home is not None and home != P:
+    corrections = [correction_of(v) for v in potentials]
+    if any(v.polyhedron != P for v in potentials):
         raise ValueError("potential belongs to a different polyhedron")
-    try:
-        return correction_of(v)
-    except TypeError:
-        if all(hasattr(v, name) for name in ("value", "gradient", "hessian")):
-            return _Duck()
-        raise
-
-
-def _adaptive(v, P: LabeledPolyhedron, tol: float, b_X=None):
-    """d1, or D when b_X is given, of a potential known only as an object.
-
-    Such a potential has no grid to fit the plans in, so each integrand is
-    integrated by adaptive Gauss over the plan for its weight.
-    """
-    linear = None
-    if b_X is not None:
-        pl = _fitted_plan(P, b_X, None, tol, NotInE)
-        F = pl.exp_integral()
-
-        def f(X):
-            return np.asarray(v.value(X), dtype=float) * np.exp(-(X @ b_X))
-
-        budget = [512]
-        linear = stable_sum(
-            _adaptive_gauss(S, f, 1e-11 * max(1.0, F), budget) for S in pl.simplices
-        ) / F
-    pl = _fitted_plan(P, _beta(P), None, tol, DivergentD1)
-    f = _direct_d1_integrand(v)
-    budget = [512]
-    dual = stable_sum(_adaptive_gauss(S, f, 1e-12, budget) for S in pl.simplices)
-    return _checked(pl, tol, dual, linear)
+    return corrections
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +234,16 @@ def _adaptive(v, P: LabeledPolyhedron, tol: float, b_X=None):
 def d1(v, P: LabeledPolyhedron, tol: float = 1e-8) -> float:
     """Dual volume of v: int_P e^{v - <grad v, x>} det(Hess v) dx.
 
-    Canonical and corrected potentials use the boundary-stable form of the
-    integrand at fixed Gauss nodes; anything else with value/gradient/hessian
-    is integrated directly by adaptive Gauss. For unbounded P the region is
-    cut inside the correction grid and the dropped tail, estimated through
-    the e^{-<beta,x>} decay of the canonical factor, must stay below tol
+    v is a canonical or corrected potential u_P + s on P. The integrand is
+    e^{-R_0}, R_0 the boundary-stable soliton residual at b = 0, taken at
+    fixed Gauss nodes. For unbounded P the region is cut inside the
+    correction grid and the dropped tail, estimated through the
+    e^{-<beta,x>} decay of the canonical factor, must stay below tol
     relative to the result. The potential is assumed strictly convex with
     surjective gradient; see check_space_E for a screening routine.
     Dimensions 1 and 2 only.
     """
-    corr = _correction_or_duck(v, P)
-    if isinstance(corr, _Duck):
-        return _adaptive(v, P, tol)
+    (corr,) = _corrections(P, v)
     q = _DingQuadrature(P, corr, tol)
     return q.evaluate(q.sample(corr))
 
@@ -343,15 +251,13 @@ def d1(v, P: LabeledPolyhedron, tol: float = 1e-8) -> float:
 def ding(v, P: LabeledPolyhedron, b_X=None, tol: float = 1e-8) -> DingValue:
     """D(v) = (1/F(b_X)) int_P v e^{-<b_X,x>} dx - log d1(v), tagged t = 0.
 
-    b_X defaults to the soliton vector of P; only there is D invariant under
-    affine changes of v. Dimensions 1 and 2 only.
+    v is a canonical or corrected potential on P. b_X defaults to the soliton
+    vector of P; only there is D invariant under affine changes of v.
+    Dimensions 1 and 2 only.
     """
-    corr = _correction_or_duck(v, P)
+    (corr,) = _corrections(P, v)
     if b_X is None:
         b_X = find_soliton_vector(P).b
-    b_X = np.asarray(b_X, dtype=float)
-    if isinstance(corr, _Duck):
-        return _adaptive(v, P, tol, b_X)
     q = _DingQuadrature(P, corr, tol, b_X)
     return q.evaluate(q.sample(corr))
 
@@ -418,13 +324,10 @@ def convexity_scan(v0, v1, P: LabeledPolyhedron, b_X=None, num_t: int = 9,
     are free of regridding noise and the endpoints equal ding of v0 and v1
     whenever both carry a correction. Dimensions 1 and 2 only.
     """
-    if P.dim > 2:
-        raise ValueError("Ding numerics are implemented in dimensions 1 and 2")
+    _corrections(P, v0, v1)
     if num_t < 2:
         raise ValueError("a scan needs at least two sample points")
     geo = Geodesic(v0, v1)
-    if geo.polyhedron != P:
-        raise ValueError("geodesic endpoints live on a different polyhedron")
     if b_X is None:
         b_X = find_soliton_vector(P).b
     c0, c1 = geo.corrections()

@@ -102,20 +102,24 @@ def lobatto_nodes(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + (hi - lo) * (t + 1.0) / 2.0
 
 
+def barycentric_weights(nodes) -> np.ndarray:
+    """Weights w_j = 1 / prod_{k != j} (x_j - x_k) of the barycentric interpolant."""
+    x = np.asarray(nodes, dtype=float)
+    m = len(x)
+    diff = (x[:, None] - x[None, :])[~np.eye(m, dtype=bool)]
+    return 1.0 / np.prod(diff.reshape(m, m - 1), axis=1)
+
+
 def differentiation_matrix(nodes) -> np.ndarray:
     """Barycentric differentiation matrix for arbitrary distinct nodes."""
     x = np.asarray(nodes, dtype=float)
     m = len(x)
-    w = np.ones(m)
-    for j in range(m):
-        diff = x[j] - np.delete(x, j)
-        w[j] = 1.0 / np.prod(diff)
-    D = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                D[i, j] = (w[j] / w[i]) / (x[i] - x[j])
-        D[i, i] = -np.sum(D[i, np.arange(m) != i])
+    off = ~np.eye(m, dtype=bool)
+    w = barycentric_weights(x)
+    diff = np.where(off, x[:, None] - x[None, :], 1.0)
+    D = np.where(off, (w[None, :] / w[:, None]) / diff, 0.0)
+    # each row differentiates constants to zero
+    np.fill_diagonal(D, -np.sum(D[off].reshape(m, m - 1), axis=1))
     return D
 
 
@@ -464,13 +468,17 @@ def check_boundary_conditions(P: LabeledPolyhedron, u,
 @dataclass(frozen=True)
 class EReport:
     hessian_positive: bool
-    boundary_behaviour: bool
+    boundary: BoundaryReport
     gradient_surjective: bool
     integrable: bool
     note: str = (
         "sampled sufficient conditions at finitely many points; "
         "this is numerical evidence, not a certificate"
     )
+
+    @property
+    def boundary_behaviour(self) -> bool:
+        return self.boundary.ok
 
     @property
     def in_space(self) -> bool:
@@ -500,7 +508,7 @@ def check_space_E(P: LabeledPolyhedron, u, b, seed: int = 0,
             hess_ok = False
             break
 
-    report = check_boundary_conditions(P, u)
+    boundary = check_boundary_conditions(P, u)
     W = P.scaled_normal_matrix()
     grad_blows = True
     for i in range(len(P.facets)):
@@ -538,7 +546,7 @@ def check_space_E(P: LabeledPolyhedron, u, b, seed: int = 0,
 
     return EReport(
         hessian_positive=hess_ok,
-        boundary_behaviour=report.ok,
+        boundary=boundary,
         gradient_surjective=grad_blows and ray_growth,
         integrable=integrable,
     )

@@ -22,6 +22,7 @@ from .potentials import (
     GridCorrection,
     NoConvergence,
     NotConvexHere,
+    barycentric_weights,
     differentiation_matrix,
     lobatto_nodes,
 )
@@ -314,12 +315,12 @@ def _tensor(arrays) -> np.ndarray:
     )
 
 
-def _solve_axis(P: LabeledPolyhedron, b, x, cut, anchor, start, tol, max_iter):
+def _solve_axis(P: LabeledPolyhedron, b, x, cut, start, tol, max_iter):
     """Gauss-Newton collocation of the 1D soliton equation at the nodes x.
 
     The unknowns are the values of s and the constant c. The rows are R - c
-    at every node off the cut mask, s'' = 0 on it, and s = s' = 0 at the
-    anchor. The Jacobian is exact: R depends on s through
+    at every node off the cut mask, s'' = 0 on it, and s(0) = s'(0) = 0
+    through the interpolant. The Jacobian is exact: R depends on s through
     x s' - s - log D, and the density D is affine in s'' with slope prod L.
     Returns s, s', s'' at the nodes and the iteration count.
     """
@@ -328,8 +329,12 @@ def _solve_axis(P: LabeledPolyhedron, b, x, cut, anchor, start, tol, max_iter):
     D1 = differentiation_matrix(x)
     D2 = D1 @ D1
     eq = ~cut
+    # ell @ s = s(0): the barycentric interpolation row at the origin, or a
+    # unit row where a node is exactly 0 (the teardrop's grid of 64 has one)
+    ell = barycentric_weights(x) / -x if np.all(x) else (x == 0.0).astype(float)
+    ell = ell / np.sum(ell)
     # the rows after the equations are linear in z = (s, c)
-    lin = np.vstack([D2[cut], np.eye(m)[anchor], D1[anchor]])
+    lin = np.vstack([D2[cut], ell, ell @ D1])
     lin = np.column_stack([lin, np.zeros(len(lin))])
     L = np.maximum(X @ P.scaled_normal_matrix().T + P.offsets_array(), 0.0)
     prod_L = np.prod(L, axis=1)
@@ -396,10 +401,12 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
     solutions solves the 2D equation with constant c_1 + c_2. Each axis is
     solved by Gauss-Newton with the exact Jacobian. A node on a truncation
     plane trades its equation row for a vanishing second derivative of s.
-    The affine gauge is pinned on each axis at the node nearest the axis
-    center; a 2D initial grid starts each factor from its slice through the
-    other axis's anchor. The reported constant and deviation come from the
-    residual on the full grid.
+    The affine gauge is pinned at the origin, s(0) = grad s(0) = 0, through
+    the interpolant, so the constant does not depend on the grid. Offsets
+    must be 2, so the origin is interior; at the soliton vector it is the
+    barycenter of e^{-<b,x>}. A 2D initial grid starts each factor from its
+    slice through the node nearest 0 on the other axis. The reported
+    constant and deviation come from the residual on the full grid.
     """
     n = P.dim
     if n > 2:
@@ -417,7 +424,6 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
     factors = [P] if n == 1 else [f.polyhedron for f in product_check(P)]
 
     axes = [lobatto_nodes(lo, hi, g) for (lo, hi), g in zip(domain, grid)]
-    anchors = [int(np.argmin((x - x.mean()) ** 2)) for x in axes]
     on_cut = [np.zeros(len(x), dtype=bool) for x in axes]
     for d, side in cuts:
         on_cut[d][-1 if side == "upper" else 0] = True
@@ -431,10 +437,11 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
     for d in range(n):
         start = None
         if initial is not None:
-            start = initial[tuple(slice(None) if k == d else anchors[k]
+            start = initial[tuple(slice(None) if k == d
+                                  else int(np.argmin(np.abs(axes[k])))
                                   for k in range(n))]
         sols.append(_solve_axis(factors[d], b[d:d + 1], axes[d], on_cut[d],
-                                anchors[d], start, tol, max_iter))
+                                start, tol, max_iter))
     s_axes, ds_axes, dds_axes, its = zip(*sols)
 
     X = _tensor(axes)

@@ -71,27 +71,6 @@ def test_d1_canonical_closed_forms():
     assert d1(CanonicalPotential(td), td) == pytest.approx(exact, rel=1e-10)
 
 
-class Quadratic:
-    """v = |x|^2 / 2 in 1D, given only through value/gradient/hessian."""
-
-    def value(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return 0.5 * np.sum(X**2, axis=1)
-
-    def gradient(self, X):
-        return np.atleast_2d(np.asarray(X, dtype=float)).copy()
-
-    def hessian(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.broadcast_to(np.eye(1), (len(X), 1, 1)).copy()
-
-
-def test_d1_gaussian_on_large_box():
-    P = box([(-8, 8)])
-    got = d1(Quadratic(), P)
-    assert got == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-6)
-
-
 def test_d1_matches_dual_side_quadrature():
     P = interval(-2, 2)
     s = GridCorrection.from_function(
@@ -146,14 +125,15 @@ def test_d1_rejects_nonconvex():
 
 
 def test_d1_stable_equals_direct_integrand():
+    # the d1 integrand is e^{-R_0}, R_0 the stable residual at b = 0
     rng = np.random.default_rng(11)
     cases = [
         (interval(-2, 2), [(-2.0, 2.0)]),
         (box([(-2, 2), (-2, 2)]), [(-2.0, 2.0), (-2.0, 2.0)]),
         (interval(-1, 3, 1, 1), [(-1.0, 3.0)]),
+        (TEARDROP, [(-2.0, 2.0 / 3.0)]),
     ]
-    from toricshrink.ding import _stable_d1_evaluator
-    from toricshrink.shrinker import _correction_arrays
+    from toricshrink.shrinker import _correction_arrays, _residual_core
 
     for P, dom in cases:
         s = GridCorrection.from_function(
@@ -161,9 +141,8 @@ def test_d1_stable_equals_direct_integrand():
         )
         v = CorrectedPotential(P, s)
         X = P.sample_interior(rng, 12)
-        evaluate = _stable_d1_evaluator(P)
-        sv, sg, sh = _correction_arrays(s, X, P.dim)
-        stable = evaluate(X, sv, sg, sh)
+        stable = np.exp(-_residual_core(P, np.zeros(P.dim), X,
+                                        *_correction_arrays(s, X, P.dim)))
         for i, x in enumerate(X):
             det = float(np.linalg.det(v.hessian(x)))
             direct = det * math.exp(v.value(x) - float(v.gradient(x) @ x))
@@ -225,16 +204,6 @@ def test_ding_pentagon_gauge_invariance():
     assert got.value == pytest.approx(base.value, abs=1e-7)
 
 
-def test_ding_of_potential_given_as_object():
-    # D = (1/16) int_{-8}^{8} x^2/2 dx - log int e^{-x^2/2} dx; the Gaussian
-    # tail beyond |x| = 8 is below 1e-14
-    P = box([(-8, 8)])
-    got = ding(Quadratic(), P, b_X=[0.0])
-    root = math.sqrt(2.0 * math.pi)
-    assert got.d1 == pytest.approx(root, abs=1e-10)
-    assert got.value == pytest.approx(32.0 / 3.0 - math.log(root), abs=1e-10)
-
-
 def test_ding_numerics_reject_dimension_three():
     P = box([(-2, 2), (-2, 2), (-2, 2)])
     v = CanonicalPotential(P)
@@ -245,6 +214,36 @@ def test_ding_numerics_reject_dimension_three():
         ding(v, P, b_X=b)
     with pytest.raises(ValueError, match="dimensions 1 and 2"):
         convexity_scan(v, v, P, b_X=b)
+
+
+class _ValueGradientHessian:
+    """v = |x|^2 / 2 in 1D, given only through value/gradient/hessian."""
+
+    def __init__(self, P):
+        self.polyhedron = P
+
+    def value(self, X):
+        return 0.5 * np.sum(np.atleast_2d(X) ** 2, axis=1)
+
+    def gradient(self, X):
+        return np.atleast_2d(X).astype(float)
+
+    def hessian(self, X):
+        return np.ones((len(np.atleast_2d(X)), 1, 1))
+
+
+def test_ding_rejects_potential_objects():
+    # only canonical and corrected potentials have the stable d1 integrand
+    P = interval(-2, 2)
+    v = _ValueGradientHessian(P)
+    with pytest.raises(TypeError):
+        d1(v, P)
+    with pytest.raises(TypeError):
+        ding(v, P, b_X=[0.0])
+    with pytest.raises(TypeError):
+        convexity_scan(v, CanonicalPotential(P), P, b_X=[0.0])
+    with pytest.raises(TypeError):
+        convexity_scan(CanonicalPotential(P), v, P, b_X=[0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,26 @@ def test_lobatto_nodes_and_differentiation():
     assert np.allclose(D @ p, dp, atol=1e-10)
 
 
+
+def test_differentiation_matrix_matches_loop_reference():
+    # the entrywise barycentric formula, one entry at a time
+    def reference(x):
+        m = len(x)
+        w = np.array([1.0 / np.prod(x[j] - np.delete(x, j)) for j in range(m)])
+        D = np.zeros((m, m))
+        for i in range(m):
+            for j in range(m):
+                if i != j:
+                    D[i, j] = (w[j] / w[i]) / (x[i] - x[j])
+            D[i, i] = -np.sum(D[i, np.arange(m) != i])
+        return D
+
+    rng = np.random.default_rng(5)
+    for x in (lobatto_nodes(-2.0, 2.0 / 3.0, 64), lobatto_nodes(-2.0, 24.0, 9),
+              np.sort(rng.uniform(-3.0, 3.0, 7)), np.array([0.0, 1.0])):
+        assert np.array_equal(differentiation_matrix(x), reference(x))
+
+
 # ---------------------------------------------------------------------------
 # Legendre transform
 

@@ -316,6 +316,22 @@ def test_solve_2d_is_tensor_sum_of_factor_solves(P, grid):
     assert float(np.max(np.abs(res.correction.values))) > 1e-3
 
 
+@pytest.mark.parametrize(
+    "P, grids",
+    [
+        (box([(-2, "2/3"), (-1, 2)], labels=[1, 3, 2, 1]), (12, 13, 14, 16, 20)),
+        (box([(-2, 1), ("-2/3", None)], labels=[1, 2, 3]), (12, 13)),
+        (TEARDROP, (48, 64)),
+    ],
+)
+def test_solve_constant_is_grid_independent(P, grids):
+    # the gauge s(0) = grad s(0) = 0 is pinned through the interpolant, not
+    # at a grid node, so the constant belongs to the equation
+    b = find_soliton_vector(P).b
+    constants = [solve(P, b=b, grid=g).constant for g in grids]
+    assert max(constants) - min(constants) <= 1e-12
+
+
 def test_solve_fine_teardrop_grid():
     res = solve(TEARDROP, grid=128)
     assert res.residual_deviation <= 1e-9
