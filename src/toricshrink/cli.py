@@ -259,7 +259,7 @@ def cmd_fan(args):
     P = _load(args)
     try:
         cones = normal_fan(P)
-    except NotSimple as err:
+    except (NotProper, NotSimple) as err:
         _fail(EXIT_VALIDATION, "validation", err)
     rows = []
     for c in cones:

@@ -16,10 +16,6 @@ class ZeroNormal(ValueError):
     """A zero vector was used where a direction is required."""
 
 
-class NotFullRank(ValueError):
-    """Sublattice generators do not span the ambient lattice over the rationals."""
-
-
 @dataclass(frozen=True)
 class AbelianGroup:
     """Finite(-ly generated) abelian group in invariant-factor form.
@@ -253,30 +249,18 @@ def unimodular_inverse(V) -> list[list[int]]:
     return [[int(x) for x in row] for row in out]
 
 
-def integer_rank(A) -> int:
-    m = len(A)
-    if m == 0:
-        return 0
-    _, S, _ = smith_normal_form(A)
-    return sum(1 for i in range(min(m, len(A[0]))) if S[i][i] != 0)
-
-
 def quotient_group(sublattice_gens, ambient_rank: int) -> AbelianGroup:
-    """Invariant factors of Z^ambient_rank modulo the row span of the generators.
+    """Invariant factors and free rank of Z^ambient_rank modulo the row span of the generators.
 
-    Generators must have full rank equal to ambient_rank (finite quotient);
-    the group order then equals |det| of any generator basis.
+    The free rank is ambient_rank minus the rank of the generators; when it
+    is 0 the group order equals |det| of any generator basis.
     """
     gens = [[int(x) for x in row] for row in sublattice_gens]
     for row in gens:
         if len(row) != ambient_rank:
             raise ValueError("generator length does not match ambient rank")
-    _, S, _ = smith_normal_form(gens) if gens else (None, [], None)
-    diag = [S[i][i] for i in range(min(len(gens), ambient_rank))] if gens else []
+    S = smith_normal_form(gens)[1] if gens else []
+    diag = [S[i][i] for i in range(min(len(gens), ambient_rank))]
     rank = sum(1 for d in diag if d != 0)
-    if rank < ambient_rank:
-        raise NotFullRank(
-            f"generators span rank {rank} < ambient rank {ambient_rank}"
-        )
     factors = tuple(d for d in diag if d > 1)
-    return AbelianGroup(invariant_factors=factors, free_rank=0)
+    return AbelianGroup(invariant_factors=factors, free_rank=ambient_rank - rank)

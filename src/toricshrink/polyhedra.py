@@ -3,10 +3,13 @@
 A labeled polyhedron is P = { x : <x, m_i n_i> + a_i >= 0 } with primitive
 integer normals n_i, positive integer labels m_i, and rational offsets a_i.
 Predicates and verdicts (vertices, cones, ranks, nonempty interior,
-irredundant facets, nonempty faces) use exact Fraction/integer arithmetic.
-Construction, face verdicts, vertices and interior points all read one
-cached enumeration: the vertices and extreme recession rays of P with its
-lineality space projected out.
+irredundant facets, nonempty faces) use exact Fraction/integer arithmetic,
+in any dimension. One enumeration over homogenised integer rows gives the
+lineality space, the vertices and the extreme recession rays: cached per
+polyhedron, it serves construction, validation, face verdicts, vertices and
+interior points; with zero offsets it gives the lines and rays of a
+half-space cone. Vertex edges come from one exact inverse of the active
+rows, and structure groups from one Smith form.
 """
 
 from __future__ import annotations
@@ -23,11 +26,9 @@ import numpy as np
 
 from .lattice import (
     integer_kernel,
-    integer_rank,
     primitive_reduce,
     quotient_group,
     rref,
-    saturation_basis,
     AbelianGroup,
 )
 
@@ -57,21 +58,7 @@ class DegenerateProjection(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fractions (desk-scale dimensions only)
-
-def _kernel_direction(M, n):
-    """One-dimensional kernel of an (n-1) x n exact system, or None."""
-    R, pivots = rref(M)
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        return None
-    f = free[0]
-    w = [Fraction(0)] * n
-    w[f] = Fraction(1)
-    for i, c in enumerate(pivots):
-        w[c] = -R[i][f]
-    return tuple(w)
-
+# the exact enumeration over homogenised integer rows
 
 def rational_to_primitive(vec) -> tuple[int, ...]:
     """Clear denominators of a rational direction and reduce to a primitive integer vector."""
@@ -82,6 +69,53 @@ def rational_to_primitive(vec) -> tuple[int, ...]:
     ints = [int(f * lcm) for f in fracs]
     prim, _ = primitive_reduce(ints)
     return prim
+
+
+class _Skeleton(NamedTuple):
+    """Vertices (point, active rows) and extreme rays (primitive direction,
+    rows parallel to it) of Q ∩ L^perp, where L is the lineality space."""
+
+    lineality: tuple[tuple[int, ...], ...]
+    vertices: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
+    rays: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _enumerate(n: int, rows) -> _Skeleton:
+    """Skeleton of Q = { x : <x, c_i> + a_i >= 0 } from integer rows (c_i, a_i).
+
+    L is the kernel of the c_i. The cone { (x, s) : <x, c_i> + a_i s >= 0,
+    s >= 0, x in L^perp } is pointed, so each extreme ray is the kernel of
+    the lineality rows and n - dim L independent tight rows. Rays with
+    s > 0 scale to the vertices, rays with s = 0 are the recession rays; Q is
+    empty iff no ray has s > 0.
+    """
+    normals = [primitive_reduce(r[:n])[0] for r in rows]
+    lineality = tuple(integer_kernel(normals)) if normals else tuple(
+        tuple(int(i == j) for j in range(n)) for i in range(n))
+    rows = list(rows) + [(0,) * n + (1,)]
+    fixed = [k + (0,) for k in lineality]
+    verts, rays = {}, {}
+    for subset in itertools.combinations(rows, n - len(lineality)):
+        R, pivots = rref(fixed + list(subset))
+        if len(pivots) != n:
+            continue
+        free = next(c for c in range(n + 1) if c not in pivots)
+        w = [int(c == free) for c in range(n + 1)]
+        for i, c in enumerate(pivots):
+            w[c] = -R[i][free]
+        w = rational_to_primitive(w)
+        vals = [sum(r * wi for r, wi in zip(row, w)) for row in rows]
+        if min(vals) < 0:
+            if max(vals) > 0:
+                continue
+            w, vals = [-x for x in w], [-v for v in vals]
+        *x, s = w
+        active = tuple(i for i, v in enumerate(vals[:-1]) if v == 0)
+        if s:
+            verts[tuple(Fraction(xi, s) for xi in x)] = active
+        else:
+            rays[tuple(x)] = active
+    return _Skeleton(lineality, tuple(sorted(verts.items())), tuple(sorted(rays.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -116,35 +150,37 @@ class Facet:
 class Cone:
     """Polyhedral cone in half-space or generator form.
 
-    halfspaces: primitive integer normals of { x : <n, x> >= 0 } constraints.
+    halfspaces: integer normals of { x : <n, x> >= 0 } constraints.
     generators: rational ray generators (primitive integers after clearing denominators).
-    authoritative says which form defines the cone; the other may be derived.
+    The cone is in generator form exactly when generators is given. A
+    half-space cone reads its lines and extreme rays from the exact
+    enumeration of its rows with zero offsets.
     """
 
     dim: int
     halfspaces: tuple[tuple[int, ...], ...] | None = None
     generators: tuple[tuple[Fraction, ...], ...] | None = None
-    authoritative: str = "halfspaces"
     face_indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.authoritative not in ("halfspaces", "generators"):
-            raise ValueError("authoritative must be 'halfspaces' or 'generators'")
-        if self.authoritative == "halfspaces" and self.halfspaces is None:
-            raise ValueError("half-space form requested but no halfspaces given")
-        if self.authoritative == "generators" and self.generators is None:
-            raise ValueError("generator form requested but no generators given")
+        if self.halfspaces is None and self.generators is None:
+            raise ValueError("a cone needs halfspaces or generators")
+
+    def _skeleton(self) -> _Skeleton:
+        if self.halfspaces is None:
+            raise ValueError("line and ray enumeration need the half-space form")
+        return _enumerate(self.dim, [tuple(h) + (0,) for h in self.halfspaces])
 
     # -- predicates ---------------------------------------------------------
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
-        if self.authoritative == "halfspaces":
+        if self.generators is None:
             if not self.halfspaces:
                 return True
             A = np.array(self.halfspaces, dtype=float)
             return bool(np.all(A @ x >= -tol))
-        gens = self.generators or ()
+        gens = self.generators
         if not gens:
             return bool(np.linalg.norm(x) <= tol)
         G = np.array([[float(g) for g in ray] for ray in gens], dtype=float)
@@ -159,90 +195,52 @@ class Cone:
         return False
 
     def contains_line(self) -> tuple[int, ...] | None:
-        """A line direction inside the cone, or None (half-space form only)."""
-        if self.authoritative != "halfspaces":
-            raise ValueError("line detection needs the half-space form")
-        if not self.halfspaces:
-            return tuple(1 if i == 0 else 0 for i in range(self.dim))
-        ker = integer_kernel([list(h) for h in self.halfspaces])
-        return ker[0] if ker else None
+        """A line direction inside the cone, or None (needs the half-space form)."""
+        lineality = self._skeleton().lineality
+        return lineality[0] if lineality else None
 
     def is_pointed(self) -> bool:
         return self.contains_line() is None
 
-    # -- conversions (n <= 3) ------------------------------------------------
+    # -- conversions ----------------------------------------------------------
 
     def ray_generators(self) -> list[tuple[int, ...]]:
-        """Primitive integer ray generators of a pointed half-space-form cone.
-
-        Exact pair-solve double description; dimensions 1..3 only.
-        """
-        if self.authoritative == "generators":
+        """Primitive integer ray generators, sorted for a half-space cone (which must be pointed)."""
+        if self.generators is not None:
             return [rational_to_primitive(g) for g in self.generators]
-        n = self.dim
-        if n > 3:
-            raise ValueError("ray extraction implemented for n <= 3 only")
-        if not self.halfspaces:
-            raise ValueError("cone is all of R^n; it has no ray description")
-        if self.contains_line() is not None:
+        sk = self._skeleton()
+        if sk.lineality:
             raise ValueError("cone contains a line; no pointed ray description")
-        normals = [tuple(h) for h in self.halfspaces]
-        candidates: set[tuple[int, ...]] = set()
-        if n == 1:
-            for d in ((1,), (-1,)):
-                candidates.add(d)
-        elif n == 2:
-            for (p, q) in normals:
-                for d in ((-q, p), (q, -p)):
-                    if any(d):
-                        candidates.add(primitive_reduce(d)[0])
-        else:
-            for u, v in itertools.combinations(normals, 2):
-                d = (
-                    u[1] * v[2] - u[2] * v[1],
-                    u[2] * v[0] - u[0] * v[2],
-                    u[0] * v[1] - u[1] * v[0],
-                )
-                if any(d):
-                    prim = primitive_reduce(d)[0]
-                    candidates.add(prim)
-                    candidates.add(tuple(-x for x in prim))
-        rays = [
-            d
-            for d in candidates
-            if all(sum(h * x for h, x in zip(nrm, d)) >= 0 for nrm in normals)
-        ]
-        return sorted(rays)
+        return [r for r, _ in sk.rays]
 
     def to_generator_form(self) -> "Cone":
-        if self.authoritative == "generators":
+        if self.generators is not None:
             return self
         rays = self.ray_generators()
         return Cone(
             dim=self.dim,
             halfspaces=self.halfspaces,
             generators=tuple(tuple(Fraction(x) for x in r) for r in rays),
-            authoritative="generators",
         )
 
     def is_trivial(self) -> bool:
         """True iff the cone is {0}."""
-        if self.authoritative == "halfspaces":
-            return self.is_pointed() and not self.ray_generators()
+        if self.generators is None:
+            sk = self._skeleton()
+            return not sk.lineality and not sk.rays
         return not self.generators
 
 
 def dual_cone(C: Cone) -> Cone:
     """Dual cone C' = { v : <v, w> >= 0 for all w in C }, in generator form."""
-    if C.authoritative == "halfspaces":
+    if C.generators is None:
         # dual of an intersection of half-spaces is the cone on its normals
-        gens = tuple(tuple(Fraction(x) for x in h) for h in (C.halfspaces or ()))
-        return Cone(dim=C.dim, generators=gens, authoritative="generators")
-    normals = tuple(rational_to_primitive(g) for g in (C.generators or ()))
-    half = Cone(dim=C.dim, halfspaces=normals)
+        gens = tuple(tuple(Fraction(x) for x in h) for h in C.halfspaces)
+        return Cone(dim=C.dim, generators=gens)
+    half = Cone(dim=C.dim, halfspaces=tuple(rational_to_primitive(g) for g in C.generators))
     if half.contains_line() is not None:
         # dual is not full-dimensional yet still pointed; keep half-space form
-        return Cone(dim=C.dim, halfspaces=normals, authoritative="halfspaces")
+        return half
     return half.to_generator_form()
 
 
@@ -359,51 +357,15 @@ class LabeledPolyhedron:
 # ---------------------------------------------------------------------------
 # the skeleton: one exact enumeration per polyhedron
 
-class _Skeleton(NamedTuple):
-    """Vertices (point, active facets) and extreme rays (primitive direction,
-    facets parallel to it) of P ∩ L^perp, where L is the lineality space."""
-
-    lineality: tuple[tuple[int, ...], ...]
-    vertices: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
-    rays: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
 @lru_cache(maxsize=256)
 def _skeleton(P: LabeledPolyhedron) -> _Skeleton:
-    """Extreme rays of { (x, s) : <x, m_i n_i> + a_i s >= 0, s >= 0, x in L^perp }.
-
-    The cone is pointed, so each extreme ray is the kernel of the lineality
-    rows and n - dim L independent tight rows. Rays with s > 0 scale to the
-    vertices, rays with s = 0 are the recession rays; P is empty iff no ray
-    has s > 0.
-    """
-    n = P.dim
-    lineality = tuple(integer_kernel([list(f.normal) for f in P.facets]))
+    """The enumeration of P; active sets index its facets."""
     # each row scaled by its offset's denominator, so all arithmetic on
     # primitive integer rays is in integers
-    rows = [
+    return _enumerate(P.dim, [
         tuple(c * f.offset.denominator for c in f.scaled_normal) + (f.offset.numerator,)
         for f in P.facets
-    ] + [(0,) * n + (1,)]
-    fixed = [k + (0,) for k in lineality]
-    verts, rays = {}, {}
-    for subset in itertools.combinations(rows, n - len(lineality)):
-        w = _kernel_direction(fixed + list(subset), n + 1)
-        if w is None:
-            continue
-        w = rational_to_primitive(w)
-        vals = [sum(r * wi for r, wi in zip(row, w)) for row in rows]
-        if min(vals) < 0:
-            if max(vals) > 0:
-                continue
-            w, vals = [-x for x in w], [-v for v in vals]
-        *x, s = w
-        active = tuple(i for i, v in enumerate(vals[:-1]) if v == 0)
-        if s:
-            verts[tuple(Fraction(xi, s) for xi in x)] = active
-        else:
-            rays[tuple(x)] = active
-    return _Skeleton(lineality, tuple(sorted(verts.items())), tuple(sorted(rays.items())))
+    ])
 
 
 def _face(P: LabeledPolyhedron, spec=()):
@@ -466,15 +428,18 @@ def asymptotic_cone(P: LabeledPolyhedron) -> Cone:
 
 def _enumerate_vertices(P: LabeledPolyhedron):
     """All vertices with exact active sets: [(point Fractions, active indices)]."""
-    if P.dim > 3:
-        raise ValueError("vertex enumeration implemented for n <= 3 only")
     sk = _skeleton(P)
     # with a lineality space P has no vertices; the skeleton's are those of P ∩ L^perp
     return () if sk.lineality else sk.vertices
 
 
 def vertices(P: LabeledPolyhedron) -> list[VertexData]:
-    """Vertices with active facets and inward primitive edge generators (simple P)."""
+    """Vertices with active facets and inward primitive edge generators (simple P).
+
+    The edge that leaves facet k solves <w, m_j n_j> = 0 for the other active
+    j and <w, m_k n_k> = 1 > 0: it is column k of the inverse of the active
+    rows, which are independent because they cut out the vertex alone.
+    """
     n = P.dim
     data = []
     for point, active in _enumerate_vertices(P):
@@ -483,33 +448,17 @@ def vertices(P: LabeledPolyhedron) -> list[VertexData]:
                 f"vertex {tuple(float(p) for p in point)} meets {len(active)} "
                 f"facets (expected {n})"
             )
-        edges = []
-        scaled = [P.facets[i].scaled_normal for i in active]
-        for k, i in enumerate(active):
-            others = [scaled[j] for j in range(n) if j != k]
-            w = _kernel_direction(others, n)
-            if w is None:
-                raise NotSimple(
-                    f"dependent edge system at vertex "
-                    f"{tuple(float(p) for p in point)}"
-                )
-            inward = sum(Fraction(s) * wi for s, wi in zip(scaled[k], w))
-            if inward < 0:
-                w = tuple(-x for x in w)
-            elif inward == 0:
-                raise NotSimple("degenerate edge direction")
-            edges.append(rational_to_primitive(w))
-        data.append(
-            VertexData(point=point, active_facets=active, edge_generators=tuple(edges))
-        )
+        R, _ = rref([list(P.facets[i].scaled_normal) + [int(i == j) for j in active]
+                     for i in active])
+        edges = tuple(rational_to_primitive([row[n + k] for row in R]) for k in range(n))
+        data.append(VertexData(point=point, active_facets=active, edge_generators=edges))
     return data
 
 
 def validate(P: LabeledPolyhedron) -> ValidationReport:
     """Classify P as proper/rational/simple with witnesses for each failure."""
-    cone = asymptotic_cone(P)
-    line = cone.contains_line()
-    proper = line is None
+    lineality = _skeleton(P).lineality
+    line = lineality[0] if lineality else None
 
     # normals are primitive lattice vectors by construction, and every edge
     # generator solves an integer system, so rationality is structural here
@@ -525,7 +474,7 @@ def validate(P: LabeledPolyhedron) -> ValidationReport:
             witness = (tuple(float(p) for p in point), active)
             break
     return ValidationReport(
-        proper=proper,
+        proper=line is None,
         rational=rational,
         simple=simple,
         improper_line=line,
@@ -535,58 +484,33 @@ def validate(P: LabeledPolyhedron) -> ValidationReport:
 
 def minkowski_decompose(P: LabeledPolyhedron):
     """P = Conv(vertices) + C(P); returns (vertex list, recession cone in generator form)."""
-    rep = validate(P)
-    if not rep.proper:
-        raise NotProper(f"asymptotic cone contains the line {rep.improper_line}")
-    verts = vertices(P)
-    recession = asymptotic_cone(P).to_generator_form()
-    return verts, recession
+    sk = _skeleton(P)
+    if sk.lineality:
+        raise NotProper(f"asymptotic cone contains the line {sk.lineality[0]}")
+    recession = Cone(
+        dim=P.dim,
+        halfspaces=asymptotic_cone(P).halfspaces,
+        generators=tuple(tuple(Fraction(x) for x in r) for r, _ in sk.rays),
+    )
+    return vertices(P), recession
 
 
 def structure_group(P: LabeledPolyhedron, face_spec) -> AbelianGroup:
-    """Invariant factors of the lattice quotient attached to a face.
+    """The local group Λ_F/⟨m_i n_i⟩ of the face cut out by the facets in face_spec.
 
-    The numerator is the saturation of span{n_i} in the ambient lattice, the
-    denominator the sublattice generated by the scaled normals m_i n_i.
+    Λ_F is the saturation of span{n_i} in Z^n. Z^n is Λ_F plus a free
+    complement, so Λ_F/⟨m_i n_i⟩ is exactly the torsion of Z^n/⟨m_i n_i⟩:
+    the invariant factors of one Smith form of the scaled normals.
     """
     face_spec = tuple(sorted(set(int(i) for i in face_spec)))
-    if not face_spec:
-        return AbelianGroup()
     if any(i < 0 or i >= len(P.facets) for i in face_spec):
         raise IndexError("facet index out of range")
-    normals = [list(P.facets[i].normal) for i in face_spec]
-    k = len(face_spec)
-    if integer_rank(normals) != k:
+    quotient = quotient_group([P.facets[i].scaled_normal for i in face_spec], P.dim)
+    if P.dim - quotient.free_rank != len(face_spec):
         raise ValueError("selected facet normals are linearly dependent")
     if not _face(P, face_spec)[0]:
         raise EmptyFace(f"facets {face_spec} have no common point on P")
-
-    basis = saturation_basis(normals)  # k rows spanning the saturation
-    coords = []
-    for i in face_spec:
-        target = P.facets[i].scaled_normal
-        c = _coordinates_in_basis(target, basis)
-        coords.append(c)
-    return quotient_group(coords, k)
-
-
-def _coordinates_in_basis(vec, basis) -> list[int]:
-    """Integer coordinates of vec in a saturated lattice basis (rows)."""
-    k = len(basis)
-    # solve c * basis = vec by elimination on the transposed system
-    R, pivots = rref([[basis[j][i] for j in range(k)] + [vec[i]]
-                      for i in range(len(vec))])
-    if pivots[:k] != list(range(k)):
-        raise ValueError("basis rows are dependent")
-    if k in pivots:
-        raise ValueError("vector is outside the span of the basis")
-    out = []
-    for i in range(k):
-        s = R[i][k]
-        if s.denominator != 1:
-            raise ValueError("vector is not in the lattice spanned by the basis")
-        out.append(int(s))
-    return out
+    return AbelianGroup(invariant_factors=quotient.invariant_factors)
 
 
 def delzant_data(P: LabeledPolyhedron) -> DelzantData:
@@ -594,11 +518,10 @@ def delzant_data(P: LabeledPolyhedron) -> DelzantData:
     M = [list(f.scaled_normal) for f in P.facets]
     n = P.dim
     N = len(P.facets)
-    if integer_rank(M) != n:
-        raise DegenerateProjection("facet normals do not span the ambient space")
     transpose = [[M[i][d] for i in range(N)] for d in range(n)]
     kernel = integer_kernel(transpose)
-    assert len(kernel) == N - n
+    if len(kernel) != N - n:
+        raise DegenerateProjection("facet normals do not span the ambient space")
     for c in kernel:
         combo = [sum(c[i] * M[i][d] for i in range(N)) for d in range(n)]
         assert all(v == 0 for v in combo)
@@ -631,14 +554,7 @@ def normal_fan(P: LabeledPolyhedron) -> list[Cone]:
         gens = tuple(
             tuple(Fraction(x) for x in P.facets[i].normal) for i in idx
         )
-        cones.append(
-            Cone(
-                dim=P.dim,
-                generators=gens,
-                authoritative="generators",
-                face_indices=idx,
-            )
-        )
+        cones.append(Cone(dim=P.dim, generators=gens, face_indices=idx))
     return cones
 
 

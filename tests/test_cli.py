@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from toricshrink.cli import main
-from toricshrink.polyhedra import box, half_line, interval, save_polyhedron
+from toricshrink.polyhedra import (
+    box, from_halfspaces, half_line, interval, save_polyhedron,
+)
 
 
 @pytest.fixture
@@ -109,6 +111,25 @@ def test_vertices_and_delzant_and_fan(teardrop_file, tmp_path):
     assert main(["fan", teardrop_file, "--out", str(tmp_path / "f.json")]) == 0
     cones = json.loads((tmp_path / "f.json").read_text())["cones"]
     assert [c["face_indices"] for c in cones] == [[], [0], [1]]
+
+
+def test_fan_of_improper_polyhedron_is_validation_error(tmp_path, capsys):
+    # the half-plane x >= -2 contains the lines along (0, 1)
+    path = tmp_path / "halfplane.json"
+    save_polyhedron(from_halfspaces(2, [((1, 0), 1, 2)]), path)
+    assert main(["fan", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:")
+    assert err.count("\n") == 1
+
+
+def test_vertices_of_4d_box(tmp_path, capsys):
+    path = tmp_path / "box4.json"
+    save_polyhedron(box([(-2, 2)] * 4), path)
+    assert main(["vertices", str(path), "--out", str(tmp_path / "v.json")]) == 0
+    assert capsys.readouterr().out.count("vertex ") == 16
+    verts = json.loads((tmp_path / "v.json").read_text())["vertices"]
+    assert all(len(v["edge_generators"]) == 4 for v in verts)
 
 
 def test_soliton_vector_half_line(half_line_file, tmp_path, capsys):

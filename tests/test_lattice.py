@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from toricshrink.lattice import (
     AbelianGroup,
-    NotFullRank,
     ZeroNormal,
     integer_kernel,
     primitive_reduce,
@@ -209,9 +208,12 @@ class TestQuotientGroup:
         g = quotient_group([[2, 0], [0, 2], [1, 1]], 2)
         assert g.order == 2
 
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(NotFullRank):
-            quotient_group([[1, 2], [2, 4]], 2)
+    def test_rank_deficient_has_free_rank(self):
+        assert quotient_group([[1, 2], [2, 4]], 2) == AbelianGroup(free_rank=1)
+        g = quotient_group([[2, 4]], 2)
+        assert g == AbelianGroup(invariant_factors=(2,), free_rank=1)
+        assert str(g) == "Z/2 x Z^1"
+        assert quotient_group([], 3) == AbelianGroup(free_rank=3)
 
     @settings(max_examples=150)
     @given(st.lists(st.integers(-4, 4), min_size=4, max_size=4))

@@ -1,14 +1,16 @@
 """Exactness and classification tests for labeled polyhedra."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import nnls
 from scipy.spatial import HalfspaceIntersection
 
+from toricshrink.lattice import quotient_group, rref, saturation_basis
 from toricshrink.polyhedra import (
     Cone,
     EmptyFace,
@@ -274,8 +276,23 @@ def test_half_line_recession_ray():
 def test_recession_rays_match_asymptotic_cone(dim, rows):
     P = from_halfspaces(dim, rows)
     cone = asymptotic_cone(P)
-    assert P.recession_rays() == cone.ray_generators()
+    assert P.recession_rays() == cone.ray_generators() == brute_force_rays(cone)
     assert P.is_bounded() == (cone.is_pointed() and not cone.ray_generators())
+
+
+def brute_force_rays(cone):
+    """Primitive d in [-4, 4]^n with A d >= 0 whose active normals have rank n - 1."""
+    n = cone.dim
+    A = np.array(cone.halfspaces).reshape(-1, n)
+    rays = []
+    for d in itertools.product(range(-4, 5), repeat=n):
+        vals = A @ d
+        if math.gcd(*d) != 1 or np.any(vals < 0):
+            continue
+        active = A[vals == 0]
+        if (np.linalg.matrix_rank(active) if len(active) else 0) == n - 1:
+            rays.append(d)
+    return sorted(rays)
 
 
 def test_recession_rays_refuse_a_line():
@@ -286,8 +303,7 @@ def test_recession_rays_refuse_a_line():
 
 
 def test_dual_cone_2d_exact_generators():
-    C = Cone(dim=2, generators=((Fraction(1), Fraction(0)), (Fraction(1), Fraction(2))),
-             authoritative="generators")
+    C = Cone(dim=2, generators=((Fraction(1), Fraction(0)), (Fraction(1), Fraction(2))))
     D = dual_cone(C)
     assert sorted(rational_to_primitive(g) for g in D.generators) == [(0, 1), (2, -1)]
 
@@ -295,7 +311,7 @@ def test_dual_cone_2d_exact_generators():
 def test_dual_of_halfspace_form_is_cone_on_normals():
     C = Cone(dim=2, halfspaces=((1, 0), (1, 2)))
     D = dual_cone(C)
-    assert D.authoritative == "generators"
+    assert D.halfspaces is None
     assert sorted(rational_to_primitive(g) for g in D.generators) == [(1, 0), (1, 2)]
 
 
@@ -319,8 +335,7 @@ def test_cone_with_line_refuses_ray_form():
 
 
 def test_generator_cone_membership():
-    C = Cone(dim=2, generators=((Fraction(1), Fraction(0)), (Fraction(1), Fraction(2))),
-             authoritative="generators")
+    C = Cone(dim=2, generators=((Fraction(1), Fraction(0)), (Fraction(1), Fraction(2))))
     assert C.contains([2.0, 1.0])
     assert not C.contains([-1.0, 0.0])
     assert not C.contains([0.0, 1.0])
@@ -328,8 +343,7 @@ def test_generator_cone_membership():
 
 @pytest.mark.parametrize("gens", [((1, 2),), ((2, -1), (1, 1), (-1, 3))])
 def test_generator_cone_membership_matches_nnls(gens):
-    C = Cone(dim=2, generators=tuple(tuple(map(Fraction, g)) for g in gens),
-             authoritative="generators")
+    C = Cone(dim=2, generators=tuple(tuple(map(Fraction, g)) for g in gens))
     G = np.array(gens, dtype=float).T
     rng = np.random.default_rng(11)
     # random points, plus multiples of each generator so a ray has members
@@ -351,7 +365,7 @@ def test_dual_dual_returns_same_rays(normals):
         return
     rays = C.ray_generators()
     DD = dual_cone(dual_cone(C.to_generator_form()))
-    if DD.authoritative != "generators":
+    if DD.generators is None:
         assert rays == []
         return
     assert sorted(rational_to_primitive(g) for g in DD.generators) == sorted(rays)
@@ -441,6 +455,37 @@ def test_structure_group_dependent_normals():
         structure_group(square(), [0, 1])  # opposite facets
 
 
+def saturation_quotient(normals, scaled):
+    """Lambda/<m_i n_i> by its definition: coordinates of the scaled normals
+    in a basis of the saturation Lambda of span{n_i}, then their quotient."""
+    basis = saturation_basis(normals)
+    k = len(basis)
+    coords = []
+    for v in scaled:
+        R, pivots = rref([[b[d] for b in basis] + [v[d]] for d in range(len(v))])
+        assert pivots == list(range(k))
+        c = [R[i][k] for i in range(k)]
+        assert all(x.denominator == 1 for x in c)
+        coords.append([int(x) for x in c])
+    return quotient_group(coords, k)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_structure_group_is_the_saturation_quotient(data):
+    n = data.draw(st.sampled_from([2, 3]))
+    k = data.draw(st.integers(1, n))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    normals = [rational_to_primitive(v)
+               for v in data.draw(st.lists(vec, min_size=k, max_size=k))]
+    assume(np.linalg.matrix_rank(np.array(normals)) == k)
+    labels = data.draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    # the k independent facets alone: their intersection is a face of P
+    P = from_halfspaces(n, [(v, m, 2) for v, m in zip(normals, labels)])
+    scaled = [f.scaled_normal for f in P.facets]
+    assert structure_group(P, range(k)) == saturation_quotient(normals, scaled)
+
+
 # ---------------------------------------------------------------------------
 # delzant data
 
@@ -502,6 +547,54 @@ def test_normal_fan_covers_directions():
         x = rng.normal(size=2)
         hits = sum(c.contains(x, tol=1e-9) for c in cones)
         assert hits >= 1
+
+
+# ---------------------------------------------------------------------------
+# dimension 4
+
+def test_4d_box_discrete_layer():
+    P = box([(-2, 2)] * 4)
+    assert validate(P).all_ok
+    vs = vertices(P)
+    assert len(vs) == 16
+    units = {tuple(s * int(k == d) for k in range(4)) for d in range(4) for s in (1, -1)}
+    for v in vs:
+        assert all(abs(c) == 2 for c in v.point)
+        assert len(v.edge_generators) == 4 and set(v.edge_generators) <= units
+        # each edge points into P: away from the coordinate where the vertex sits
+        for g in v.edge_generators:
+            axis = next(i for i in range(4) if g[i])
+            assert g[axis] * v.point[axis] < 0
+        assert structure_group(P, v.active_facets).is_trivial
+    assert len(normal_fan(P)) == 3 ** 4
+    d = delzant_data(P)
+    assert len(d.projection) == 8 and len(d.kernel_basis) == 4
+    M = np.array(d.projection)
+    for k in d.kernel_basis:
+        assert np.all(np.array(k) @ M == 0)
+
+
+def diagonal_invariant_factors(ms):
+    """Invariant factors of the direct sum of the Z/m: gcd/lcm pair swaps."""
+    ms = list(ms)
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            g = math.gcd(ms[i], ms[j])
+            ms[i], ms[j] = g, ms[i] * ms[j] // g
+    return tuple(m for m in ms if m > 1)
+
+
+def test_labeled_4d_box_vertex_groups():
+    labels = [2, 1, 3, 1, 4, 5, 6, 1]
+    P = box([(-2, 2)] * 4, labels=labels)
+    vs = vertices(P)
+    assert len(vs) == 16
+    for v in vs:
+        G = structure_group(P, v.active_facets)
+        assert G.invariant_factors == diagonal_invariant_factors(
+            labels[i] for i in v.active_facets)
+    # Z/2 + Z/3 + Z/4 + Z/6 at the corner where every lower facet is active
+    assert structure_group(P, [0, 2, 4, 6]).invariant_factors == (2, 6, 12)
 
 
 # ---------------------------------------------------------------------------
