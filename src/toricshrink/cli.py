@@ -194,12 +194,24 @@ def cmd_validate(args):
     return EXIT_OK if report.all_ok else EXIT_VALIDATION
 
 
-def cmd_vertices(args):
-    P = _load(args)
+def _vertices(P):
+    """vertices(P), with a line in P or a non-simple vertex mapped to exit 2.
+
+    A polyhedron with a line has no vertices; an empty list would read as
+    success, so it is rejected with validate's witness.
+    """
+    line = validate(P).improper_line
+    if line is not None:
+        _fail(EXIT_VALIDATION, "validation", f"contains line: {tuple(line)}")
     try:
-        verts = vertices(P)
+        return vertices(P)
     except NotSimple as err:
         _fail(EXIT_VALIDATION, "validation", err)
+
+
+def cmd_vertices(args):
+    P = _load(args)
+    verts = _vertices(P)
     rows = []
     for v in verts:
         print(f"vertex {tuple(str(c) for c in v.point)} "
@@ -216,10 +228,7 @@ def cmd_vertices(args):
 
 def cmd_structure_group(args):
     P = _load(args)
-    try:
-        verts = vertices(P)
-    except NotSimple as err:
-        _fail(EXIT_VALIDATION, "validation", err)
+    verts = _vertices(P)
     rows = []
     for v in verts:
         try:

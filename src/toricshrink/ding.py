@@ -156,7 +156,9 @@ class _DingQuadrature:
     when b_X is given, uses the e^{-<b_X,x>} plan with that weight folded
     into the Gauss weights and its canonical part computed once. On unbounded
     P both plans are cut inside the grid of the correction, so every
-    correction on that grid is evaluated at the same nodes.
+    correction on that grid is evaluated at the same nodes. Each refined
+    simplex gets the one cached order-25 reference rule mapped onto it, and
+    a correction's partials come from derivative coefficients it derives once.
     """
 
     def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None):

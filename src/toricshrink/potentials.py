@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -127,7 +128,9 @@ class GridCorrection:
     """Polynomial correction s sampled on a tensor product of node axes.
 
     The stored values determine the unique tensor interpolant, evaluated and
-    differentiated through its Chebyshev coefficients. Dimensions 1 and 2.
+    differentiated through its Chebyshev coefficients; the coefficients of
+    the first and second partials are derived once, on first use. Dimensions
+    1 and 2.
     """
 
     def __init__(self, axes, values):
@@ -172,10 +175,28 @@ class GridCorrection:
         V1 = C.chebvander(mapped[1], len(mapped[1]) - 1)
         return np.linalg.solve(V0, np.linalg.solve(V1, self.values.T).T)
 
+    @cached_property
+    def _gradient_coefs(self):
+        """Chebyshev coefficients of each first partial, in mapped coordinates."""
+        if self.dim == 1:
+            return (C.chebder(self._coef),)
+        return tuple(C.chebder(self._coef, 1, axis=d) for d in range(self.dim))
+
+    @cached_property
+    def _hessian_coefs(self):
+        """Coefficients of the second partials (i, j), i <= j, in mapped coordinates."""
+        if self.dim == 1:
+            return {(0, 0): C.chebder(self._coef, 2)}
+        return {(i, j): C.chebder(C.chebder(self._coef, 1, axis=i), 1, axis=j)
+                for i in range(self.dim) for j in range(i, self.dim)}
+
     def _eval(self, coef, X):
         if self.dim == 1:
             return C.chebval(X[:, 0], coef)
-        return C.chebval2d(X[:, 0], X[:, 1], coef)
+        # sum_kl c_kl T_k(x) T_l(y) as one matrix product and a row-wise dot
+        Vx = C.chebvander(X[:, 0], coef.shape[0] - 1)
+        Vy = C.chebvander(X[:, 1], coef.shape[1] - 1)
+        return np.einsum("ij,ij->i", Vx @ coef, Vy)
 
     def value(self, x):
         X, single = _as_batch(x, self.dim)
@@ -185,28 +206,18 @@ class GridCorrection:
     def gradient(self, x):
         X, single = _as_batch(x, self.dim)
         M = self._map(X)
-        cols = []
-        for d in range(self.dim):
-            cd = C.chebder(self._coef, 1, axis=d) if self.dim > 1 else C.chebder(self._coef)
-            cols.append(self._eval(cd, M) * self._scale[d])
-        G = np.stack(cols, axis=-1)
+        G = np.stack([self._eval(c, M) * self._scale[d]
+                      for d, c in enumerate(self._gradient_coefs)], axis=-1)
         return G[0] if single else G
 
     def hessian(self, x):
         X, single = _as_batch(x, self.dim)
         M = self._map(X)
         H = np.empty((len(X), self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                c = self._coef
-                if self.dim == 1:
-                    c = C.chebder(c, 2)
-                else:
-                    c = C.chebder(c, 1, axis=i)
-                    c = C.chebder(c, 1, axis=j)
-                val = self._eval(c, M) * self._scale[i] * self._scale[j]
-                H[:, i, j] = val
-                H[:, j, i] = val
+        for (i, j), c in self._hessian_coefs.items():
+            val = self._eval(c, M) * self._scale[i] * self._scale[j]
+            H[:, i, j] = val
+            H[:, j, i] = val
         return H[0] if single else H
 
     # -- serialization --------------------------------------------------------

@@ -8,12 +8,18 @@ vertices and, on unbounded P, one crossing of the level <b,x> = T per
 unbounded edge. Truncation error is certified by an explicit tail bound built
 from the recession rays. Convex regions are kept as rings of corners, which
 half-plane clips cut further.
+
+Divided differences of exp on narrow node sets sum a mean-shifted series
+only as far as its own error bound asks (at most 26 terms); wider sets use
+the recurrence. Dense Gauss rules on a simplex are one cached reference
+rule per dimension and order, mapped affinely onto the simplex.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +43,7 @@ def stable_sum(values) -> float:
 # divided differences of exp
 
 _SERIES_SPREAD = 1.0
-_SERIES_MAX_TERMS = 80
+_SERIES_TOL = 2.0**-56
 
 
 def divided_difference_exp(nodes) -> float:
@@ -45,8 +51,10 @@ def divided_difference_exp(nodes) -> float:
 
     Narrow node sets use a mean-shifted series of complete homogeneous
     symmetric polynomials (the regime where the recursive formula cancels
-    catastrophically). Wide sets are sorted and tabulated: sub-spans no wider
-    than the series radius come from the series, wider spans from the standard
+    catastrophically), truncated where its own error bound falls below
+    2^-56 relative: at most 26 terms, since the shifted nodes satisfy
+    |xi_i| < 2. Wide sets are sorted and tabulated: sub-spans no wider than
+    the series radius come from the series, wider spans from the standard
     recurrence, whose denominators are then bounded away from zero.
     """
     t = np.asarray(nodes, dtype=float)
@@ -74,28 +82,39 @@ def _series_dd(ts) -> float:
     return math.exp(mu) * _shifted_series(ts - mu, len(ts) - 1)
 
 
+def _series_terms(r: float) -> int:
+    """The fewest terms K with r^K e^{2r} / K! <= 2^-56.
+
+    With r = max |xi_i|, term k is at most C(k+m, m) r^k / (m+k)! =
+    r^k / (m! k!), and the sum is at least e^{-r} / m! (a mean value of
+    e^xi / m!), so the discarded tail is below that bound relative to it.
+    """
+    K, bound = 0, math.exp(2.0 * r)
+    while bound > _SERIES_TOL:
+        K += 1
+        bound *= r / K
+    return K
+
+
 def _shifted_series(xi, m) -> float:
     # exp[t] = e^mu sum_k h_k(xi) / (m+k)! with h_k the complete homogeneous
-    # symmetric polynomials; H is updated one node at a time
-    kmax = _SERIES_MAX_TERMS
-    H = np.zeros(kmax + 1)
+    # symmetric polynomials; appending node x multiplies the generating
+    # series of H by 1 / (1 - x z), a convolution with the powers of x
+    K = _series_terms(float(np.max(np.abs(xi))))
+    powers = np.arange(K)
+    H = np.zeros(K)
     H[0] = 1.0
     for x in xi:
-        for k in range(1, kmax + 1):
-            H[k] = H[k] + x * H[k - 1]
-    total = 0.0
-    fact = math.factorial(m)
-    prev_tiny = False
-    for k in range(kmax + 1):
-        term = H[k] / fact
-        total += term
-        fact *= m + k + 1
-        # two consecutive negligible terms: parity can zero out single terms
-        tiny = abs(term) <= 1e-18 * abs(total)
-        if k > 2 and tiny and prev_tiny:
-            break
-        prev_tiny = tiny
-    return total
+        H = np.convolve(H, x**powers)[:K]
+    return float(H @ _inverse_factorials(m, K))
+
+
+@lru_cache(maxsize=None)
+def _inverse_factorials(m: int, K: int) -> np.ndarray:
+    """1/(m+k)! for k < K, each correctly rounded (to zero past 177!)."""
+    inv = np.array([1 / math.factorial(m + k) for k in range(K)])
+    inv.flags.writeable = False
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +178,13 @@ def simplex_moments(S: Simplex, b):
 # ---------------------------------------------------------------------------
 # dense Gauss quadrature on a simplex (reference integrator)
 
-def gauss_simplex_rule(S: Simplex, order: int = 20):
-    """Tensor Gauss-Legendre nodes collapsed onto the simplex (Duffy map)."""
-    n = S.dim
+@lru_cache(maxsize=None)
+def _reference_rule(n: int, order: int):
+    """Tensor Gauss-Legendre nodes on [0,1]^n collapsed onto the unit simplex.
+
+    Returns read-only barycentric coordinates (lambda_1..lambda_n per row) and
+    weights summing to 1/n!; the Duffy Jacobian is folded into the weights.
+    """
     u, w = np.polynomial.legendre.leggauss(order)
     u = 0.5 * (u + 1.0)
     w = 0.5 * w
@@ -178,6 +201,19 @@ def gauss_simplex_rule(S: Simplex, order: int = 20):
         jac = rem.copy()
         rem = rem * (1.0 - U[:, i])
         W *= jac
+    lam.flags.writeable = False
+    W.flags.writeable = False
+    return lam, W
+
+
+def gauss_simplex_rule(S: Simplex, order: int = 20):
+    """Gauss nodes and weights on S: order^n collapsed tensor Gauss-Legendre points.
+
+    The reference rule on the unit simplex is built once per (dimension,
+    order) and mapped affinely onto S; the returned arrays are fresh.
+    """
+    n = S.dim
+    lam, W = _reference_rule(n, order)
     V = S.array()
     X = V[0] + lam @ (V[1:] - V[0])
     W = W * math.factorial(n) * S.volume

@@ -286,6 +286,26 @@ def test_ding_convexity_and_rigidity():
             f"affine pair flat to {flat:.1e}", t)
 
 
+def test_ding_scan_is_fast():
+    # one nine-point scan between two cubic corrections on the square, the
+    # shape of the square geodesic of the ding_geodesics benchmark
+    P = box([(-2, 2), (-2, 2)])
+    rng = np.random.default_rng(7)
+    ends = []
+    for c in rng.uniform(-0.05, 0.05, size=(2, 6)):
+        def f(p, c=c):
+            x, y = p
+            return (c[0] * x**2 + c[1] * x * y + c[2] * y**2
+                    + c[3] * x**3 + c[4] * y**3 + c[5] * x**2 * y)
+        g = GridCorrection.from_function(f, [(-2.0, 2.0), (-2.0, 2.0)], (8, 8))
+        ends.append(CorrectedPotential(P, g))
+    with _Timer(0.1) as t:
+        scan = convexity_scan(*ends, P, b_X=[0.0, 0.0], num_t=9)
+    worst = float(np.min(second_differences(scan)))
+    assert worst >= -1e-6
+    _report(f"9-point Ding scan on the square (min 2nd diff {worst:.1e})", t)
+
+
 def _coset_structure(a, b, c, d):
     """Invariant factors of Z^2/<(a,b),(c,d)> by enumerating all cosets.
 

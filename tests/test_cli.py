@@ -123,6 +123,24 @@ def test_fan_of_improper_polyhedron_is_validation_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["vertices", "structure-group"])
+@pytest.mark.parametrize("rows, flags", [
+    # the strip |x| <= 2 contains the lines along (0, 1)
+    ([((1, 0), 1, 2), ((-1, 0), 1, 2)], []),
+    # the half-plane x >= -2, also under --allow-general-offsets
+    ([((1, 0), 1, 2)], ["--allow-general-offsets"]),
+], ids=["strip", "half-plane"])
+def test_vertices_of_improper_polyhedron_are_validation_error(tmp_path, capsys,
+                                                               command, rows, flags):
+    path = tmp_path / "improper.json"
+    save_polyhedron(from_halfspaces(2, rows), path)
+    assert main([command, str(path), "--out", str(tmp_path / "v.json")] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: validation: contains line: (0, 1)\n"
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_vertices_of_4d_box(tmp_path, capsys):
     path = tmp_path / "box4.json"
     save_polyhedron(box([(-2, 2)] * 4), path)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 
 from toricshrink.polyhedra import box, half_line, interval, vertices
 from toricshrink.potentials import (
@@ -116,6 +117,58 @@ def test_grid_correction_reproduces_polynomial_2d():
         assert np.allclose(g.gradient(x), gx, rtol=1e-9, atol=1e-9)
         H = np.array([[2 * x[1], 2 * x[0]], [2 * x[0], 1.0]])
         assert np.allclose(g.hessian(x), H, rtol=1e-8, atol=1e-8)
+
+
+def _reference_partials(g, X):
+    # chebval/chebval2d of the chebder coefficients, derived on every call
+    lo, hi = np.array(g.domain).T
+    T = (2.0 * X - (lo + hi)) / (hi - lo)
+    scale = 2.0 / (hi - lo)
+
+    def ev(c):
+        return C.chebval(T[:, 0], c) if g.dim == 1 else C.chebval2d(T[:, 0], T[:, 1], c)
+
+    def der(c, *axes):
+        for a in axes:
+            c = C.chebder(c, 1, axis=a)
+        return c
+
+    # each value comes with the sum of |coefficients| behind it, the scale of
+    # the rounding error of either summation order, since |T_k| <= 1
+    c = g._coef
+    dims = range(g.dim)
+    value = (ev(c), np.sum(np.abs(c)))
+    grad = [(ev(der(c, i)) * scale[i], np.sum(np.abs(der(c, i))) * scale[i])
+            for i in dims]
+    hess = {(i, j): (ev(der(c, i, j)) * scale[i] * scale[j],
+                     np.sum(np.abs(der(c, i, j))) * scale[i] * scale[j])
+            for i in dims for j in dims}
+    return value, grad, hess
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("count", range(8, 21, 2))
+def test_grid_correction_matches_chebval_reference(dim, count):
+    rng = np.random.default_rng(10 * dim + count)
+    domain = [(-2.0, 2.0), (-1.0, 3.0)][:dim]
+    axes = [lobatto_nodes(lo, hi, count + d) for d, (lo, hi) in enumerate(domain)]
+    g = GridCorrection(axes, rng.normal(size=tuple(len(a) for a in axes)))
+    lo, hi = np.array(domain).T
+    interior = rng.uniform(lo, hi, size=(40, dim))
+    # corners, and points on each edge of the domain
+    edge = rng.uniform(lo, hi, size=(8 * dim, dim))
+    for k in range(len(edge)):
+        d = k % dim
+        edge[k, d] = (lo, hi)[k // dim % 2][d]
+    X = np.vstack([interior, edge, lo, hi])
+    (ref, csum), grad, hess = _reference_partials(g, X)
+    assert np.all(np.abs(g.value(X) - ref) <= 1e-14 * csum)
+    G = g.gradient(X)
+    for i, (ref, csum) in enumerate(grad):
+        assert np.all(np.abs(G[:, i] - ref) <= 1e-14 * csum)
+    H = g.hessian(X)
+    for (i, j), (ref, csum) in hess.items():
+        assert np.all(np.abs(H[:, i, j] - ref) <= 1e-14 * csum)
 
 
 def test_grid_correction_json_roundtrip():

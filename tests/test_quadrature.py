@@ -15,12 +15,16 @@ from toricshrink.quadrature import (
     divided_difference_exp,
     exp_integral_simplex,
     gauss_integral_simplex,
+    gauss_simplex_rule,
     stable_sum,
     simplex_moments,
     plan,
     _clip,
     _fan,
+    _reference_rule,
     _ring,
+    _series_terms,
+    _shifted_series,
     _upper_gamma,
 )
 
@@ -86,6 +90,55 @@ def test_dd_positive():
     for _ in range(50):
         nodes = rng.uniform(-10, 10, size=rng.integers(1, 7))
         assert divided_difference_exp(nodes) > 0.0
+
+
+def _eighty_term_series(xi, m):
+    # the fixed 80-term series with a two-tiny-terms stop, kept as a reference
+    kmax = 80
+    H = np.zeros(kmax + 1)
+    H[0] = 1.0
+    for x in xi:
+        for k in range(1, kmax + 1):
+            H[k] = H[k] + x * H[k - 1]
+    total = 0.0
+    fact = math.factorial(m)
+    prev_tiny = False
+    for k in range(kmax + 1):
+        term = H[k] / fact
+        total += term
+        fact *= m + k + 1
+        tiny = abs(term) <= 1e-18 * abs(total)
+        if k > 2 and tiny and prev_tiny:
+            break
+        prev_tiny = tiny
+    return total
+
+
+def test_short_series_matches_eighty_terms():
+    rng = np.random.default_rng(11)
+    radii = []
+    for _ in range(2000):
+        m = int(rng.integers(1, 6))
+        nodes = rng.uniform(0.0, rng.uniform(0.0, 2.0), size=m + 1)
+        xi = np.sort(nodes) - np.mean(nodes)
+        radii.append(float(np.max(np.abs(xi))))
+        ref = _eighty_term_series(xi, m)
+        assert abs(_shifted_series(xi, m) - ref) <= 2e-15 * abs(ref)
+    assert max(radii) > 1.0
+
+
+def test_series_term_count_is_bounded():
+    # the shifted nodes of a span <= 2 satisfy |xi| < 2
+    assert _series_terms(0.0) == 1
+    assert _series_terms(1.0) == 20
+    assert max(_series_terms(r) for r in np.linspace(0.0, 2.0, 401)) == 26
+
+
+def test_dd_confluent_nodes_to_order_eight():
+    for t in (-3.0, 0.4, 2.5):
+        for m in range(9):
+            val = divided_difference_exp([t] * (m + 1))
+            assert val == pytest.approx(math.exp(t) / math.factorial(m), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +371,59 @@ def test_plan_deterministic():
     p2 = plan(P, [0.7, 0.1], tol=1e-9)
     assert p1.simplices == p2.simplices
     assert p1.exp_integral() == p2.exp_integral()
+
+
+def _duffy_rule(S, order):
+    # the per-call leggauss + Duffy construction, kept as a reference
+    n = S.dim
+    u, w = np.polynomial.legendre.leggauss(order)
+    u = 0.5 * (u + 1.0)
+    w = 0.5 * w
+    grids = np.meshgrid(*([u] * n), indexing="ij")
+    weights = np.ones_like(grids[0])
+    for g in np.meshgrid(*([w] * n), indexing="ij"):
+        weights = weights * g
+    U = np.stack([g.ravel() for g in grids], axis=-1)
+    W = weights.ravel().copy()
+    lam = np.zeros_like(U)
+    rem = np.ones(len(U))
+    for i in range(n):
+        lam[:, i] = U[:, i] * rem
+        jac = rem.copy()
+        rem = rem * (1.0 - U[:, i])
+        W *= jac
+    V = S.array()
+    X = V[0] + lam @ (V[1:] - V[0])
+    W = W * math.factorial(n) * S.volume
+    return X, W
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("order", [20, 25, 30])
+def test_cached_gauss_rule_is_bitwise_the_duffy_rule(n, order):
+    rng = np.random.default_rng(100 * n + order)
+    for _ in range(5):
+        S = random_simplex(rng, n)
+        X, W = gauss_simplex_rule(S, order)
+        X_ref, W_ref = _duffy_rule(S, order)
+        assert np.array_equal(X, X_ref)
+        assert np.array_equal(W, W_ref)
+
+
+def test_gauss_rule_returns_fresh_arrays():
+    S = Simplex(((0.0, 0.0), (2.0, 0.0), (0.0, 1.0)))
+    X, W = gauss_simplex_rule(S, 20)
+    X0, W0 = X.copy(), W.copy()
+    X[:] = np.nan
+    W[:] = np.nan
+    X1, W1 = gauss_simplex_rule(S, 20)
+    assert np.array_equal(X1, X0)
+    assert np.array_equal(W1, W0)
+    lam, w = _reference_rule(2, 20)
+    assert not lam.flags.writeable
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_gauss_agrees_with_closed_form_on_plan():
