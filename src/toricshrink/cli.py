@@ -272,12 +272,11 @@ def cmd_fan(args):
         _fail(EXIT_VALIDATION, "validation", err)
     rows = []
     for c in cones:
-        gens = c.generators if c.generators is not None else ()
-        print(f"cone on facets {tuple(c.face_indices or ())}: "
-              f"generators {tuple(tuple(str(x) for x in g) for g in gens)}")
+        print(f"cone on facets {c.face_indices}: "
+              f"generators {tuple(tuple(str(x) for x in g) for g in c.generators)}")
         rows.append({
-            "face_indices": list(c.face_indices or ()),
-            "generators": [[str(x) for x in g] for g in gens],
+            "face_indices": list(c.face_indices),
+            "generators": [[str(x) for x in g] for g in c.generators],
         })
     _emit(args, {"cones": rows})
     return EXIT_OK
@@ -484,7 +483,7 @@ def _build_parser():
         p = sub.add_parser(name, **kw)
         p.add_argument("input", help="polyhedron JSON file")
         p.add_argument("--tol", type=float, default=1e-10,
-                       help="numerical tolerance (default 1e-10)")
+                       help="numerical tolerance (default %(default)s)")
         p.add_argument("--out", default=None,
                        help="artifact path; .json or .csv chooses the format")
         p.add_argument("--allow-general-offsets", action="store_true",

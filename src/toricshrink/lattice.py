@@ -8,7 +8,7 @@ overflow or wrap. rref is the one exact elimination of the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 

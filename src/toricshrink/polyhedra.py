@@ -1,14 +1,13 @@
-"""Labeled polyhedra: validation, faces, cones, structure groups, Delzant data.
+"""Labeled polyhedra: validation, faces, normal fans, structure groups, Delzant data.
 
 A labeled polyhedron is P = { x : <x, m_i n_i> + a_i >= 0 } with primitive
 integer normals n_i, positive integer labels m_i, and rational offsets a_i.
-Predicates and verdicts (vertices, cones, ranks, nonempty interior,
-irredundant facets, nonempty faces) use exact Fraction/integer arithmetic,
-in any dimension. One enumeration over homogenised integer rows gives the
+Predicates and verdicts (vertices, ranks, nonempty interior, irredundant
+facets, nonempty faces) use exact Fraction/integer arithmetic, in any
+dimension. One enumeration over homogenised integer rows gives the
 lineality space, the vertices and the extreme recession rays: cached per
 polyhedron, it serves construction, validation, face verdicts, vertices and
-interior points; with zero offsets it gives the lines and rays of a
-half-space cone. Vertex edges come from one exact inverse of the active
+interior points. Vertex edges come from one exact inverse of the active
 rows, and structure groups from one Smith form.
 """
 
@@ -58,7 +57,7 @@ class DegenerateProjection(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the exact enumeration over homogenised integer rows
+# primitive integer directions
 
 def rational_to_primitive(vec) -> tuple[int, ...]:
     """Clear denominators of a rational direction and reduce to a primitive integer vector."""
@@ -69,53 +68,6 @@ def rational_to_primitive(vec) -> tuple[int, ...]:
     ints = [int(f * lcm) for f in fracs]
     prim, _ = primitive_reduce(ints)
     return prim
-
-
-class _Skeleton(NamedTuple):
-    """Vertices (point, active rows) and extreme rays (primitive direction,
-    rows parallel to it) of Q ∩ L^perp, where L is the lineality space."""
-
-    lineality: tuple[tuple[int, ...], ...]
-    vertices: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
-    rays: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
-def _enumerate(n: int, rows) -> _Skeleton:
-    """Skeleton of Q = { x : <x, c_i> + a_i >= 0 } from integer rows (c_i, a_i).
-
-    L is the kernel of the c_i. The cone { (x, s) : <x, c_i> + a_i s >= 0,
-    s >= 0, x in L^perp } is pointed, so each extreme ray is the kernel of
-    the lineality rows and n - dim L independent tight rows. Rays with
-    s > 0 scale to the vertices, rays with s = 0 are the recession rays; Q is
-    empty iff no ray has s > 0.
-    """
-    normals = [primitive_reduce(r[:n])[0] for r in rows]
-    lineality = tuple(integer_kernel(normals)) if normals else tuple(
-        tuple(int(i == j) for j in range(n)) for i in range(n))
-    rows = list(rows) + [(0,) * n + (1,)]
-    fixed = [k + (0,) for k in lineality]
-    verts, rays = {}, {}
-    for subset in itertools.combinations(rows, n - len(lineality)):
-        R, pivots = rref(fixed + list(subset))
-        if len(pivots) != n:
-            continue
-        free = next(c for c in range(n + 1) if c not in pivots)
-        w = [int(c == free) for c in range(n + 1)]
-        for i, c in enumerate(pivots):
-            w[c] = -R[i][free]
-        w = rational_to_primitive(w)
-        vals = [sum(r * wi for r, wi in zip(row, w)) for row in rows]
-        if min(vals) < 0:
-            if max(vals) > 0:
-                continue
-            w, vals = [-x for x in w], [-v for v in vals]
-        *x, s = w
-        active = tuple(i for i, v in enumerate(vals[:-1]) if v == 0)
-        if s:
-            verts[tuple(Fraction(xi, s) for xi in x)] = active
-        else:
-            rays[tuple(x)] = active
-    return _Skeleton(lineality, tuple(sorted(verts.items())), tuple(sorted(rays.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -148,100 +100,12 @@ class Facet:
 
 @dataclass(frozen=True)
 class Cone:
-    """Polyhedral cone in half-space or generator form.
-
-    halfspaces: integer normals of { x : <n, x> >= 0 } constraints.
-    generators: rational ray generators (primitive integers after clearing denominators).
-    The cone is in generator form exactly when generators is given. A
-    half-space cone reads its lines and extreme rays from the exact
-    enumeration of its rows with zero offsets.
-    """
+    """A cone of the normal fan: generated by the primitive normals of the
+    facets in face_indices, as exact rationals."""
 
     dim: int
-    halfspaces: tuple[tuple[int, ...], ...] | None = None
-    generators: tuple[tuple[Fraction, ...], ...] | None = None
-    face_indices: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.halfspaces is None and self.generators is None:
-            raise ValueError("a cone needs halfspaces or generators")
-
-    def _skeleton(self) -> _Skeleton:
-        if self.halfspaces is None:
-            raise ValueError("line and ray enumeration need the half-space form")
-        return _enumerate(self.dim, [tuple(h) + (0,) for h in self.halfspaces])
-
-    # -- predicates ---------------------------------------------------------
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        if self.generators is None:
-            if not self.halfspaces:
-                return True
-            A = np.array(self.halfspaces, dtype=float)
-            return bool(np.all(A @ x >= -tol))
-        gens = self.generators
-        if not gens:
-            return bool(np.linalg.norm(x) <= tol)
-        G = np.array([[float(g) for g in ray] for ray in gens], dtype=float)
-        # Caratheodory: x is in the cone iff it is in the cone on some rank(G)
-        # independent generators, where lstsq gives its coordinates; B max(c, 0)
-        # lies in the cone for any subset, so dependent subsets do no harm
-        for subset in itertools.combinations(G, np.linalg.matrix_rank(G)):
-            B = np.array(subset).T
-            c = np.linalg.lstsq(B, x, rcond=None)[0]
-            if np.linalg.norm(B @ np.maximum(c, 0.0) - x) <= tol * (1.0 + np.linalg.norm(x)):
-                return True
-        return False
-
-    def contains_line(self) -> tuple[int, ...] | None:
-        """A line direction inside the cone, or None (needs the half-space form)."""
-        lineality = self._skeleton().lineality
-        return lineality[0] if lineality else None
-
-    def is_pointed(self) -> bool:
-        return self.contains_line() is None
-
-    # -- conversions ----------------------------------------------------------
-
-    def ray_generators(self) -> list[tuple[int, ...]]:
-        """Primitive integer ray generators, sorted for a half-space cone (which must be pointed)."""
-        if self.generators is not None:
-            return [rational_to_primitive(g) for g in self.generators]
-        sk = self._skeleton()
-        if sk.lineality:
-            raise ValueError("cone contains a line; no pointed ray description")
-        return [r for r, _ in sk.rays]
-
-    def to_generator_form(self) -> "Cone":
-        if self.generators is not None:
-            return self
-        rays = self.ray_generators()
-        return Cone(
-            dim=self.dim,
-            halfspaces=self.halfspaces,
-            generators=tuple(tuple(Fraction(x) for x in r) for r in rays),
-        )
-
-    def is_trivial(self) -> bool:
-        """True iff the cone is {0}."""
-        if self.generators is None:
-            sk = self._skeleton()
-            return not sk.lineality and not sk.rays
-        return not self.generators
-
-
-def dual_cone(C: Cone) -> Cone:
-    """Dual cone C' = { v : <v, w> >= 0 for all w in C }, in generator form."""
-    if C.generators is None:
-        # dual of an intersection of half-spaces is the cone on its normals
-        gens = tuple(tuple(Fraction(x) for x in h) for h in C.halfspaces)
-        return Cone(dim=C.dim, generators=gens)
-    half = Cone(dim=C.dim, halfspaces=tuple(rational_to_primitive(g) for g in C.generators))
-    if half.contains_line() is not None:
-        # dual is not full-dimensional yet still pointed; keep half-space form
-        return half
-    return half.to_generator_form()
+    generators: tuple[tuple[Fraction, ...], ...]
+    face_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -302,9 +166,6 @@ class LabeledPolyhedron:
         x = np.asarray(x, dtype=float)
         return self.scaled_normal_matrix() @ x + self.offsets_array()
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.linear_values(x) >= -tol))
-
     def interior_contains(self, x, margin: float = 1e-12) -> bool:
         return bool(np.all(self.linear_values(x) > margin))
 
@@ -357,15 +218,56 @@ class LabeledPolyhedron:
 # ---------------------------------------------------------------------------
 # the skeleton: one exact enumeration per polyhedron
 
+class _Skeleton(NamedTuple):
+    """Vertices (point, active facets) and extreme rays (primitive direction,
+    facets parallel to it) of P ∩ L^perp, where L is the lineality space."""
+
+    lineality: tuple[tuple[int, ...], ...]
+    vertices: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
+    rays: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
 @lru_cache(maxsize=256)
 def _skeleton(P: LabeledPolyhedron) -> _Skeleton:
-    """The enumeration of P; active sets index its facets."""
-    # each row scaled by its offset's denominator, so all arithmetic on
-    # primitive integer rays is in integers
-    return _enumerate(P.dim, [
+    """The enumeration of P over its integer rows (c_i, a_i).
+
+    L is the kernel of the normals. The cone { (x, s) : <x, c_i> + a_i s >= 0,
+    s >= 0, x in L^perp } is pointed, so each extreme ray is the kernel of
+    the lineality rows and n - dim L independent tight rows. Rays with
+    s > 0 scale to the vertices, rays with s = 0 are the recession rays; P is
+    empty iff no ray has s > 0.
+    """
+    n = P.dim
+    lineality = tuple(integer_kernel([f.normal for f in P.facets]))
+    # each row m_i n_i scaled by its offset's denominator, so all arithmetic
+    # on primitive integer rays is in integers
+    rows = [
         tuple(c * f.offset.denominator for c in f.scaled_normal) + (f.offset.numerator,)
         for f in P.facets
-    ])
+    ] + [(0,) * n + (1,)]
+    fixed = [k + (0,) for k in lineality]
+    verts, rays = {}, {}
+    for subset in itertools.combinations(rows, n - len(lineality)):
+        R, pivots = rref(fixed + list(subset))
+        if len(pivots) != n:
+            continue
+        free = next(c for c in range(n + 1) if c not in pivots)
+        w = [int(c == free) for c in range(n + 1)]
+        for i, c in enumerate(pivots):
+            w[c] = -R[i][free]
+        w = rational_to_primitive(w)
+        vals = [sum(r * wi for r, wi in zip(row, w)) for row in rows]
+        if min(vals) < 0:
+            if max(vals) > 0:
+                continue
+            w, vals = [-x for x in w], [-v for v in vals]
+        *x, s = w
+        active = tuple(i for i, v in enumerate(vals[:-1]) if v == 0)
+        if s:
+            verts[tuple(Fraction(xi, s) for xi in x)] = active
+        else:
+            rays[tuple(x)] = active
+    return _Skeleton(lineality, tuple(sorted(verts.items())), tuple(sorted(rays.items())))
 
 
 def _face(P: LabeledPolyhedron, spec=()):
@@ -421,11 +323,6 @@ def _check_construction(P: LabeledPolyhedron) -> None:
 # ---------------------------------------------------------------------------
 # operations
 
-def asymptotic_cone(P: LabeledPolyhedron) -> Cone:
-    """C(P): same primitive normals, zero offsets (half-space form)."""
-    return Cone(dim=P.dim, halfspaces=tuple(f.normal for f in P.facets))
-
-
 def _enumerate_vertices(P: LabeledPolyhedron):
     """All vertices with exact active sets: [(point Fractions, active indices)]."""
     sk = _skeleton(P)
@@ -480,19 +377,6 @@ def validate(P: LabeledPolyhedron) -> ValidationReport:
         improper_line=line,
         nonsimple_vertex=witness,
     )
-
-
-def minkowski_decompose(P: LabeledPolyhedron):
-    """P = Conv(vertices) + C(P); returns (vertex list, recession cone in generator form)."""
-    sk = _skeleton(P)
-    if sk.lineality:
-        raise NotProper(f"asymptotic cone contains the line {sk.lineality[0]}")
-    recession = Cone(
-        dim=P.dim,
-        halfspaces=asymptotic_cone(P).halfspaces,
-        generators=tuple(tuple(Fraction(x) for x in r) for r, _ in sk.rays),
-    )
-    return vertices(P), recession
 
 
 def structure_group(P: LabeledPolyhedron, face_spec) -> AbelianGroup:

@@ -8,8 +8,7 @@ geometric ladders approaching each facet.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,20 +74,6 @@ class CanonicalPotential:
         L = self._L(X)
         H = 0.5 * np.einsum("mi,ij,ik->mjk", 1.0 / L, self._W, self._W)
         return H[0] if single else H
-
-
-def guillemin_potential(P: LabeledPolyhedron) -> CanonicalPotential:
-    return CanonicalPotential(P)
-
-
-def kahler_potential_canonical(P: LabeledPolyhedron, x):
-    """The dual-side potential 1/2 sum_i (l_i - a_i log L_i) of the canonical pair."""
-    u = CanonicalPotential(P)
-    X, single = _as_batch(x, P.dim)
-    L = u._L(X)
-    ell = L - u._a
-    v = 0.5 * np.sum(ell - u._a * np.log(L), axis=1)
-    return float(v[0]) if single else v
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +264,8 @@ class CorrectedPotential:
 def correction_of(u):
     """The correction part of a potential: None for the canonical one.
 
-    Any object with value/gradient callables works as a correction; grid
-    corrections are the concrete case produced by the solver.
+    d1, ding and convexity_scan need a GridCorrection here; the boundary
+    checks read only the correction's value and gradient.
     """
     if isinstance(u, CanonicalPotential):
         return None
@@ -288,91 +273,6 @@ def correction_of(u):
     if corr is None:
         raise TypeError("expected a canonical potential or one with a .correction")
     return corr
-
-
-# ---------------------------------------------------------------------------
-# Legendre transform
-
-@dataclass(frozen=True)
-class LegendrePair:
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    primal_value: float
-    dual_value: float
-
-
-def legendre(u, x) -> LegendrePair:
-    """Gradient image y = grad u(x) and the dual value <x,y> - u(x)."""
-    x = np.asarray(x, dtype=float)
-    y = u.gradient(x)
-    val = u.value(x)
-    return LegendrePair(
-        x=tuple(map(float, x)),
-        y=tuple(map(float, y)),
-        primal_value=float(val),
-        dual_value=float(x @ y - val),
-    )
-
-
-def legendre_inverse(u, y, x0=None, tol: float = 1e-12,
-                     max_iter: int = 100) -> LegendrePair:
-    """Solve grad u(x) = y by a damped Newton iteration staying in the interior."""
-    P = u.polyhedron
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x0, dtype=float) if x0 is not None else P.interior_point()
-    scale = 1.0 + float(np.linalg.norm(y))
-    for _ in range(max_iter):
-        g = u.gradient(x) - y
-        if np.linalg.norm(g) <= tol * scale:
-            return legendre(u, x)
-        H = u.hessian(x)
-        step = np.linalg.solve(H, -g)
-        lam = 1.0
-        base = float(np.linalg.norm(g))
-        while lam > 1e-14:
-            xn = x + lam * step
-            if P.interior_contains(xn, margin=1e-300):
-                try:
-                    if float(np.linalg.norm(u.gradient(xn) - y)) < base:
-                        break
-                except OutOfDomain:
-                    pass
-            lam *= 0.5
-        else:
-            # steps below the float resolution of x: accept if already tight
-            if base <= 1e-8 * scale:
-                return legendre(u, x)
-            raise NoConvergence("line search stalled inverting the gradient map")
-        x = x + lam * step
-    raise NoConvergence("gradient inversion did not reach tolerance")
-
-
-# ---------------------------------------------------------------------------
-# metric data
-
-@dataclass(frozen=True)
-class MetricData:
-    point: tuple[float, ...]
-    hessian: np.ndarray
-    inverse: np.ndarray
-    det: float
-
-
-def metric(u, x) -> MetricData:
-    """Hessian metric of u at x; requires positive definiteness."""
-    x = np.asarray(x, dtype=float)
-    H = u.hessian(x)
-    try:
-        El = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        raise NotConvexHere(f"Hessian not positive definite at {tuple(x)}")
-    det = float(np.prod(np.diag(El)) ** 2)
-    return MetricData(
-        point=tuple(map(float, x)),
-        hessian=H,
-        inverse=np.linalg.inv(H),
-        det=det,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -287,3 +287,22 @@ def test_potential_of_wrong_dimension_is_parse_error(cube_file, interval_file,
     err = capsys.readouterr().err
     assert err.startswith("error: parse:")
     assert err.count("\n") == 1
+
+
+SUBCOMMANDS = ["validate", "vertices", "structure-group", "delzant", "fan",
+               "soliton-vector", "residual", "solve", "ding-scan", "check-potential"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: toricshrink {command}")
+
+
+@pytest.mark.parametrize("command, tol", [("ding-scan", "1e-08"), ("solve", "1e-10")])
+def test_help_shows_the_tol_default_in_use(command, tol, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    assert f"numerical tolerance (default {tol})" in " ".join(capsys.readouterr().out.split())

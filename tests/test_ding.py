@@ -20,7 +20,6 @@ from toricshrink.potentials import (
     CorrectedPotential,
     GridCorrection,
     NotConvexHere,
-    legendre_inverse,
 )
 from toricshrink.shrinker import find_soliton_vector, solve
 
@@ -84,13 +83,17 @@ def test_d1_matches_dual_side_quadrature():
     # becomes uninvertible in doubles
     nodes, weights = np.polynomial.legendre.leggauss(400)
     Y = 9.0
-    total = 0.0
-    x_prev = None
-    for yi, wi in zip(Y * nodes, Y * weights):
-        pair = legendre_inverse(v, [yi], x0=x_prev)
-        x_prev = pair.x
-        phi = float(np.dot(pair.x, [yi])) - v.value(pair.x)
-        total += wi * math.exp(-phi)
+    y = Y * nodes
+    # v' is increasing on (-2, 2) and covers R: bisect v'(x) = y at every
+    # node at once, down to adjacent doubles
+    lo, hi = np.full_like(y, -2.0), np.full_like(y, 2.0)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = v.gradient(mid[:, None])[:, 0] < y
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    x = 0.5 * (lo + hi)
+    phi = x * y - v.value(x[:, None])
+    total = float(np.sum(Y * weights * np.exp(-phi)))
     assert got == pytest.approx(total, rel=1e-6)
 
 

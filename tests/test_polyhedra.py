@@ -7,28 +7,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.optimize import nnls
 from scipy.spatial import HalfspaceIntersection
 
 from toricshrink.lattice import quotient_group, rref, saturation_basis
 from toricshrink.polyhedra import (
-    Cone,
     EmptyFace,
     EmptyPolyhedron,
     DegenerateProjection,
     Facet,
     LabeledPolyhedron,
-    NotProper,
     NotSimple,
     RedundantFacet,
-    asymptotic_cone,
     box,
     delzant_data,
-    dual_cone,
     from_halfspaces,
     half_line,
     interval,
-    minkowski_decompose,
     normal_fan,
     polyhedron_from_dict,
     polyhedron_to_dict,
@@ -71,7 +65,7 @@ def octahedron():
 def test_interval_shrinker_normalized():
     P = interval(-2, 2)
     assert P.is_shrinker_normalized()
-    assert P.contains([0.0]) and not P.contains([2.5])
+    assert P.interior_contains([0.0]) and not P.interior_contains([2.5])
     assert interval(-2, Fraction(2, 3), 1, 3).is_shrinker_normalized()
 
 
@@ -253,14 +247,13 @@ def test_random_polygons_match_qhull():
 # cones
 
 def test_asymptotic_cone_of_polytope_is_origin():
-    C = asymptotic_cone(square())
-    assert C.is_pointed() and C.ray_generators() == []
+    assert square().recession_rays() == []
     assert square().is_bounded()
 
 
 def test_half_line_recession_ray():
     P = half_line(-2)
-    assert asymptotic_cone(P).ray_generators() == [(1,)]
+    assert P.recession_rays() == [(1,)]
     assert not P.is_bounded()
 
 
@@ -273,17 +266,18 @@ def test_half_line_recession_ray():
     (3, [((1, 0, 0), 1, 2), ((0, 1, 0), 1, 2), ((0, 0, 1), 1, 2),
          ((-1, -1, -1), 1, 2)]),  # simplex
 ])
-def test_recession_rays_match_asymptotic_cone(dim, rows):
+def test_recession_rays_match_brute_force(dim, rows):
     P = from_halfspaces(dim, rows)
-    cone = asymptotic_cone(P)
-    assert P.recession_rays() == cone.ray_generators() == brute_force_rays(cone)
-    assert P.is_bounded() == (cone.is_pointed() and not cone.ray_generators())
+    rays = brute_force_rays(P)
+    assert P.recession_rays() == rays
+    assert P.is_bounded() == (rays == [])
 
 
-def brute_force_rays(cone):
-    """Primitive d in [-4, 4]^n with A d >= 0 whose active normals have rank n - 1."""
-    n = cone.dim
-    A = np.array(cone.halfspaces).reshape(-1, n)
+def brute_force_rays(P):
+    """Primitive d in [-4, 4]^n with <n_i, d> >= 0 for every facet normal n_i,
+    where the normals with <n_i, d> = 0 have rank n - 1."""
+    n = P.dim
+    A = np.array([f.normal for f in P.facets])
     rays = []
     for d in itertools.product(range(-4, 5), repeat=n):
         vals = A @ d
@@ -302,102 +296,45 @@ def test_recession_rays_refuse_a_line():
         strip.recession_rays()
 
 
-def test_dual_cone_2d_exact_generators():
-    C = Cone(dim=2, generators=((Fraction(1), Fraction(0)), (Fraction(1), Fraction(2))))
-    D = dual_cone(C)
-    assert sorted(rational_to_primitive(g) for g in D.generators) == [(0, 1), (2, -1)]
-
-
-def test_dual_of_halfspace_form_is_cone_on_normals():
-    C = Cone(dim=2, halfspaces=((1, 0), (1, 2)))
-    D = dual_cone(C)
-    assert D.halfspaces is None
-    assert sorted(rational_to_primitive(g) for g in D.generators) == [(1, 0), (1, 2)]
-
-
 def test_ray_extraction_skips_interior_directions():
-    # normals of the dual of cone{(1,0),(1,2)}; the normals themselves are
-    # interior rays of this cone and must not appear in the output
-    C = Cone(dim=2, halfspaces=((1, 0), (1, 2)))
-    assert C.ray_generators() == [(0, 1), (2, -1)]
+    # the recession cone is the dual of cone{(1,0),(1,2)}; the normals
+    # themselves are interior rays of it and must not appear in the output
+    P = from_halfspaces(2, [((1, 0), 1, 2), ((1, 2), 1, 2)])
+    assert P.recession_rays() == [(0, 1), (2, -1)]
 
 
 def test_3d_quadrant_cone_rays():
-    C = Cone(dim=3, halfspaces=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert sorted(C.ray_generators()) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    P = box([(-2, None)] * 3)
+    assert P.recession_rays() == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_cone_with_line_refuses_ray_form():
-    C = Cone(dim=2, halfspaces=((1, 0),))
-    assert C.contains_line() is not None
+    P = from_halfspaces(2, [((1, 0), 1, 2)])
+    assert validate(P).improper_line is not None
     with pytest.raises(ValueError, match="line"):
-        C.ray_generators()
-
-
-def test_generator_cone_membership():
-    C = Cone(dim=2, generators=((Fraction(1), Fraction(0)), (Fraction(1), Fraction(2))))
-    assert C.contains([2.0, 1.0])
-    assert not C.contains([-1.0, 0.0])
-    assert not C.contains([0.0, 1.0])
-
-
-@pytest.mark.parametrize("gens", [((1, 2),), ((2, -1), (1, 1), (-1, 3))])
-def test_generator_cone_membership_matches_nnls(gens):
-    C = Cone(dim=2, generators=tuple(tuple(map(Fraction, g)) for g in gens))
-    G = np.array(gens, dtype=float).T
-    rng = np.random.default_rng(11)
-    # random points, plus multiples of each generator so a ray has members
-    points = list(rng.normal(size=(200, 2)))
-    points += [c * G[:, j] for j in range(G.shape[1]) for c in rng.normal(size=20)]
-    for x in points:
-        expected = nnls(G, x)[1] <= 1e-9 * (1.0 + np.linalg.norm(x))
-        assert C.contains(x) == expected
-
-
-@given(st.lists(
-    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda t: t != (0, 0)),
-    min_size=1, max_size=5,
-))
-@settings(max_examples=60, deadline=None)
-def test_dual_dual_returns_same_rays(normals):
-    C = Cone(dim=2, halfspaces=tuple(rational_to_primitive(n) for n in normals))
-    if C.contains_line() is not None:
-        return
-    rays = C.ray_generators()
-    DD = dual_cone(dual_cone(C.to_generator_form()))
-    if DD.generators is None:
-        assert rays == []
-        return
-    assert sorted(rational_to_primitive(g) for g in DD.generators) == sorted(rays)
+        P.recession_rays()
 
 
 # ---------------------------------------------------------------------------
-# decomposition
+# decomposition P = Conv(vertices) + C(P)
 
 def test_minkowski_quadrant():
     P = box([(-2, None), (-2, None)])
-    verts, rec = minkowski_decompose(P)
-    assert [v.point for v in verts] == [(Fraction(-2), Fraction(-2))]
-    assert sorted(rational_to_primitive(g) for g in rec.generators) == [(0, 1), (1, 0)]
-
-
-def test_minkowski_rejects_improper():
-    P = from_halfspaces(2, [((1, 0), 1, 2)])
-    with pytest.raises(NotProper):
-        minkowski_decompose(P)
+    assert [v.point for v in vertices(P)] == [(Fraction(-2), Fraction(-2))]
+    assert P.recession_rays() == [(0, 1), (1, 0)]
 
 
 def test_minkowski_sampling_stays_inside():
     P = box([(-2, 2), (-2, None)])
-    verts, rec = minkowski_decompose(P)
+    verts = vertices(P)
     rng = np.random.default_rng(3)
-    rays = np.array([rational_to_primitive(g) for g in rec.generators], dtype=float)
+    rays = np.array(P.recession_rays(), dtype=float)
     for _ in range(50):
         w = rng.dirichlet(np.ones(len(verts)))
         x = sum(wi * v.point_float for wi, v in zip(w, verts))
         for r in rays:
             x = x + rng.exponential(1.0) * r
-        assert P.contains(x, tol=1e-9)
+        assert np.all(P.linear_values(x) >= -1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +477,23 @@ def test_normal_fan_half_line():
     assert len(cones) == 2
 
 
+def in_cone(generators, x):
+    """Exact membership: x = G c with c >= 0 for independent generators G."""
+    n = len(generators)
+    R, pivots = rref([[g[d] for g in generators] + [Fraction(x[d])] for d in range(len(x))])
+    assert pivots == list(range(n))
+    return all(R[j][n] >= 0 for j in range(n))
+
+
 def test_normal_fan_covers_directions():
-    cones = [c for c in normal_fan(pentagon()) if len(c.face_indices) == 2]
     rng = np.random.default_rng(11)
-    for _ in range(40):
-        x = rng.normal(size=2)
-        hits = sum(c.contains(x, tol=1e-9) for c in cones)
-        assert hits >= 1
+    for P, count in ((pentagon(), 5), (box([(-2, 2)] * 4), 16)):
+        cones = [c for c in normal_fan(P) if len(c.face_indices) == P.dim]
+        assert len(cones) == count
+        for _ in range(40):
+            # a generic direction lies in the interior of exactly one cone
+            x = rng.normal(size=P.dim)
+            assert sum(in_cone(c.generators, x) for c in cones) == 1
 
 
 # ---------------------------------------------------------------------------

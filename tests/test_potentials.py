@@ -1,4 +1,4 @@
-"""Potentials: canonical values, grid corrections, Legendre duality, detectors."""
+"""Potentials: canonical values, grid corrections, detectors."""
 
 import math
 
@@ -12,19 +12,12 @@ from toricshrink.potentials import (
     CanonicalPotential,
     CorrectedPotential,
     GridCorrection,
-    NoConvergence,
-    NotConvexHere,
     OutOfDomain,
     boundary_density,
     check_boundary_conditions,
     check_space_E,
     differentiation_matrix,
-    guillemin_potential,
-    kahler_potential_canonical,
-    legendre,
-    legendre_inverse,
     lobatto_nodes,
-    metric,
 )
 
 SQ = box([(-2, 2), (-2, 2)])
@@ -44,7 +37,7 @@ def fd_gradient(f, x, h=1e-6):
 # canonical potential
 
 def test_canonical_interval_values():
-    u = guillemin_potential(interval(-2, 2))
+    u = CanonicalPotential(interval(-2, 2))
     assert u.value([0.0]) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
     assert u.gradient([0.0])[0] == pytest.approx(0.0, abs=1e-15)
     assert u.hessian([0.0])[0, 0] == pytest.approx(0.5, rel=1e-14)
@@ -54,7 +47,7 @@ def test_canonical_interval_values():
 def test_canonical_derivatives_match_finite_differences():
     rng = np.random.default_rng(0)
     for P in (SQ, half_line(-2), interval(-2, 2)):
-        u = guillemin_potential(P)
+        u = CanonicalPotential(P)
         for x in P.sample_interior(rng, 6):
             g = u.gradient(x)
             assert np.allclose(g, fd_gradient(u.value, x), rtol=1e-6, atol=1e-8)
@@ -65,7 +58,7 @@ def test_canonical_derivatives_match_finite_differences():
 
 
 def test_canonical_out_of_domain():
-    u = guillemin_potential(interval(-2, 2))
+    u = CanonicalPotential(interval(-2, 2))
     with pytest.raises(OutOfDomain):
         u.value([2.0])
     with pytest.raises(OutOfDomain):
@@ -73,22 +66,11 @@ def test_canonical_out_of_domain():
 
 
 def test_batch_evaluation_shapes():
-    u = guillemin_potential(SQ)
+    u = CanonicalPotential(SQ)
     X = np.zeros((5, 2))
     assert u.value(X).shape == (5,)
     assert u.gradient(X).shape == (5, 2)
     assert u.hessian(X).shape == (5, 2, 2)
-
-
-def test_dual_potential_is_legendre_dual_value():
-    rng = np.random.default_rng(1)
-    P = interval(-2, 2)
-    u = guillemin_potential(P)
-    for x in P.sample_interior(rng, 8):
-        pair = legendre(u, x)
-        assert kahler_potential_canonical(P, x) == pytest.approx(
-            pair.dual_value, rel=1e-12, abs=1e-12
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -220,54 +202,15 @@ def test_differentiation_matrix_matches_loop_reference():
 
 
 # ---------------------------------------------------------------------------
-# Legendre transform
-
-def test_legendre_roundtrip_interval():
-    P = interval(-2, 2)
-    u = guillemin_potential(P)
-    rng = np.random.default_rng(4)
-    for x in P.sample_interior(rng, 10):
-        pair = legendre(u, x)
-        back = legendre_inverse(u, pair.y)
-        assert np.allclose(back.x, x, atol=1e-9)
-        assert back.dual_value == pytest.approx(pair.dual_value, rel=1e-9)
-
-
-def test_legendre_roundtrip_square_with_correction():
-    s = GridCorrection.from_function(
-        lambda x: 0.05 * (x[0] ** 2 - x[0] * x[1]), [(-2.0, 2.0), (-2.0, 2.0)], [6, 6]
-    )
-    u = CorrectedPotential(SQ, s)
-    rng = np.random.default_rng(5)
-    for x in SQ.sample_interior(rng, 6):
-        y = u.gradient(x)
-        back = legendre_inverse(u, y)
-        assert np.allclose(back.x, x, atol=1e-8)
-
+# gradient image
 
 def test_legendre_inverse_hits_any_target():
-    # gradient image of the canonical potential covers R^n
-    u = guillemin_potential(interval(-2, 2))
+    # on [-2, 2], u_P'(x) = artanh(x / 2): x = 2 tanh(y) solves u_P'(x) = y
+    # for every real y, so the gradient image of the canonical potential is R
+    u = CanonicalPotential(interval(-2, 2))
     for y in (-8.0, -1.0, 0.0, 3.0, 11.0):
-        pair = legendre_inverse(u, [y])
-        assert u.gradient(pair.x)[0] == pytest.approx(y, abs=1e-7)
-
-
-# ---------------------------------------------------------------------------
-# metric
-
-def test_metric_data_consistency():
-    u = guillemin_potential(SQ)
-    m = metric(u, [0.3, -0.7])
-    assert np.allclose(m.hessian @ m.inverse, np.eye(2), atol=1e-12)
-    assert m.det == pytest.approx(np.linalg.det(m.hessian), rel=1e-12)
-
-
-def test_metric_rejects_nonconvex_point():
-    s = GridCorrection.from_function(lambda x: -5.0 * x[0] ** 2, [(-2.0, 2.0)], [5])
-    u = CorrectedPotential(interval(-2, 2), s)
-    with pytest.raises(NotConvexHere):
-        metric(u, [0.0])
+        x = 2.0 * math.tanh(y)
+        assert u.gradient([x])[0] == pytest.approx(y, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +227,7 @@ FIVE = [
 
 def test_canonical_passes_boundary_conditions():
     for P in FIVE:
-        rep = check_boundary_conditions(P, guillemin_potential(P))
+        rep = check_boundary_conditions(P, CanonicalPotential(P))
         assert rep.ok, f"canonical potential flagged on {P}"
 
 
@@ -333,7 +276,7 @@ def test_doubled_log_fails_detector():
 def test_boundary_density_value_interval():
     # for u_P on [-2,2]: det Hess = 2/(L0 L1), so the density is 2
     P = interval(-2, 2)
-    u = guillemin_potential(P)
+    u = CanonicalPotential(P)
     for x in (-1.5, 0.0, 1.2):
         assert boundary_density(P, u, [x]) == pytest.approx(2.0, rel=1e-12)
 
@@ -343,19 +286,19 @@ def test_boundary_density_value_interval():
 
 def test_canonical_in_space_on_half_line():
     P = half_line(-2)
-    rep = check_space_E(P, guillemin_potential(P), [0.5])
+    rep = check_space_E(P, CanonicalPotential(P), [0.5])
     assert rep.in_space
     assert rep.hessian_positive and rep.gradient_surjective
 
 
 def test_canonical_in_space_on_square():
-    rep = check_space_E(SQ, guillemin_potential(SQ), [0.0, 0.0])
+    rep = check_space_E(SQ, CanonicalPotential(SQ), [0.0, 0.0])
     assert rep.in_space
 
 
 def test_divergent_weight_not_integrable():
     P = half_line(-2)
-    rep = check_space_E(P, guillemin_potential(P), [-1.0])
+    rep = check_space_E(P, CanonicalPotential(P), [-1.0])
     assert not rep.integrable and not rep.in_space
 
 
@@ -367,5 +310,5 @@ def test_nonconvex_potential_not_in_space():
 
 
 def test_report_carries_caveat_note():
-    rep = check_space_E(SQ, guillemin_potential(SQ), [0.0, 0.0])
+    rep = check_space_E(SQ, CanonicalPotential(SQ), [0.0, 0.0])
     assert "not a certificate" in rep.note
