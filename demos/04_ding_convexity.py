@@ -62,5 +62,5 @@ tilted = CorrectedPotential(P, s1)
 scan = convexity_scan(solution, tilted, P, b_X=b_X, num_t=7)
 vals = [s.value for s in scan]
 print(f"D along the gauge geodesic: spread = {max(vals) - min(vals):.2e}")
-mid = Geodesic(solution, tilted)(0.5)
+mid = Geodesic(solution, tilted).at(0.5)
 print(f"midpoint evaluates identically: {ding(mid, P, b_X=b_X).value:.10f}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ from .potentials import (
     check_space_E,
 )
 from .quadrature import DivergentWeight
-from .shrinker import NotAProduct, find_soliton_vector, residual, solve
+from .shrinker import find_soliton_vector, residual, solve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -110,6 +111,8 @@ def _parse_b(text, dim):
     if len(vals) != dim:
         _fail(EXIT_IO, "parse",
               f"weight vector has {len(vals)} entries for dimension {dim}")
+    if not all(math.isfinite(v) for v in vals):
+        _fail(EXIT_IO, "parse", f"weight vector has a non-finite entry: {text}")
     return vals
 
 
@@ -300,6 +303,8 @@ def cmd_soliton_vector(args):
 
 def cmd_residual(args):
     P = _load(args)
+    if args.samples < 1:
+        _fail(EXIT_IO, "parse", f"--samples must be at least 1, got {args.samples}")
     u, corr = _load_potential(P, args.potential)
     b = _parse_b(args.b, P.dim)
     if b is None:
@@ -351,16 +356,17 @@ def _solve_csv(P, res):
 
 def cmd_solve(args):
     P = _load(args)
+    if args.grid is not None and args.grid < 2:
+        _fail(EXIT_IO, "parse", f"--grid needs at least 2 nodes, got {args.grid}")
+    if not math.isfinite(args.truncation):
+        _fail(EXIT_IO, "parse", f"--truncation must be finite, got {args.truncation}")
     b = _parse_b(args.b, P.dim)
-    grid = args.grid
     try:
-        res = solve(P, b=b, grid=grid, truncation=args.truncation, tol=args.tol)
-    except NotAProduct as err:
-        _fail(EXIT_VALIDATION, "validation", err)
-    except DivergentWeight as err:
-        _fail(EXIT_VALIDATION, "validation", err)
+        res = solve(P, b=b, grid=args.grid, truncation=args.truncation, tol=args.tol)
     except (NoConvergence, NotConvexHere) as err:
         _fail(EXIT_NUMERIC, "convergence", err)
+    except ValueError as err:  # not a product, divergent weight, or truncation
+        _fail(EXIT_VALIDATION, "validation", err)
     print(f"b: {list(res.b)}")
     print(f"constant: {res.constant!r}")
     print(f"residual deviation: {res.residual_deviation!r}")

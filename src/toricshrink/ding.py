@@ -157,8 +157,10 @@ class _DingQuadrature:
     into the Gauss weights and its canonical part computed once. On unbounded
     P both plans are cut inside the grid of the correction, so every
     correction on that grid is evaluated at the same nodes. Each refined
-    simplex gets the one cached order-25 reference rule mapped onto it, and
-    a correction's partials come from derivative coefficients it derives once.
+    simplex gets the one cached order-25 reference rule mapped onto it. A
+    correction is sampled through its jet at the d1 nodes and its value at
+    the potential-integral nodes: one Vandermonde matrix per axis and node
+    set.
     """
 
     def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None):
@@ -312,9 +314,6 @@ class Geodesic:
             c0.axes, (1.0 - t) * c0.values + t * c1.values
         )
         return CorrectedPotential(self.polyhedron, blend)
-
-    def __call__(self, t: float):
-        return self.at(t)
 
 
 def convexity_scan(v0, v1, P: LabeledPolyhedron, b_X=None, num_t: int = 9,

@@ -8,6 +8,7 @@ geometric ladders approaching each facet.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -112,10 +113,12 @@ def differentiation_matrix(nodes) -> np.ndarray:
 class GridCorrection:
     """Polynomial correction s sampled on a tensor product of node axes.
 
-    The stored values determine the unique tensor interpolant, evaluated and
-    differentiated through its Chebyshev coefficients; the coefficients of
-    the first and second partials are derived once, on first use. Dimensions
-    1 and 2.
+    The stored values determine the unique tensor interpolant. Its jet is
+    one stacked tensor of Chebyshev coefficients, derived on first use: s,
+    then the first partials, then the second partials (i, j), i <= j, each
+    scaled to x and zero-padded to the shape of the value grid. value,
+    gradient, hessian and jet all evaluate a prefix of that stack from one
+    Vandermonde matrix per axis. Dimensions 1 and 2.
     """
 
     def __init__(self, axes, values):
@@ -143,67 +146,66 @@ class GridCorrection:
         return tuple(len(a) - 1 for a in self.axes)
 
     def _map(self, X):
-        out = np.empty_like(X)
-        for d, (lo, hi) in enumerate(self.domain):
-            out[:, d] = (2.0 * X[:, d] - (lo + hi)) / (hi - lo)
-        return out
+        lo, hi = np.array(self.domain).T
+        return (2.0 * X - (lo + hi)) / (hi - lo)
 
     def _fit(self):
-        mapped = [
-            (2.0 * a - (lo + hi)) / (hi - lo)
-            for a, (lo, hi) in zip(self.axes, self.domain)
-        ]
+        V = [C.chebvander((2.0 * a - (lo + hi)) / (hi - lo), len(a) - 1)
+             for a, (lo, hi) in zip(self.axes, self.domain)]
         if self.dim == 1:
-            V = C.chebvander(mapped[0], len(mapped[0]) - 1)
-            return np.linalg.solve(V, self.values)
-        V0 = C.chebvander(mapped[0], len(mapped[0]) - 1)
-        V1 = C.chebvander(mapped[1], len(mapped[1]) - 1)
-        return np.linalg.solve(V0, np.linalg.solve(V1, self.values.T).T)
+            return np.linalg.solve(V[0], self.values)
+        return np.linalg.solve(V[0], np.linalg.solve(V[1], self.values.T).T)
 
     @cached_property
-    def _gradient_coefs(self):
-        """Chebyshev coefficients of each first partial, in mapped coordinates."""
-        if self.dim == 1:
-            return (C.chebder(self._coef),)
-        return tuple(C.chebder(self._coef, 1, axis=d) for d in range(self.dim))
+    def _stack(self):
+        """Coefficients of s, its first partials and its second partials (i <= j).
 
-    @cached_property
-    def _hessian_coefs(self):
-        """Coefficients of the second partials (i, j), i <= j, in mapped coordinates."""
-        if self.dim == 1:
-            return {(0, 0): C.chebder(self._coef, 2)}
-        return {(i, j): C.chebder(C.chebder(self._coef, 1, axis=i), 1, axis=j)
-                for i in range(self.dim) for j in range(i, self.dim)}
+        Shape (1 + n + n(n+1)/2, *grid shape), with a trailing unit axis in
+        1D so that both dimensions contract the same way.
+        """
+        n = self.dim
+        first = [C.chebder(self._coef, 1, axis=i) * self._scale[i] for i in range(n)]
+        second = [C.chebder(first[i], 1, axis=j) * self._scale[j]
+                  for i in range(n) for j in range(i, n)]
+        stack = np.zeros((1 + len(first) + len(second),) + self._coef.shape)
+        for k, c in enumerate([self._coef] + first + second):
+            stack[(k,) + tuple(slice(0, m) for m in c.shape)] = c
+        return stack[..., None] if n == 1 else stack
 
-    def _eval(self, coef, X):
-        if self.dim == 1:
-            return C.chebval(X[:, 0], coef)
-        # sum_kl c_kl T_k(x) T_l(y) as one matrix product and a row-wise dot
-        Vx = C.chebvander(X[:, 0], coef.shape[0] - 1)
-        Vy = C.chebvander(X[:, 1], coef.shape[1] - 1)
-        return np.einsum("ij,ij->i", Vx @ coef, Vy)
+    def _partials(self, x, count):
+        """The first count entries of the stack at the points x, shape (count, m)."""
+        X, single = _as_batch(x, self.dim)
+        T = self._map(X)
+        V = [C.chebvander(T[:, d], m - 1) for d, m in enumerate(self._coef.shape)]
+        # one matrix product per stacked array, then a row-wise dot
+        rows = V[0] @ self._stack[:count]
+        rows = rows[..., 0] if self.dim == 1 else np.sum(rows * V[1], axis=-1)
+        return rows, single
+
+    def jet(self, x):
+        """(s, grad s, Hess s) at x, from one Vandermonde matrix per axis."""
+        n = self.dim
+        rows, single = self._partials(x, 1 + n + n * (n + 1) // 2)
+        G = rows[1:1 + n].T
+        H = np.empty((rows.shape[1], n, n))
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        for (i, j), r in zip(pairs, rows[1 + n:]):
+            H[:, i, j] = H[:, j, i] = r
+        if single:
+            return float(rows[0, 0]), G[0], H[0]
+        return rows[0], G, H
 
     def value(self, x):
-        X, single = _as_batch(x, self.dim)
-        out = self._eval(self._coef, self._map(X))
-        return float(out[0]) if single else out
+        rows, single = self._partials(x, 1)
+        return float(rows[0, 0]) if single else rows[0]
 
     def gradient(self, x):
-        X, single = _as_batch(x, self.dim)
-        M = self._map(X)
-        G = np.stack([self._eval(c, M) * self._scale[d]
-                      for d, c in enumerate(self._gradient_coefs)], axis=-1)
+        rows, single = self._partials(x, 1 + self.dim)
+        G = rows[1:].T
         return G[0] if single else G
 
     def hessian(self, x):
-        X, single = _as_batch(x, self.dim)
-        M = self._map(X)
-        H = np.empty((len(X), self.dim, self.dim))
-        for (i, j), c in self._hessian_coefs.items():
-            val = self._eval(c, M) * self._scale[i] * self._scale[j]
-            H[:, i, j] = val
-            H[:, j, i] = val
-        return H[0] if single else H
+        return self.jet(x)[2]
 
     # -- serialization --------------------------------------------------------
 
@@ -232,13 +234,8 @@ class GridCorrection:
     @classmethod
     def from_function(cls, f, domain, counts) -> "GridCorrection":
         axes = [lobatto_nodes(lo, hi, c) for (lo, hi), c in zip(domain, counts)]
-        if len(axes) == 1:
-            vals = np.array([f(np.array([x])) for x in axes[0]])
-        else:
-            vals = np.array(
-                [[f(np.array([x, y])) for y in axes[1]] for x in axes[0]]
-            )
-        return cls(axes, vals)
+        vals = [f(np.array(x)) for x in itertools.product(*axes)]
+        return cls(axes, np.reshape(vals, tuple(counts)))
 
 
 class CorrectedPotential:
@@ -297,7 +294,7 @@ def _differences_decay(q, atol: float) -> bool:
     # them constant or growing along a geometric ladder
     d1 = abs(q[-1] - q[-2])
     d0 = abs(q[-2] - q[-3])
-    return d1 <= max(0.5 * d0, atol * (1.0 + abs(q[-1])))
+    return bool(d1 <= max(0.5 * d0, atol * (1.0 + abs(q[-1]))))
 
 
 @dataclass(frozen=True)
@@ -320,14 +317,54 @@ class BoundaryReport:
         return self.correction_ok and self.density_ok
 
 
+def _prod_except(L: np.ndarray, skip) -> np.ndarray:
+    mask = np.ones(L.shape[1], dtype=bool)
+    for i in skip:
+        mask[i] = False
+    return np.prod(L[:, mask], axis=1)
+
+
+def _density(P: LabeledPolyhedron, L, s_hess):
+    """det(Hess(u_P + s)) times prod_i L_i, expanded so no term divides by L."""
+    W = P.scaled_normal_matrix()
+    N = len(P.facets)
+    m = L.shape[0]
+    if P.dim == 1:
+        w = W[:, 0]
+        out = np.zeros(m)
+        for k in range(N):
+            out += 0.5 * w[k] ** 2 * _prod_except(L, (k,))
+        out += s_hess[:, 0, 0] * np.prod(L, axis=1)
+        return out
+    if P.dim == 2:
+        out = np.zeros(m)
+        for j, k in itertools.combinations(range(N), 2):
+            cross = W[j, 0] * W[k, 1] - W[j, 1] * W[k, 0]
+            if cross != 0.0:
+                out += 0.25 * cross**2 * _prod_except(L, (j, k))
+        detS = s_hess[:, 0, 0] * s_hess[:, 1, 1] - s_hess[:, 0, 1] ** 2
+        for k in range(N):
+            p = np.array([-W[k, 1], W[k, 0]])
+            quad = np.einsum("mij,i,j->m", s_hess, p, p)
+            out += 0.5 * quad * _prod_except(L, (k,))
+        out += detS * np.prod(L, axis=1)
+        return out
+    raise ValueError("stable density implemented for dimensions 1 and 2")
+
+
 def boundary_density(P: LabeledPolyhedron, u, x):
     """det(Hess u) times the product of facet values: finite and positive on
-    the boundary exactly when the potential has the right singular structure."""
+    the boundary exactly when the potential has the right singular structure.
+
+    Evaluated in the stable form, so points on the boundary give the limit.
+    """
     X, single = _as_batch(x, P.dim)
     L = X @ P.scaled_normal_matrix().T + P.offsets_array()
-    H = u.hessian(X)
-    dets = np.linalg.det(H)
-    out = dets * np.prod(L, axis=1)
+    if np.any(L < 0.0):
+        raise OutOfDomain("point outside the polyhedron")
+    s = correction_of(u)
+    s_hess = np.zeros((len(X), P.dim, P.dim)) if s is None else s.hessian(X)
+    out = _density(P, L, s_hess)
     return float(out[0]) if single else out
 
 
@@ -341,22 +378,14 @@ def check_boundary_conditions(P: LabeledPolyhedron, u,
     s = correction_of(u)
     checks = []
     for i in range(len(P.facets)):
-        ladder = facet_ladder(P, i)
-        if s is None:
-            corr_ok = grad_ok = True
-        else:
-            sv = [s.value(x) for x in ladder]
-            corr_ok = _differences_decay(sv, atol)
-            grad_ok = True
-            grads = np.array([s.gradient(x) for x in ladder])
-            for c in range(P.dim):
-                if not _differences_decay(grads[:, c], atol):
-                    grad_ok = False
-        dens = [boundary_density(P, u, x) for x in ladder]
-        dens_ok = (
-            _differences_decay(dens, atol)
-            and 1e-8 <= dens[-1] <= 1e8
-        )
+        ladder = np.array(facet_ladder(P, i))
+        corr_ok = grad_ok = True
+        if s is not None:
+            corr_ok = _differences_decay(s.value(ladder), atol)
+            grads = s.gradient(ladder)
+            grad_ok = all(_differences_decay(grads[:, c], atol) for c in range(P.dim))
+        dens = boundary_density(P, u, ladder)
+        dens_ok = _differences_decay(dens, atol) and bool(1e-8 <= dens[-1] <= 1e8)
         checks.append(
             FacetBoundaryCheck(
                 facet=i,

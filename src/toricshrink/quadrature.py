@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -140,7 +140,7 @@ class Simplex:
     def array(self) -> np.ndarray:
         return np.array(self.points)
 
-    @property
+    @cached_property
     def volume(self) -> float:
         V = self.array()
         E = V[1:] - V[0]

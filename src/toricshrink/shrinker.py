@@ -8,11 +8,11 @@ symplectic potential u = u_P + s solves the soliton equation when
 is constant. R is evaluated in a boundary-stable form: the labeled-facet
 factors of det Hess u are cancelled algebraically against the canonical
 potential's own divergence, leaving quantities smooth up to the boundary.
+The density det(Hess u) prod_i L_i comes from potentials._density.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,7 @@ from .potentials import (
     GridCorrection,
     NoConvergence,
     NotConvexHere,
+    _density,
     barycentric_weights,
     differentiation_matrix,
     lobatto_nodes,
@@ -100,41 +101,6 @@ def find_soliton_vector(P: LabeledPolyhedron, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 # stable residual of the soliton equation
 
-def _prod_except(L: np.ndarray, skip) -> np.ndarray:
-    mask = np.ones(L.shape[1], dtype=bool)
-    for i in skip:
-        mask[i] = False
-    return np.prod(L[:, mask], axis=1)
-
-
-def _density(P: LabeledPolyhedron, L, s_hess):
-    """det(Hess(u_P + s)) times prod_i L_i, expanded so no term divides by L."""
-    W = P.scaled_normal_matrix()
-    N = len(P.facets)
-    m = L.shape[0]
-    if P.dim == 1:
-        w = W[:, 0]
-        out = np.zeros(m)
-        for k in range(N):
-            out += 0.5 * w[k] ** 2 * _prod_except(L, (k,))
-        out += s_hess[:, 0, 0] * np.prod(L, axis=1)
-        return out
-    if P.dim == 2:
-        out = np.zeros(m)
-        for j, k in itertools.combinations(range(N), 2):
-            cross = W[j, 0] * W[k, 1] - W[j, 1] * W[k, 0]
-            if cross != 0.0:
-                out += 0.25 * cross**2 * _prod_except(L, (j, k))
-        detS = s_hess[:, 0, 0] * s_hess[:, 1, 1] - s_hess[:, 0, 1] ** 2
-        for k in range(N):
-            p = np.array([-W[k, 1], W[k, 0]])
-            quad = np.einsum("mij,i,j->m", s_hess, p, p)
-            out += 0.5 * quad * _prod_except(L, (k,))
-        out += detS * np.prod(L, axis=1)
-        return out
-    raise ValueError("stable density implemented for dimensions 1 and 2")
-
-
 def _residual_core(P: LabeledPolyhedron, b, X, s_val, s_grad, s_hess,
                    strict: bool = True):
     W = P.scaled_normal_matrix()
@@ -169,10 +135,7 @@ def _correction_arrays(correction, X, n):
     if correction is None:
         m = len(X)
         return np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n))
-    s_val = np.asarray(correction.value(X), dtype=float)
-    s_grad = np.asarray(correction.gradient(X), dtype=float)
-    s_hess = np.asarray(correction.hessian(X), dtype=float)
-    return s_val, s_grad, s_hess
+    return correction.jet(X)
 
 
 def residual(P: LabeledPolyhedron, b, x, correction=None):
@@ -187,64 +150,6 @@ def residual(P: LabeledPolyhedron, b, x, correction=None):
     s_val, s_grad, s_hess = _correction_arrays(correction, X, P.dim)
     R = _residual_core(P, b, X, s_val, s_grad, s_hess, strict=True)
     return float(R[0]) if single else R
-
-
-# ---------------------------------------------------------------------------
-# product structure
-
-@dataclass(frozen=True)
-class ProductFactor:
-    coordinates: tuple[int, ...]
-    polyhedron: LabeledPolyhedron
-
-
-def product_check(P: LabeledPolyhedron) -> list[ProductFactor]:
-    """Split P into factors across independent coordinate blocks.
-
-    Raises NotAProduct when the facet normals couple all coordinates into a
-    single block (and n > 1).
-    """
-    n = P.dim
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    for f in P.facets:
-        support = [d for d, c in enumerate(f.normal) if c != 0]
-        for d in support[1:]:
-            union(support[0], d)
-    blocks: dict[int, list[int]] = {}
-    for d in range(n):
-        blocks.setdefault(find(d), []).append(d)
-    comps = sorted(tuple(sorted(v)) for v in blocks.values())
-    if len(comps) == 1 and n > 1:
-        raise NotAProduct("facet normals couple all coordinates")
-    factors = []
-    for coords in comps:
-        facets = []
-        for f in P.facets:
-            if any(f.normal[d] != 0 for d in coords):
-                facets.append(
-                    Facet(
-                        normal=tuple(f.normal[d] for d in coords),
-                        label=f.label,
-                        offset=f.offset,
-                    )
-                )
-        factors.append(
-            ProductFactor(
-                coordinates=coords,
-                polyhedron=LabeledPolyhedron(dim=len(coords), facets=tuple(facets)),
-            )
-        )
-    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +169,16 @@ class SolveResult:
 
 
 def _solve_domain(P: LabeledPolyhedron, b, truncation):
-    """Axis ranges for the collocation box, cutting unbounded axes at <b,x>=T."""
+    """Axis ranges for the collocation box, cutting unbounded axes at <b,x>=T.
+
+    Every facet normal must be +-e_d, so P is the product of the 1D
+    polyhedra cut out by each axis's facets; those factors are returned too,
+    with P itself as its own factor in 1D.
+    """
     n = P.dim
     lo = [None] * n
     hi = [None] * n
+    axis_facets = [[] for _ in range(n)]
     for f in P.facets:
         support = [d for d, c in enumerate(f.normal) if c != 0]
         if len(support) != 1 or abs(f.normal[support[0]]) != 1:
@@ -275,6 +186,7 @@ def _solve_domain(P: LabeledPolyhedron, b, truncation):
                 "the collocation solver needs an axis-aligned product domain"
             )
         d = support[0]
+        axis_facets[d].append(Facet(normal=(f.normal[d],), label=f.label, offset=f.offset))
         m = f.label
         if f.normal[d] == 1:
             lo[d] = -float(f.offset) / m
@@ -305,7 +217,9 @@ def _solve_domain(P: LabeledPolyhedron, b, truncation):
                 cuts.append((d, "lower"))
             if hi[d] <= lo[d]:
                 raise ValueError("truncation level does not clear the domain")
-    return list(zip(lo, hi)), tuple(cuts)
+    factors = [P] if n == 1 else [LabeledPolyhedron(dim=1, facets=tuple(fs))
+                                  for fs in axis_facets]
+    return list(zip(lo, hi)), tuple(cuts), factors
 
 
 def _tensor(arrays) -> np.ndarray:
@@ -395,8 +309,8 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
           initial=None) -> SolveResult:
     """Solve the soliton equation for the correction s by spectral collocation.
 
-    Supports 1D and 2D product domains. In 2D, product_check splits P into
-    two 1D factors. The canonical potential, log det Hess u and the residual
+    Supports 1D and 2D product domains. In 2D, every facet normal is +-e_d,
+    so P splits into two 1D factors, one per axis. The canonical potential, log det Hess u and the residual
     separate over them, so the tensor sum s_1(x) + s_2(y) of the factor
     solutions solves the 2D equation with constant c_1 + c_2. Each axis is
     solved by Gauss-Newton with the exact Jacobian. A node on a truncation
@@ -420,8 +334,7 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
     elif isinstance(grid, int):
         grid = (grid,) * n
     grid = tuple(grid)
-    domain, cuts = _solve_domain(P, b, truncation)
-    factors = [P] if n == 1 else [f.polyhedron for f in product_check(P)]
+    domain, cuts, factors = _solve_domain(P, b, truncation)
 
     axes = [lobatto_nodes(lo, hi, g) for (lo, hi), g in zip(domain, grid)]
     on_cut = [np.zeros(len(x), dtype=bool) for x in axes]

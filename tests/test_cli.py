@@ -247,6 +247,26 @@ def test_bad_weight_vector_is_parse_error(interval_file, capsys):
     assert main(["residual", interval_file, "--b", "oops"]) == 4
 
 
+@pytest.mark.parametrize("polyhedron, argv, code", [
+    ("interval", ["solve", "--b", "nan"], 4),
+    ("interval", ["residual", "--b", "inf"], 4),
+    ("interval", ["check-potential", "--b=-inf"], 4),
+    ("half_line", ["solve", "--grid", "1"], 4),
+    ("half_line", ["solve", "--truncation", "nan"], 4),
+    ("interval", ["residual", "--samples", "0"], 4),
+    # a finite level below the facet leaves no domain to solve on
+    ("half_line", ["solve", "--truncation", "-5"], 2),
+])
+def test_bad_numeric_flags_exit_with_one_error_line(interval_file, half_line_file,
+                                                    capsys, polyhedron, argv, code):
+    path = interval_file if polyhedron == "interval" else half_line_file
+    assert main([argv[0], path] + argv[1:]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: parse:" if code == 4 else "error: validation:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_console_entry_point(teardrop_file):
     proc = subprocess.run(
         [sys.executable, "-m", "toricshrink", "validate", teardrop_file],

@@ -130,7 +130,7 @@ def _reference_partials(g, X):
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("count", range(8, 21, 2))
-def test_grid_correction_matches_chebval_reference(dim, count):
+def test_grid_correction_matches_chebval_reference(dim, count, monkeypatch):
     rng = np.random.default_rng(10 * dim + count)
     domain = [(-2.0, 2.0), (-1.0, 3.0)][:dim]
     axes = [lobatto_nodes(lo, hi, count + d) for d, (lo, hi) in enumerate(domain)]
@@ -151,6 +151,16 @@ def test_grid_correction_matches_chebval_reference(dim, count):
     H = g.hessian(X)
     for (i, j), (ref, csum) in hess.items():
         assert np.all(np.abs(H[:, i, j] - ref) <= 1e-14 * csum)
+    # the jet reads the same stacked coefficients from one Vandermonde
+    # matrix per axis
+    built = []
+    chebvander = C.chebvander
+    monkeypatch.setattr(C, "chebvander", lambda *a: built.append(1) or chebvander(*a))
+    s, G_jet, H_jet = g.jet(X)
+    assert len(built) == dim
+    assert np.array_equal(s, g.value(X))
+    assert np.array_equal(G_jet, G)
+    assert np.array_equal(H_jet, H)
 
 
 def test_grid_correction_json_roundtrip():
@@ -274,11 +284,32 @@ def test_doubled_log_fails_detector():
 
 
 def test_boundary_density_value_interval():
-    # for u_P on [-2,2]: det Hess = 2/(L0 L1), so the density is 2
+    # for u_P on [-2,2]: det Hess = 2/(L0 L1), so the density is 2, also in
+    # the limit on either facet
     P = interval(-2, 2)
     u = CanonicalPotential(P)
-    for x in (-1.5, 0.0, 1.2):
+    for x in (-2.0, -1.5, 0.0, 1.2, 2.0):
         assert boundary_density(P, u, [x]) == pytest.approx(2.0, rel=1e-12)
+    with pytest.raises(OutOfDomain):
+        boundary_density(P, u, [2.5])
+
+
+def test_boundary_density_of_corrected_potential_is_stable():
+    s = GridCorrection.from_function(
+        lambda x: 0.05 * math.exp(-x[0] ** 2 - x[1] ** 2), [(-2.0, 2.0)] * 2, [8, 8]
+    )
+    u = CorrectedPotential(SQ, s)
+    # inside, the stable form is det(Hess u) prod L_i
+    X = SQ.sample_interior(np.random.default_rng(3), 20)
+    L = X @ SQ.scaled_normal_matrix().T + SQ.offsets_array()
+    naive = np.linalg.det(u.hessian(X)) * np.prod(L, axis=1)
+    assert np.allclose(boundary_density(SQ, u, X), naive, rtol=1e-12, atol=0.0)
+    # on a facet and at a corner it is the limit from inside
+    for x in ([-2.0, 0.3], [-2.0, 2.0]):
+        inside = np.array(x) - 1e-9 * np.sign(x)
+        on = boundary_density(SQ, u, x)
+        assert on > 0.0
+        assert on == pytest.approx(boundary_density(SQ, u, inside), rel=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,18 @@ def test_standard_triangle_area_and_first_moment():
     assert m2[0, 0] == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
+def test_simplex_volume_takes_one_determinant(monkeypatch):
+    # _fan's degeneracy check and the Gauss rule's weights read one volume
+    S = Simplex(((0.0, 0.0), (2.0, 0.0), (0.0, 3.0)))
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda E: calls.append(1) or det(E))
+    assert S.volume == pytest.approx(3.0, rel=1e-15)
+    assert S.volume == pytest.approx(3.0, rel=1e-15)
+    gauss_simplex_rule(S, 4)
+    assert len(calls) == 1
+
+
 def test_closed_form_matches_dense_gauss_on_random_simplices():
     rng = np.random.default_rng(42)
     checked = 0

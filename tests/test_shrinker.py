@@ -14,7 +14,6 @@ from toricshrink.shrinker import (
     NotAProduct,
     find_soliton_vector,
     grad_hess_F,
-    product_check,
     residual,
     solve,
     weighted_volume,
@@ -209,27 +208,6 @@ def test_residual_affine_shift_property():
 
 
 # ---------------------------------------------------------------------------
-# product structure
-
-def test_product_check_square():
-    factors = product_check(box([(-2, 2), (-2, 2)]))
-    assert [f.coordinates for f in factors] == [(0,), (1,)]
-    for f in factors:
-        assert f.polyhedron.dim == 1
-        assert f.polyhedron.is_shrinker_normalized()
-
-
-def test_product_check_rejects_coupled():
-    with pytest.raises(NotAProduct):
-        product_check(pentagon())
-
-
-def test_product_check_single_axis():
-    factors = product_check(interval(-2, 2))
-    assert len(factors) == 1
-
-
-# ---------------------------------------------------------------------------
 # collocation solve
 
 def affine_residual(xs, vals):
@@ -304,8 +282,11 @@ def test_solve_2d_is_tensor_sum_of_factor_solves(P, grid):
     b = find_soliton_vector(P).b
     res = solve(P, b=b, grid=grid)
     assert res.residual_deviation <= 1e-9
-    sols = [solve(f.polyhedron, b=[b[d]], grid=grid)
-            for d, f in enumerate(product_check(P))]
+    # the factor on axis d is cut out by the facets with normal +-e_d
+    factors = [from_halfspaces(1, [((f.normal[d],), f.label, f.offset)
+                                   for f in P.facets if f.normal[d] != 0])
+               for d in range(2)]
+    sols = [solve(f, b=[b[d]], grid=grid) for d, f in enumerate(factors)]
     for d, sol in enumerate(sols):
         assert np.array_equal(res.correction.axes[d], sol.correction.axes[0])
     s1, s2 = (sol.correction.values for sol in sols)
