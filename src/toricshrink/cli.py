@@ -6,7 +6,8 @@ suffix of --out (.json or .csv). Runs are deterministic: identical input,
 flags, and seed produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence,
-4 I/O or parse error.
+4 I/O or parse error. The parser raises every exit 4 for a flag, and main
+maps library errors to 2 and 3 in one place.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ import numpy as np
 
 from .ding import DivergentD1, NotInE, convexity_scan, second_differences
 from .polyhedra import (
-    DegenerateProjection,
-    EmptyFace,
     EmptyPolyhedron,
     NotProper,
-    NotSimple,
     RedundantFacet,
     delzant_data,
     load_polyhedron,
@@ -38,11 +36,8 @@ from .potentials import (
     CanonicalPotential,
     CorrectedPotential,
     GridCorrection,
-    NoConvergence,
-    NotConvexHere,
     check_space_E,
 )
-from .quadrature import DivergentWeight
 from .shrinker import find_soliton_vector, residual, solve
 
 EXIT_OK = 0
@@ -58,10 +53,6 @@ class _CliError(Exception):
         self.category = category
 
 
-def _fail(code: int, category: str, message: str):
-    raise _CliError(code, category, " ".join(str(message).split()))
-
-
 # ---------------------------------------------------------------------------
 # I/O helpers
 
@@ -69,13 +60,13 @@ def _load(args):
     try:
         P = load_polyhedron(args.input)
     except (OSError, json.JSONDecodeError) as err:
-        _fail(EXIT_IO, "io", f"cannot read polyhedron: {err}")
+        raise _CliError(EXIT_IO, "io", f"cannot read polyhedron: {err}")
+    except (EmptyPolyhedron, RedundantFacet, NotProper):
+        raise  # a well-formed file describing an invalid polyhedron
     except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, (EmptyPolyhedron, RedundantFacet, NotProper)):
-            _fail(EXIT_VALIDATION, "validation", err)
-        _fail(EXIT_IO, "parse", f"bad polyhedron file: {err}")
+        raise _CliError(EXIT_IO, "parse", f"bad polyhedron file: {err}")
     if not P.is_shrinker_normalized() and not args.allow_general_offsets:
-        _fail(
+        raise _CliError(
             EXIT_VALIDATION,
             "validation",
             "offsets are not shrinker-normalized (every a_i must equal 2); "
@@ -91,14 +82,14 @@ def _load_potential(P, path):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        _fail(EXIT_IO, "io", f"cannot read potential: {err}")
+        raise _CliError(EXIT_IO, "io", f"cannot read potential: {err}")
     if isinstance(data, dict) and "correction" in data:
         data = data["correction"]
     try:
         corr = GridCorrection.from_dict(data)
         return CorrectedPotential(P, corr), corr
     except (KeyError, TypeError, ValueError) as err:
-        _fail(EXIT_IO, "parse", f"bad potential payload: {err}")
+        raise _CliError(EXIT_IO, "parse", f"bad potential payload: {err}")
 
 
 def _parse_b(text, dim):
@@ -107,41 +98,29 @@ def _parse_b(text, dim):
     try:
         vals = [float(part) for part in text.split(",")]
     except ValueError as err:
-        _fail(EXIT_IO, "parse", f"bad weight vector: {err}")
+        raise _CliError(EXIT_IO, "parse", f"bad weight vector: {err}")
     if len(vals) != dim:
-        _fail(EXIT_IO, "parse",
-              f"weight vector has {len(vals)} entries for dimension {dim}")
+        raise _CliError(EXIT_IO, "parse",
+                        f"weight vector has {len(vals)} entries for dimension {dim}")
     if not all(math.isfinite(v) for v in vals):
-        _fail(EXIT_IO, "parse", f"weight vector has a non-finite entry: {text}")
+        raise _CliError(EXIT_IO, "parse", f"weight vector has a non-finite entry: {text}")
     return vals
 
 
-def _soliton_vector(P, tol=1e-12):
-    """find_soliton_vector, with its failures mapped to exit codes."""
-    try:
-        return find_soliton_vector(P, tol=tol)
-    except DivergentWeight as err:
-        _fail(EXIT_VALIDATION, "validation", f"weighted volume diverges: {err}")
-    except ValueError as err:  # quadrature exists in dimensions 1 and 2 only
-        _fail(EXIT_VALIDATION, "validation", err)
-    except NoConvergence as err:
-        _fail(EXIT_NUMERIC, "convergence", err)
+def _weights(args, P, tol):
+    """The weight vector given by --b, or else the soliton vector of P to tol."""
+    b = _parse_b(args.b, P.dim)
+    return list(find_soliton_vector(P, tol=tol).b) if b is None else b
 
 
-def _jsonable(obj):
+def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None):
@@ -151,19 +130,20 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None):
     try:
         if out.endswith(".csv"):
             if csv_rows is None:
-                _fail(EXIT_IO, "io",
-                      "this subcommand has no CSV artifact; use a .json path")
+                raise _CliError(EXIT_IO, "io",
+                                "this subcommand has no CSV artifact; use a .json path")
             lines = [",".join(csv_header)]
             for row in csv_rows:
                 lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
                                       else str(v) for v in row))
             text = "\n".join(lines) + "\n"
         else:
-            text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+            text = json.dumps(payload, indent=2, sort_keys=True,
+                              default=_json_default) + "\n"
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as err:
-        _fail(EXIT_IO, "io", f"cannot write artifact: {err}")
+        raise _CliError(EXIT_IO, "io", f"cannot write artifact: {err}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +178,15 @@ def cmd_validate(args):
 
 
 def _vertices(P):
-    """vertices(P), with a line in P or a non-simple vertex mapped to exit 2.
+    """vertices(P), refusing a polyhedron with a line.
 
-    A polyhedron with a line has no vertices; an empty list would read as
-    success, so it is rejected with validate's witness.
+    Such a polyhedron has no vertices; an empty list would read as success,
+    so it is rejected with validate's witness.
     """
     line = validate(P).improper_line
     if line is not None:
-        _fail(EXIT_VALIDATION, "validation", f"contains line: {tuple(line)}")
-    try:
-        return vertices(P)
-    except NotSimple as err:
-        _fail(EXIT_VALIDATION, "validation", err)
+        raise _CliError(EXIT_VALIDATION, "validation", f"contains line: {tuple(line)}")
+    return vertices(P)
 
 
 def cmd_vertices(args):
@@ -234,10 +211,7 @@ def cmd_structure_group(args):
     verts = _vertices(P)
     rows = []
     for v in verts:
-        try:
-            g = structure_group(P, v.active_facets)
-        except (EmptyFace, ValueError) as err:
-            _fail(EXIT_VALIDATION, "validation", err)
+        g = structure_group(P, v.active_facets)
         print(f"vertex {tuple(str(c) for c in v.point)}: {g}")
         rows.append({
             "point": [str(c) for c in v.point],
@@ -252,10 +226,7 @@ def cmd_structure_group(args):
 
 def cmd_delzant(args):
     P = _load(args)
-    try:
-        data = delzant_data(P)
-    except DegenerateProjection as err:
-        _fail(EXIT_VALIDATION, "validation", err)
+    data = delzant_data(P)
     print(f"projection rows: {data.projection}")
     print(f"kernel basis: {data.kernel_basis}")
     print(f"offsets: {tuple(str(a) for a in data.offsets)}")
@@ -269,10 +240,7 @@ def cmd_delzant(args):
 
 def cmd_fan(args):
     P = _load(args)
-    try:
-        cones = normal_fan(P)
-    except (NotProper, NotSimple) as err:
-        _fail(EXIT_VALIDATION, "validation", err)
+    cones = normal_fan(P)
     rows = []
     for c in cones:
         print(f"cone on facets {c.face_indices}: "
@@ -287,7 +255,7 @@ def cmd_fan(args):
 
 def cmd_soliton_vector(args):
     P = _load(args)
-    sol = _soliton_vector(P, tol=args.tol)
+    sol = find_soliton_vector(P, tol=args.tol)
     print(f"b: {list(sol.b)}")
     print(f"F: {sol.F_value!r}")
     print(f"gradient norm: {sol.gradient_norm!r}")
@@ -303,18 +271,11 @@ def cmd_soliton_vector(args):
 
 def cmd_residual(args):
     P = _load(args)
-    if args.samples < 1:
-        _fail(EXIT_IO, "parse", f"--samples must be at least 1, got {args.samples}")
     u, corr = _load_potential(P, args.potential)
-    b = _parse_b(args.b, P.dim)
-    if b is None:
-        b = list(_soliton_vector(P, tol=args.tol).b)
+    b = _weights(args, P, args.tol)
     rng = np.random.default_rng(args.seed)
     X = P.sample_interior(rng, args.samples)
-    try:
-        R = residual(P, b, X, correction=corr)
-    except (NotConvexHere, ValueError) as err:
-        _fail(EXIT_VALIDATION, "validation", f"residual undefined: {err}")
+    R = residual(P, b, X, correction=corr)
     mean = float(np.mean(R))
     std = float(np.std(R))
     dev = float(np.max(np.abs(R - mean)))
@@ -336,37 +297,18 @@ def cmd_residual(args):
 
 
 def _solve_csv(P, res):
-    axes = res.correction.axes
+    """One row per grid node in C order: the node, s there, and the residual."""
+    corr = res.correction
+    X = np.stack(np.meshgrid(*corr.axes, indexing="ij"), axis=-1).reshape(-1, P.dim)
+    R = residual(P, res.b, X, correction=corr)
     header = [f"x{d}" for d in range(P.dim)] + ["s", "residual"]
-    if P.dim == 1:
-        nodes = [(i,) for i in range(len(axes[0]))]
-    else:
-        nodes = [(i, j) for i in range(len(axes[0])) for j in range(len(axes[1]))]
-    rows = []
-    for idx in nodes:
-        x = np.array([axes[d][idx[d]] for d in range(P.dim)])
-        s_val = float(res.correction.value(x))
-        try:
-            r_val = float(residual(P, res.b, x, correction=res.correction))
-        except (ValueError, NotConvexHere):
-            r_val = float("nan")
-        rows.append(list(map(float, x)) + [s_val, r_val])
-    return header, rows
+    return header, np.column_stack([X, corr.values.reshape(-1), R]).tolist()
 
 
 def cmd_solve(args):
     P = _load(args)
-    if args.grid is not None and args.grid < 2:
-        _fail(EXIT_IO, "parse", f"--grid needs at least 2 nodes, got {args.grid}")
-    if not math.isfinite(args.truncation):
-        _fail(EXIT_IO, "parse", f"--truncation must be finite, got {args.truncation}")
     b = _parse_b(args.b, P.dim)
-    try:
-        res = solve(P, b=b, grid=args.grid, truncation=args.truncation, tol=args.tol)
-    except (NoConvergence, NotConvexHere) as err:
-        _fail(EXIT_NUMERIC, "convergence", err)
-    except ValueError as err:  # not a product, divergent weight, or truncation
-        _fail(EXIT_VALIDATION, "validation", err)
+    res = solve(P, b=b, grid=args.grid, truncation=args.truncation, tol=args.tol)
     print(f"b: {list(res.b)}")
     print(f"constant: {res.constant!r}")
     print(f"residual deviation: {res.residual_deviation!r}")
@@ -393,24 +335,14 @@ def cmd_solve(args):
 
 def cmd_ding_scan(args):
     P = _load(args)
-    if args.potential is None:
-        _fail(EXIT_IO, "parse",
-              "ding-scan needs at least --potential (the far endpoint)")
     v1, _ = _load_potential(P, args.potential)
     if args.potential2 is not None:
         v0 = v1
         v1, _ = _load_potential(P, args.potential2)
     else:
         v0 = CanonicalPotential(P)
-    b = _parse_b(args.b, P.dim)
-    if b is None:
-        b = list(_soliton_vector(P).b)
-    try:
-        scan = convexity_scan(v0, v1, P, b_X=b, num_t=args.num_t, tol=args.tol)
-    except (DivergentD1, NotInE, NotConvexHere, DivergentWeight) as err:
-        _fail(EXIT_NUMERIC, "convergence", err)
-    except ValueError as err:
-        _fail(EXIT_VALIDATION, "validation", err)
+    b = _weights(args, P, 1e-12)
+    scan = convexity_scan(v0, v1, P, b_X=b, num_t=args.num_t, tol=args.tol)
     diffs = second_differences(scan)
     for s in scan:
         print(f"t {s.t!r}  D1 {s.d1!r}  D {s.value!r}")
@@ -429,15 +361,8 @@ def cmd_ding_scan(args):
 def cmd_check_potential(args):
     P = _load(args)
     u, _ = _load_potential(P, args.potential)
-    b = _parse_b(args.b, P.dim)
-    if b is None:
-        b = list(_soliton_vector(P, tol=args.tol).b)
-    try:
-        space = check_space_E(P, u, b, seed=args.seed)
-    except (NotConvexHere, DivergentWeight) as err:
-        _fail(EXIT_VALIDATION, "validation", f"potential outside the space: {err}")
-    except ValueError as err:  # the plan's dimension check
-        _fail(EXIT_VALIDATION, "validation", err)
+    b = _weights(args, P, args.tol)
+    space = check_space_E(P, u, b, seed=args.seed)
     boundary = space.boundary
     print(f"boundary corrections bounded: {boundary.correction_ok}")
     print(f"boundary density positive: {boundary.density_ok}")
@@ -477,25 +402,58 @@ def cmd_check_potential(args):
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are one-line parse errors (exit 4)."""
+
+    def error(self, message):
+        raise _CliError(EXIT_IO, "parse", message)
+
+
+def _number(kind, accept, expected: str):
+    """A type= converter: kind(text), refused unless accept holds for it."""
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return convert
+
+
+_positive_finite = _number(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
+_finite = _number(float, math.isfinite, "a finite number")
+
+
+def _at_least(k: int):
+    return _number(int, lambda n: n >= k, f"an integer >= {k}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricshrink",
         description="Toric shrinker pipeline: polyhedron checks, soliton "
                     "vectors, potential solves, Ding scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kw):
+    def add(name, func, tol=None, **kw):
+        """A subcommand; tol = (default, meaning) gives it a --tol flag."""
         p = sub.add_parser(name, **kw)
         p.add_argument("input", help="polyhedron JSON file")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="numerical tolerance (default %(default)s)")
+        if tol is not None:
+            p.add_argument("--tol", type=_positive_finite, default=tol[0],
+                           help=f"numerical tolerance (default %(default)s): {tol[1]}")
         p.add_argument("--out", default=None,
                        help="artifact path; .json or .csv chooses the format")
         p.add_argument("--allow-general-offsets", action="store_true",
                        help="accept offsets other than 2")
         p.set_defaults(func=func)
         return p
+
+    soliton_tol = (1e-10, "gradient norm of F at which the soliton vector "
+                          "search stops, when --b is not given")
 
     add("validate", cmd_validate, help="properness, rationality, simplicity")
     add("vertices", cmd_vertices, help="exact vertices with active facets")
@@ -504,50 +462,61 @@ def _build_parser():
     add("delzant", cmd_delzant, help="labeled Delzant projection data")
     add("fan", cmd_fan, help="normal fan cones")
 
-    p = add("soliton-vector", cmd_soliton_vector,
-            help="minimize the weighted volume functional")
+    add("soliton-vector", cmd_soliton_vector,
+        tol=(1e-10, "gradient norm of F at which Newton's method stops"),
+        help="minimize the weighted volume functional")
 
-    p = add("residual", cmd_residual,
+    p = add("residual", cmd_residual, tol=soliton_tol,
             help="soliton equation residual at interior samples")
     p.add_argument("--potential", default=None, help="correction payload JSON")
     p.add_argument("--b", default=None, help="comma-separated weight vector")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--samples", type=_at_least(1), default=200)
 
-    p = add("solve", cmd_solve, help="solve the soliton equation")
+    p = add("solve", cmd_solve,
+            tol=(1e-10, "collocation residual norm at which Gauss-Newton stops"),
+            help="solve the soliton equation")
     p.add_argument("--b", default=None, help="comma-separated weight vector")
-    p.add_argument("--grid", type=int, default=None,
+    p.add_argument("--grid", type=_at_least(2), default=None,
                    help="nodes per axis (default 48 in 1D, 24 in 2D)")
-    p.add_argument("--truncation", type=float, default=12.0,
+    p.add_argument("--truncation", type=_finite, default=12.0,
                    help="truncation level for unbounded directions")
 
     p = add("ding-scan", cmd_ding_scan,
+            tol=(1e-8, "largest truncation tail of the dual volume, relative to d1"),
             help="Ding functional along a potential geodesic")
-    p.add_argument("--potential", default=None,
+    p.add_argument("--potential", required=True,
                    help="endpoint correction payload (required)")
     p.add_argument("--potential2", default=None,
                    help="optional second endpoint; default scans from canonical")
     p.add_argument("--b", default=None, help="comma-separated weight vector")
-    p.add_argument("--num-t", type=int, default=9)
-    p.set_defaults(tol=1e-8)
+    p.add_argument("--num-t", type=_at_least(2), default=9)
 
-    p = add("check-potential", cmd_check_potential,
+    p = add("check-potential", cmd_check_potential, tol=soliton_tol,
             help="boundary conditions and admissible-space screening")
     p.add_argument("--potential", default=None, help="correction payload JSON")
     p.add_argument("--b", default=None, help="comma-separated weight vector")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
 
     return parser
 
 
+def _report(code: int, category: str, err) -> int:
+    print(f"error: {category}: {' '.join(str(err).split())}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _CliError as err:
-        print(f"error: {err.category}: {err}", file=sys.stderr)
-        return err.code
+        return _report(err.code, err.category, err)
+    # the one map from library errors to exit codes; NoConvergence is a RuntimeError
+    except (RuntimeError, DivergentD1, NotInE) as err:
+        return _report(EXIT_NUMERIC, "convergence", err)
+    except ValueError as err:
+        return _report(EXIT_VALIDATION, "validation", err)
     except BrokenPipeError:
         return EXIT_IO
 

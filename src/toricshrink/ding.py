@@ -33,8 +33,8 @@ import numpy as np
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
     correction_of
-from .quadrature import Simplex, _clip, _fan, _ring, gauss_integral_simplex, \
-    gauss_simplex_rule, plan as build_plan, stable_sum
+from .quadrature import DivergentWeight, Simplex, _clip, _fan, _ring, \
+    gauss_integral_simplex, gauss_simplex_rule, plan as build_plan, stable_sum
 from .shrinker import _correction_arrays, _residual_core, find_soliton_vector
 
 
@@ -75,15 +75,27 @@ def _fitted_plan(P, w, correction, tol, exc):
             return build_plan(P, w, tol=tol)
         except RuntimeError as err:
             raise exc(str(err)) from err
-    # T is the largest level <w,x> reached on P intersected with the grid box
+    # T is the least level <w,x> at which P leaves the grid box: the minimum
+    # over the corners of P cut by the box that lie on an open box face, one
+    # that is not a facet hyperplane of P
+    W, a = P.scaled_normal_matrix(), P.offsets_array()
     ring = _ring(np.array(list(itertools.product(*correction.domain)), dtype=float))
-    for wk, ak in zip(P.scaled_normal_matrix(), P.offsets_array()):
+    for wk, ak in zip(W, a):
         ring = _clip(ring, wk, ak)
-    if len(ring) == 0:
+    aligned = np.count_nonzero(W, axis=1) == 1
+    on_open = np.zeros(len(ring), dtype=bool)
+    for d, ends in enumerate(correction.domain):
+        for c in ends:
+            gap = np.abs(W[:, d] * c + a)
+            if not np.any(aligned & (W[:, d] != 0) & (gap <= 1e-9 * (1.0 + abs(c)))):
+                on_open |= np.abs(ring[:, d] - c) <= 1e-12 * (1.0 + abs(c))
+    if not np.any(on_open):
         raise exc("could not fit a truncation level inside the correction grid")
-    T = float(np.max(ring @ w)) * (1.0 - 1e-12) - 1e-12
+    T = float(np.min(ring[on_open] @ w)) * (1.0 - 1e-12) - 1e-12
     try:
         return build_plan(P, w, tol=tol, truncation=T)
+    except DivergentWeight:
+        raise
     except ValueError as err:
         raise exc(f"correction grid too small for a usable truncation: {err}") from err
 

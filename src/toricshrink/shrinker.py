@@ -114,7 +114,7 @@ def _residual_core(P: LabeledPolyhedron, b, X, s_val, s_grad, s_hess,
     if np.any(D <= 0.0):
         if strict:
             bad = X[np.argmin(D)]
-            raise NotConvexHere(f"density nonpositive near {tuple(bad)}")
+            raise NotConvexHere(f"density nonpositive near {tuple(map(float, bad))}")
         return None
     ell = L - a
     R = 0.5 * np.sum(ell, axis=1) - X @ np.asarray(b, dtype=float)

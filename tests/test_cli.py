@@ -11,6 +11,7 @@ from toricshrink.cli import main
 from toricshrink.polyhedra import (
     box, from_halfspaces, half_line, interval, save_polyhedron,
 )
+from toricshrink.potentials import GridCorrection
 
 
 @pytest.fixture
@@ -24,6 +25,14 @@ def teardrop_file(tmp_path):
 def interval_file(tmp_path):
     path = tmp_path / "interval.json"
     save_polyhedron(interval(-2, 2), path)
+    return str(path)
+
+
+@pytest.fixture
+def zero_potential_file(tmp_path):
+    path = tmp_path / "zero.json"
+    corr = GridCorrection.zeros([(-2.0, 2.0)], [8])
+    path.write_text(json.dumps({"correction": corr.to_dict()}))
     return str(path)
 
 
@@ -256,15 +265,75 @@ def test_bad_weight_vector_is_parse_error(interval_file, capsys):
     ("interval", ["residual", "--samples", "0"], 4),
     # a finite level below the facet leaves no domain to solve on
     ("half_line", ["solve", "--truncation", "-5"], 2),
+    ("half_line", ["solve", "--grid", "abc"], 4),
+    ("interval", ["validate", "--bogus"], 4),
+    ("half_line", ["solve", "--tol", "nan"], 4),
+    ("interval", ["soliton-vector", "--tol", "-1"], 4),
+    # the discrete subcommands take no tolerance
+    ("interval", ["validate", "--tol", "1e-3"], 4),
+    ("interval", ["ding-scan", "--potential", "ZERO", "--num-t", "1"], 4),
 ])
 def test_bad_numeric_flags_exit_with_one_error_line(interval_file, half_line_file,
-                                                    capsys, polyhedron, argv, code):
+                                                    zero_potential_file, capsys,
+                                                    polyhedron, argv, code):
     path = interval_file if polyhedron == "interval" else half_line_file
+    argv = [zero_potential_file if a == "ZERO" else a for a in argv]
     assert main([argv[0], path] + argv[1:]) == code
     captured = capsys.readouterr()
     assert captured.err.startswith("error: parse:" if code == 4 else "error: validation:")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["residual", "ding-scan"])
+def test_nonconvex_potential_is_validation_error(interval_file, tmp_path, capsys,
+                                                 command):
+    # u = u_P - x^2/2 on [-2, 2] has u'' = 1/4 + 1/4 - 1 < 0 at the origin
+    corr = GridCorrection.from_function(lambda x: -0.5 * x[0] ** 2, [(-2.0, 2.0)], [8])
+    path = tmp_path / "bent.json"
+    path.write_text(json.dumps({"correction": corr.to_dict()}))
+    assert main([command, interval_file, "--potential", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:")
+    assert err.count("\n") == 1
+    assert "np." not in err
+
+
+def test_library_runtime_error_is_convergence_error(tmp_path, capsys):
+    # b nearly orthogonal to the ray (0, 1) of the quadrant: the tail of
+    # e^{-<b,x>} never drops below tolerance as the truncation grows
+    path = tmp_path / "quadrant.json"
+    save_polyhedron(box([(-2, None), (-2, None)]), path)
+    assert main(["check-potential", str(path), "--b", "1,1e-30"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: convergence:")
+    assert err.count("\n") == 1
+
+
+def test_verdicts_are_json_booleans(interval_file, tmp_path):
+    assert main(["validate", interval_file, "--out", str(tmp_path / "v.json")]) == 0
+    report = json.loads((tmp_path / "v.json").read_text())
+    assert report["proper"] is True
+    assert report["simple"] is True
+    assert main(["check-potential", interval_file,
+                 "--out", str(tmp_path / "c.json")]) == 0
+    space = json.loads((tmp_path / "c.json").read_text())
+    assert space["boundary"]["density_ok"] is True
+    assert space["space"]["hessian_positive"] is True
+
+
+def test_solve_csv_lists_the_grid_values_in_c_order(tmp_path):
+    path = tmp_path / "rectangle.json"
+    save_polyhedron(box([(-2, "2/3"), (-1, 2)], labels=[1, 3, 2, 1]), path)
+    for suffix in ("json", "csv"):
+        assert main(["solve", str(path), "--grid", "6",
+                     "--out", str(tmp_path / f"sol.{suffix}")]) == 0
+    corr = json.loads((tmp_path / "sol.json").read_text())["correction"]
+    rows = np.loadtxt(tmp_path / "sol.csv", delimiter=",", skiprows=1)
+    x, y = np.meshgrid(*corr["axes"], indexing="ij")
+    assert np.array_equal(rows[:, 0], x.ravel())
+    assert np.array_equal(rows[:, 1], y.ravel())
+    assert np.array_equal(rows[:, 2], np.ravel(corr["values"]))
 
 
 def test_console_entry_point(teardrop_file):

@@ -9,6 +9,7 @@ from toricshrink.ding import (
     DingValue,
     DivergentD1,
     Geodesic,
+    _DingQuadrature,
     convexity_scan,
     d1,
     ding,
@@ -381,3 +382,16 @@ def test_second_differences_shape():
     vals = [DingValue(t=float(t), d1=1.0, value=float(t) ** 2) for t in range(5)]
     diffs = second_differences(vals)
     assert diffs == pytest.approx([2.0, 2.0, 2.0])
+
+
+def test_ding_nodes_lie_inside_the_correction_grid():
+    # the half-strip leaves its grid box only through the open face y = 8;
+    # a truncation level taken as the largest <w,x> over P in the box lets
+    # the sublevel set reach past that face near the corner (1, 8)
+    P = box([(-2, 1), ("-2/3", None)], labels=[1, 2, 3])
+    b = find_soliton_vector(P).b
+    corr = solve(P, b=b, grid=13).correction
+    q = _DingQuadrature(P, corr, 1e-8, b)
+    lo, hi = np.array(corr.domain).T
+    for X, _ in q.dual_rules + q.linear_rules:
+        assert np.all((X >= lo) & (X <= hi))
