@@ -24,7 +24,6 @@ cover dimensions 1 and 2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ import numpy as np
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
     correction_of
-from .quadrature import DivergentWeight, Simplex, _clip, _fan, _ring, \
+from .quadrature import DivergentWeight, Simplex, _clip, _fan, _unbounded_edges, \
     gauss_integral_simplex, gauss_simplex_rule, plan as build_plan, stable_sum
 from .shrinker import _correction_arrays, _residual_core, find_soliton_vector
 
@@ -75,23 +74,17 @@ def _fitted_plan(P, w, correction, tol, exc):
             return build_plan(P, w, tol=tol)
         except RuntimeError as err:
             raise exc(str(err)) from err
-    # T is the least level <w,x> at which P leaves the grid box: the minimum
-    # over the corners of P cut by the box that lie on an open box face, one
-    # that is not a facet hyperplane of P
-    W, a = P.scaled_normal_matrix(), P.offsets_array()
-    ring = _ring(np.array(list(itertools.product(*correction.domain)), dtype=float))
-    for wk, ak in zip(W, a):
-        ring = _clip(ring, wk, ak)
-    aligned = np.count_nonzero(W, axis=1) == 1
-    on_open = np.zeros(len(ring), dtype=bool)
-    for d, ends in enumerate(correction.domain):
-        for c in ends:
-            gap = np.abs(W[:, d] * c + a)
-            if not np.any(aligned & (W[:, d] != 0) & (gap <= 1e-9 * (1.0 + abs(c)))):
-                on_open |= np.abs(ring[:, d] - c) <= 1e-12 * (1.0 + abs(c))
-    if not np.any(on_open):
-        raise exc("could not fit a truncation level inside the correction grid")
-    T = float(np.min(ring[on_open] @ w)) * (1.0 - 1e-12) - 1e-12
+    # T is the least level <w,x> at which P leaves the grid box. P is the
+    # vertices' hull plus its recession cone, so it first leaves the box
+    # where an unbounded edge v + tau r does
+    lo, hi = np.array(correction.domain).T
+    levels = []
+    for v, r in _unbounded_edges(P):
+        moving = r != 0
+        tau = np.min((np.where(r > 0, hi, lo) - v)[moving] / r[moving])
+        levels.append(float((v + tau * r) @ w))
+    # no unbounded edge means P holds a line, which the plan rejects
+    T = min(levels, default=math.inf) * (1.0 - 1e-12) - 1e-12
     try:
         return build_plan(P, w, tol=tol, truncation=T)
     except DivergentWeight:
@@ -100,7 +93,7 @@ def _fitted_plan(P, w, correction, tol, exc):
         raise exc(f"correction grid too small for a usable truncation: {err}") from err
 
 
-def _refined(simplices, weight, pieces_cap: int = 4096):
+def _refined(simplices, weight):
     """Halve simplices at their longest edge until edges resolve e^{-<weight,x>}."""
     nw = float(np.linalg.norm(np.asarray(weight, dtype=float)))
     if nw == 0.0:
@@ -114,7 +107,7 @@ def _refined(simplices, weight, pieces_cap: int = 4096):
         # the first longest edge (i, j), i < j, in row-major order
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         i, j = np.unravel_index(np.argmax(d2), d2.shape)
-        if d2[i, j] <= target2 or len(out) + len(stack) >= pieces_cap:
+        if d2[i, j] <= target2 or len(out) + len(stack) >= 4096:  # pieces cap
             out.append(S)
             continue
         for k in (i, j):

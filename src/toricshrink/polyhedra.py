@@ -190,9 +190,8 @@ class LabeledPolyhedron:
             raise ValueError("cone contains a line; no pointed ray description")
         return [r for r, _ in sk.rays]
 
-    def sample_interior(self, rng: np.random.Generator, count: int,
-                        ray_scale: float = 3.0) -> np.ndarray:
-        """Interior sample points: vertex convex combinations plus damped recession moves."""
+    def sample_interior(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Interior sample points: vertex convex combinations plus recession moves."""
         verts = [v.point_float for v in vertices(self)]
         rays = np.array(self.recession_rays(), dtype=float).reshape(-1, self.dim)
         center = self.interior_point()
@@ -208,7 +207,7 @@ class LabeledPolyhedron:
             else:
                 x = center.copy()
             for r in rays:
-                x = x + rng.exponential(ray_scale) * r / np.linalg.norm(r)
+                x = x + rng.exponential(3.0) * r / np.linalg.norm(r)
             x = 0.9 * x + 0.1 * center  # pull off the boundary
             if self.interior_contains(x, margin=1e-10):
                 out.append(x)

@@ -90,10 +90,14 @@ def lobatto_nodes(lo: float, hi: float, count: int) -> np.ndarray:
 
 
 def barycentric_weights(nodes) -> np.ndarray:
-    """Weights w_j = 1 / prod_{k != j} (x_j - x_k) of the barycentric interpolant."""
+    """Weights proportional to 1 / prod_{k != j} (x_j - x_k), with the differences
+    scaled by the power of two that puts the span in [2, 4): no product
+    overflows, and the weight ratios, all that the callers read, are exact.
+    """
     x = np.asarray(nodes, dtype=float)
     m = len(x)
     diff = (x[:, None] - x[None, :])[~np.eye(m, dtype=bool)]
+    diff = np.ldexp(diff, 2 - np.frexp(np.ptp(x))[1])
     return 1.0 / np.prod(diff.reshape(m, m - 1), axis=1)
 
 
@@ -275,8 +279,8 @@ def correction_of(u):
 # ---------------------------------------------------------------------------
 # facet ladders and boundary conditions
 
-def facet_ladder(P: LabeledPolyhedron, i: int, depth: int = 6):
-    """Points approaching the interior of facet i geometrically: distances 10^-k."""
+def facet_ladder(P: LabeledPolyhedron, i: int):
+    """Points approaching the interior of facet i: distances 10^-k for k = 1..6."""
     W = P.scaled_normal_matrix()
     a = P.offsets_array()
     xstar = P.facet_interior_point(i)
@@ -286,15 +290,15 @@ def facet_ladder(P: LabeledPolyhedron, i: int, depth: int = 6):
     t0 = 1.0
     if len(margins):
         t0 = min(1.0, float(np.min(margins / (2.0 * norms))))
-    return [xstar + t0 * 10.0 ** (-k) * d for k in range(1, depth + 1)]
+    return [xstar + t0 * 10.0 ** (-k) * d for k in range(1, 7)]
 
 
-def _differences_decay(q, atol: float) -> bool:
+def _differences_decay(q) -> bool:
     # a bounded limit shows differences shrinking; log or power growth keeps
     # them constant or growing along a geometric ladder
     d1 = abs(q[-1] - q[-2])
     d0 = abs(q[-2] - q[-3])
-    return bool(d1 <= max(0.5 * d0, atol * (1.0 + abs(q[-1]))))
+    return bool(d1 <= max(0.5 * d0, 1e-6 * (1.0 + abs(q[-1]))))
 
 
 @dataclass(frozen=True)
@@ -368,8 +372,7 @@ def boundary_density(P: LabeledPolyhedron, u, x):
     return float(out[0]) if single else out
 
 
-def check_boundary_conditions(P: LabeledPolyhedron, u,
-                              atol: float = 1e-6) -> BoundaryReport:
+def check_boundary_conditions(P: LabeledPolyhedron, u) -> BoundaryReport:
     """Probe both admissibility conditions on ladders toward every facet.
 
     (i) the correction and its gradient stay bounded;
@@ -381,11 +384,11 @@ def check_boundary_conditions(P: LabeledPolyhedron, u,
         ladder = np.array(facet_ladder(P, i))
         corr_ok = grad_ok = True
         if s is not None:
-            corr_ok = _differences_decay(s.value(ladder), atol)
+            corr_ok = _differences_decay(s.value(ladder))
             grads = s.gradient(ladder)
-            grad_ok = all(_differences_decay(grads[:, c], atol) for c in range(P.dim))
+            grad_ok = all(_differences_decay(grads[:, c]) for c in range(P.dim))
         dens = boundary_density(P, u, ladder)
-        dens_ok = _differences_decay(dens, atol) and bool(1e-8 <= dens[-1] <= 1e8)
+        dens_ok = _differences_decay(dens) and bool(1e-8 <= dens[-1] <= 1e8)
         checks.append(
             FacetBoundaryCheck(
                 facet=i,
@@ -430,16 +433,15 @@ class EReport:
         )
 
 
-def check_space_E(P: LabeledPolyhedron, u, b, seed: int = 0,
-                  samples: int = 40) -> EReport:
+def check_space_E(P: LabeledPolyhedron, u, b, seed: int = 0) -> EReport:
     """Numerical membership test for the admissible potential space.
 
-    Positive definiteness is sampled in the interior; properness of the
+    Positive definiteness is sampled at 40 interior points; properness of the
     gradient map is probed toward facets and along recession rays; weighted
     integrability of the potential uses a certified-tail quadrature plan.
     """
     rng = np.random.default_rng(seed)
-    pts = P.sample_interior(rng, samples)
+    pts = P.sample_interior(rng, 40)
     hess_ok = True
     for x in pts:
         try:

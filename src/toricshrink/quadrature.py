@@ -289,12 +289,10 @@ class QuadraturePlan:
     d = 0, 1, 2; tail_bound is their sum.
     """
 
-    polyhedron: LabeledPolyhedron
     b: tuple[float, ...]
     ring: tuple[tuple[float, ...], ...]
     simplices: tuple[Simplex, ...]
     truncation: float | None
-    epsilon: float
     tail_bounds: tuple[float, float, float]
 
     @property
@@ -312,20 +310,20 @@ class QuadraturePlan:
         F, m1, m2 = (np.apply_along_axis(stable_sum, 0, np.array(p)) for p in parts)
         return float(F), m1, m2
 
-    def integrate(self, f, order: int = 20) -> float:
-        """Dense Gauss integration of f(x) e^{-<b,x>} over the plan region."""
+    def integrate(self, f) -> float:
+        """Dense order-20 Gauss integration of f(x) e^{-<b,x>} over the plan region."""
         barr = np.array(self.b)
 
         def g(X):
             return np.asarray(f(X)) * np.exp(-(X @ barr))
 
-        return stable_sum(gauss_integral_simplex(S, g, order) for S in self.simplices)
+        return stable_sum(gauss_integral_simplex(S, g) for S in self.simplices)
 
 
 def _tail_bounds(b, rays, verts, T):
-    """Certified bounds on the integrals of |x|^d e^{-<b,x>} beyond <b,x> = T."""
+    """Certified bounds on int |x|^d e^{-<b,x>} dx beyond <b,x> = T; inf on overflow."""
     n = len(b)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.hypot(*b)
     eps = float(np.min(rays @ b / np.linalg.norm(rays, axis=1)))
     R = float(np.max(np.linalg.norm(verts, axis=1)))
     mb = float(np.min(verts @ b))
@@ -335,8 +333,22 @@ def _tail_bounds(b, rays, verts, T):
     bounds = []
     for d in range(3):
         s = d + n
-        bounds.append(math.exp(C0) * omega * eps ** (-s) * _upper_gamma(s, eps * r_T))
-    return eps, tuple(bounds)
+        try:
+            bounds.append(math.exp(C0) * omega * eps ** (-s) * _upper_gamma(s, eps * r_T))
+        except OverflowError:
+            bounds.append(math.inf)
+    return tuple(bounds)
+
+
+def _unbounded_edges(P: LabeledPolyhedron):
+    """Float (vertex, ray) pairs of P's unbounded edges: on n - 1 common facets."""
+    sk = _skeleton(P)
+    return [
+        (np.array([float(x) for x in p]), np.array(r, dtype=float))
+        for p, active in sk.vertices
+        for r, parallel in sk.rays
+        if len(set(active) & set(parallel)) == P.dim - 1
+    ]
 
 
 def plan(P: LabeledPolyhedron, b, tol: float = 1e-10,
@@ -347,10 +359,9 @@ def plan(P: LabeledPolyhedron, b, tol: float = 1e-10,
     of its vertices. An unbounded one is cut by <b,x> <= T, with T grown
     until the certified tail drops below tol unless a fixed truncation is
     supplied; the cut region's corners are the vertices and the crossing
-    v + (T - <b,v>) / <b,r> r of each unbounded edge, a vertex v and a ray r
-    on n - 1 common facets. Raises DivergentWeight when P contains a line or
-    b fails to be positive on some recession direction, and ValueError in
-    dimension > 2.
+    v + (T - <b,v>) / <b,r> r of each unbounded edge. Raises DivergentWeight
+    when P contains a line or b fails to be positive on some recession
+    direction, and ValueError in dimension > 2.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (P.dim,):
@@ -370,7 +381,7 @@ def plan(P: LabeledPolyhedron, b, tol: float = 1e-10,
                 f"weight is not integrable along recession direction {r}", ray=r
             )
     verts = np.array([[float(x) for x in p] for p, _ in sk.vertices])
-    T, eps, bounds = None, math.inf, (0.0, 0.0, 0.0)
+    T, bounds = None, (0.0, 0.0, 0.0)
     corners = verts
     if sk.rays:
         rays = np.array([r for r, _ in sk.rays], dtype=float)
@@ -381,30 +392,25 @@ def plan(P: LabeledPolyhedron, b, tol: float = 1e-10,
                 raise ValueError(
                     f"truncation {T} must exceed max vertex level {base_T:.6g}"
                 )
-            eps, bounds = _tail_bounds(b, rays, verts, T)
+            bounds = _tail_bounds(b, rays, verts, T)
         else:
             T = max(1.0, base_T + P.dim + 2.0)
             for _ in range(200):
-                eps, bounds = _tail_bounds(b, rays, verts, T)
+                bounds = _tail_bounds(b, rays, verts, T)
                 if sum(bounds) <= tol:
                     break
                 T *= 1.3
             else:
                 raise RuntimeError(
-                    "tail bound failed to reach tolerance within 200 doublings")
+                    "tail bound failed to reach tolerance within 200 steps of T *= 1.3")
         corners = np.vstack([verts] + [
-            v + (T - float(v @ b)) / float(r @ b) * r
-            for v, (_, active) in zip(verts, sk.vertices)
-            for r, (_, parallel) in zip(rays, sk.rays)
-            if len(set(active) & set(parallel)) == P.dim - 1
+            v + (T - float(v @ b)) / float(r @ b) * r for v, r in _unbounded_edges(P)
         ])
     ring = _ring(corners)
     return QuadraturePlan(
-        polyhedron=P,
         b=tuple(float(x) for x in b),
         ring=tuple(map(tuple, ring)),
         simplices=tuple(_fan(ring)),
         truncation=T,
-        epsilon=eps,
         tail_bounds=bounds,
     )

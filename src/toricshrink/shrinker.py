@@ -63,15 +63,14 @@ def _initial_weight(P: LabeledPolyhedron) -> np.ndarray:
     return np.sum(W / np.linalg.norm(W, axis=1, keepdims=True), axis=0)
 
 
-def find_soliton_vector(P: LabeledPolyhedron, tol: float = 1e-12,
-                        max_iter: int = 200) -> SolitonVector:
-    """Damped Newton minimization of the strictly convex functional F."""
+def find_soliton_vector(P: LabeledPolyhedron, tol: float = 1e-12) -> SolitonVector:
+    """Damped Newton minimization of the strictly convex functional F, at most 200 steps."""
     if P.is_bounded():
         b = np.zeros(P.dim)
     else:
         b = _initial_weight(P)
     F, g, H = grad_hess_F(P, b, tol=max(1e-14, 0.01 * tol))
-    for it in range(1, max_iter + 1):
+    for it in range(1, 201):
         if np.linalg.norm(g) <= tol * max(1.0, abs(F)):
             return SolitonVector(
                 b=tuple(map(float, b)),
@@ -95,7 +94,7 @@ def find_soliton_vector(P: LabeledPolyhedron, tol: float = 1e-12,
             lam *= 0.5
         else:
             raise NoConvergence("line search failed while minimizing F")
-    raise NoConvergence(f"soliton vector did not converge in {max_iter} steps")
+    raise NoConvergence("soliton vector did not converge in 200 steps")
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +228,15 @@ def _tensor(arrays) -> np.ndarray:
     )
 
 
-def _solve_axis(P: LabeledPolyhedron, b, x, cut, start, tol, max_iter):
+def _solve_axis(P: LabeledPolyhedron, b, x, cut, tol):
     """Gauss-Newton collocation of the 1D soliton equation at the nodes x.
 
     The unknowns are the values of s and the constant c. The rows are R - c
     at every node off the cut mask, s'' = 0 on it, and s(0) = s'(0) = 0
     through the interpolant. The Jacobian is exact: R depends on s through
     x s' - s - log D, and the density D is affine in s'' with slope prod L.
-    Returns s, s', s'' at the nodes and the iteration count.
+    Iteration starts from s = 0 and takes at most 80 steps. Returns s, s',
+    s'' at the nodes and the iteration count.
     """
     X = x[:, None]
     m = len(x)
@@ -267,17 +267,15 @@ def _solve_axis(P: LabeledPolyhedron, b, x, cut, start, tol, max_iter):
         return np.vstack([np.column_stack([J_s[eq], -np.ones(eq.sum())]), lin])
 
     z = np.zeros(m + 1)
-    if start is not None:
-        z[:-1] = start
     phi = residual_vector(z)
     if phi is None:
-        raise NotConvexHere("initial correction leaves the density nonpositive")
+        raise NotConvexHere("the canonical potential's density is nonpositive")
     z[-1] = float(np.mean(phi[: eq.sum()]))
     phi = residual_vector(z)
     norm = float(np.linalg.norm(phi, np.inf))
 
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 81):
         if norm <= tol:
             break
         step, *_ = np.linalg.lstsq(jacobian(z), -phi, rcond=None)
@@ -305,22 +303,20 @@ def _solve_axis(P: LabeledPolyhedron, b, x, cut, start, tol, max_iter):
 
 
 def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
-          tol: float = 1e-11, max_iter: int = 80,
-          initial=None) -> SolveResult:
+          tol: float = 1e-11) -> SolveResult:
     """Solve the soliton equation for the correction s by spectral collocation.
 
     Supports 1D and 2D product domains. In 2D, every facet normal is +-e_d,
-    so P splits into two 1D factors, one per axis. The canonical potential, log det Hess u and the residual
-    separate over them, so the tensor sum s_1(x) + s_2(y) of the factor
-    solutions solves the 2D equation with constant c_1 + c_2. Each axis is
-    solved by Gauss-Newton with the exact Jacobian. A node on a truncation
-    plane trades its equation row for a vanishing second derivative of s.
-    The affine gauge is pinned at the origin, s(0) = grad s(0) = 0, through
-    the interpolant, so the constant does not depend on the grid. Offsets
-    must be 2, so the origin is interior; at the soliton vector it is the
-    barycenter of e^{-<b,x>}. A 2D initial grid starts each factor from its
-    slice through the node nearest 0 on the other axis. The reported
-    constant and deviation come from the residual on the full grid.
+    so P splits into two 1D factors, one per axis. The canonical potential,
+    log det Hess u and the residual separate over them, so the tensor sum
+    s_1(x) + s_2(y) of the factor solutions solves the 2D equation with
+    constant c_1 + c_2. Each axis is solved by Gauss-Newton with the exact
+    Jacobian. A node on a truncation plane trades its equation row for a
+    vanishing second derivative of s. The affine gauge is pinned at the
+    origin, s(0) = grad s(0) = 0, through the interpolant, so the constant
+    does not depend on the grid. Offsets must be 2, so the origin is
+    interior; at the soliton vector it is the barycenter of e^{-<b,x>}. The
+    reported constant and deviation come from the residual on the full grid.
     """
     n = P.dim
     if n > 2:
@@ -340,21 +336,8 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
     on_cut = [np.zeros(len(x), dtype=bool) for x in axes]
     for d, side in cuts:
         on_cut[d][-1 if side == "upper" else 0] = True
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float)
-        if initial.size != np.prod(grid):
-            raise ValueError("initial correction grid has the wrong shape")
-        initial = initial.reshape(grid)
-
-    sols = []
-    for d in range(n):
-        start = None
-        if initial is not None:
-            start = initial[tuple(slice(None) if k == d
-                                  else int(np.argmin(np.abs(axes[k])))
-                                  for k in range(n))]
-        sols.append(_solve_axis(factors[d], b[d:d + 1], axes[d], on_cut[d],
-                                start, tol, max_iter))
+    sols = [_solve_axis(factors[d], b[d:d + 1], axes[d], on_cut[d], tol)
+            for d in range(n)]
     s_axes, ds_axes, dds_axes, its = zip(*sols)
 
     X = _tensor(axes)

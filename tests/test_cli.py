@@ -299,15 +299,22 @@ def test_nonconvex_potential_is_validation_error(interval_file, tmp_path, capsys
     assert "np." not in err
 
 
-def test_library_runtime_error_is_convergence_error(tmp_path, capsys):
+def test_library_runtime_error_is_convergence_error(tmp_path, half_line_file, capfd):
     # b nearly orthogonal to the ray (0, 1) of the quadrant: the tail of
-    # e^{-<b,x>} never drops below tolerance as the truncation grows
+    # e^{-<b,x>} never drops below tolerance as the truncation grows. On the
+    # half-line b = 1e-300 makes the tail bound overflow, and the solve's
+    # grid ends at 1.2e301, where collocation stalls. capfd also sees what
+    # LAPACK writes to the process's own streams.
     path = tmp_path / "quadrant.json"
     save_polyhedron(box([(-2, None), (-2, None)]), path)
-    assert main(["check-potential", str(path), "--b", "1,1e-30"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: convergence:")
-    assert err.count("\n") == 1
+    for argv in (["check-potential", str(path), "--b", "1,1e-30"],
+                 ["check-potential", half_line_file, "--b", "1e-300"],
+                 ["solve", half_line_file, "--b", "1e-300"]):
+        assert main(argv) == 3, argv
+        out, err = capfd.readouterr()
+        assert out == "", argv
+        assert err.startswith("error: convergence:"), argv
+        assert err.count("\n") == 1, argv
 
 
 def test_verdicts_are_json_booleans(interval_file, tmp_path):

@@ -385,13 +385,23 @@ def test_second_differences_shape():
 
 
 def test_ding_nodes_lie_inside_the_correction_grid():
-    # the half-strip leaves its grid box only through the open face y = 8;
-    # a truncation level taken as the largest <w,x> over P in the box lets
-    # the sublevel set reach past that face near the corner (1, 8)
-    P = box([(-2, 1), ("-2/3", None)], labels=[1, 2, 3])
-    b = find_soliton_vector(P).b
-    corr = solve(P, b=b, grid=13).correction
-    q = _DingQuadrature(P, corr, 1e-8, b)
-    lo, hi = np.array(corr.domain).T
-    for X, _ in q.dual_rules + q.linear_rules:
-        assert np.all((X >= lo) & (X <= hi))
+    # each P leaves its grid box only through the open faces where solve
+    # cut an unbounded axis (on the half-strip y = 8). A truncation level
+    # taken as the largest <w,x> over P in the box lets the sublevel set
+    # reach past such a face (near the half-strip's corner (1, 8)); the
+    # fitted level is also tight: the plan's region touches an open face
+    for P in (box([(-2, 1), ("-2/3", None)], labels=[1, 2, 3]),
+              from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 2, 2), ((0, -1), 3, 2)]),
+              box([(-2, None), (-2, None)])):
+        b = find_soliton_vector(P).b
+        res = solve(P, b=b, grid=13)
+        corr = res.correction
+        q = _DingQuadrature(P, corr, 1e-8, b)
+        lo, hi = np.array(corr.domain).T
+        for X, _ in q.dual_rules + q.linear_rules:
+            assert np.all((X >= lo) & (X <= hi))
+        ring = np.array(q.plan.ring)
+        open_faces = [(d, corr.domain[d][1 if side == "upper" else 0])
+                      for d, side in res.truncated_axes]
+        assert any(np.any(np.abs(ring[:, d] - c) <= 1e-9 * (1.0 + abs(c)))
+                   for d, c in open_faces)

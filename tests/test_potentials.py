@@ -13,6 +13,7 @@ from toricshrink.potentials import (
     CorrectedPotential,
     GridCorrection,
     OutOfDomain,
+    barycentric_weights,
     boundary_density,
     check_boundary_conditions,
     check_space_E,
@@ -209,6 +210,13 @@ def test_differentiation_matrix_matches_loop_reference():
     for x in (lobatto_nodes(-2.0, 2.0 / 3.0, 64), lobatto_nodes(-2.0, 24.0, 9),
               np.sort(rng.uniform(-3.0, 3.0, 7)), np.array([0.0, 1.0])):
         assert np.array_equal(differentiation_matrix(x), reference(x))
+
+
+def test_barycentric_weights_survive_a_huge_span():
+    # the half-line solved at b = 1e-300 has its grid end at 1.2e301, where
+    # the products of 47 node differences overflow unless they are scaled
+    w = barycentric_weights(lobatto_nodes(-2.0, 1.2e301, 48))
+    assert np.all(np.isfinite(w) & (w != 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -239,34 +239,11 @@ def test_solve_gaussian_truncated():
     assert affine_residual(xs, vals) <= 1e-6
 
 
-def test_solve_recovers_from_perturbed_start():
-    P = interval(-2, 2)
-    nodes = None
-    res0 = solve(P, b=[0.0], grid=24)
-    nodes = res0.correction.axes[0]
-    bump = 0.05 * np.exp(-nodes**2) * (4.0 - nodes**2)
-    res = solve(P, b=[0.0], grid=24, initial=bump)
-    assert res.residual_deviation <= 1e-8
-    assert float(np.max(np.abs(res.correction.values))) <= 1e-6
-    assert res.constant == pytest.approx(-math.log(2.0), abs=1e-8)
-
-
 def test_solve_square_2d():
     res = solve(box([(-2, 2), (-2, 2)]), b=[0.0, 0.0], grid=16)
     assert res.residual_deviation <= 1e-9
     assert res.constant == pytest.approx(-math.log(4.0), abs=1e-9)
     assert float(np.max(np.abs(res.correction.values))) <= 1e-8
-
-
-def test_solve_2d_perturbed_start():
-    P = box([(-2, 2), (-2, 2)])
-    res0 = solve(P, b=[0.0, 0.0], grid=10)
-    a0, a1 = res0.correction.axes
-    g0, g1 = np.meshgrid(a0, a1, indexing="ij")
-    bump = 0.03 * (4.0 - g0**2) * (4.0 - g1**2) / 16.0
-    res = solve(P, b=[0.0, 0.0], grid=10, initial=bump)
-    assert res.residual_deviation <= 1e-7
-    assert float(np.max(np.abs(res.correction.values))) <= 1e-5
 
 
 @pytest.mark.parametrize(
