@@ -2,22 +2,26 @@
 
 The integral of e^{-<b,x>} over a labeled polyhedron and its first and second
 moments are computed by fanning a convex region into simplices and evaluating
-each simplex in closed form from one table of divided differences of exp.
-The region's corners are read from the polyhedron's exact skeleton: its
-vertices and, on unbounded P, one crossing of the level <b,x> = T per
-unbounded edge. Truncation error is certified by an explicit tail bound built
-from the recession rays. Convex regions are kept as rings of corners, which
-half-plane clips cut further.
+each simplex in closed form from divided differences of exp: one batched
+kernel call per plan covers every node multiset of every simplex. The
+region's corners are read from the polyhedron's exact skeleton: its vertices
+and, on unbounded P, one crossing of the level <b,x> = T per unbounded edge.
+Truncation error is certified by an explicit tail bound built from the
+recession rays. Convex regions are kept as rings of corners, which half-plane
+clips cut further.
 
 Divided differences of exp on narrow node sets sum a mean-shifted series
 only as far as its own error bound asks (at most 26 terms); wider sets use
-the recurrence. Dense Gauss rules on a simplex are one cached reference
-rule per dimension and order, mapped affinely onto the simplex.
+the recurrence. The scalar divided_difference_exp, simplex_moments and
+exp_integral_simplex are the reference the batched kernel is tested against.
+Dense Gauss rules on a simplex are one cached reference rule per dimension
+and order, mapped affinely onto the simplex.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -115,6 +119,102 @@ def _inverse_factorials(m: int, K: int) -> np.ndarray:
     inv = np.array([1 / math.factorial(m + k) for k in range(K)])
     inv.flags.writeable = False
     return inv
+
+
+# ---------------------------------------------------------------------------
+# batched divided differences of exp
+
+# the largest t with a finite e^t; math.exp raises OverflowError past it
+_EXP_MAX = math.log(sys.float_info.max)
+
+
+@lru_cache(maxsize=None)
+def _windows(M: int):
+    """Start and end columns of the sub-windows of M sorted nodes, by span then start."""
+    lo = np.concatenate([np.arange(M - s) for s in range(1, M)])
+    hi = lo + np.repeat(np.arange(1, M), np.arange(M - 1, 0, -1))
+    return lo, hi
+
+
+def _narrow_series(xs, lo, hi) -> np.ndarray:
+    """_series_dd of each row's window xs[lo..hi], all rows at once.
+
+    Nodes outside the window are shifted to zero, which leaves the series
+    unchanged. One K serves every row: the fewest terms for the largest
+    shifted node. For fixed k, h_k <- h_k + x h_{k-1} over the nodes in order
+    is a running sum, so each term costs one product and one cumsum.
+    """
+    cols = np.arange(xs.shape[1])
+    member = (cols >= lo[:, None]) & (cols <= hi[:, None])
+    m = hi - lo
+    mu = np.sum(xs * member, axis=1) / (m + 1)
+    xi = (xs - mu[:, None]) * member
+    K = _series_terms(float(np.max(np.abs(xi), initial=0.0)))
+    h = np.empty((len(xs), K))
+    h[:, 0] = 1.0
+    H = np.ones_like(xi)
+    for k in range(1, K):
+        H = np.cumsum(xi * H, axis=1)
+        h[:, k] = H[:, -1]
+    inv = np.array([_inverse_factorials(j, K) for j in range(xs.shape[1])])[m]
+    return np.exp(mu) * np.einsum("lk,lk->l", h, inv)
+
+
+def _dd_exp_sorted(xs, size) -> np.ndarray:
+    """exp[xs_r[:size_r]] for each row of an ascending (N, M) array.
+
+    Columns from size_r on are pads, each more than 2 above the column
+    before it, so every window that reaches a pad is wide and only feeds
+    entries no row reads. The table is divided_difference_exp's: narrow
+    windows from the series, wide ones from the recurrence.
+    """
+    N, M = xs.shape
+    lo, hi = _windows(M)
+    narrow = xs[:, hi] - xs[:, lo] <= 2.0 * _SERIES_SPREAD
+    rows, w = np.nonzero(narrow)
+    series = np.zeros(narrow.shape)
+    series[rows, w] = _narrow_series(xs[rows], lo[w], hi[w])
+    prev = np.exp(np.where(np.arange(M) < size[:, None], xs, 0.0))
+    first = [prev[:, 0]]
+    start = 0
+    for s in range(1, M):
+        span = slice(start, start + M - s)
+        start += M - s
+        wide = ~narrow[:, span]
+        den = np.where(wide, xs[:, s:] - xs[:, :-s], 1.0)
+        prev = np.where(wide, (prev[:, 1:] - prev[:, :-1]) / den, series[:, span])
+        first.append(prev[:, 0])
+    return np.stack(first, axis=1)[np.arange(N), size - 1]
+
+
+def _dd_exp_batch(t, index) -> np.ndarray:
+    """exp[t_s[index_r]] for every node row t_s of t (S, k) and index row r.
+
+    index is (R, M) with -1 padding the shorter rows; returns (S, R). The
+    same algorithm as divided_difference_exp, vectorised over all S R
+    node multisets: each row is sorted with its pads spaced 4 apart above
+    its largest node.
+    """
+    if np.max(t) > _EXP_MAX:
+        raise OverflowError("math range error")
+    S, R, M = len(t), *index.shape
+    pad = index < 0
+    X = t[:, np.where(pad, 0, index)]
+    X = np.where(pad, np.max(t, axis=1)[:, None, None]
+                 + 4.0 * _SERIES_SPREAD * np.cumsum(pad, axis=1), X)
+    size = np.tile(M - np.sum(pad, axis=1), S)
+    return _dd_exp_sorted(np.sort(X, axis=-1).reshape(S * R, M), size).reshape(S, R)
+
+
+@lru_cache(maxsize=None)
+def _moment_multisets(k: int) -> np.ndarray:
+    """Index rows into a simplex's k nodes t: t, t + [t_i], t + [t_i, t_l] (i <= l)."""
+    base = list(range(k))
+    rows = ([base + [-1, -1]] + [base + [i, -1] for i in range(k)]
+            + [base + [i, l] for i in range(k) for l in range(i, k)])
+    index = np.array(rows)
+    index.flags.writeable = False
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +399,37 @@ class QuadraturePlan:
     def tail_bound(self) -> float:
         return float(sum(self.tail_bounds))
 
+    def _divided_differences(self, index):
+        """Vertex rows (S, k, n), n! vol per simplex and exp[t[index_r]] per simplex."""
+        V = np.array([S.points for S in self.simplices])
+        scale = np.array([math.factorial(S.dim) * S.volume for S in self.simplices])
+        return V, scale, _dd_exp_batch(-(V @ np.array(self.b)), index)
+
     def exp_integral(self) -> float:
-        barr = np.array(self.b)
-        return stable_sum(exp_integral_simplex(S, barr) for S in self.simplices)
+        """exp_integral_simplex summed over the fan, from one kernel call."""
+        _, scale, dd = self._divided_differences(np.arange(len(self.b) + 1)[None, :])
+        return stable_sum(scale * dd[:, 0])
 
     def moments(self):
-        """Integrals of e^{-<b,x>}, x e^{-<b,x>} and x x^T e^{-<b,x>} over the region."""
-        barr = np.array(self.b)
-        parts = zip(*(simplex_moments(S, barr) for S in self.simplices))
-        F, m1, m2 = (np.apply_along_axis(stable_sum, 0, np.array(p)) for p in parts)
-        return float(F), m1, m2
+        """Integrals of e^{-<b,x>}, x e^{-<b,x>} and x x^T e^{-<b,x>} over the region.
+
+        simplex_moments summed over the fan, with every divided difference
+        of every simplex from one kernel call.
+        """
+        n = len(self.b)
+        index = _moment_multisets(n + 1)
+        V, scale, dd = self._divided_differences(index)
+        i, l = index[n + 2 :, n + 1 :].T
+        E2 = np.empty((len(V), n + 1, n + 1))
+        E2[:, i, l] = E2[:, l, i] = (1 + (i == l)) * dd[:, n + 2 :]
+        Vt = V.transpose(0, 2, 1)
+        parts = np.concatenate([
+            dd[:, :1],
+            (Vt @ dd[:, 1 : n + 2, None])[..., 0],
+            (Vt @ E2 @ V).reshape(len(V), n * n),
+        ], axis=1) * scale[:, None]
+        sums = [stable_sum(col) for col in parts.T]
+        return sums[0], np.array(sums[1 : n + 1]), np.array(sums[n + 1 :]).reshape(n, n)
 
     def integrate(self, f) -> float:
         """Dense order-20 Gauss integration of f(x) e^{-<b,x>} over the plan region."""
@@ -320,24 +441,37 @@ class QuadraturePlan:
         return stable_sum(gauss_integral_simplex(S, g) for S in self.simplices)
 
 
-def _tail_bounds(b, rays, verts, T):
-    """Certified bounds on int |x|^d e^{-<b,x>} dx beyond <b,x> = T; inf on overflow."""
+def _tail_bounds(b, rays, verts):
+    """Certified bounds on int |x|^d e^{-<b,x>} dx beyond <b,x> = T, as a function of T.
+
+    The T-independent constants are computed once, so each T costs three
+    closed-form incomplete gammas; a bound that overflows is inf.
+    """
     n = len(b)
     bnorm = math.hypot(*b)
     eps = float(np.min(rays @ b / np.linalg.norm(rays, axis=1)))
     R = float(np.max(np.linalg.norm(verts, axis=1)))
     mb = float(np.min(verts @ b))
     C0 = eps * R - mb
-    r_T = max(0.0, T) / bnorm
     omega = _SPHERE_AREA[n]
-    bounds = []
+    coefs = []
     for d in range(3):
-        s = d + n
         try:
-            bounds.append(math.exp(C0) * omega * eps ** (-s) * _upper_gamma(s, eps * r_T))
+            coefs.append(math.exp(C0) * omega * eps ** (-(d + n)))
         except OverflowError:
-            bounds.append(math.inf)
-    return tuple(bounds)
+            coefs.append(None)
+
+    def at(T):
+        r_T = max(0.0, T) / bnorm
+        bounds = []
+        for d, c in enumerate(coefs):
+            try:
+                bounds.append(math.inf if c is None else c * _upper_gamma(d + n, eps * r_T))
+            except OverflowError:
+                bounds.append(math.inf)
+        return tuple(bounds)
+
+    return at
 
 
 def _unbounded_edges(P: LabeledPolyhedron):
@@ -384,7 +518,7 @@ def plan(P: LabeledPolyhedron, b, tol: float = 1e-10,
     T, bounds = None, (0.0, 0.0, 0.0)
     corners = verts
     if sk.rays:
-        rays = np.array([r for r, _ in sk.rays], dtype=float)
+        tail_bounds = _tail_bounds(b, np.array([r for r, _ in sk.rays], dtype=float), verts)
         base_T = float(np.max(verts @ b))
         if truncation is not None:
             T = float(truncation)
@@ -392,11 +526,11 @@ def plan(P: LabeledPolyhedron, b, tol: float = 1e-10,
                 raise ValueError(
                     f"truncation {T} must exceed max vertex level {base_T:.6g}"
                 )
-            bounds = _tail_bounds(b, rays, verts, T)
+            bounds = tail_bounds(T)
         else:
             T = max(1.0, base_T + P.dim + 2.0)
             for _ in range(200):
-                bounds = _tail_bounds(b, rays, verts, T)
+                bounds = tail_bounds(T)
                 if sum(bounds) <= tol:
                     break
                 T *= 1.3

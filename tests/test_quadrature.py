@@ -1,14 +1,18 @@
 """Closed-form weighted integrals checked against analytic values and dense Gauss."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma, gammaincc
 
-from toricshrink.polyhedra import box, from_halfspaces, half_line, interval, vertices
+from toricshrink.polyhedra import (
+    _skeleton, box, from_halfspaces, half_line, interval, vertices,
+)
 from toricshrink.quadrature import (
     DivergentWeight,
     Simplex,
@@ -20,13 +24,16 @@ from toricshrink.quadrature import (
     simplex_moments,
     plan,
     _clip,
+    _dd_exp_batch,
     _fan,
+    _moment_multisets,
     _reference_rule,
     _ring,
     _series_terms,
     _shifted_series,
     _upper_gamma,
 )
+from toricshrink.shrinker import _initial_weight, find_soliton_vector
 
 
 def random_simplex(rng, n):
@@ -139,6 +146,61 @@ def test_dd_confluent_nodes_to_order_eight():
         for m in range(9):
             val = divided_difference_exp([t] * (m + 1))
             assert val == pytest.approx(math.exp(t) / math.factorial(m), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel
+
+def _mp_divided_difference(nodes):
+    # the confluent divided-difference table in mpmath, from the float nodes
+    xs = sorted(mpmath.mpf(float(x)) for x in nodes)
+    m = len(xs) - 1
+    table = {(i, i): mpmath.exp(x) for i, x in enumerate(xs)}
+    for span in range(1, m + 1):
+        for i in range(m + 1 - span):
+            j = i + span
+            if xs[j] == xs[i]:
+                table[i, j] = mpmath.exp(xs[i]) / math.factorial(span)
+            else:
+                table[i, j] = (table[i + 1, j] - table[i, j - 1]) / (xs[j] - xs[i])
+    return table[0, m]
+
+
+def test_kernel_is_as_accurate_as_the_scalar_table():
+    # 400 multisets of sizes 2-5 from rows with repeated nodes: each row of 5
+    # draws from 4 values whose extremes are its span, and the index rows
+    # read its prefixes, so one batch pads rows of every size
+    rng = np.random.default_rng(5)
+    index = np.array([[0, 1, -1, -1, -1], [0, 1, 2, -1, -1],
+                      [0, 1, 2, 3, -1], [0, 1, 2, 3, 4]])
+    worst_kernel = worst_scalar = 0.0
+    with mpmath.workdps(50):
+        for span in (2.0, 8.0, 30.0, 120.0):
+            rows = []
+            for _ in range(25):
+                u = rng.uniform(-30, 30) + span * np.concatenate(
+                    [[-0.5, 0.5], rng.uniform(-0.5, 0.5, size=2)])
+                row = rng.permutation(rng.choice(u, size=5))
+                row[:2] = rng.permutation(u[:2])
+                rows.append(row)
+            t = np.array(rows)
+            got = _dd_exp_batch(t, index)
+            for s, row in enumerate(t):
+                for r, idx in enumerate(index):
+                    nodes = row[idx[idx >= 0]]
+                    ref = _mp_divided_difference(nodes)
+                    worst_kernel = max(worst_kernel, float(abs(got[s, r] / ref - 1)))
+                    worst_scalar = max(
+                        worst_scalar, float(abs(divided_difference_exp(nodes) / ref - 1)))
+    assert worst_kernel <= worst_scalar
+    assert worst_scalar < 2e-15
+
+
+def test_kernel_raises_on_overflow_like_the_scalar_table():
+    with pytest.raises(OverflowError):
+        divided_difference_exp([710.0, 0.0])
+    with pytest.raises(OverflowError):
+        _dd_exp_batch(np.array([[710.0, 0.0]]), _moment_multisets(2))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +432,123 @@ def test_clip_of_an_interval():
     assert _clip(ring, np.array([1.0]), -1.0).tolist() == [[1.0], [3.0]]
     assert _clip(ring, np.array([-1.0]), 1.0).tolist() == [[-1.0], [1.0]]
     assert _clip(ring, np.array([1.0]), -5.0).shape == (0, 1)
+
+
+# the seven polygons of the soliton_vectors benchmark workload, with the
+# number of Newton steps find_soliton_vector takes on each
+SOLITON_FAMILY = (
+    ("teardrop", (1, [((1,), 1, 2), ((-1,), 3, 2)]), 6),
+    ("rectangle", (2, [((1, 0), 1, 2), ((-1, 0), 3, 2), ((0, 1), 2, 2), ((0, -1), 1, 2)]), 6),
+    ("pentagon", (2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, 0), 1, 2), ((0, -1), 1, 2),
+                      ((-1, -1), 1, 2)]), 4),
+    ("quadrant", (2, [((1, 0), 1, 2), ((0, 1), 1, 2)]), 6),
+    ("half_strip", (2, [((1, 0), 1, 2), ((-1, 0), 2, 2), ((0, 1), 3, 2)]), 6),
+    ("hexagon", (2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, 0), 1, 2), ((0, -1), 1, 2),
+                     ((1, 1), 1, 2), ((-1, -1), 1, 2)]), 0),
+    ("triangle", (2, [((1, 0), 1, 2), ((0, 1), 2, 2), ((-2, -3), 1, 2)]), 5),
+)
+
+
+@pytest.mark.parametrize("name, spec, iterations", SOLITON_FAMILY)
+def test_plan_kernel_matches_per_simplex_sums(name, spec, iterations):
+    # b = 0 puts every node at 0 (every window narrow) where P is bounded;
+    # unbounded P starts Newton from _initial_weight instead. The moment of
+    # degree q is compared relative to R^q F, R the largest |x| on the plan,
+    # which bounds it: m1 cancels to ~0 at the soliton vector.
+    P = from_halfspaces(*spec)
+    sol = np.array(find_soliton_vector(P).b)
+    start = np.zeros(P.dim) if P.is_bounded() else _initial_weight(P)
+    for b in (start, sol, sol + np.linspace(0.2, -0.1, P.dim)):
+        pl = plan(P, b, tol=1e-12)
+        parts = [simplex_moments(S, b) for S in pl.simplices]
+        got = pl.moments()
+        R = float(np.max(np.linalg.norm(np.array(pl.ring), axis=1)))
+        for q in range(3):
+            exact = np.apply_along_axis(stable_sum, 0, np.array([p[q] for p in parts]))
+            assert np.all(np.abs(got[q] - exact) <= 1e-14 * R**q * got[0])
+        F = [exp_integral_simplex(S, b) for S in pl.simplices]
+        assert abs(pl.exp_integral() - stable_sum(F)) <= 1e-14 * stable_sum(F)
+
+
+def test_masked_lanes_raise_no_warnings():
+    # wide spans put most windows on the recurrence and pad every short row;
+    # no masked lane may overflow, divide by zero or form 0/0
+    Q = from_halfspaces(2, [((1, 0), 1, 2), ((0, 1), 1, 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in ([1.0, 1.0], [0.05, 1.0], [3.0, 0.1]):
+            pl = plan(Q, b, tol=1e-14)
+            t = -(np.array([S.points for S in pl.simplices]) @ np.array(b))
+            assert np.ptp(t) > 80
+            F, m1, m2 = pl.moments()
+            assert np.isfinite(F) and np.all(np.isfinite(m1)) and np.all(np.isfinite(m2))
+        rng = np.random.default_rng(4)
+        for centre in (700.0, -700.0):
+            t = centre + rng.uniform(-3, 3, size=(6, 3))
+            t[:, 1] = t[:, 0]
+            got = _dd_exp_batch(t, _moment_multisets(3))
+            for s, row in enumerate(t):
+                for r, idx in enumerate(_moment_multisets(3)):
+                    ref = divided_difference_exp(row[idx[idx >= 0]])
+                    assert got[s, r] == pytest.approx(ref, rel=2e-15)
+
+
+def _reference_tail_bounds(b, rays, verts, T):
+    """Certified bounds on int |x|^d e^{-<b,x>} dx beyond <b,x> = T; inf on overflow."""
+    n = len(b)
+    bnorm = math.hypot(*b)
+    eps = float(np.min(rays @ b / np.linalg.norm(rays, axis=1)))
+    R = float(np.max(np.linalg.norm(verts, axis=1)))
+    mb = float(np.min(verts @ b))
+    C0 = eps * R - mb
+    r_T = max(0.0, T) / bnorm
+    omega = {1: 2.0, 2: 2.0 * math.pi}[n]
+    bounds = []
+    for d in range(3):
+        s = d + n
+        try:
+            bounds.append(math.exp(C0) * omega * eps ** (-s) * _upper_gamma(s, eps * r_T))
+        except OverflowError:
+            bounds.append(math.inf)
+    return tuple(bounds)
+
+
+def _reference_ladder(P, b, tol):
+    # plan's truncation search with every constant of the tail bound
+    # recomputed on every rung: T must come out bit-for-bit the same
+    sk = _skeleton(P)
+    verts = np.array([[float(x) for x in p] for p, _ in sk.vertices])
+    rays = np.array([r for r, _ in sk.rays], dtype=float)
+    base_T = float(np.max(verts @ b))
+    T = max(1.0, base_T + P.dim + 2.0)
+    for _ in range(200):
+        bounds = _reference_tail_bounds(b, rays, verts, T)
+        if sum(bounds) <= tol:
+            break
+        T *= 1.3
+    return T, bounds
+
+
+@pytest.mark.parametrize("P, weights", [
+    (half_line(-2), ([0.5], [3.0], [0.01], [1e-3])),
+    (from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 2, 2), ((0, 1), 3, 2)]),
+     ([-0.72, 1.5], [2.0, 0.05], [0.0, 4.0])),
+    (from_halfspaces(2, [((1, 0), 1, 2), ((0, 1), 1, 2)]),
+     ([0.5, 0.5], [0.05, 1.0], [3.0, 0.1])),
+    (from_halfspaces(2, [((1, 0), 1, 2), ((1, 1), 1, 2)]),
+     ([1.0, 0.4], [0.75, 0.5], [5.0, 0.02])),
+], ids=["half_line", "half_strip", "quadrant", "oblique_wedge"])
+def test_truncation_ladder_is_bitwise_unchanged(P, weights):
+    for b in weights:
+        b = np.array(b)
+        for tol in (1e-8, 1e-10, 1e-14):
+            pl = plan(P, b, tol=tol)
+            assert (pl.truncation, pl.tail_bounds) == _reference_ladder(P, b, tol)
+
+
+@pytest.mark.parametrize("name, spec, iterations", SOLITON_FAMILY)
+def test_soliton_vector_takes_the_same_newton_steps(name, spec, iterations):
+    assert find_soliton_vector(from_halfspaces(*spec)).iterations == iterations
 
 
 def test_plan_rejects_dimension_three():
