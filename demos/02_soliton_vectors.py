@@ -3,8 +3,9 @@
 F(b) = integral of e^{-<b,x>} over P is finite exactly when b lies in the
 interior of the dual of the recession cone, is strictly convex there, and
 its critical point b_X is the soliton vector of the shrinker metric. On
-unbounded polyhedra the quadrature truncates the domain and certifies the
-discarded tail.
+unbounded polyhedra the quadrature splits off face x cone pieces, on which
+each ray direction integrates in closed form, so F and its derivatives are
+exact there too.
 """
 
 import numpy as np

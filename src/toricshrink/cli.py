@@ -513,7 +513,7 @@ def main(argv=None) -> int:
     except _CliError as err:
         return _report(err.code, err.category, err)
     # the one map from library errors to exit codes; NoConvergence is a RuntimeError
-    except (RuntimeError, DivergentD1, NotInE) as err:
+    except (RuntimeError, OverflowError, DivergentD1, NotInE) as err:
         return _report(EXIT_NUMERIC, "convergence", err)
     except ValueError as err:
         return _report(EXIT_VALIDATION, "validation", err)

@@ -32,8 +32,9 @@ import numpy as np
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
     correction_of
-from .quadrature import DivergentWeight, Simplex, _clip, _fan, _unbounded_edges, \
-    gauss_integral_simplex, gauss_simplex_rule, plan as build_plan, stable_sum
+from .quadrature import Simplex, _clip, _fan, _tail_bounds, _unbounded_edges, \
+    _weight_skeleton, gauss_integral_simplex, gauss_simplex_rule, plan as build_plan, \
+    stable_sum
 from .shrinker import _correction_arrays, _residual_core, find_soliton_vector
 
 
@@ -67,28 +68,36 @@ def _beta(P: LabeledPolyhedron) -> np.ndarray:
 
 
 def _fitted_plan(P, w, correction, tol, exc):
-    """Quadrature plan for weight e^{-<w,x>}, kept inside the correction grid."""
+    """Plan for the weight e^{-<w,x>}, and the summed _tail_bounds of what it drops.
+
+    Unbounded P is cut where it first leaves the correction's grid box, which
+    is on an unbounded edge v + tau r (P is its vertices' hull plus its
+    recession cone), or, for the canonical potential, at the first rung of
+    T *= 1.3 whose tail bound meets tol.
+    """
     w = np.asarray(w, dtype=float)
-    if P.is_bounded() or correction is None:
-        try:
-            return build_plan(P, w, tol=tol)
-        except RuntimeError as err:
-            raise exc(str(err)) from err
-    # T is the least level <w,x> at which P leaves the grid box. P is the
-    # vertices' hull plus its recession cone, so it first leaves the box
-    # where an unbounded edge v + tau r does
-    lo, hi = np.array(correction.domain).T
-    levels = []
-    for v, r in _unbounded_edges(P):
-        moving = r != 0
-        tau = np.min((np.where(r > 0, hi, lo) - v)[moving] / r[moving])
-        levels.append(float((v + tau * r) @ w))
-    # no unbounded edge means P holds a line, which the plan rejects
-    T = min(levels, default=math.inf) * (1.0 - 1e-12) - 1e-12
+    if P.is_bounded():
+        return build_plan(P, w), 0.0
+    verts, rays = _weight_skeleton(P, w)
+    tail_bounds = _tail_bounds(w, rays, verts)
+    if correction is None:
+        T = max(1.0, float(np.max(verts @ w)) + P.dim + 2.0)
+        for _ in range(200):
+            if sum(tail_bounds(T)) <= tol:
+                break
+            T *= 1.3
+        else:
+            raise exc("tail bound failed to reach tolerance within 200 steps of T *= 1.3")
+    else:
+        lo, hi = np.array(correction.domain).T
+        levels = []
+        for v, r in np.array(_unbounded_edges(P), dtype=float):
+            moving = r != 0
+            tau = np.min((np.where(r > 0, hi, lo) - v)[moving] / r[moving])
+            levels.append(float((v + tau * r) @ w))
+        T = min(levels) * (1.0 - 1e-12) - 1e-12
     try:
-        return build_plan(P, w, tol=tol, truncation=T)
-    except DivergentWeight:
-        raise
+        return build_plan(P, w, truncation=T), float(sum(tail_bounds(T)))
     except ValueError as err:
         raise exc(f"correction grid too small for a usable truncation: {err}") from err
 
@@ -176,13 +185,13 @@ class _DingQuadrature:
         self.linear_rules = None
         if b_X is not None:
             b = np.asarray(b_X, dtype=float)
-            pl = _fitted_plan(P, b, grid, tol, NotInE)
+            pl, _ = _fitted_plan(P, b, grid, tol, NotInE)
             self.F = pl.exp_integral()
             self.canonical = _canonical_linear(P, b, pl)
             rules = (gauss_simplex_rule(S, _ORDER) for S in _refined(pl.simplices, b))
             self.linear_rules = [(X, Wq * np.exp(-(X @ b))) for X, Wq in rules]
         beta = _beta(P)
-        self.plan = _fitted_plan(P, beta, grid, tol, DivergentD1)
+        self.plan, self.tail = _fitted_plan(P, beta, grid, tol, DivergentD1)
         self.dual_rules = [gauss_simplex_rule(S, _ORDER)
                            for S in _refined(self.plan.simplices, beta)]
 
@@ -197,10 +206,7 @@ class _DingQuadrature:
         return dual, values
 
     def evaluate(self, samples, t=0.0):
-        """d1, or the DingValue at t when b_X was given, of sampled corrections.
-
-        The d1 tail estimate comes from the e^{-<beta,x>} plan.
-        """
+        """d1, or the DingValue at t when b_X was given, of sampled corrections."""
         dual_s, values = samples
         linear = None
         if values is not None:
@@ -216,10 +222,9 @@ class _DingQuadrature:
         )
         if not (math.isfinite(dual) and dual > 0.0):
             raise DivergentD1(f"dual volume evaluated to {dual} at t = {t}")
-        tail = self.plan.tail_bound
-        if tail / dual > self.tol:
+        if self.tail / dual > self.tol:
             raise DivergentD1(
-                f"truncation tail estimate {tail:.3e} exceeds "
+                f"truncation tail estimate {self.tail:.3e} exceeds "
                 f"tolerance {self.tol:g} relative to d1 = {dual:.6g} at t = {t}"
             )
         if linear is None:

@@ -1,19 +1,17 @@
 """Exponentially weighted integrals over polyhedra.
 
 The integral of e^{-<b,x>} over a labeled polyhedron and its first and second
-moments are computed by fanning a convex region into simplices and evaluating
-each simplex in closed form from divided differences of exp: one batched
-kernel call per plan covers every node multiset of every simplex. The
-region's corners are read from the polyhedron's exact skeleton: its vertices
-and, on unbounded P, one crossing of the level <b,x> = T per unbounded edge.
-Truncation error is certified by an explicit tail bound built from the
-recession rays. Convex regions are kept as rings of corners, which half-plane
-clips cut further.
+moments are exact sums over pieces read from the polyhedron's exact
+skeleton: the fan of its vertices, and on unbounded P the face x cone pieces
+beyond their hull, each from divided differences of exp at its vertex nodes
+in one batched kernel call per group. A plan may instead be cut at a level
+<b,x> <= T; _tail_bounds bounds what the cut drops. Convex regions are kept
+as rings of corners, which half-plane clips cut further.
 
 Divided differences of exp on narrow node sets sum a mean-shifted series
 only as far as its own error bound asks (at most 26 terms); wider sets use
-the recurrence. The scalar divided_difference_exp, simplex_moments and
-exp_integral_simplex are the reference the batched kernel is tested against.
+the recurrence. The scalar divided_difference_exp and exp_integral_simplex
+are the reference the batched kernel is tested against.
 Dense Gauss rules on a simplex are one cached reference rule per dimension
 and order, mapped affinely onto the simplex.
 """
@@ -131,7 +129,7 @@ _EXP_MAX = math.log(sys.float_info.max)
 @lru_cache(maxsize=None)
 def _windows(M: int):
     """Start and end columns of the sub-windows of M sorted nodes, by span then start."""
-    lo = np.concatenate([np.arange(M - s) for s in range(1, M)])
+    lo = np.array([i for s in range(1, M) for i in range(M - s)], dtype=int)
     hi = lo + np.repeat(np.arange(1, M), np.arange(M - 1, 0, -1))
     return lo, hi
 
@@ -237,12 +235,9 @@ class Simplex:
     def dim(self) -> int:
         return len(self.points[0])
 
-    def array(self) -> np.ndarray:
-        return np.array(self.points)
-
     @cached_property
     def volume(self) -> float:
-        V = self.array()
+        V = np.array(self.points)
         E = V[1:] - V[0]
         return abs(float(np.linalg.det(E))) / math.factorial(self.dim)
 
@@ -250,29 +245,8 @@ class Simplex:
 def exp_integral_simplex(S: Simplex, b) -> float:
     """Closed form of the integral of e^{-<b,x>} over the simplex."""
     b = np.asarray(b, dtype=float)
-    t = -(S.array() @ b)
+    t = -(np.array(S.points) @ b)
     return math.factorial(S.dim) * S.volume * divided_difference_exp(t)
-
-
-def simplex_moments(S: Simplex, b):
-    """Integrals of e^{-<b,x>}, x e^{-<b,x>} and x x^T e^{-<b,x>} over S.
-
-    With nodes t = -V b at the vertex rows V, the three are n! vol times
-    exp[t], V^T e_1 and V^T E_2 V, where (e_1)_i = exp[t, t_i] and
-    (E_2)_il = (1 + delta_il) exp[t, t_i, t_l]: appending a copy of node i
-    differentiates with respect to t_i, which inserts a factor lambda_i in
-    the barycentric integral representation.
-    """
-    V = S.array()
-    t = list(-(V @ np.asarray(b, dtype=float)))
-    k = len(t)
-    e1 = np.array([divided_difference_exp(t + [t[i]]) for i in range(k)])
-    E2 = np.empty((k, k))
-    for i in range(k):
-        for l in range(i, k):
-            E2[i, l] = E2[l, i] = (1 + (i == l)) * divided_difference_exp(t + [t[i], t[l]])
-    scale = math.factorial(S.dim) * S.volume
-    return scale * divided_difference_exp(t), scale * (V.T @ e1), scale * (V.T @ E2 @ V)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +288,7 @@ def gauss_simplex_rule(S: Simplex, order: int = 20):
     """
     n = S.dim
     lam, W = _reference_rule(n, order)
-    V = S.array()
+    V = np.array(S.points)
     X = V[0] + lam @ (V[1:] - V[0])
     W = W * math.factorial(n) * S.volume
     return X, W
@@ -382,63 +356,82 @@ def _upper_gamma(s: int, x: float) -> float:
 
 @dataclass(frozen=True)
 class QuadraturePlan:
-    """A fanned, possibly truncated region with a certified truncation error bound.
+    """The pieces of a region on which e^{-<b,x>} integrates in closed form.
 
-    ring holds the region's corners in fan order and simplices their fan.
-    tail_bounds[d] bounds the discarded integral of |x|^d e^{-<b,x>} for
-    d = 0, 1, 2; tail_bound is their sum.
+    ring holds the corners of the bounded part in fan order and simplices
+    their fan. Each entry of cones is a pair (points, rays) of exact
+    skeleton entries: the hull of the points plus the cone of the rays, with
+    <b,r> > 0 on every ray. A plan cut at a level T has no cones.
     """
 
     b: tuple[float, ...]
     ring: tuple[tuple[float, ...], ...]
     simplices: tuple[Simplex, ...]
-    truncation: float | None
-    tail_bounds: tuple[float, float, float]
+    cones: tuple[tuple[tuple, tuple], ...]
 
-    @property
-    def tail_bound(self) -> float:
-        return float(sum(self.tail_bounds))
+    def _pieces(self):
+        """The fan, then each cone, as (V, m, inv, scale): one kernel call each.
 
-    def _divided_differences(self, index):
-        """Vertex rows (S, k, n), n! vol per simplex and exp[t[index_r]] per simplex."""
-        V = np.array([S.points for S in self.simplices])
-        scale = np.array([math.factorial(S.dim) * S.volume for S in self.simplices])
-        return V, scale, _dd_exp_batch(-(V @ np.array(self.b)), index)
+        V stacks the m vertex rows P_j over the ray rows r_i, inv = 1 / <b,r_i>
+        and scale = |det[P_j - P_0, r_i]| prod inv (n! vol on a simplex).
+        """
+        b = np.array(self.b)
+        if self.simplices:
+            V = np.array([S.points for S in self.simplices])
+            scale = np.array([math.factorial(S.dim) * S.volume for S in self.simplices])
+            yield V, len(b) + 1, np.empty((len(V), 0)), scale
+        for points, rays in self.cones:
+            V, m = np.array(points + rays, dtype=float), len(points)
+            inv = 1.0 / (V[m:] @ b)
+            scale = abs(np.linalg.det(np.vstack([V[1:m] - V[0], V[m:]]))) * np.prod(inv)
+            yield V[None], m, inv[None], np.array([scale])
 
+    @np.errstate(over="ignore", invalid="ignore")  # _in_range reports overflow
     def exp_integral(self) -> float:
-        """exp_integral_simplex summed over the fan, from one kernel call."""
-        _, scale, dd = self._divided_differences(np.arange(len(self.b) + 1)[None, :])
-        return stable_sum(scale * dd[:, 0])
+        """The integral of e^{-<b,x>} over the plan: scale exp[t] per piece."""
+        b = np.array(self.b)
+        terms = [scale * _dd_exp_batch(-(V[:, :m] @ b), np.arange(m)[None, :])[:, 0]
+                 for V, m, _, scale in self._pieces()]
+        return stable_sum(_in_range(np.concatenate(terms)))
 
+    @np.errstate(over="ignore", invalid="ignore")  # _in_range reports overflow
     def moments(self):
-        """Integrals of e^{-<b,x>}, x e^{-<b,x>} and x x^T e^{-<b,x>} over the region.
+        """Integrals of e^{-<b,x>}, x e^{-<b,x>} and x x^T e^{-<b,x>} over the plan.
 
-        simplex_moments summed over the fan, with every divided difference
-        of every simplex from one kernel call.
+        With nodes t = -P b, a piece gives scale times exp[t], V^T e_1 and
+        V^T E_2 V. At vertex rows (e_1)_j = exp[t, t_j] and (E_2)_jj' =
+        (1 + delta) exp[t, t_j, t_j']: a repeated node inserts a barycentric
+        factor. Each ray integrates s^k e^{-<b,r> s} in closed form, so a ray
+        row of e_1 is exp[t] inv_i, the mixed block of E_2 is e_1j inv_i and
+        its ray block (1 + delta) exp[t] inv_i inv_i'.
         """
         n = len(self.b)
-        index = _moment_multisets(n + 1)
-        V, scale, dd = self._divided_differences(index)
-        i, l = index[n + 2 :, n + 1 :].T
-        E2 = np.empty((len(V), n + 1, n + 1))
-        E2[:, i, l] = E2[:, l, i] = (1 + (i == l)) * dd[:, n + 2 :]
-        Vt = V.transpose(0, 2, 1)
-        parts = np.concatenate([
-            dd[:, :1],
-            (Vt @ dd[:, 1 : n + 2, None])[..., 0],
-            (Vt @ E2 @ V).reshape(len(V), n * n),
-        ], axis=1) * scale[:, None]
-        sums = [stable_sum(col) for col in parts.T]
+        b = np.array(self.b)
+        parts = []
+        for V, m, inv, scale in self._pieces():
+            index = _moment_multisets(m)
+            dd = _dd_exp_batch(-(V[:, :m] @ b), index)
+            e1 = np.concatenate([dd[:, 1 : m + 1], dd[:, :1] * inv], axis=1)
+            i, l = index[m + 1 :, m:].T
+            E2 = np.empty((len(V), n + 1, n + 1))
+            E2[:, i, l] = E2[:, l, i] = (1 + (i == l)) * dd[:, m + 1 :]
+            E2[:, :, m:] = (1 + np.eye(n + 1, n + 1 - m, -m)) * e1[..., None] * inv[:, None]
+            E2[:, m:, :m] = E2[:, :m, m:].transpose(0, 2, 1)
+            Vt = V.transpose(0, 2, 1)
+            parts.append(np.concatenate([
+                dd[:, :1],
+                (Vt @ e1[..., None])[..., 0],
+                (Vt @ E2 @ V).reshape(len(V), n * n),
+            ], axis=1) * scale[:, None])
+        sums = [stable_sum(col) for col in _in_range(np.concatenate(parts)).T]
         return sums[0], np.array(sums[1 : n + 1]), np.array(sums[n + 1 :]).reshape(n, n)
 
-    def integrate(self, f) -> float:
-        """Dense order-20 Gauss integration of f(x) e^{-<b,x>} over the plan region."""
-        barr = np.array(self.b)
 
-        def g(X):
-            return np.asarray(f(X)) * np.exp(-(X @ barr))
-
-        return stable_sum(gauss_integral_simplex(S, g) for S in self.simplices)
+def _in_range(terms):
+    """terms, unless one left the float range: OverflowError, as e^t past 709.78."""
+    if not np.all(np.isfinite(terms)):
+        raise OverflowError("a weighted integral over the plan overflows")
+    return terms
 
 
 def _tail_bounds(b, rays, verts):
@@ -475,29 +468,22 @@ def _tail_bounds(b, rays, verts):
 
 
 def _unbounded_edges(P: LabeledPolyhedron):
-    """Float (vertex, ray) pairs of P's unbounded edges: on n - 1 common facets."""
+    """Exact (vertex, ray) pairs of P's unbounded edges: on n - 1 common facets."""
     sk = _skeleton(P)
     return [
-        (np.array([float(x) for x in p]), np.array(r, dtype=float))
+        (p, r)
         for p, active in sk.vertices
         for r, parallel in sk.rays
         if len(set(active) & set(parallel)) == P.dim - 1
     ]
 
 
-def plan(P: LabeledPolyhedron, b, tol: float = 1e-10,
-         truncation: float | None = None) -> QuadraturePlan:
-    """Build a quadrature plan for the weight e^{-<b,x>} on P.
+def _weight_skeleton(P: LabeledPolyhedron, b):
+    """P's float vertex rows and recession rays, once e^{-<b,x>} is integrable on P.
 
-    The corners come from the exact skeleton of P. A bounded P is the fan
-    of its vertices. An unbounded one is cut by <b,x> <= T, with T grown
-    until the certified tail drops below tol unless a fixed truncation is
-    supplied; the cut region's corners are the vertices and the crossing
-    v + (T - <b,v>) / <b,r> r of each unbounded edge. Raises DivergentWeight
-    when P contains a line or b fails to be positive on some recession
-    direction, and ValueError in dimension > 2.
+    Raises DivergentWeight when P contains a line or b fails to be positive
+    on some recession direction, and ValueError in dimension > 2.
     """
-    b = np.asarray(b, dtype=float)
     if b.shape != (P.dim,):
         raise ValueError("weight vector has the wrong dimension")
     if P.dim > 2:
@@ -506,45 +492,53 @@ def plan(P: LabeledPolyhedron, b, tol: float = 1e-10,
     if sk.lineality:
         line = sk.lineality[0]
         raise DivergentWeight(
-            f"polyhedron contains the line {line}; no weight is integrable",
-            ray=line,
-        )
+            f"polyhedron contains the line {line}; no weight is integrable", ray=line)
     for r, _ in sk.rays:
         if float(np.dot(b, r)) <= 0.0:
             raise DivergentWeight(
-                f"weight is not integrable along recession direction {r}", ray=r
-            )
-    verts = np.array([[float(x) for x in p] for p, _ in sk.vertices])
-    T, bounds = None, (0.0, 0.0, 0.0)
-    corners = verts
-    if sk.rays:
-        tail_bounds = _tail_bounds(b, np.array([r for r, _ in sk.rays], dtype=float), verts)
-        base_T = float(np.max(verts @ b))
-        if truncation is not None:
-            T = float(truncation)
-            if T <= base_T:
-                raise ValueError(
-                    f"truncation {T} must exceed max vertex level {base_T:.6g}"
-                )
-            bounds = tail_bounds(T)
-        else:
-            T = max(1.0, base_T + P.dim + 2.0)
-            for _ in range(200):
-                bounds = tail_bounds(T)
-                if sum(bounds) <= tol:
-                    break
-                T *= 1.3
-            else:
-                raise RuntimeError(
-                    "tail bound failed to reach tolerance within 200 steps of T *= 1.3")
+                f"weight is not integrable along recession direction {r}", ray=r)
+    verts = np.array([p for p, _ in sk.vertices], dtype=float)
+    return verts, np.array([r for r, _ in sk.rays], dtype=float)
+
+
+def _cones(P: LabeledPolyhedron):
+    """Unbounded P beyond the hull of its vertices, as exact face x cone pieces.
+
+    In 1D the edge [v, inf). In 2D, with unbounded edges v_a + cone(r_a) and
+    v_b + cone(r_b): the half-strip conv(v_a, v_b) + cone(r_b) unless v_a = v_b,
+    and the corner v_a + cone(r_a, r_b) unless r_a = r_b.
+    """
+    edges = _unbounded_edges(P)
+    if P.dim == 1:
+        return tuple(((v,), (r,)) for v, r in edges)
+    (va, ra), (vb, rb) = edges
+    half_strip, corner = ((va, vb), (rb,)), ((va,), (ra, rb))
+    return (half_strip,) * (va != vb) + (corner,) * (ra != rb)
+
+
+def plan(P: LabeledPolyhedron, b, truncation: float | None = None) -> QuadraturePlan:
+    """Build a quadrature plan for the weight e^{-<b,x>} on P.
+
+    The pieces come from the exact skeleton of P: the fan of its vertices
+    and, on unbounded P, the face x cone pieces of _cones, so the plan's
+    integrals are exact. A fixed truncation T instead cuts unbounded P by
+    <b,x> <= T: the corners are then the vertices and the crossing
+    v + (T - <b,v>) / <b,r> r of each unbounded edge. Raises what
+    _weight_skeleton raises, and ValueError when some vertex has <b,v> >= T.
+    """
+    b = np.asarray(b, dtype=float)
+    verts, rays = _weight_skeleton(P, b)
+    corners, cones = verts, ()
+    if len(rays) and truncation is None:
+        cones = _cones(P)
+    elif len(rays):
+        T, base_T = float(truncation), float(np.max(verts @ b))
+        if T <= base_T:
+            raise ValueError(f"truncation {T} must exceed max vertex level {base_T:.6g}")
+        edges = np.array(_unbounded_edges(P), dtype=float)
         corners = np.vstack([verts] + [
-            v + (T - float(v @ b)) / float(r @ b) * r for v, r in _unbounded_edges(P)
+            v + (T - float(v @ b)) / float(r @ b) * r for v, r in edges
         ])
     ring = _ring(corners)
-    return QuadraturePlan(
-        b=tuple(float(x) for x in b),
-        ring=tuple(map(tuple, ring)),
-        simplices=tuple(_fan(ring)),
-        truncation=T,
-        tail_bounds=bounds,
-    )
+    return QuadraturePlan(tuple(map(float, b)), tuple(map(tuple, ring)),
+                          tuple(_fan(ring)), cones)

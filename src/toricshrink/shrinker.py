@@ -37,14 +37,14 @@ class NotAProduct(ValueError):
 # ---------------------------------------------------------------------------
 # the weighted volume functional
 
-def weighted_volume(P: LabeledPolyhedron, b, tol: float = 1e-12) -> float:
-    """F(b): the e^{-<b,x>}-weighted volume of P, certified to tol."""
-    return build_plan(P, b, tol=tol).exp_integral()
+def weighted_volume(P: LabeledPolyhedron, b) -> float:
+    """F(b): the e^{-<b,x>}-weighted volume of P, in closed form."""
+    return build_plan(P, b).exp_integral()
 
 
-def grad_hess_F(P: LabeledPolyhedron, b, tol: float = 1e-12):
+def grad_hess_F(P: LabeledPolyhedron, b):
     """F(b) with its gradient -int x e^{-<b,x>} and Hessian of second moments."""
-    F, m1, m2 = build_plan(P, b, tol=tol).moments()
+    F, m1, m2 = build_plan(P, b).moments()
     return F, -m1, m2
 
 
@@ -69,7 +69,7 @@ def find_soliton_vector(P: LabeledPolyhedron, tol: float = 1e-12) -> SolitonVect
         b = np.zeros(P.dim)
     else:
         b = _initial_weight(P)
-    F, g, H = grad_hess_F(P, b, tol=max(1e-14, 0.01 * tol))
+    F, g, H = grad_hess_F(P, b)
     for it in range(1, 201):
         if np.linalg.norm(g) <= tol * max(1.0, abs(F)):
             return SolitonVector(
@@ -82,8 +82,7 @@ def find_soliton_vector(P: LabeledPolyhedron, tol: float = 1e-12) -> SolitonVect
         lam = 1.0
         while lam > 1e-16:
             try:
-                Fn, gn, Hn = grad_hess_F(P, b + lam * step,
-                                         tol=max(1e-14, 0.01 * tol))
+                Fn, gn, Hn = grad_hess_F(P, b + lam * step)
             except DivergentWeight:
                 lam *= 0.5
                 continue

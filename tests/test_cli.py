@@ -300,21 +300,33 @@ def test_nonconvex_potential_is_validation_error(interval_file, tmp_path, capsys
 
 
 def test_library_runtime_error_is_convergence_error(tmp_path, half_line_file, capfd):
-    # b nearly orthogonal to the ray (0, 1) of the quadrant: the tail of
-    # e^{-<b,x>} never drops below tolerance as the truncation grows. On the
-    # half-line b = 1e-300 makes the tail bound overflow, and the solve's
-    # grid ends at 1.2e301, where collocation stalls. capfd also sees what
-    # LAPACK writes to the process's own streams.
-    path = tmp_path / "quadrant.json"
-    save_polyhedron(box([(-2, None), (-2, None)]), path)
-    for argv in (["check-potential", str(path), "--b", "1,1e-30"],
-                 ["check-potential", half_line_file, "--b", "1e-300"],
-                 ["solve", half_line_file, "--b", "1e-300"]):
+    # on the half-line b = 1e-300 puts the solve's grid end at 1.2e301,
+    # where collocation stalls; on the square a ding-scan at b = (-400, 0)
+    # needs e^{800}, past the float range. capfd also sees what LAPACK
+    # writes to the process's own streams.
+    square = tmp_path / "square.json"
+    save_polyhedron(box([(-2, 2), (-2, 2)]), square)
+    solved = tmp_path / "square.solve.json"
+    assert main(["solve", str(square), "--grid", "8", "--out", str(solved)]) == 0
+    capfd.readouterr()
+    for argv in (["solve", half_line_file, "--b", "1e-300"],
+                 ["ding-scan", str(square), "--potential", str(solved), "--b=-400,0"]):
         assert main(argv) == 3, argv
         out, err = capfd.readouterr()
         assert out == "", argv
         assert err.startswith("error: convergence:"), argv
         assert err.count("\n") == 1, argv
+
+
+def test_steep_weight_on_a_bounded_polyhedron_is_integrable(tmp_path, capfd):
+    # every weight is integrable on a bounded polyhedron: e^{400 x} on the
+    # square overflows a float, but not the verdict
+    square = tmp_path / "square.json"
+    save_polyhedron(box([(-2, 2), (-2, 2)]), square)
+    assert main(["check-potential", str(square), "--b=-400,0"]) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert "integrable: True" in out
 
 
 def test_verdicts_are_json_booleans(interval_file, tmp_path):

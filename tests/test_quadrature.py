@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gamma, gammaincc
 
 from toricshrink.polyhedra import (
-    _skeleton, box, from_halfspaces, half_line, interval, vertices,
+    _skeleton, box, from_halfspaces, half_line, vertices,
 )
 from toricshrink.quadrature import (
     DivergentWeight,
@@ -21,7 +21,6 @@ from toricshrink.quadrature import (
     gauss_integral_simplex,
     gauss_simplex_rule,
     stable_sum,
-    simplex_moments,
     plan,
     _clip,
     _dd_exp_batch,
@@ -31,9 +30,34 @@ from toricshrink.quadrature import (
     _ring,
     _series_terms,
     _shifted_series,
+    _tail_bounds,
     _upper_gamma,
+    _weight_skeleton,
 )
+from toricshrink import ding
 from toricshrink.shrinker import _initial_weight, find_soliton_vector
+
+
+def simplex_moments(S, b):
+    """Integrals of e^{-<b,x>}, x e^{-<b,x>} and x x^T e^{-<b,x>} over S.
+
+    The scalar reference for QuadraturePlan.moments. With nodes t = -V b at
+    the vertex rows V, the three are n! vol times exp[t], V^T e_1 and
+    V^T E_2 V, where (e_1)_i = exp[t, t_i] and (E_2)_il = (1 + delta_il)
+    exp[t, t_i, t_l]: appending a copy of node i differentiates with respect
+    to t_i, which inserts a factor lambda_i in the barycentric integral
+    representation.
+    """
+    V = np.array(S.points)
+    t = list(-(V @ np.asarray(b, dtype=float)))
+    k = len(t)
+    e1 = np.array([divided_difference_exp(t + [t[i]]) for i in range(k)])
+    E2 = np.empty((k, k))
+    for i in range(k):
+        for l in range(i, k):
+            E2[i, l] = E2[l, i] = (1 + (i == l)) * divided_difference_exp(t + [t[i], t[l]])
+    scale = math.factorial(S.dim) * S.volume
+    return scale * divided_difference_exp(t), scale * (V.T @ e1), scale * (V.T @ E2 @ V)
 
 
 def random_simplex(rng, n):
@@ -292,7 +316,7 @@ def test_translation_covariance():
 def test_bounded_plan_square():
     P = box([(-2, 2), (-2, 2)])
     pl = plan(P, [0.0, 0.0])
-    assert pl.tail_bound == 0.0 and pl.truncation is None
+    assert pl.cones == ()
     assert pl.exp_integral() == pytest.approx(16.0, rel=1e-12)
     b = [1.0, 2.0]
     val = plan(P, b).exp_integral()
@@ -303,47 +327,86 @@ def test_bounded_plan_square():
 
 def test_half_line_plan_matches_analytic():
     P = half_line(-2)
-    pl = plan(P, [0.5], tol=1e-12)
-    assert pl.truncation is not None and pl.tail_bound <= 1e-12
-    assert pl.exp_integral() == pytest.approx(2.0 * math.e, rel=1e-10)
+    pl = plan(P, [0.5])
+    assert pl.simplices == () and pl.cones == ((((-2.0,),), ((1.0,),)),)
+    assert pl.exp_integral() == pytest.approx(2.0 * math.e, rel=1e-15)
     # first moment vanishes exactly at b = 1/2: the soliton normalization
     _, m1, m2 = pl.moments()
-    assert m1[0] == pytest.approx(0.0, abs=1e-9)
-    assert m2[0, 0] == pytest.approx(8.0 * math.e, rel=1e-9)
+    assert m1[0] == pytest.approx(0.0, abs=1e-15)
+    assert m2[0, 0] == pytest.approx(8.0 * math.e, rel=1e-15)
 
 
 def test_quadrant_plan_is_product():
     P = box([(-2, None), (-2, None)])
-    pl = plan(P, [0.5, 0.5], tol=1e-10)
-    assert pl.exp_integral() == pytest.approx((2.0 * math.e) ** 2, rel=1e-8)
+    pl = plan(P, [0.5, 0.5])
+    assert pl.exp_integral() == pytest.approx((2.0 * math.e) ** 2, rel=1e-15)
+
+
+def _cut_tail_bounds(P, b, T):
+    b = np.asarray(b, dtype=float)
+    verts, rays = _weight_skeleton(P, b)
+    return _tail_bounds(b, rays, verts)(T)
 
 
 def test_tail_bound_is_honest():
+    # on the half-line at b = 1/2: F = 2e, m1 = 0 and m2 = 8e exactly; each
+    # moment that a cut at T drops is within its bound on int |x|^d e^{-x/2}
     P = half_line(-2)
-    for tol in (1e-6, 1e-9):
-        pl = plan(P, [0.5], tol=tol)
-        err = abs(pl.exp_integral() - 2.0 * math.e)
-        assert err <= pl.tail_bound + 1e-11
-        assert pl.tail_bound <= tol
+    for T in (4.0, 6.0, 12.0, 20.0):
+        F, m1, m2 = plan(P, [0.5], truncation=T).moments()
+        bounds = _cut_tail_bounds(P, [0.5], T)
+        errors = (abs(F - 2.0 * math.e), abs(m1[0]), abs(m2[0, 0] - 8.0 * math.e))
+        for err, bound in zip(errors, bounds):
+            assert err <= bound + 1e-11
+    assert sum(_cut_tail_bounds(P, [0.5], 40.0)) <= 1e-6
 
 
 def test_fixed_truncation():
     P = half_line(-2)
     pl = plan(P, [0.5], truncation=12.0)
-    assert pl.truncation == 12.0
+    assert pl.cones == () and max(x for (x,) in pl.ring) == 24.0
     err = abs(pl.exp_integral() - 2.0 * math.e)
-    assert err <= pl.tail_bound + 1e-11
+    assert err <= sum(_cut_tail_bounds(P, [0.5], 12.0)) + 1e-11
     with pytest.raises(ValueError, match="truncation"):
         plan(P, [0.5], truncation=-2.0)
+
+
+def test_exact_plans_match_closed_forms():
+    # F = e^{-<b,v>} / prod <b,r> on a cone v + cone(r_1, ..., r_n) with
+    # |det r| = 1: both half-lines, the quadrant and the wedge, whose rays
+    # (0, 1) and (1, -1) pair with b to b_2 and b_1 - b_2
+    for sign in (1, -1):
+        P = from_halfspaces(1, [((sign,), 1, 2)])
+        for b in (0.5, 3.0, 1e-3):
+            exact = math.exp(2 * b) / b
+            assert plan(P, [sign * b]).exp_integral() == pytest.approx(exact, rel=1e-15)
+    Q = box([(-2, None), (-2, None)])
+    for b1, b2 in ((0.5, 0.5), (3.0, 0.1), (1.0, 1e-30)):
+        exact = math.exp(2 * b1 + 2 * b2) / (b1 * b2)
+        assert plan(Q, [b1, b2]).exp_integral() == pytest.approx(exact, rel=2e-16)
+    W = from_halfspaces(2, [((1, 0), 1, 2), ((1, 1), 1, 2)])
+    for b1, b2 in ((1.0, 0.4), (0.75, 0.5), (5.0, 0.02)):
+        exact = math.exp(2 * b1) / ((b1 - b2) * b2)
+        assert plan(W, [b1, b2]).exp_integral() == pytest.approx(exact, rel=1e-15)
+
+
+def test_integrals_past_the_float_range_raise():
+    # F = e^{2b} / b is 1e300 at b = 1e-300, but the second moment 2 F / b^2
+    # is not a float; at b = 1e-310 neither is F
+    pl = plan(half_line(-2), [1e-300])
+    assert pl.exp_integral() == pytest.approx(1e300, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            pl.moments()
+        with pytest.raises(OverflowError):
+            plan(half_line(-2), [1e-310]).exp_integral()
 
 
 def test_wedge_plan_with_oblique_rays():
     # {x >= -2, x + y >= -2}: the recession rays (0, 1) and (1, -1) are not
     # orthogonal; u = x + 2, v = x + y + 2 make the integral a product
     P = from_halfspaces(2, [((1, 0), 1, 2), ((1, 1), 1, 2)])
-    for b1, b2 in ((1.0, 0.4), (0.75, 0.5)):
-        exact = math.exp(2 * b1) / ((b1 - b2) * b2)
-        assert plan(P, [b1, b2]).exp_integral() == pytest.approx(exact, rel=1e-12)
     # cut at <b,x> = 6: the triangle (-2, 0), (-2, 16), (14, -16)
     pl = plan(P, [1.0, 0.5], truncation=6)
     assert stable_sum(S.volume for S in pl.simplices) == pytest.approx(128.0, rel=1e-14)
@@ -449,17 +512,22 @@ SOLITON_FAMILY = (
 )
 
 
-@pytest.mark.parametrize("name, spec, iterations", SOLITON_FAMILY)
-def test_plan_kernel_matches_per_simplex_sums(name, spec, iterations):
+def _weights(P):
     # b = 0 puts every node at 0 (every window narrow) where P is bounded;
-    # unbounded P starts Newton from _initial_weight instead. The moment of
-    # degree q is compared relative to R^q F, R the largest |x| on the plan,
-    # which bounds it: m1 cancels to ~0 at the soliton vector.
-    P = from_halfspaces(*spec)
+    # unbounded P starts Newton from _initial_weight instead
     sol = np.array(find_soliton_vector(P).b)
     start = np.zeros(P.dim) if P.is_bounded() else _initial_weight(P)
-    for b in (start, sol, sol + np.linspace(0.2, -0.1, P.dim)):
-        pl = plan(P, b, tol=1e-12)
+    return start, sol, sol + np.linspace(0.2, -0.1, P.dim)
+
+
+@pytest.mark.parametrize("name, spec, iterations", SOLITON_FAMILY)
+def test_plan_kernel_matches_per_simplex_sums(name, spec, iterations):
+    # unbounded P is cut at <b,x> = 40, which makes wide simplices. The
+    # moment of degree q is compared relative to R^q F, R the largest |x| on
+    # the plan, which bounds it: m1 cancels to ~0 at the soliton vector.
+    P = from_halfspaces(*spec)
+    for b in _weights(P):
+        pl = plan(P, b, truncation=None if P.is_bounded() else 40.0)
         parts = [simplex_moments(S, b) for S in pl.simplices]
         got = pl.moments()
         R = float(np.max(np.linalg.norm(np.array(pl.ring), axis=1)))
@@ -470,18 +538,40 @@ def test_plan_kernel_matches_per_simplex_sums(name, spec, iterations):
         assert abs(pl.exp_integral() - stable_sum(F)) <= 1e-14 * stable_sum(F)
 
 
+@pytest.mark.parametrize("P", [from_halfspaces(*spec) for _, spec, _ in SOLITON_FAMILY] + [
+    from_halfspaces(2, [((1, 0), 1, 2), ((1, 1), 1, 2)]),
+    half_line(-2),
+    from_halfspaces(1, [((-1,), 1, 2)]),
+    from_halfspaces(2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((2, 1), 1, 5), ((1, 2), 1, 5)]),
+], ids=[name for name, _, _ in SOLITON_FAMILY]
+    + ["wedge", "half_line", "half_line_flipped", "quadrant_cut_twice"])
+def test_exact_plan_matches_a_cut_at_eighty(P):
+    # the tail beyond <b,x> = 80 is below e^{-70} relative at these weights.
+    # The quadrant cut twice has a fan, a half-strip and a corner.
+    # By Cauchy-Schwarz |m1_i| <= sqrt(F m2_ii) and |m2_il| <= sqrt(m2_ii m2_ll),
+    # so each moment is compared relative to its bound: m1 cancels at the
+    # soliton vector. Bounded P has no cut, and both plans are the same.
+    for b in _weights(P):
+        exact = plan(P, b).moments()
+        cut = plan(P, b, truncation=80.0).moments()
+        F, _, m2 = exact
+        d = np.sqrt(np.diag(m2))
+        for q, scale in enumerate((F, np.sqrt(F) * d, np.outer(d, d))):
+            assert np.all(np.abs(exact[q] - cut[q]) <= 1e-14 * scale)
+
+
 def test_masked_lanes_raise_no_warnings():
     # wide spans put most windows on the recurrence and pad every short row;
-    # no masked lane may overflow, divide by zero or form 0/0
+    # no masked lane may overflow, divide by zero or form 0/0. The nodes are
+    # those of a quadrant plan cut at <b,x> = 100
     Q = from_halfspaces(2, [((1, 0), 1, 2), ((0, 1), 1, 2)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for b in ([1.0, 1.0], [0.05, 1.0], [3.0, 0.1]):
-            pl = plan(Q, b, tol=1e-14)
+            pl = plan(Q, b, truncation=100.0)
             t = -(np.array([S.points for S in pl.simplices]) @ np.array(b))
             assert np.ptp(t) > 80
-            F, m1, m2 = pl.moments()
-            assert np.isfinite(F) and np.all(np.isfinite(m1)) and np.all(np.isfinite(m2))
+            assert np.all(np.isfinite(_dd_exp_batch(t, _moment_multisets(3))))
         rng = np.random.default_rng(4)
         for centre in (700.0, -700.0):
             t = centre + rng.uniform(-3, 3, size=(6, 3))
@@ -514,8 +604,9 @@ def _reference_tail_bounds(b, rays, verts, T):
 
 
 def _reference_ladder(P, b, tol):
-    # plan's truncation search with every constant of the tail bound
-    # recomputed on every rung: T must come out bit-for-bit the same
+    # the Ding truncation search for a canonical potential, with every
+    # constant of the tail bound recomputed on every rung: T must come out
+    # bit-for-bit the same
     sk = _skeleton(P)
     verts = np.array([[float(x) for x in p] for p, _ in sk.vertices])
     rays = np.array([r for r, _ in sk.rays], dtype=float)
@@ -538,12 +629,20 @@ def _reference_ladder(P, b, tol):
     (from_halfspaces(2, [((1, 0), 1, 2), ((1, 1), 1, 2)]),
      ([1.0, 0.4], [0.75, 0.5], [5.0, 0.02])),
 ], ids=["half_line", "half_strip", "quadrant", "oblique_wedge"])
-def test_truncation_ladder_is_bitwise_unchanged(P, weights):
+def test_truncation_ladder_is_bitwise_unchanged(P, weights, monkeypatch):
+    levels = []
+
+    def recording_plan(P, b, truncation=None):
+        levels.append(truncation)
+        return plan(P, b, truncation)
+
+    monkeypatch.setattr(ding, "build_plan", recording_plan)
     for b in weights:
         b = np.array(b)
         for tol in (1e-8, 1e-10, 1e-14):
-            pl = plan(P, b, tol=tol)
-            assert (pl.truncation, pl.tail_bounds) == _reference_ladder(P, b, tol)
+            _, tail = ding._fitted_plan(P, b, None, tol, RuntimeError)
+            T, bounds = _reference_ladder(P, b, tol)
+            assert (levels.pop(), tail) == (T, float(sum(bounds)))
 
 
 @pytest.mark.parametrize("name, spec, iterations", SOLITON_FAMILY)
@@ -558,9 +657,9 @@ def test_plan_rejects_dimension_three():
 
 def test_plan_deterministic():
     P = box([(-2, None), (-2, 2)])
-    p1 = plan(P, [0.7, 0.1], tol=1e-9)
-    p2 = plan(P, [0.7, 0.1], tol=1e-9)
-    assert p1.simplices == p2.simplices
+    p1 = plan(P, [0.7, 0.1])
+    p2 = plan(P, [0.7, 0.1])
+    assert p1.simplices == p2.simplices and p1.cones == p2.cones
     assert p1.exp_integral() == p2.exp_integral()
 
 
@@ -583,7 +682,7 @@ def _duffy_rule(S, order):
         jac = rem.copy()
         rem = rem * (1.0 - U[:, i])
         W *= jac
-    V = S.array()
+    V = np.array(S.points)
     X = V[0] + lam @ (V[1:] - V[0])
     W = W * math.factorial(n) * S.volume
     return X, W
@@ -615,13 +714,6 @@ def test_gauss_rule_returns_fresh_arrays():
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[0] = 0.0
-
-
-def test_gauss_agrees_with_closed_form_on_plan():
-    P = interval(-2, 2)
-    pl = plan(P, [0.8])
-    via_gauss = pl.integrate(lambda X: np.ones(len(X)))
-    assert via_gauss == pytest.approx(pl.exp_integral(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

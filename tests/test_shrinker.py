@@ -72,16 +72,16 @@ def test_grad_hess_match_finite_differences():
     assert len(cases) >= 10
     h = 1e-5
     for P, b in cases:
-        F, g, H = grad_hess_F(P, b, tol=1e-13)
+        F, g, H = grad_hess_F(P, b)
         n = P.dim
         for j in range(n):
             e = np.zeros(n)
             e[j] = h
-            gfd = (weighted_volume(P, b + e, tol=1e-13)
-                   - weighted_volume(P, b - e, tol=1e-13)) / (2 * h)
+            gfd = (weighted_volume(P, b + e)
+                   - weighted_volume(P, b - e)) / (2 * h)
             assert g[j] == pytest.approx(gfd, rel=1e-6, abs=1e-8)
-            _, gp, _ = grad_hess_F(P, b + e, tol=1e-13)
-            _, gm, _ = grad_hess_F(P, b - e, tol=1e-13)
+            _, gp, _ = grad_hess_F(P, b + e)
+            _, gm, _ = grad_hess_F(P, b - e)
             hfd = (gp - gm) / (2 * h)
             assert np.allclose(H[j], hfd, rtol=1e-5, atol=1e-7)
 
@@ -94,7 +94,7 @@ def test_hessian_positive_definite_at_random_weights():
             b = rng.uniform(-0.8, 0.8, size=P.dim)
             if not P.is_bounded():
                 b = np.abs(b) + 0.3
-            _, _, H = grad_hess_F(P, b, tol=1e-12)
+            _, _, H = grad_hess_F(P, b)
             np.linalg.cholesky(H)
             count += 1
     assert count >= 20
