@@ -15,11 +15,20 @@ to potentials modulo affine functions. Along linear interpolations of
 symplectic potentials D is convex; the scan here samples it.
 
 d1, ding and convexity_scan take canonical or corrected potentials u_P + s
-and share one quadrature: both integrals are taken at Gauss nodes fixed
-once, inside the correction grid, and the scan evaluates it at blends of the
-endpoint node values. The d1 integrand is e^{-R_0}, where R_0 is the soliton
-residual at b = 0, which shrinker evaluates boundary-stably. The numerics
-cover dimensions 1 and 2.
+and share one quadrature, fixed once inside the correction grid, with one
+array per integral:
+  - d1 on one node set stacked over all refined simplices, where one jet of
+    the correction gives the integrand e^{-R_0}, R_0 the soliton residual at
+    b = 0, which shrinker evaluates boundary-stably;
+  - the correction's potential integral as <C, M>: it is linear in the
+    correction's Chebyshev coefficients C, and M is a moment tensor of the
+    weight, built once;
+  - the canonical potential integral as one 1D rule per facet, in the level
+    of the facet's L_k, on whose slices the weight integrates in closed form.
+The weight is taken as e^{-<b_X,x>-c}, peaking at 1 on the region; e^{-c}
+cancels in D. The scan evaluates the quadrature at blends of the endpoint
+node values and of the endpoint pairings. The numerics cover dimensions 1
+and 2.
 """
 
 from __future__ import annotations
@@ -32,9 +41,8 @@ import numpy as np
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
     correction_of
-from .quadrature import Simplex, _clip, _fan, _tail_bounds, _unbounded_edges, \
-    _weight_skeleton, gauss_integral_simplex, gauss_simplex_rule, plan as build_plan, \
-    stable_sum
+from .quadrature import _dd_exp_batch, _reference_rule, _tail_bounds, \
+    _unbounded_edges, _weight_skeleton, gauss_rules, plan as build_plan, stable_sum
 from .shrinker import _correction_arrays, _residual_core, find_soliton_vector
 
 
@@ -59,7 +67,7 @@ class DingValue:
 # regions
 
 _ORDER = 25            # Gauss order on the refined simplices of both integrals
-_CANONICAL_ORDER = 20  # Gauss order on the slabs of the canonical potential integral
+_CANONICAL_ORDER = 20  # Gauss-Legendre order on the l-pieces of the canonical term
 
 
 def _beta(P: LabeledPolyhedron) -> np.ndarray:
@@ -103,78 +111,134 @@ def _fitted_plan(P, w, correction, tol, exc):
 
 
 def _refined(simplices, weight):
-    """Halve simplices at their longest edge until edges resolve e^{-<weight,x>}."""
+    """Halve simplices at their longest edge until edges resolve e^{-<weight,x>}.
+
+    Returns the vertex stack (S, n+1, n) and the volumes: a half has half
+    its parent's volume. Each round halves every simplex whose first longest
+    edge (i, j), i < j in row-major order, is longer than 3/|weight|, at that
+    edge's midpoint, until 4096 pieces exist.
+    """
+    V = np.array([S.points for S in simplices])
+    vol = np.array([S.volume for S in simplices])
     nw = float(np.linalg.norm(np.asarray(weight, dtype=float)))
     if nw == 0.0:
-        return list(simplices)
+        return V, vol
     target2 = (3.0 / nw) ** 2
-    out = []
-    stack = list(simplices)
-    while stack:
-        S = stack.pop()
-        pts = np.asarray(S.points, dtype=float)
-        # the first longest edge (i, j), i < j, in row-major order
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        i, j = np.unravel_index(np.argmax(d2), d2.shape)
-        if d2[i, j] <= target2 or len(out) + len(stack) >= 4096:  # pieces cap
-            out.append(S)
-            continue
-        for k in (i, j):
-            half = pts.copy()
-            half[k] = 0.5 * (pts[i] + pts[j])
-            stack.append(Simplex(tuple(map(tuple, half))))
-    return out
+    k = V.shape[1]
+    done_V, done_vol = [], []
+    while len(V):
+        d2 = np.sum((V[:, :, None] - V[:, None, :]) ** 2, axis=-1).reshape(len(V), -1)
+        e = np.argmax(d2, axis=1)
+        split = np.flatnonzero(d2[np.arange(len(V)), e] > target2)
+        split = split[:max(0, 4096 - sum(map(len, done_V)) - len(V))]  # pieces cap
+        keep = np.ones(len(V), dtype=bool)
+        keep[split] = False
+        done_V.append(V[keep])
+        done_vol.append(vol[keep])
+        rows = np.arange(len(split))
+        i, j = np.unravel_index(e[split], (k, k))
+        halves = np.stack([V[split], V[split]])
+        halves[0, rows, i] = halves[1, rows, j] = 0.5 * (V[split, i] + V[split, j])
+        V, vol = halves.reshape(-1, *V.shape[1:]), np.tile(0.5 * vol[split], 2)
+    return np.concatenate(done_V), np.concatenate(done_vol)
+
+
+def _mass(pl, b, c) -> float:
+    """The plan's integral of e^{-<b,x>-c}: exp_integral with every node shifted by -c."""
+    terms = [scale * _dd_exp_batch(-(V[:, :m] @ b) - c, np.arange(m)[None, :])[:, 0]
+             for V, m, _, scale in pl._pieces()]
+    return stable_sum(np.concatenate(terms))
 
 
 # ---------------------------------------------------------------------------
 # the canonical part of the potential integral
 
-def _canonical_linear(P: LabeledPolyhedron, b, pl) -> float:
-    """int_P u_P e^{-<b,x>} dx over the plan region.
+def _crossings(p0, p1, f0, f1, ell):
+    """Where the level sets f = l cross the edges (p0, p1) of a ring, f affine.
 
-    Each facet term L_k log L_k is integrated over geometric slabs
-    2^{-m-1} R < L_k <= 2^{-m} R where it is smooth, so plain Gauss rules
-    converge; each slab is the plan ring clipped twice. The leftover sliver
-    at L_k <= 1e-8 R is below rounding.
+    An edge counts when f0 <= l < f1 or f1 <= l < f0, so a convex ring has
+    two crossings (one on a line) at every l from its lowest corner level up
+    to, but not including, its highest. Returns the mask (K, E) and the
+    crossing points (K, E, n) of all K levels and E edges.
     """
-    b = np.asarray(b, dtype=float)
-    ring = np.array(pl.ring)
-    pieces = []
+    mask = (np.minimum(f0, f1) <= ell[:, None]) & (ell[:, None] < np.maximum(f0, f1))
+    s = (ell[:, None] - f0) / np.where(f1 == f0, 1.0, f1 - f0)
+    return mask, p0 + s[..., None] * (p1 - p0)
+
+
+def _canonical_linear(P: LabeledPolyhedron, b, ring, c) -> float:
+    """int over the ring of u_P e^{-<b,x>-c} dx, one 1D rule in l = L_k per facet.
+
+    The ring's slice at L_k = l is a point in 1D and a segment in 2D, along
+    which e^{-<b,x>-c} integrates in closed form: length times exp[t_a, t_c],
+    t = -<b,x> - c at its ends (exp[t_a] at a point), and dx = dl ds / |w_k|.
+    Gauss-Legendre pieces in l run between the corner levels, graded by 1/2
+    toward l = 0, where l log l is singular, down to 1e-8 R (R the largest
+    L_k on the ring; the sliver below is dropped), and are split
+    until t at the slice ends moves by at most 3 across a piece: _refined's
+    3/|w| edge rule carried into l.
+    """
+    n = P.dim
+    lam, g = _reference_rule(1, _CANONICAL_ORDER)  # Gauss-Legendre on [0, 1]
+    p0, p1 = (ring[:1], ring[1:]) if n == 1 else (ring, np.roll(ring, -1, axis=0))
+    rise = np.abs((p1 - p0) @ b)
+    terms = []
     for wk, ak in zip(P.scaled_normal_matrix(), P.offsets_array()):
-
-        def term(X, wk=wk, ak=ak):
-            L = X @ wk + ak
-            return 0.5 * L * np.log(L) * np.exp(-(X @ b))
-
-        R = float(np.max(ring @ wk + ak))
-        hi = R
+        levels = ring @ wk + ak
+        f0, f1 = p0 @ wk + ak, p1 @ wk + ak
+        slope = rise / np.where(f0 == f1, np.inf, np.abs(f1 - f0))  # |dt/dl| on each edge
+        R = float(np.max(levels))
         floor = 1e-8 * R
-        while hi > floor:
-            lo = max(0.5 * hi, floor)
-            slab = _clip(_clip(ring, wk, ak - lo), -wk, hi - ak)
-            for S in _fan(slab):
-                pieces.append(gauss_integral_simplex(S, term, order=_CANONICAL_ORDER))
-            hi = lo if lo > floor else 0.0
-    return stable_sum(pieces)
+        grading = R * 0.5 ** np.arange(27)  # R 2^-m, m <= 26: the levels above the floor
+        cuts = np.unique(np.concatenate([levels, grading, [floor]]))
+        cuts = cuts[(cuts >= max(float(np.min(levels)), floor)) & (cuts <= R)]
+        lo, width = cuts[:-1], np.diff(cuts)
+        active, _ = _crossings(p0, p1, f0, f1, lo + 0.5 * width)
+        steep = np.max(np.where(active, slope, 0.0), axis=1)
+        count = np.maximum(1, np.ceil(width * steep / 3.0)).astype(int)
+        piece = np.repeat(np.arange(len(lo)), count)
+        h = (width / count)[piece]
+        rank = np.arange(len(piece)) - np.repeat(np.cumsum(count) - count, count)
+        ell = ((lo[piece] + rank * h)[:, None] + h[:, None] * lam[:, 0]).ravel()
+        weight = (h[:, None] * g).ravel()
+        mask, pts = _crossings(p0, p1, f0, f1, ell)
+        if n == 1:
+            ends, length = pts, 1.0
+        else:
+            # the extreme crossings along the level line
+            along = pts @ np.array([-wk[1], wk[0]])
+            rows = np.arange(len(ell))
+            ends = np.stack([pts[rows, np.argmin(np.where(mask, along, np.inf), axis=1)],
+                             pts[rows, np.argmax(np.where(mask, along, -np.inf), axis=1)]],
+                            axis=1)
+            length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+        slices = length * _dd_exp_batch(-(ends @ b) - c, np.arange(n)[None, :])[:, 0]
+        terms.append(weight * 0.5 * ell * np.log(ell) * slices / np.linalg.norm(wk))
+    return stable_sum(np.concatenate(terms))
 
 
 # ---------------------------------------------------------------------------
 # one quadrature for d1, ding and the scan
 
 class _DingQuadrature:
-    """Gauss nodes and weights of both Ding integrals, fixed once.
+    """Both Ding integrals as three arrays, fixed once.
 
-    The dual volume uses the e^{-<beta,x>} plan; its integrand
-    e^{v - <grad v, x>} det(Hess v) is e^{-R_0}, with R_0 the soliton residual
-    at b = 0, evaluated boundary-stably by shrinker. The potential integral,
-    when b_X is given, uses the e^{-<b_X,x>} plan with that weight folded
-    into the Gauss weights and its canonical part computed once. On unbounded
-    P both plans are cut inside the grid of the correction, so every
-    correction on that grid is evaluated at the same nodes. Each refined
-    simplex gets the one cached order-25 reference rule mapped onto it. A
-    correction is sampled through its jet at the d1 nodes and its value at
-    the potential-integral nodes: one Vandermonde matrix per axis and node
-    set.
+    d1 is one Gauss rule (X, W) stacked over the refined simplices of the
+    e^{-<beta,x>} plan, q nodes each: a correction is sampled by one jet
+    there, and the integrand e^{-R_0}, R_0 the soliton residual at b = 0
+    evaluated boundary-stably by shrinker, by one residual call; each
+    simplex's q terms are summed, then the simplex sums fsum'd.
+
+    When b_X is given, the potential integral is taken against
+    e^{-<b_X,x>-c}, c the largest -<b_X,x> on the plan's ring: the factor
+    e^{-c} cancels against F, taken with the same weight, and keeps both in
+    the float range. Its canonical part is one 1D rule per facet
+    (_canonical_linear); its correction part is linear in the correction's
+    Chebyshev coefficients C, so it is <C, M> with M the moment tensor of the
+    order-25 rules on the refined simplices of the e^{-<b_X,x>} plan, built
+    one simplex at a time. On unbounded P both plans are cut inside the grid
+    of the correction, so every correction on that grid shares the nodes
+    and M.
     """
 
     def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None):
@@ -182,44 +246,50 @@ class _DingQuadrature:
             raise DivergentD1("a facet offset <= 0 makes the dual volume diverge")
         self.P = P
         self.tol = tol
-        self.linear_rules = None
+        self.b = None
+        self.moments = None
         if b_X is not None:
-            b = np.asarray(b_X, dtype=float)
-            pl, _ = _fitted_plan(P, b, grid, tol, NotInE)
-            self.F = pl.exp_integral()
-            self.canonical = _canonical_linear(P, b, pl)
-            rules = (gauss_simplex_rule(S, _ORDER) for S in _refined(pl.simplices, b))
-            self.linear_rules = [(X, Wq * np.exp(-(X @ b))) for X, Wq in rules]
+            self.b = np.asarray(b_X, dtype=float)
+            pl, _ = _fitted_plan(P, self.b, grid, tol, NotInE)
+            ring = np.array(pl.ring)
+            self.shift = float(np.max(-(ring @ self.b)))
+            self.F = _mass(pl, self.b, self.shift)
+            self.canonical = _canonical_linear(P, self.b, ring, self.shift)
+            self.linear_simplices = _refined(pl.simplices, self.b)
+            if grid is not None:
+                self.moments = sum(grid.moments(X, W) for X, W in self.linear_rules())
         beta = _beta(P)
         self.plan, self.tail = _fitted_plan(P, beta, grid, tol, DivergentD1)
-        self.dual_rules = [gauss_simplex_rule(S, _ORDER)
-                           for S in _refined(self.plan.simplices, beta)]
+        self.X, self.W = gauss_rules(*_refined(self.plan.simplices, beta), _ORDER)
+        self.q = _ORDER ** P.dim
+
+    def linear_rules(self):
+        """The potential integral's rules, one refined simplex at a time.
+
+        Each is (X, W) with the weight e^{-<b_X,x>-c} folded into W.
+        """
+        V, vol = self.linear_simplices
+        for s in range(len(V)):
+            X, W = gauss_rules(V[s:s + 1], vol[s:s + 1], _ORDER)
+            yield X, W * np.exp(-(X @ self.b) - self.shift)
 
     def sample(self, correction):
-        """Correction arrays at the d1 nodes and values at the linear nodes."""
-        dual = [_correction_arrays(correction, X, self.P.dim) for X, _ in self.dual_rules]
-        if self.linear_rules is None:
+        """A correction's jet at the d1 nodes and its potential integral <C, M>."""
+        dual = _correction_arrays(correction, self.X, self.P.dim)
+        if self.b is None:
             return dual, None
-        values = [np.zeros(len(X)) if correction is None
-                  else np.asarray(correction.value(X), dtype=float)
-                  for X, _ in self.linear_rules]
-        return dual, values
+        return dual, 0.0 if correction is None else correction.pair(self.moments)
 
     def evaluate(self, samples, t=0.0):
         """d1, or the DingValue at t when b_X was given, of sampled corrections."""
-        dual_s, values = samples
+        dual_s, lin = samples
         linear = None
-        if values is not None:
-            linear = (self.canonical + stable_sum(
-                float(np.dot(wexp, s)) for (_, wexp), s in zip(self.linear_rules, values)
-            )) / self.F
+        if lin is not None:
+            linear = (self.canonical + lin) / self.F
             if not math.isfinite(linear):
                 raise NotInE("potential integral against the soliton weight is not finite")
-        origin = np.zeros(self.P.dim)
-        dual = stable_sum(
-            float(np.dot(Wq, np.exp(-_residual_core(self.P, origin, X, *s))))
-            for (X, Wq), s in zip(self.dual_rules, dual_s)
-        )
+        R0 = _residual_core(self.P, np.zeros(self.P.dim), self.X, *dual_s)
+        dual = stable_sum(np.sum((self.W * np.exp(-R0)).reshape(-1, self.q), axis=1))
         if not (math.isfinite(dual) and dual > 0.0):
             raise DivergentD1(f"dual volume evaluated to {dual} at t = {t}")
         if self.tail / dual > self.tol:
@@ -346,10 +416,8 @@ def convexity_scan(v0, v1, P: LabeledPolyhedron, b_X=None, num_t: int = 9,
     (dual0, lin0), (dual1, lin1) = q.sample(c0), q.sample(c1)
     out = []
     for t in np.linspace(0.0, 1.0, num_t):
-        dual = [tuple((1.0 - t) * a + t * b for a, b in zip(e0, e1))
-                for e0, e1 in zip(dual0, dual1)]
-        lin = [(1.0 - t) * s0 + t * s1 for s0, s1 in zip(lin0, lin1)]
-        out.append(q.evaluate((dual, lin), t))
+        dual = tuple((1.0 - t) * a + t * b for a, b in zip(dual0, dual1))
+        out.append(q.evaluate((dual, (1.0 - t) * lin0 + t * lin1), t))
     return out
 
 

@@ -122,7 +122,9 @@ class GridCorrection:
     then the first partials, then the second partials (i, j), i <= j, each
     scaled to x and zero-padded to the shape of the value grid. value,
     gradient, hessian and jet all evaluate a prefix of that stack from one
-    Vandermonde matrix per axis. Dimensions 1 and 2.
+    Vandermonde matrix per axis. A weighted sum of s over a rule is linear
+    in the coefficients: moments gives the rule's tensor M once, and pair
+    the sum <coefficients, M> for each s on the grid. Dimensions 1 and 2.
     """
 
     def __init__(self, axes, values):
@@ -176,15 +178,38 @@ class GridCorrection:
             stack[(k,) + tuple(slice(0, m) for m in c.shape)] = c
         return stack[..., None] if n == 1 else stack
 
+    def _vander(self, X):
+        """One Chebyshev Vandermonde matrix per axis at the points X (m, n)."""
+        T = self._map(X)
+        return [C.chebvander(T[:, d], k - 1) for d, k in enumerate(self._coef.shape)]
+
     def _partials(self, x, count):
         """The first count entries of the stack at the points x, shape (count, m)."""
         X, single = _as_batch(x, self.dim)
-        T = self._map(X)
-        V = [C.chebvander(T[:, d], m - 1) for d, m in enumerate(self._coef.shape)]
-        # one matrix product per stacked array, then a row-wise dot
-        rows = V[0] @ self._stack[:count]
-        rows = rows[..., 0] if self.dim == 1 else np.sum(rows * V[1], axis=-1)
+        V = self._vander(X)
+        if self.dim == 1:
+            return (V[0] @ self._stack[:count])[..., 0], single
+        # one matrix product per stacked array, then a row-wise dot in place,
+        # so no (count, m, degree) product is ever held at once
+        rows = np.empty((count, len(X)))
+        for k, c in enumerate(self._stack[:count]):
+            prod = V[0] @ c
+            prod *= V[1]
+            rows[k] = np.sum(prod, axis=-1)
         return rows, single
+
+    def moments(self, X, W):
+        """M with sum_i W_i s(X_i) = <coefficients of s, M> for every s on this grid.
+
+        The rule (X, W) enters only through M, whose shape is the coefficient
+        grid's: a Vandermonde transpose times the weighted Vandermonde.
+        """
+        V = self._vander(X)
+        return V[0].T @ W if self.dim == 1 else V[0].T @ (W[:, None] * V[1])
+
+    def pair(self, M) -> float:
+        """<coefficients of s, M>: the integral of s against the rule behind M."""
+        return float(np.vdot(self._coef, M))
 
     def jet(self, x):
         """(s, grad s, Hess s) at x, from one Vandermonde matrix per axis."""

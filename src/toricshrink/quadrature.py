@@ -6,14 +6,14 @@ skeleton: the fan of its vertices, and on unbounded P the face x cone pieces
 beyond their hull, each from divided differences of exp at its vertex nodes
 in one batched kernel call per group. A plan may instead be cut at a level
 <b,x> <= T; _tail_bounds bounds what the cut drops. Convex regions are kept
-as rings of corners, which half-plane clips cut further.
+as rings of corners and fanned into simplices.
 
 Divided differences of exp on narrow node sets sum a mean-shifted series
 only as far as its own error bound asks (at most 26 terms); wider sets use
 the recurrence. The scalar divided_difference_exp and exp_integral_simplex
 are the reference the batched kernel is tested against.
-Dense Gauss rules on a simplex are one cached reference rule per dimension
-and order, mapped affinely onto the simplex.
+Dense Gauss rules on simplices are one cached reference rule per dimension
+and order, mapped affinely onto a whole stack of simplices at once.
 """
 
 from __future__ import annotations
@@ -280,18 +280,27 @@ def _reference_rule(n: int, order: int):
     return lam, W
 
 
+def gauss_rules(V, volumes, order: int):
+    """Gauss nodes and weights on each simplex V[s] of a stack (S, n+1, n), stacked.
+
+    The reference rule on the unit simplex is mapped affinely onto every
+    simplex of the given volumes at once; rows s q to (s + 1) q - 1 of the
+    returned (S q, n) nodes and (S q,) weights belong to V[s], q = order^n.
+    """
+    V = np.asarray(V, dtype=float)
+    n = V.shape[2]
+    lam, W = _reference_rule(n, order)
+    X = V[:, :1] + lam @ (V[:, 1:] - V[:, :1])
+    W = W * math.factorial(n) * np.asarray(volumes, dtype=float)[:, None]
+    return X.reshape(-1, n), W.ravel()
+
+
 def gauss_simplex_rule(S: Simplex, order: int = 20):
     """Gauss nodes and weights on S: order^n collapsed tensor Gauss-Legendre points.
 
-    The reference rule on the unit simplex is built once per (dimension,
-    order) and mapped affinely onto S; the returned arrays are fresh.
+    The one-simplex case of gauss_rules; the returned arrays are fresh.
     """
-    n = S.dim
-    lam, W = _reference_rule(n, order)
-    V = np.array(S.points)
-    X = V[0] + lam @ (V[1:] - V[0])
-    W = W * math.factorial(n) * S.volume
-    return X, W
+    return gauss_rules(np.array(S.points)[None], [S.volume], order)
 
 
 def gauss_integral_simplex(S: Simplex, f, order: int = 20) -> float:
@@ -312,25 +321,6 @@ def _ring(points) -> np.ndarray:
         return np.array([points.min(axis=0), points.max(axis=0)])
     d = points - points.mean(axis=0)
     return points[np.argsort(np.arctan2(d[:, 1], d[:, 0]))]
-
-
-def _clip(ring, w, c) -> np.ndarray:
-    """The part of a ring where <w,x> + c >= 0, as a ring in the same order.
-
-    An edge gets a crossing when its ends lie strictly on opposite sides,
-    decided by the signs of the values: their product can underflow to -0.0.
-    An interval's ring is its one edge, a polygon's ring is closed.
-    """
-    f = ring @ w + c
-    s = np.sign(f)
-    out = []
-    for i in range(len(ring)):
-        if s[i] >= 0:
-            out.append(ring[i])
-        j = (i + 1) % len(ring)
-        if s[i] * s[j] < 0 and (ring.shape[1] > 1 or i == 0):
-            out.append(ring[i] + f[i] / (f[i] - f[j]) * (ring[j] - ring[i]))
-    return np.array(out).reshape(-1, ring.shape[1])
 
 
 def _fan(ring) -> list[Simplex]:

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_ding import square_canonical_ding
 
 from toricshrink.cli import main
 from toricshrink.polyhedra import (
@@ -299,23 +300,31 @@ def test_nonconvex_potential_is_validation_error(interval_file, tmp_path, capsys
     assert "np." not in err
 
 
-def test_library_runtime_error_is_convergence_error(tmp_path, half_line_file, capfd):
+def test_library_runtime_error_is_convergence_error(half_line_file, capfd):
     # on the half-line b = 1e-300 puts the solve's grid end at 1.2e301,
-    # where collocation stalls; on the square a ding-scan at b = (-400, 0)
-    # needs e^{800}, past the float range. capfd also sees what LAPACK
-    # writes to the process's own streams.
+    # where collocation stalls. capfd also sees what LAPACK writes to the
+    # process's own streams.
+    assert main(["solve", half_line_file, "--b", "1e-300"]) == 3
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error: convergence:")
+    assert err.count("\n") == 1
+
+
+def test_ding_scan_at_a_weight_past_the_float_range(tmp_path, capfd):
+    # at b = (-400, 0) on the square F is about e^800; D is invariant under
+    # rescaling the weight, so the scan takes it as e^{-<b,x>-800}
     square = tmp_path / "square.json"
     save_polyhedron(box([(-2, 2), (-2, 2)]), square)
     solved = tmp_path / "square.solve.json"
+    scan = tmp_path / "scan.json"
     assert main(["solve", str(square), "--grid", "8", "--out", str(solved)]) == 0
     capfd.readouterr()
-    for argv in (["solve", half_line_file, "--b", "1e-300"],
-                 ["ding-scan", str(square), "--potential", str(solved), "--b=-400,0"]):
-        assert main(argv) == 3, argv
-        out, err = capfd.readouterr()
-        assert out == "", argv
-        assert err.startswith("error: convergence:"), argv
-        assert err.count("\n") == 1, argv
+    assert main(["ding-scan", str(square), "--potential", str(solved), "--b=-400,0",
+                 "--out", str(scan)]) == 0
+    assert capfd.readouterr().err == ""
+    first = json.loads(scan.read_text())["scan"][0]
+    assert first["D"] == pytest.approx(square_canonical_ding(-400.0), rel=1e-10)
 
 
 def test_steep_weight_on_a_bounded_polyhedron_is_integrable(tmp_path, capfd):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from toricshrink.ding import (
     DivergentD1,
     Geodesic,
     _DingQuadrature,
+    _refined,
     convexity_scan,
     d1,
     ding,
@@ -22,7 +24,9 @@ from toricshrink.potentials import (
     GridCorrection,
     NotConvexHere,
 )
-from toricshrink.shrinker import find_soliton_vector, solve
+from toricshrink.quadrature import Simplex, gauss_simplex_rule
+from toricshrink.shrinker import _correction_arrays, _residual_core, find_soliton_vector, \
+    solve
 
 TEARDROP = interval(-2, "2/3", 1, 3)
 
@@ -137,8 +141,6 @@ def test_d1_stable_equals_direct_integrand():
         (interval(-1, 3, 1, 1), [(-1.0, 3.0)]),
         (TEARDROP, [(-2.0, 2.0 / 3.0)]),
     ]
-    from toricshrink.shrinker import _correction_arrays, _residual_core
-
     for P, dom in cases:
         s = GridCorrection.from_function(
             lambda x: 0.02 * float(np.sum(x**2)), dom, [8] * P.dim
@@ -398,10 +400,81 @@ def test_ding_nodes_lie_inside_the_correction_grid():
         corr = res.correction
         q = _DingQuadrature(P, corr, 1e-8, b)
         lo, hi = np.array(corr.domain).T
-        for X, _ in q.dual_rules + q.linear_rules:
+        for X in [q.X] + [X for X, _ in q.linear_rules()]:
             assert np.all((X >= lo) & (X <= hi))
         ring = np.array(q.plan.ring)
         open_faces = [(d, corr.domain[d][1 if side == "upper" else 0])
                       for d, side in res.truncated_axes]
         assert any(np.any(np.abs(ring[:, d] - c) <= 1e-9 * (1.0 + abs(c)))
                    for d, c in open_faces)
+
+
+def _seeded_correction(P, dom, seed):
+    rng = np.random.default_rng(seed)
+    c = 0.01 * rng.standard_normal(4)
+    return GridCorrection.from_function(
+        lambda x: float(c[0] * np.sum(x**2) + c[1] * np.sum(x**3)
+                        + c[2] * np.prod(x) + c[3] * np.sum(x)),
+        dom, [9] * P.dim)
+
+
+RECTANGLE = from_halfspaces(
+    2, [((1, 0), 1, 2), ((-1, 0), 3, 2), ((0, 1), 2, 2), ((0, -1), 1, 2)])
+
+
+@pytest.mark.parametrize("P, dom", [
+    (TEARDROP, [(-2.0, 2.0 / 3.0)]),
+    (RECTANGLE, [(-2.0, 2.0 / 3.0), (-1.0, 2.0)]),
+])
+def test_potential_integral_is_the_moment_pairing(P, dom):
+    # <C, M> against the Gauss sum of the correction's values at the nodes of M
+    b = find_soliton_vector(P).b
+    for seed in (1, 2):
+        corr = _seeded_correction(P, dom, seed)
+        q = _DingQuadrature(P, corr, 1e-8, b)
+        dense = math.fsum(float(np.dot(W, corr.value(X))) for X, W in q.linear_rules())
+        assert corr.pair(q.moments) == pytest.approx(dense, rel=1e-14)
+
+
+@pytest.mark.parametrize("P, dom", [
+    (TEARDROP, [(-2.0, 2.0 / 3.0)]),
+    (RECTANGLE, [(-2.0, 2.0 / 3.0), (-1.0, 2.0)]),
+    (pentagon(), [(-2.0, 2.0), (-2.0, 2.0)]),
+])
+def test_stacked_d1_equals_the_per_simplex_sum(P, dom):
+    corr = _seeded_correction(P, dom, 3)
+    q = _DingQuadrature(P, corr, 1e-8)
+    V, vol = _refined(q.plan.simplices, 0.5 * np.sum(P.scaled_normal_matrix(), axis=0))
+    origin = np.zeros(P.dim)
+    per_simplex = []
+    for pts in V:
+        X, W = gauss_simplex_rule(Simplex(tuple(map(tuple, pts))), 25)
+        R0 = _residual_core(P, origin, X, *_correction_arrays(corr, X, P.dim))
+        per_simplex.append(float(np.dot(W, np.exp(-R0))))
+    assert q.evaluate(q.sample(corr)) == pytest.approx(math.fsum(per_simplex), rel=1e-14)
+
+
+def square_canonical_ding(b1):
+    """D of the canonical potential on [-2, 2]^2 at b = (b1, 0), with mpmath.
+
+    u_P splits into x and y terms, so the potential integral over F is a
+    sum of 1D ratios; d1 = 64. The weight is shifted to peak at 1.
+    """
+    with mpmath.workdps(30):
+        def ratio(beta):
+            def weight(x):
+                return mpmath.exp(-beta * x - 2 * abs(beta))
+            edge = [2 - mpmath.mpf(2) ** -k for k in range(12)]
+            cuts = [-2] + edge + [2] if beta <= 0 else [-2] + [-e for e in edge[::-1]] + [2]
+            term = mpmath.quad(lambda x: 0.5 * ((2 + x) * mpmath.log(2 + x)
+                                                + (2 - x) * mpmath.log(2 - x)) * weight(x),
+                               cuts)
+            return term / mpmath.quad(weight, cuts)
+        return float(ratio(b1) + ratio(0) - mpmath.log(64))
+
+
+@pytest.mark.parametrize("b1", [-30.0, -100.0, -300.0])
+def test_canonical_term_resolves_a_large_weight(b1):
+    sq = box([(-2, 2), (-2, 2)])
+    got = ding(CanonicalPotential(sq), sq, b_X=[b1, 0.0])
+    assert got.value == pytest.approx(square_canonical_ding(b1), rel=1e-10)

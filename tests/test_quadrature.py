@@ -19,10 +19,10 @@ from toricshrink.quadrature import (
     divided_difference_exp,
     exp_integral_simplex,
     gauss_integral_simplex,
+    gauss_rules,
     gauss_simplex_rule,
     stable_sum,
     plan,
-    _clip,
     _dd_exp_batch,
     _fan,
     _moment_multisets,
@@ -467,34 +467,40 @@ def _orientation(S):
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
-def test_clip_halves_tile_the_ring():
+def test_fan_of_plan_rings_tiles_and_is_oriented():
+    # plan rings: _ring of random convex corners, and the rings of the 2D
+    # soliton_vectors polygons, cut at T = 20 where unbounded; each fan
+    # simplex is counterclockwise and they tile the ring
     rng = np.random.default_rng(11)
+    rings = []
     for _ in range(40):
-        angles = np.sort(rng.uniform(-np.pi, np.pi, size=rng.integers(3, 9)))
-        ring = rng.uniform(0.5, 3.0) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        ring = ring @ rng.uniform(-1, 1, size=(2, 2)) + rng.uniform(-5, 5, size=2)
-        if _ring_area(ring) < 0:
-            ring = ring[::-1]
-        w = rng.normal(size=2)
-        lines = [(w, -float(w @ (ring.mean(axis=0) + rng.uniform(-1, 1, size=2))))]
-        corner = ring[rng.integers(len(ring))]
-        lines.append((w, -float(corner @ w)))  # through a corner
-        for w, c in lines:
-            # the same line scaled so far down that f[i] * f[j] underflows
-            for scale in (1.0, 1e-170):
-                halves = [_clip(ring, scale * w, scale * c),
-                          _clip(ring, -scale * w, -scale * c)]
-                fans = [_fan(h) for h in halves]
-                assert all(_orientation(S) > 0 for fan in fans for S in fan)
-                total = stable_sum(S.volume for fan in fans for S in fan)
-                assert total == pytest.approx(_ring_area(ring), rel=1e-12)
+        angles = rng.uniform(-np.pi, np.pi, size=rng.integers(3, 9))
+        corners = np.stack([np.cos(angles), np.sin(angles)], axis=1) * rng.uniform(0.5, 3.0)
+        corners = corners @ rng.uniform(-1, 1, size=(2, 2)) + rng.uniform(-5, 5, size=2)
+        rings.append(_ring(corners))
+    for _, (n, rows), _ in SOLITON_FAMILY:
+        if n == 1:
+            continue
+        P = from_halfspaces(n, rows)
+        T = None if P.is_bounded() else 20.0
+        rings.append(np.array(plan(P, [1.0, 0.7], truncation=T).ring))
+    for ring in rings:
+        if _ring_area(ring) < 1e-6:
+            continue
+        fan = _fan(ring)
+        assert all(_orientation(S) > 0 for S in fan)
+        assert stable_sum(S.volume for S in fan) == pytest.approx(_ring_area(ring), rel=1e-12)
 
 
-def test_clip_of_an_interval():
-    ring = _ring(np.array([[3.0], [-1.0]]))
-    assert _clip(ring, np.array([1.0]), -1.0).tolist() == [[1.0], [3.0]]
-    assert _clip(ring, np.array([-1.0]), 1.0).tolist() == [[-1.0], [1.0]]
-    assert _clip(ring, np.array([1.0]), -5.0).shape == (0, 1)
+def test_stacked_gauss_rules_are_the_one_simplex_rules():
+    rng = np.random.default_rng(5)
+    for n in (1, 2):
+        simplices = [random_simplex(rng, n) for _ in range(4)]
+        X, W = gauss_rules(np.array([S.points for S in simplices]),
+                           [S.volume for S in simplices], 7)
+        rules = [gauss_simplex_rule(S, 7) for S in simplices]
+        assert np.array_equal(X, np.concatenate([x for x, _ in rules]))
+        assert np.array_equal(W, np.concatenate([w for _, w in rules]))
 
 
 # the seven polygons of the soliton_vectors benchmark workload, with the
