@@ -8,6 +8,9 @@ flags, and seed produce byte-identical artifacts.
 Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence,
 4 I/O or parse error. The parser raises every exit 4 for a flag, and main
 maps library errors to 2 and 3 in one place.
+
+The module loads only the exact layer: the five discrete subcommands run
+without numpy, and each numeric subcommand imports the layers it calls.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .ding import DivergentD1, NotInE, convexity_scan, second_differences
 from .polyhedra import (
     EmptyPolyhedron,
     NotProper,
@@ -32,13 +32,6 @@ from .polyhedra import (
     validate,
     vertices,
 )
-from .potentials import (
-    CanonicalPotential,
-    CorrectedPotential,
-    GridCorrection,
-    check_space_E,
-)
-from .shrinker import find_soliton_vector, residual, solve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -76,6 +69,8 @@ def _load(args):
 
 
 def _load_potential(P, path):
+    from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection
+
     if path is None:
         return CanonicalPotential(P), None
     try:
@@ -109,17 +104,23 @@ def _parse_b(text, dim):
 
 def _weights(args, P, tol):
     """The weight vector given by --b, or else the soliton vector of P to tol."""
+    from .shrinker import find_soliton_vector
+
     b = _parse_b(args.b, P.dim)
     return list(find_soliton_vector(P, tol=tol).b) if b is None else b
+
+
+def _numpy_types(*names):
+    """The named numpy types, or () while numpy is not loaded: no value is one then."""
+    np = sys.modules.get("numpy")
+    return () if np is None else tuple(getattr(np, name) for name in names)
 
 
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, _numpy_types("ndarray", "generic")):
         return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -133,8 +134,9 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None):
                 raise _CliError(EXIT_IO, "io",
                                 "this subcommand has no CSV artifact; use a .json path")
             lines = [",".join(csv_header)]
+            floats = (float, *_numpy_types("floating"))
             for row in csv_rows:
-                lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                lines.append(",".join(repr(float(v)) if isinstance(v, floats)
                                       else str(v) for v in row))
             text = "\n".join(lines) + "\n"
         else:
@@ -198,7 +200,7 @@ def cmd_vertices(args):
               f"active facets {tuple(v.active_facets)}")
         rows.append({
             "point": [str(c) for c in v.point],
-            "point_float": list(v.point_float),
+            "point_float": [float(c) for c in v.point],
             "active_facets": list(v.active_facets),
             "edge_generators": [list(g) for g in v.edge_generators],
         })
@@ -254,6 +256,8 @@ def cmd_fan(args):
 
 
 def cmd_soliton_vector(args):
+    from .shrinker import find_soliton_vector
+
     P = _load(args)
     sol = find_soliton_vector(P, tol=args.tol)
     print(f"b: {list(sol.b)}")
@@ -270,6 +274,10 @@ def cmd_soliton_vector(args):
 
 
 def cmd_residual(args):
+    import numpy as np
+
+    from .shrinker import residual
+
     P = _load(args)
     u, corr = _load_potential(P, args.potential)
     b = _weights(args, P, args.tol)
@@ -298,6 +306,10 @@ def cmd_residual(args):
 
 def _solve_csv(P, res):
     """One row per grid node in C order: the node, s there, and the residual."""
+    import numpy as np
+
+    from .shrinker import residual
+
     corr = res.correction
     X = np.stack(np.meshgrid(*corr.axes, indexing="ij"), axis=-1).reshape(-1, P.dim)
     R = residual(P, res.b, X, correction=corr)
@@ -306,6 +318,8 @@ def _solve_csv(P, res):
 
 
 def cmd_solve(args):
+    from .shrinker import solve
+
     P = _load(args)
     b = _parse_b(args.b, P.dim)
     res = solve(P, b=b, grid=args.grid, truncation=args.truncation, tol=args.tol)
@@ -334,6 +348,11 @@ def cmd_solve(args):
 
 
 def cmd_ding_scan(args):
+    import numpy as np
+
+    from .ding import convexity_scan, second_differences
+    from .potentials import CanonicalPotential
+
     P = _load(args)
     v1, _ = _load_potential(P, args.potential)
     if args.potential2 is not None:
@@ -359,6 +378,8 @@ def cmd_ding_scan(args):
 
 
 def cmd_check_potential(args):
+    from .potentials import check_space_E
+
     P = _load(args)
     u, _ = _load_potential(P, args.potential)
     b = _weights(args, P, args.tol)
@@ -506,6 +527,13 @@ def _report(code: int, category: str, err) -> int:
     return code
 
 
+def _numeric_errors():
+    """The library errors that exit 3; ding's exist once ding-scan has imported it."""
+    ding = sys.modules.get("toricshrink.ding")
+    errors = (RuntimeError, OverflowError)
+    return errors if ding is None else errors + (ding.DivergentD1, ding.NotInE)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -513,7 +541,7 @@ def main(argv=None) -> int:
     except _CliError as err:
         return _report(err.code, err.category, err)
     # the one map from library errors to exit codes; NoConvergence is a RuntimeError
-    except (RuntimeError, OverflowError, DivergentD1, NotInE) as err:
+    except _numeric_errors() as err:
         return _report(EXIT_NUMERIC, "convergence", err)
     except ValueError as err:
         return _report(EXIT_VALIDATION, "validation", err)

@@ -173,10 +173,10 @@ def _canonical_linear(P: LabeledPolyhedron, b, ring, c) -> float:
     which e^{-<b,x>-c} integrates in closed form: length times exp[t_a, t_c],
     t = -<b,x> - c at its ends (exp[t_a] at a point), and dx = dl ds / |w_k|.
     Gauss-Legendre pieces in l run between the corner levels, graded by 1/2
-    toward l = 0, where l log l is singular, down to 1e-8 R (R the largest
-    L_k on the ring; the sliver below is dropped), and are split
-    until t at the slice ends moves by at most 3 across a piece: _refined's
-    3/|w| edge rule carried into l.
+    toward l = 0, where l log l is singular, from R down to R 2^-26 (R the
+    largest L_k on the ring), then one more piece down to l = 0, and are
+    split until t at the slice ends moves by at most 3 across a piece:
+    _refined's 3/|w| edge rule carried into l.
     """
     n = P.dim
     lam, g = _reference_rule(1, _CANONICAL_ORDER)  # Gauss-Legendre on [0, 1]
@@ -188,10 +188,9 @@ def _canonical_linear(P: LabeledPolyhedron, b, ring, c) -> float:
         f0, f1 = p0 @ wk + ak, p1 @ wk + ak
         slope = rise / np.where(f0 == f1, np.inf, np.abs(f1 - f0))  # |dt/dl| on each edge
         R = float(np.max(levels))
-        floor = 1e-8 * R
-        grading = R * 0.5 ** np.arange(27)  # R 2^-m, m <= 26: the levels above the floor
-        cuts = np.unique(np.concatenate([levels, grading, [floor]]))
-        cuts = cuts[(cuts >= max(float(np.min(levels)), floor)) & (cuts <= R)]
+        cuts = np.concatenate([levels, R * 0.5 ** np.arange(27), [0.0]])
+        cuts = np.sort(cuts[(cuts >= max(float(np.min(levels)), 0.0)) & (cuts <= R)])
+        cuts = cuts[np.append(True, np.diff(cuts) > 0)]  # each level once
         lo, width = cuts[:-1], np.diff(cuts)
         active, _ = _crossings(p0, p1, f0, f1, lo + 0.5 * width)
         steep = np.max(np.where(active, slope, 0.0), axis=1)

@@ -9,6 +9,10 @@ lineality space, the vertices and the extreme recession rays: cached per
 polyhedron, it serves construction, validation, face verdicts, vertices and
 interior points. Vertex edges come from one exact inverse of the active
 rows, and structure groups from one Smith form.
+
+The module imports no numpy: only the float views (point_float, the numeric
+views of LabeledPolyhedron and the relative interior point) import it where
+they run, so the exact layer loads without it.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .lattice import (
     integer_kernel,
@@ -30,6 +32,9 @@ from .lattice import (
     rref,
     AbelianGroup,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EmptyPolyhedron(ValueError):
@@ -116,6 +121,8 @@ class VertexData:
 
     @property
     def point_float(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([float(p) for p in self.point])
 
 
@@ -156,17 +163,25 @@ class LabeledPolyhedron:
     # -- numeric views -------------------------------------------------------
 
     def scaled_normal_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([f.scaled_normal for f in self.facets], dtype=float)
 
     def offsets_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([float(f.offset) for f in self.facets])
 
     def linear_values(self, x) -> np.ndarray:
         """Values l_i(x) + a_i, one per facet."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         return self.scaled_normal_matrix() @ x + self.offsets_array()
 
     def interior_contains(self, x, margin: float = 1e-12) -> bool:
+        import numpy as np
+
         return bool(np.all(self.linear_values(x) > margin))
 
     def interior_point(self) -> np.ndarray:
@@ -192,6 +207,8 @@ class LabeledPolyhedron:
 
     def sample_interior(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Interior sample points: vertex convex combinations plus recession moves."""
+        import numpy as np
+
         verts = [v.point_float for v in vertices(self)]
         rays = np.array(self.recession_rays(), dtype=float).reshape(-1, self.dim)
         center = self.interior_point()
@@ -292,6 +309,8 @@ def _relative_interior_point(points, rays) -> np.ndarray:
     Every generator enters with a positive weight, so the point lies in the
     relative interior of conv(points) + cone(rays).
     """
+    import numpy as np
+
     return np.array([
         float(sum(p[d] for p in points) / len(points) + sum(r[d] for r in rays))
         for d in range(len(points[0]))

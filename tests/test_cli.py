@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +388,14 @@ def test_3d_numerics_are_validation_errors(cube_file, capsys, argv):
     assert err.count("\n") == 1
 
 
+def test_cli_import_loads_no_numpy():
+    code = ("import sys, toricshrink.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, toricshrink.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -423,3 +432,90 @@ def test_help_shows_the_tol_default_in_use(command, tol, capsys):
     with pytest.raises(SystemExit):
         main([command, "-h"])
     assert f"numerical tolerance (default {tol})" in " ".join(capsys.readouterr().out.split())
+
+
+# main over a list of calls in a fresh process, each call's stdout to its own
+# file; the last line lists the toricshrink modules loaded at the end
+_FRESH = """
+import contextlib, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from toricshrink.cli import main
+for argv, log in json.loads(sys.argv[2]):
+    with open(log, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        code = main(argv)
+    if code:
+        sys.exit(f"{argv[0]} exited {code}")
+print(sorted(m for m in sys.modules if m.startswith("toricshrink.")))
+"""
+
+
+def _fresh(calls, block_numpy=False):
+    """Run [(argv, stdout log)] through main in a new process; its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH, "block" if block_numpy else "-", json.dumps(calls)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return proc.stdout
+
+
+DISCRETE = ["validate", "vertices", "structure-group", "delzant", "fan"]
+
+
+def test_discrete_subcommands_run_without_numpy(tmp_path, capsys):
+    inputs = {
+        "rectangle": box([(-2, "2/3"), (-1, 2)], labels=[1, 3, 2, 1]),
+        "simplex3": from_halfspaces(3, [((1, 0, 0), 1, 2), ((0, 1, 0), 2, 2),
+                                        ((0, 0, 1), 3, 2), ((-1, -1, -1), 1, 2)]),
+    }
+    calls = []
+    for name, P in inputs.items():
+        path = tmp_path / f"{name}.json"
+        save_polyhedron(P, path)
+        calls += [(tmp_path / f"{name}.{command}", [command, str(path)])
+                  for command in DISCRETE]
+    # numpy is blocked: importing it anywhere on these paths raises
+    _fresh([(argv + ["--out", f"{stem}.blocked.json"], f"{stem}.blocked.txt")
+            for stem, argv in calls], block_numpy=True)
+    for stem, argv in calls:
+        assert main(argv + ["--out", f"{stem}.json"]) == 0
+        assert capsys.readouterr().out == Path(f"{stem}.blocked.txt").read_text()
+        assert Path(f"{stem}.json").read_bytes() == Path(f"{stem}.blocked.json").read_bytes()
+
+
+def test_numeric_subcommands_other_than_ding_scan_load_no_ding(interval_file, tmp_path):
+    sol = str(tmp_path / "sol.json")
+    calls = [
+        (["soliton-vector", interval_file], str(tmp_path / "b.txt")),
+        (["solve", interval_file, "--grid", "8", "--out", sol], str(tmp_path / "s.txt")),
+        (["residual", interval_file, "--potential", sol, "--samples", "5"],
+         str(tmp_path / "r.txt")),
+        (["check-potential", interval_file, "--potential", sol], str(tmp_path / "c.txt")),
+    ]
+    loaded = _fresh(calls).splitlines()[-1]
+    assert "toricshrink.shrinker" in loaded
+    assert "toricshrink.ding" not in loaded
+
+
+@pytest.mark.parametrize("flags, error", [
+    ([], "truncation tail estimate"),  # DivergentD1 at the default b
+    (["--b", "1e-300"], "correction grid too small"),  # NotInE
+])
+def test_ding_errors_exit_3_through_the_lazy_import(half_line_file, tmp_path, capsys,
+                                                     flags, error):
+    # the half-line's default solve is cut too short for the scan (ROADMAP
+    # item 2); ding is imported only inside ding-scan, in the child process
+    sol = str(tmp_path / "sol.json")
+    assert main(["solve", half_line_file, "--out", sol]) == 0
+    capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricshrink", "ding-scan", half_line_file,
+         "--potential", sol, *flags],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: convergence: {error}")
+    assert proc.stderr.count("\n") == 1

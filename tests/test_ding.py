@@ -10,7 +10,9 @@ from toricshrink.ding import (
     DingValue,
     DivergentD1,
     Geodesic,
+    NotInE,
     _DingQuadrature,
+    _fitted_plan,
     _refined,
     convexity_scan,
     d1,
@@ -478,3 +480,42 @@ def test_canonical_term_resolves_a_large_weight(b1):
     sq = box([(-2, 2), (-2, 2)])
     got = ding(CanonicalPotential(sq), sq, b_X=[b1, 0.0])
     assert got.value == pytest.approx(square_canonical_ding(b1), rel=1e-10)
+
+
+def quadrant_canonical_ratio(b, S):
+    """int u_P e^{-<b,x>} / int e^{-<b,x>} over the quadrant x, y >= -2 cut at
+    <b, x + 2> <= S, with mpmath.
+
+    In X = x + 2 the region is the triangle X, Y >= 0, b1 X + b2 Y <= S and
+    u_P = (X log X + Y log Y)/2; each term integrates in closed form across
+    the other variable, which leaves 1D integrals.
+    """
+    with mpmath.workdps(40):
+        b1, b2, S = mpmath.mpf(b[0]), mpmath.mpf(b[1]), mpmath.mpf(S)
+
+        def cuts(top):
+            return [0] + [c for c in (1, 2, 5, 10, 20, 40, 80) if c < top] + [top]
+
+        def across(bj, bk, f):
+            # int_0^{S/bj} f(X) e^{-bj X} (1 - e^{-(S - bj X)}) / bk dX
+            return mpmath.quad(lambda X: f(X) * mpmath.exp(-bj * X)
+                               * -mpmath.expm1(-(S - bj * X)) / bk, cuts(S / bj))
+
+        def xlogx(X):
+            return X * mpmath.log(X)
+
+        term = across(b1, b2, xlogx) + across(b2, b1, xlogx)
+        return float(term / 2 / across(b2, b1, lambda Y: 1))
+
+
+def test_canonical_term_reaches_the_facets():
+    # the canonical ladder cuts the quadrant at T = 146 for b = (1, 3): the
+    # slivers along both facets are part of the integral, not dropped
+    quadrant = box([(-2, None), (-2, None)])
+    b = np.array([1.0, 3.0])
+    pl, _ = _fitted_plan(quadrant, b, None, 1e-8, NotInE)
+    T = float(np.max(np.array(pl.ring) @ b))
+    assert 146.0 < T < 147.0
+    q = _DingQuadrature(quadrant, None, 1e-8, b_X=b)
+    ref = quadrant_canonical_ratio(b, T + 2 * b.sum())
+    assert q.canonical / q.F == pytest.approx(ref, rel=1e-13)
