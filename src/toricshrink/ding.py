@@ -17,18 +17,21 @@ symplectic potentials D is convex; the scan here samples it.
 d1, ding and convexity_scan take canonical or corrected potentials u_P + s
 and share one quadrature, fixed once inside the correction grid, with one
 array per integral:
-  - d1 on one node set stacked over all refined simplices, where one jet of
-    the correction gives the integrand e^{-R_0}, R_0 the soliton residual at
-    b = 0, which shrinker evaluates boundary-stably;
+  - d1 on one node set stacked over all refined simplices. Its integrand
+    e^{-R_0}, R_0 the soliton residual at b = 0 in shrinker's
+    boundary-stable form, is e^{-R_P} e^{-g} D: R_P is u_P's part, fixed at
+    the nodes once, g = <grad s, x> - s, and D = det Hess(u_P + s) prod L_i
+    is the boundary-stable density;
   - the correction's potential integral as <C, M>: it is linear in the
     correction's Chebyshev coefficients C, and M is a moment tensor of the
     weight, built once;
   - the canonical potential integral as one 1D rule per facet, in the level
     of the facet's L_k, on whose slices the weight integrates in closed form.
 The weight is taken as e^{-<b_X,x>-c}, peaking at 1 on the region; e^{-c}
-cancels in D. The scan evaluates the quadrature at blends of the endpoint
-node values and of the endpoint pairings. The numerics cover dimensions 1
-and 2.
+cancels in D. Along v_t = (1-t) v_0 + t v_1, g and <C, M> are affine in t
+and D is a polynomial of degree n <= 2 in t, so a scan samples each
+endpoint once and D at t = 1/2, and every t costs one exponential per node.
+The numerics cover dimensions 1 and 2.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ import numpy as np
 
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
-    correction_of
+    _density, correction_of
 from .quadrature import _dd_exp_batch, _reference_rule, _tail_bounds, \
     _unbounded_edges, _weight_skeleton, gauss_rules, plan as build_plan, stable_sum
-from .shrinker import _correction_arrays, _residual_core, find_soliton_vector
+from .shrinker import _canonical_part, _nonconvex, find_soliton_vector
 
 
 class DivergentD1(ValueError):
@@ -111,25 +114,27 @@ def _fitted_plan(P, w, correction, tol, exc):
 
 
 def _refined(simplices, weight):
-    """Halve simplices at their longest edge until edges resolve e^{-<weight,x>}.
+    """Halve simplices until the exponent of e^{-<weight,x>} moves by at most 3
+    along every edge.
 
     Returns the vertex stack (S, n+1, n) and the volumes: a half has half
-    its parent's volume. Each round halves every simplex whose first longest
-    edge (i, j), i < j in row-major order, is longer than 3/|weight|, at that
-    edge's midpoint, until 4096 pieces exist.
+    its parent's volume. Each round halves every simplex at the midpoint of
+    its first edge (i, j), i < j in row-major order, of largest change
+    |<weight, v_i - v_j>|, while that change exceeds 3, until 4096 pieces
+    exist. Only the change matters: the weight is constant across it, so a
+    simplex long in that direction needs no splitting. In 1D the change is
+    |weight| times the length.
     """
     V = np.array([S.points for S in simplices])
     vol = np.array([S.volume for S in simplices])
-    nw = float(np.linalg.norm(np.asarray(weight, dtype=float)))
-    if nw == 0.0:
-        return V, vol
-    target2 = (3.0 / nw) ** 2
+    w = np.asarray(weight, dtype=float)
     k = V.shape[1]
     done_V, done_vol = [], []
     while len(V):
-        d2 = np.sum((V[:, :, None] - V[:, None, :]) ** 2, axis=-1).reshape(len(V), -1)
-        e = np.argmax(d2, axis=1)
-        split = np.flatnonzero(d2[np.arange(len(V)), e] > target2)
+        p = V @ w
+        change = np.abs(p[:, :, None] - p[:, None, :]).reshape(len(V), -1)
+        e = np.argmax(change, axis=1)
+        split = np.flatnonzero(change[np.arange(len(V)), e] > 3.0)
         split = split[:max(0, 4096 - sum(map(len, done_V)) - len(V))]  # pieces cap
         keep = np.ones(len(V), dtype=bool)
         keep[split] = False
@@ -176,7 +181,7 @@ def _canonical_linear(P: LabeledPolyhedron, b, ring, c) -> float:
     toward l = 0, where l log l is singular, from R down to R 2^-26 (R the
     largest L_k on the ring), then one more piece down to l = 0, and are
     split until t at the slice ends moves by at most 3 across a piece:
-    _refined's 3/|w| edge rule carried into l.
+    _refined's rule for edges carried into l.
     """
     n = P.dim
     lam, g = _reference_rule(1, _CANONICAL_ORDER)  # Gauss-Legendre on [0, 1]
@@ -223,10 +228,11 @@ class _DingQuadrature:
     """Both Ding integrals as three arrays, fixed once.
 
     d1 is one Gauss rule (X, W) stacked over the refined simplices of the
-    e^{-<beta,x>} plan, q nodes each: a correction is sampled by one jet
-    there, and the integrand e^{-R_0}, R_0 the soliton residual at b = 0
-    evaluated boundary-stably by shrinker, by one residual call; each
-    simplex's q terms are summed, then the simplex sums fsum'd.
+    e^{-<beta,x>} plan, q nodes each. The canonical factor of its integrand
+    is folded in once, as base = W e^{-R_P} with the facet values L at the
+    nodes; a correction is sampled by one jet there, as g = <grad s, x> - s
+    and Hess s. The integrand at a node is base e^{-g} D, D the density;
+    each simplex's q terms are summed, then the simplex sums fsum'd.
 
     When b_X is given, the potential integral is taken against
     e^{-<b_X,x>-c}, c the largest -<b_X,x> on the plan's ring: the factor
@@ -259,7 +265,9 @@ class _DingQuadrature:
                 self.moments = sum(grid.moments(X, W) for X, W in self.linear_rules())
         beta = _beta(P)
         self.plan, self.tail = _fitted_plan(P, beta, grid, tol, DivergentD1)
-        self.X, self.W = gauss_rules(*_refined(self.plan.simplices, beta), _ORDER)
+        self.X, W = gauss_rules(*_refined(self.plan.simplices, beta), _ORDER)
+        self.L, R_P = _canonical_part(P, np.zeros(P.dim), self.X)
+        self.base = W * np.exp(-R_P)
         self.q = _ORDER ** P.dim
 
     def linear_rules(self):
@@ -273,32 +281,60 @@ class _DingQuadrature:
             yield X, W * np.exp(-(X @ self.b) - self.shift)
 
     def sample(self, correction):
-        """A correction's jet at the d1 nodes and its potential integral <C, M>."""
-        dual = _correction_arrays(correction, self.X, self.P.dim)
-        if self.b is None:
-            return dual, None
-        return dual, 0.0 if correction is None else correction.pair(self.moments)
+        """(g, Hess s, <C, M>) of a correction: g = <grad s, x> - s at the d1 nodes.
 
-    def evaluate(self, samples, t=0.0):
-        """d1, or the DingValue at t when b_X was given, of sampled corrections."""
-        dual_s, lin = samples
-        linear = None
+        A canonical endpoint (None) samples as zeros, with no jet. <C, M> is
+        None when no b_X was given.
+        """
+        m, n = self.X.shape
+        lin = None if self.b is None else 0.0
+        if correction is None:
+            return np.zeros(m), np.zeros((m, n, n)), lin
+        s, G, H = correction.jet(self.X)
         if lin is not None:
-            linear = (self.canonical + lin) / self.F
-            if not math.isfinite(linear):
-                raise NotInE("potential integral against the soliton weight is not finite")
-        R0 = _residual_core(self.P, np.zeros(self.P.dim), self.X, *dual_s)
-        dual = stable_sum(np.sum((self.W * np.exp(-R0)).reshape(-1, self.q), axis=1))
-        if not (math.isfinite(dual) and dual > 0.0):
-            raise DivergentD1(f"dual volume evaluated to {dual} at t = {t}")
-        if self.tail / dual > self.tol:
-            raise DivergentD1(
-                f"truncation tail estimate {self.tail:.3e} exceeds "
-                f"tolerance {self.tol:g} relative to d1 = {dual:.6g} at t = {t}"
-            )
-        if linear is None:
-            return float(dual)
-        return DingValue(t=float(t), d1=float(dual), value=float(linear - math.log(dual)))
+            lin = correction.pair(self.moments)
+        return np.einsum("mi,mi->m", G, self.X) - s, H, lin
+
+    def evaluate(self, sample):
+        """d1, or the DingValue when b_X was given, of one sampled correction."""
+        return self.scan(sample, sample, [0.0])[0]
+
+    def scan(self, sample0, sample1, ts):
+        """d1 or DingValues at each t along the blend of two samples.
+
+        g and <C, M> blend linearly; the density, quadratic in the Hessian,
+        is D(t) = (1-t)^2 D_0 + 2t(1-t) D_m + t^2 D_1 with
+        D_m = 2 D(1/2) - (D_0 + D_1)/2, exact in dimensions 1 and 2.
+        """
+        (g0, H0, lin0), (g1, H1, lin1) = sample0, sample1
+        D0 = _density(self.P, self.L, H0)
+        D1 = _density(self.P, self.L, H1)
+        Dm = 2.0 * _density(self.P, self.L, 0.5 * (H0 + H1)) - 0.5 * (D0 + D1)
+        out = []
+        for t in ts:
+            linear = None
+            if lin0 is not None:
+                linear = (self.canonical + ((1.0 - t) * lin0 + t * lin1)) / self.F
+                if not math.isfinite(linear):
+                    raise NotInE("potential integral against the soliton weight is not finite")
+            D = (1.0 - t) ** 2 * D0 + 2.0 * t * (1.0 - t) * Dm + t * t * D1
+            if np.any(D <= 0.0):
+                raise _nonconvex(self.X, D)
+            terms = self.base * np.exp(-((1.0 - t) * g0 + t * g1)) * D
+            dual = stable_sum(np.sum(terms.reshape(-1, self.q), axis=1))
+            if not (math.isfinite(dual) and dual > 0.0):
+                raise DivergentD1(f"dual volume evaluated to {dual} at t = {t}")
+            if self.tail / dual > self.tol:
+                raise DivergentD1(
+                    f"truncation tail estimate {self.tail:.3e} exceeds "
+                    f"tolerance {self.tol:g} relative to d1 = {dual:.6g} at t = {t}"
+                )
+            if linear is None:
+                out.append(float(dual))
+            else:
+                out.append(DingValue(t=float(t), d1=float(dual),
+                                     value=float(linear - math.log(dual))))
+        return out
 
 
 def _corrections(P: LabeledPolyhedron, *potentials):
@@ -399,25 +435,19 @@ def convexity_scan(v0, v1, P: LabeledPolyhedron, b_X=None, num_t: int = 9,
                    tol: float = 1e-8) -> list[DingValue]:
     """Sample D along the geodesic from v0 to v1 at num_t uniform t values.
 
-    Every sample is one evaluation of the quadrature that ding uses, at the
-    blend of the endpoint corrections' node values, so differences across t
-    are free of regridding noise and the endpoints equal ding of v0 and v1
-    whenever both carry a correction. Dimensions 1 and 2 only.
+    Every sample is the quadrature that ding uses, taken at the blend of
+    the endpoints' samples, so differences across t are free of regridding
+    noise and the endpoints equal ding of v0 and v1 whenever both carry a
+    correction. Dimensions 1 and 2 only.
     """
-    _corrections(P, v0, v1)
+    c0, c1 = _corrections(P, v0, v1)
     if num_t < 2:
         raise ValueError("a scan needs at least two sample points")
-    geo = Geodesic(v0, v1)
+    Geodesic(v0, v1)  # the endpoints share a grid
     if b_X is None:
         b_X = find_soliton_vector(P).b
-    c0, c1 = geo.corrections()
-    q = _DingQuadrature(P, c0, tol, b_X)
-    (dual0, lin0), (dual1, lin1) = q.sample(c0), q.sample(c1)
-    out = []
-    for t in np.linspace(0.0, 1.0, num_t):
-        dual = tuple((1.0 - t) * a + t * b for a, b in zip(dual0, dual1))
-        out.append(q.evaluate((dual, (1.0 - t) * lin0 + t * lin1), t))
-    return out
+    q = _DingQuadrature(P, c1 if c0 is None else c0, tol, b_X)
+    return q.scan(q.sample(c0), q.sample(c1), np.linspace(0.0, 1.0, num_t))
 
 
 def second_differences(scan) -> np.ndarray:

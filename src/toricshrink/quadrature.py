@@ -38,6 +38,8 @@ class DivergentWeight(ValueError):
 
 def stable_sum(values) -> float:
     """Exactly rounded floating-point summation."""
+    if isinstance(values, np.ndarray):
+        return math.fsum(values.tolist())
     return math.fsum(float(v) for v in values)
 
 

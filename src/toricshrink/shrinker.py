@@ -99,8 +99,13 @@ def find_soliton_vector(P: LabeledPolyhedron, tol: float = 1e-12) -> SolitonVect
 # ---------------------------------------------------------------------------
 # stable residual of the soliton equation
 
-def _residual_core(P: LabeledPolyhedron, b, X, s_val, s_grad, s_hess,
-                   strict: bool = True):
+def _canonical_part(P: LabeledPolyhedron, b, X):
+    """(L, R_P): the facet values at X and the part of R that s cannot reach.
+
+    R_P is 1/2 sum_i l_i - <b, x> plus, for offsets other than 2, their
+    logarithmic factors: the residual of u_P without its log det term, which
+    the density carries.
+    """
     W = P.scaled_normal_matrix()
     a = P.offsets_array()
     L = X @ W.T + a
@@ -108,12 +113,6 @@ def _residual_core(P: LabeledPolyhedron, b, X, s_val, s_grad, s_hess,
     if np.any(L < -1e-12 * scale):
         raise ValueError("residual requested outside the closed polyhedron")
     L = np.maximum(L, 0.0)
-    D = _density(P, L, s_hess)
-    if np.any(D <= 0.0):
-        if strict:
-            bad = X[np.argmin(D)]
-            raise NotConvexHere(f"density nonpositive near {tuple(map(float, bad))}")
-        return None
     ell = L - a
     R = 0.5 * np.sum(ell, axis=1) - X @ np.asarray(b, dtype=float)
     # general offsets leave uncancelled logarithmic factors; they vanish in
@@ -125,7 +124,35 @@ def _residual_core(P: LabeledPolyhedron, b, X, s_val, s_grad, s_hess,
                 "boundary evaluation needs shrinker-normalized offsets"
             )
         R += np.log(np.where(L > 0, L, 1.0)) @ coefs
-    R += np.einsum("mi,mi->m", s_grad, X) - s_val - np.log(D)
+    return L, R
+
+
+def _nonconvex(X, D):
+    bad = X[np.argmin(D)]
+    return NotConvexHere(f"density nonpositive near {tuple(map(float, bad))}")
+
+
+def _correction_part(P: LabeledPolyhedron, L, X, s_val, s_grad, s_hess,
+                     strict: bool = True):
+    """<grad s, x> - s - log D at X with facet values L; None where D <= 0
+    unless strict, which raises NotConvexHere."""
+    D = _density(P, L, s_hess)
+    if np.any(D <= 0.0):
+        if strict:
+            raise _nonconvex(X, D)
+        return None
+    return np.einsum("mi,mi->m", s_grad, X) - s_val - np.log(D)
+
+
+def _residual_core(P: LabeledPolyhedron, b, X, s_val, s_grad, s_hess,
+                   strict: bool = True):
+    """R at X: the canonical part plus the correction part, or None where
+    the density is nonpositive unless strict."""
+    L, R = _canonical_part(P, b, X)
+    correction = _correction_part(P, L, X, s_val, s_grad, s_hess, strict)
+    if correction is None:
+        return None
+    R += correction
     return R
 
 
@@ -249,16 +276,16 @@ def _solve_axis(P: LabeledPolyhedron, b, x, cut, tol):
     # the rows after the equations are linear in z = (s, c)
     lin = np.vstack([D2[cut], ell, ell @ D1])
     lin = np.column_stack([lin, np.zeros(len(lin))])
-    L = np.maximum(X @ P.scaled_normal_matrix().T + P.offsets_array(), 0.0)
+    L, R_P = _canonical_part(P, b, X)
     prod_L = np.prod(L, axis=1)
 
     def residual_vector(z):
         s = z[:-1]
-        R = _residual_core(P, b, X, s, (D1 @ s)[:, None],
-                           (D2 @ s)[:, None, None], strict=False)
-        if R is None:
+        corr = _correction_part(P, L, X, s, (D1 @ s)[:, None],
+                                (D2 @ s)[:, None, None], strict=False)
+        if corr is None:
             return None
-        return np.concatenate([R[eq] - z[-1], lin @ z])
+        return np.concatenate([(R_P + corr)[eq] - z[-1], lin @ z])
 
     def jacobian(z):
         weight = prod_L / _density(P, L, (D2 @ z[:-1])[:, None, None])

@@ -26,7 +26,7 @@ from toricshrink.potentials import (
     GridCorrection,
     NotConvexHere,
 )
-from toricshrink.quadrature import Simplex, gauss_simplex_rule
+from toricshrink.quadrature import Simplex, gauss_simplex_rule, plan as build_plan
 from toricshrink.shrinker import _correction_arrays, _residual_core, find_soliton_vector, \
     solve
 
@@ -519,3 +519,52 @@ def test_canonical_term_reaches_the_facets():
     q = _DingQuadrature(quadrant, None, 1e-8, b_X=b)
     ref = quadrant_canonical_ratio(b, T + 2 * b.sum())
     assert q.canonical / q.F == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("P, dom", [
+    (TEARDROP, [(-2.0, 2.0 / 3.0)]),
+    (RECTANGLE, [(-2.0, 2.0 / 3.0), (-1.0, 2.0)]),
+    (pentagon(), [(-2.0, 2.0), (-2.0, 2.0)]),
+])
+def test_scan_equals_ding_along_the_geodesic(P, dom):
+    # the scan blends g and <C, M> linearly and the density as a quadratic
+    # in t; ding of the blended potential samples it afresh at each t
+    b = find_soliton_vector(P).b
+    corrected = CorrectedPotential(P, _seeded_correction(P, dom, 4))
+    for v0 in (CanonicalPotential(P), CorrectedPotential(P, _seeded_correction(P, dom, 5))):
+        scan = convexity_scan(v0, corrected, P, b_X=b, num_t=9)
+        geo = Geodesic(v0, corrected)
+        for s in scan:
+            ref = ding(geo.at(s.t), P, b_X=b)
+            assert s.d1 == pytest.approx(ref.d1, rel=1e-14, abs=0.0)
+            assert s.value == pytest.approx(ref.value, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("P, w", [
+    (box([(-2, 2), (-2, 2)]), [-30.0, 0.0]),
+    (pentagon(), [5.0, -7.0]),
+    (TEARDROP, [-12.0]),
+])
+def test_refined_resolves_the_weight_change_along_every_edge(P, w):
+    # the weight varies only along w, so the square at (-30, 0) needs strips
+    # across x_1 alone, far fewer pieces than halving at the longest edge
+    w = np.asarray(w)
+    simplices = build_plan(P, w).simplices
+    V, vol = _refined(simplices, w)
+    assert len(V) < 4096
+    p = V @ w
+    assert np.max(np.abs(p[:, :, None] - p[:, None, :])) <= 3.0
+    assert math.fsum(vol) == pytest.approx(math.fsum(S.volume for S in simplices),
+                                           rel=1e-13)
+
+
+@pytest.mark.parametrize("P, f, dom", [
+    (interval(-2, 2), lambda x: -0.3 * x[0] ** 2, [(-2.0, 2.0)]),
+    (box([(-2, 2), (-2, 2)]), lambda x: -0.3 * float(np.sum(x**2)), [(-2.0, 2.0)] * 2),
+])
+def test_scan_toward_a_nonconvex_endpoint_is_rejected(P, f, dom):
+    # v_0 is convex; the density turns nonpositive part way to v_1
+    s = GridCorrection.from_function(f, dom, [8] * P.dim)
+    with pytest.raises(NotConvexHere, match="density nonpositive near"):
+        convexity_scan(CanonicalPotential(P), CorrectedPotential(P, s), P,
+                       b_X=[0.0] * P.dim, num_t=9)
