@@ -504,7 +504,8 @@ def _build_parser():
                    help="truncation level for unbounded directions")
 
     p = add("ding-scan", cmd_ding_scan,
-            tol=(1e-8, "largest truncation tail of the dual volume, relative to d1"),
+            tol=(1e-8, "largest truncation tail of the dual volume relative to d1, "
+                       "and largest share of F(b_X) that the cut drops"),
             help="Ding functional along a potential geodesic")
     p.add_argument("--potential", required=True,
                    help="endpoint correction payload (required)")

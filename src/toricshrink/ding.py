@@ -15,8 +15,9 @@ to potentials modulo affine functions. Along linear interpolations of
 symplectic potentials D is convex; the scan here samples it.
 
 d1, ding and convexity_scan take canonical or corrected potentials u_P + s
-and share one quadrature, fixed once inside the correction grid, with one
-array per integral:
+and share one quadrature over d1's plan, cut inside the correction grid:
+F(b_X) and the potential integral are taken over the same region, a scan
+checks the share of F(b_X) the cut drops, and each integral is one array:
   - d1 on one node set stacked over all refined simplices. Its integrand
     e^{-R_0}, R_0 the soliton residual at b = 0 in shrinker's
     boundary-stable form, is e^{-R_P} e^{-g} D: R_P is u_P's part, fixed at
@@ -37,7 +38,7 @@ The numerics cover dimensions 1 and 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,55 +79,75 @@ def _beta(P: LabeledPolyhedron) -> np.ndarray:
     return 0.5 * np.sum(P.scaled_normal_matrix(), axis=0)
 
 
-def _fitted_plan(P, w, correction, tol, exc):
-    """Plan for the weight e^{-<w,x>}, and the summed _tail_bounds of what it drops.
+def _fitted_plan(P, beta, correction, tol, b_X=None):
+    """(plan, tail, dropped): the Ding plan for e^{-<beta,x>}, the summed
+    _tail_bounds of its cut, and the share 1 - F_cut / F_P of F(b_X) the
+    cut drops (0 on bounded P or without b_X), F_P exact over P.
 
-    Unbounded P is cut where it first leaves the correction's grid box, which
-    is on an unbounded edge v + tau r (P is its vertices' hull plus its
-    recession cone), or, for the canonical potential, at the first rung of
-    T *= 1.3 whose tail bound meets tol.
+    Unbounded P is cut where it first leaves the correction's grid box, on
+    an unbounded edge v + tau r (P is its vertices' hull plus its recession
+    cone), or, for the canonical potential, at the first rung of T *= 1.3
+    where the tail bound, b_X's own bound and the dropped share meet tol.
     """
-    w = np.asarray(w, dtype=float)
     if P.is_bounded():
-        return build_plan(P, w), 0.0
-    verts, rays = _weight_skeleton(P, w)
-    tail_bounds = _tail_bounds(w, rays, verts)
+        return build_plan(P, beta), 0.0, 0.0
+    verts, rays = _weight_skeleton(P, beta)
+    tail_bounds = _tail_bounds(beta, rays, verts)
+    if b_X is not None:
+        c = float(np.max(-(verts @ b_X)))  # -<b_X,x> peaks at a vertex
+        F_P = build_plan(P, b_X).exp_integral(c)
+
+    def cut(T):
+        pl = build_plan(P, beta, truncation=T)
+        if b_X is None:
+            return pl, 0.0
+        return pl, 1.0 - replace(pl, b=b_X).exp_integral(c) / F_P
+
+    edges = np.array(_unbounded_edges(P), dtype=float)
     if correction is None:
-        T = max(1.0, float(np.max(verts @ w)) + P.dim + 2.0)
+        def weight_tail(T):
+            # the canonical potential integral's tail lies beyond the least
+            # level of <b_X,x> at which the cut crosses an edge v + tau r
+            v, r = edges[:, 0], edges[:, 1]
+            reached = np.min(v @ b_X + (T - v @ beta) * (r @ b_X) / (r @ beta))
+            return sum(_tail_bounds(b_X, rays, verts)(reached))
+
+        T = max(1.0, float(np.max(verts @ beta)) + P.dim + 2.0)
         for _ in range(200):
-            if sum(tail_bounds(T)) <= tol:
-                break
+            tail = sum(tail_bounds(T))
+            if tail <= tol and (b_X is None or weight_tail(T) <= tol):
+                pl, dropped = cut(T)
+                if dropped <= tol:
+                    return pl, tail, dropped
             T *= 1.3
-        else:
-            raise exc("tail bound failed to reach tolerance within 200 steps of T *= 1.3")
-    else:
-        lo, hi = np.array(correction.domain).T
-        levels = []
-        for v, r in np.array(_unbounded_edges(P), dtype=float):
-            moving = r != 0
-            tau = np.min((np.where(r > 0, hi, lo) - v)[moving] / r[moving])
-            levels.append(float((v + tau * r) @ w))
-        T = min(levels) * (1.0 - 1e-12) - 1e-12
+        raise (DivergentD1 if tail > tol else NotInE)(
+            "truncation ladder failed to reach tolerance within 200 steps of T *= 1.3")
+    lo, hi = np.array(correction.domain).T
+    levels = []
+    for v, r in edges:
+        moving = r != 0
+        tau = np.min((np.where(r > 0, hi, lo) - v)[moving] / r[moving])
+        levels.append(float((v + tau * r) @ beta))
+    T = min(levels) * (1.0 - 1e-12) - 1e-12
     try:
-        return build_plan(P, w, truncation=T), float(sum(tail_bounds(T)))
+        pl, dropped = cut(T)
     except ValueError as err:
-        raise exc(f"correction grid too small for a usable truncation: {err}") from err
+        raise DivergentD1(f"correction grid too small for a usable truncation: {err}") from err
+    return pl, float(sum(tail_bounds(T))), dropped
 
 
-def _refined(simplices, weight):
+def _refined(V, vol, weight):
     """Halve simplices until the exponent of e^{-<weight,x>} moves by at most 3
     along every edge.
 
-    Returns the vertex stack (S, n+1, n) and the volumes: a half has half
-    its parent's volume. Each round halves every simplex at the midpoint of
-    its first edge (i, j), i < j in row-major order, of largest change
+    Takes and returns a vertex stack (S, n+1, n) with its volumes: a half
+    has half its parent's volume. Each round halves every simplex at the
+    midpoint of its first edge (i, j), i < j in row-major order, of largest change
     |<weight, v_i - v_j>|, while that change exceeds 3, until 4096 pieces
     exist. Only the change matters: the weight is constant across it, so a
     simplex long in that direction needs no splitting. In 1D the change is
     |weight| times the length.
     """
-    V = np.array([S.points for S in simplices])
-    vol = np.array([S.volume for S in simplices])
     w = np.asarray(weight, dtype=float)
     k = V.shape[1]
     done_V, done_vol = [], []
@@ -146,13 +167,6 @@ def _refined(simplices, weight):
         halves[0, rows, i] = halves[1, rows, j] = 0.5 * (V[split, i] + V[split, j])
         V, vol = halves.reshape(-1, *V.shape[1:]), np.tile(0.5 * vol[split], 2)
     return np.concatenate(done_V), np.concatenate(done_vol)
-
-
-def _mass(pl, b, c) -> float:
-    """The plan's integral of e^{-<b,x>-c}: exp_integral with every node shifted by -c."""
-    terms = [scale * _dd_exp_batch(-(V[:, :m] @ b) - c, np.arange(m)[None, :])[:, 0]
-             for V, m, _, scale in pl._pieces()]
-    return stable_sum(np.concatenate(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -225,50 +239,46 @@ def _canonical_linear(P: LabeledPolyhedron, b, ring, c) -> float:
 # one quadrature for d1, ding and the scan
 
 class _DingQuadrature:
-    """Both Ding integrals as three arrays, fixed once.
+    """Both Ding integrals as three arrays over d1's plan (_fitted_plan), fixed once.
 
-    d1 is one Gauss rule (X, W) stacked over the refined simplices of the
-    e^{-<beta,x>} plan, q nodes each. The canonical factor of its integrand
+    d1 is one Gauss rule (X, W) stacked over the plan's simplices refined
+    for e^{-<beta,x>}, q nodes each. The canonical factor of its integrand
     is folded in once, as base = W e^{-R_P} with the facet values L at the
     nodes; a correction is sampled by one jet there, as g = <grad s, x> - s
     and Hess s. The integrand at a node is base e^{-g} D, D the density;
     each simplex's q terms are summed, then the simplex sums fsum'd.
 
-    When b_X is given, the potential integral is taken against
-    e^{-<b_X,x>-c}, c the largest -<b_X,x> on the plan's ring: the factor
-    e^{-c} cancels against F, taken with the same weight, and keeps both in
-    the float range. Its canonical part is one 1D rule per facet
-    (_canonical_linear); its correction part is linear in the correction's
-    Chebyshev coefficients C, so it is <C, M> with M the moment tensor of the
-    order-25 rules on the refined simplices of the e^{-<b_X,x>} plan, built
-    one simplex at a time. On unbounded P both plans are cut inside the grid
-    of the correction, so every correction on that grid shares the nodes
-    and M.
+    When b_X is given, F(b_X) and the potential integral are taken over the
+    same plan against e^{-<b_X,x>-c}, c the largest -<b_X,x> on its ring:
+    e^{-c} cancels between them and keeps both in the float range. The
+    canonical part is one 1D rule per facet (_canonical_linear); the
+    correction part is <C, M>, C the correction's Chebyshev coefficients and
+    M the moment tensor of the order-25 rules on the plan's simplices
+    refined for e^{-<b_X,x>}, built one simplex at a time. tail and dropped
+    (see _fitted_plan) are kept for scan, which raises when either exceeds
+    tol, so a quadrature on a short grid can still be built.
     """
 
     def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None):
         if np.any(P.offsets_array() <= 0.0):
             raise DivergentD1("a facet offset <= 0 makes the dual volume diverge")
-        self.P = P
-        self.tol = tol
-        self.b = None
-        self.moments = None
-        if b_X is not None:
-            self.b = np.asarray(b_X, dtype=float)
-            pl, _ = _fitted_plan(P, self.b, grid, tol, NotInE)
-            ring = np.array(pl.ring)
-            self.shift = float(np.max(-(ring @ self.b)))
-            self.F = _mass(pl, self.b, self.shift)
-            self.canonical = _canonical_linear(P, self.b, ring, self.shift)
-            self.linear_simplices = _refined(pl.simplices, self.b)
-            if grid is not None:
-                self.moments = sum(grid.moments(X, W) for X, W in self.linear_rules())
+        self.P, self.tol = P, tol
+        self.b = None if b_X is None else np.asarray(b_X, dtype=float)
         beta = _beta(P)
-        self.plan, self.tail = _fitted_plan(P, beta, grid, tol, DivergentD1)
-        self.X, W = gauss_rules(*_refined(self.plan.simplices, beta), _ORDER)
+        self.plan, self.tail, self.dropped = _fitted_plan(P, beta, grid, tol, self.b)
+        self.X, W = gauss_rules(*_refined(self.plan.simplices, self.plan.volumes, beta),
+                                _ORDER)
         self.L, R_P = _canonical_part(P, np.zeros(P.dim), self.X)
         self.base = W * np.exp(-R_P)
         self.q = _ORDER ** P.dim
+        self.moments = None
+        if self.b is not None:
+            self.shift = float(np.max(-(self.plan.ring @ self.b)))
+            self.F = replace(self.plan, b=self.b).exp_integral(self.shift)
+            self.canonical = _canonical_linear(P, self.b, self.plan.ring, self.shift)
+            self.linear_simplices = _refined(self.plan.simplices, self.plan.volumes, self.b)
+            if grid is not None:
+                self.moments = sum(grid.moments(X, W) for X, W in self.linear_rules())
 
     def linear_rules(self):
         """The potential integral's rules, one refined simplex at a time.
@@ -306,6 +316,9 @@ class _DingQuadrature:
         is D(t) = (1-t)^2 D_0 + 2t(1-t) D_m + t^2 D_1 with
         D_m = 2 D(1/2) - (D_0 + D_1)/2, exact in dimensions 1 and 2.
         """
+        if self.dropped > self.tol:
+            raise NotInE(f"correction grid too small for the soliton weight: the cut "
+                         f"drops {self.dropped:.3g} of F(b_X), above tolerance {self.tol:g}")
         (g0, H0, lin0), (g1, H1, lin1) = sample0, sample1
         D0 = _density(self.P, self.L, H0)
         D1 = _density(self.P, self.L, H1)
@@ -371,8 +384,9 @@ def ding(v, P: LabeledPolyhedron, b_X=None, tol: float = 1e-8) -> DingValue:
     """D(v) = (1/F(b_X)) int_P v e^{-<b_X,x>} dx - log d1(v), tagged t = 0.
 
     v is a canonical or corrected potential on P. b_X defaults to the soliton
-    vector of P; only there is D invariant under affine changes of v.
-    Dimensions 1 and 2 only.
+    vector of P; only there is D invariant under affine changes of v. On
+    unbounded P both integrals are taken over d1's cut, and NotInE is raised
+    when the cut drops more than tol of F(b_X). Dimensions 1 and 2 only.
     """
     (corr,) = _corrections(P, v)
     if b_X is None:

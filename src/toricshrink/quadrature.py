@@ -325,15 +325,15 @@ def _ring(points) -> np.ndarray:
     return points[np.argsort(np.arctan2(d[:, 1], d[:, 0]))]
 
 
-def _fan(ring) -> list[Simplex]:
-    """Simplices from the first corner of a ring to each later edge."""
+def _fan(ring):
+    """The fan (S, n+1, n) from a ring's first corner to each later edge, with
+    its volumes (S,) from one stacked determinant; volumes <= 1e-13 are dropped."""
     n = ring.shape[1]
-    out = []
-    for i in range(1, len(ring) - n + 1):
-        S = Simplex((tuple(ring[0]),) + tuple(map(tuple, ring[i : i + n])))
-        if S.volume > 1e-13:
-            out.append(S)
-    return out
+    edges = np.arange(1, len(ring) - n + 1)[:, None] + np.arange(n)
+    V = np.concatenate([np.broadcast_to(ring[:1], (len(edges), 1, n)), ring[edges]], axis=1)
+    volumes = np.abs(np.linalg.det(V[:, 1:] - V[:, :1])) / math.factorial(n)
+    keep = volumes > 1e-13
+    return V[keep], volumes[keep]
 
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi}
@@ -346,19 +346,21 @@ def _upper_gamma(s: int, x: float) -> float:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraturePlan:
     """The pieces of a region on which e^{-<b,x>} integrates in closed form.
 
-    ring holds the corners of the bounded part in fan order and simplices
-    their fan. Each entry of cones is a pair (points, rays) of exact
+    ring holds the corners (m, n) of the bounded part in fan order,
+    simplices their fan as a vertex stack (S, n+1, n) and volumes its
+    volumes (S,). Each entry of cones is a pair (points, rays) of exact
     skeleton entries: the hull of the points plus the cone of the rays, with
     <b,r> > 0 on every ray. A plan cut at a level T has no cones.
     """
 
     b: tuple[float, ...]
-    ring: tuple[tuple[float, ...], ...]
-    simplices: tuple[Simplex, ...]
+    ring: np.ndarray
+    simplices: np.ndarray
+    volumes: np.ndarray
     cones: tuple[tuple[tuple, tuple], ...]
 
     def _pieces(self):
@@ -368,10 +370,9 @@ class QuadraturePlan:
         and scale = |det[P_j - P_0, r_i]| prod inv (n! vol on a simplex).
         """
         b = np.array(self.b)
-        if self.simplices:
-            V = np.array([S.points for S in self.simplices])
-            scale = np.array([math.factorial(S.dim) * S.volume for S in self.simplices])
-            yield V, len(b) + 1, np.empty((len(V), 0)), scale
+        if len(self.simplices):
+            yield (self.simplices, len(b) + 1, np.empty((len(self.simplices), 0)),
+                   math.factorial(len(b)) * self.volumes)
         for points, rays in self.cones:
             V, m = np.array(points + rays, dtype=float), len(points)
             inv = 1.0 / (V[m:] @ b)
@@ -379,10 +380,10 @@ class QuadraturePlan:
             yield V[None], m, inv[None], np.array([scale])
 
     @np.errstate(over="ignore", invalid="ignore")  # _in_range reports overflow
-    def exp_integral(self) -> float:
-        """The integral of e^{-<b,x>} over the plan: scale exp[t] per piece."""
+    def exp_integral(self, shift: float = 0.0) -> float:
+        """The integral of e^{-<b,x>-shift} over the plan: scale exp[t] per piece."""
         b = np.array(self.b)
-        terms = [scale * _dd_exp_batch(-(V[:, :m] @ b), np.arange(m)[None, :])[:, 0]
+        terms = [scale * _dd_exp_batch(-(V[:, :m] @ b) - shift, np.arange(m)[None, :])[:, 0]
                  for V, m, _, scale in self._pieces()]
         return stable_sum(_in_range(np.concatenate(terms)))
 
@@ -532,5 +533,4 @@ def plan(P: LabeledPolyhedron, b, truncation: float | None = None) -> Quadrature
             v + (T - float(v @ b)) / float(r @ b) * r for v, r in edges
         ])
     ring = _ring(corners)
-    return QuadraturePlan(tuple(map(float, b)), tuple(map(tuple, ring)),
-                          tuple(_fan(ring)), cones)
+    return QuadraturePlan(tuple(map(float, b)), ring, *_fan(ring), cones)

@@ -27,7 +27,7 @@ from .potentials import (
     differentiation_matrix,
     lobatto_nodes,
 )
-from .quadrature import DivergentWeight, plan as build_plan
+from .quadrature import DivergentWeight, _weight_skeleton, plan as build_plan
 
 
 class NotAProduct(ValueError):
@@ -144,15 +144,11 @@ def _correction_part(P: LabeledPolyhedron, L, X, s_val, s_grad, s_hess,
     return np.einsum("mi,mi->m", s_grad, X) - s_val - np.log(D)
 
 
-def _residual_core(P: LabeledPolyhedron, b, X, s_val, s_grad, s_hess,
-                   strict: bool = True):
-    """R at X: the canonical part plus the correction part, or None where
-    the density is nonpositive unless strict."""
+def _residual_core(P: LabeledPolyhedron, b, X, s_val, s_grad, s_hess):
+    """R at X: the canonical part plus the correction part; NotConvexHere
+    where the density is nonpositive."""
     L, R = _canonical_part(P, b, X)
-    correction = _correction_part(P, L, X, s_val, s_grad, s_hess, strict)
-    if correction is None:
-        return None
-    R += correction
+    R += _correction_part(P, L, X, s_val, s_grad, s_hess)
     return R
 
 
@@ -173,7 +169,7 @@ def residual(P: LabeledPolyhedron, b, x, correction=None):
     if single:
         X = X[None, :]
     s_val, s_grad, s_hess = _correction_arrays(correction, X, P.dim)
-    R = _residual_core(P, b, X, s_val, s_grad, s_hess, strict=True)
+    R = _residual_core(P, b, X, s_val, s_grad, s_hess)
     return float(R[0]) if single else R
 
 
@@ -217,31 +213,19 @@ def _solve_domain(P: LabeledPolyhedron, b, truncation):
             lo[d] = -float(f.offset) / m
         else:
             hi[d] = float(f.offset) / m
+    _weight_skeleton(P, b)  # e^{-<b,x>} is integrable on P
     cuts = []
-    T = truncation
     for d in range(n):
-        if lo[d] is None or hi[d] is None:
-            bd = float(b[d])
-            if lo[d] is None and hi[d] is None:
-                raise NotAProduct("axis is a full line; polyhedron is improper")
-            if hi[d] is None:
-                if bd <= 0:
-                    raise DivergentWeight(
-                        f"weight not integrable along axis {d}",
-                        ray=tuple(int(i == d) for i in range(n)),
-                    )
-                hi[d] = T / bd
-                cuts.append((d, "upper"))
-            else:
-                if bd >= 0:
-                    raise DivergentWeight(
-                        f"weight not integrable along axis {d}",
-                        ray=tuple(-int(i == d) for i in range(n)),
-                    )
-                lo[d] = T / bd
-                cuts.append((d, "lower"))
-            if hi[d] <= lo[d]:
-                raise ValueError("truncation level does not clear the domain")
+        if hi[d] is None:
+            hi[d] = truncation / float(b[d])
+            cuts.append((d, "upper"))
+        elif lo[d] is None:
+            lo[d] = truncation / float(b[d])
+            cuts.append((d, "lower"))
+        else:
+            continue
+        if hi[d] <= lo[d]:
+            raise ValueError("truncation level does not clear the domain")
     factors = [P] if n == 1 else [LabeledPolyhedron(dim=1, facets=tuple(fs))
                                   for fs in axis_facets]
     return list(zip(lo, hi)), tuple(cuts), factors
@@ -371,7 +355,7 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
     grad = _tensor(ds_axes)
     hess = _tensor(dds_axes)[:, :, None] * np.eye(n)
     interior = ~_tensor(on_cut).any(axis=1)
-    R = _residual_core(P, b, X, svals, grad, hess, strict=True)
+    R = _residual_core(P, b, X, svals, grad, hess)
     c_star = float(np.mean(R[interior]))
     deviation = float(np.max(np.abs(R[interior] - c_star)))
     return SolveResult(

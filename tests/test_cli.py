@@ -500,8 +500,9 @@ def test_numeric_subcommands_other_than_ding_scan_load_no_ding(interval_file, tm
 
 
 @pytest.mark.parametrize("flags, error", [
-    ([], "truncation tail estimate"),  # DivergentD1 at the default b
-    (["--b", "1e-300"], "correction grid too small"),  # NotInE
+    (["--b", "2"], "truncation tail estimate"),  # DivergentD1: d1's tail past the cut
+    (["--b", "1e-300"], "correction grid too small"),  # NotInE: the cut drops all of F
+    ([], "correction grid too small"),  # NotInE at the default b: it drops 2.26e-06 of F
 ])
 def test_ding_errors_exit_3_through_the_lazy_import(half_line_file, tmp_path, capsys,
                                                      flags, error):

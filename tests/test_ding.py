@@ -12,7 +12,6 @@ from toricshrink.ding import (
     Geodesic,
     NotInE,
     _DingQuadrature,
-    _fitted_plan,
     _refined,
     convexity_scan,
     d1,
@@ -125,6 +124,31 @@ def test_d1_rejects_uncertified_tail():
     s = GridCorrection.zeros([(-2.0, 3.0)], [8])
     with pytest.raises(DivergentD1):
         d1(CorrectedPotential(P, s), P)
+
+
+@pytest.fixture(scope="module")
+def half_line_at_32():
+    # the correction grid ends at x = 64, where <beta, x> = 32
+    P = half_line(-2)
+    return P, CorrectedPotential(P, solve(P, grid=48, truncation=32).correction)
+
+
+@pytest.mark.parametrize("b_X, share", [(0.1, "0.00136"), (0.01, "0.517")])
+def test_ding_rejects_a_cut_that_drops_the_soliton_weight(half_line_at_32, b_X, share):
+    # d1's cut at x = 64 keeps all but e^{-33} of e^{-x/2}, but drops
+    # e^{-66 b_X} of F(b_X) for a slower weight
+    P, v = half_line_at_32
+    with pytest.raises(NotInE, match=f"the cut drops {share} of F"):
+        ding(v, P, b_X=[b_X])
+    q = _DingQuadrature(P, v.correction, 1e-8, [b_X])
+    assert q.dropped == pytest.approx(math.exp(-66.0 * b_X), rel=1e-9)
+
+
+def test_ding_at_beta_keeps_its_cut(half_line_at_32):
+    # at b_X = beta = 1/2 d1's cut is also the soliton weight's own cut at
+    # the grid's end, and D is pinned bit for bit
+    P, v = half_line_at_32
+    assert ding(v, P, b_X=[0.5]).value == 0.11593151565775328
 
 
 def test_d1_rejects_nonconvex():
@@ -404,7 +428,7 @@ def test_ding_nodes_lie_inside_the_correction_grid():
         lo, hi = np.array(corr.domain).T
         for X in [q.X] + [X for X, _ in q.linear_rules()]:
             assert np.all((X >= lo) & (X <= hi))
-        ring = np.array(q.plan.ring)
+        ring = q.plan.ring
         open_faces = [(d, corr.domain[d][1 if side == "upper" else 0])
                       for d, side in res.truncated_axes]
         assert any(np.any(np.abs(ring[:, d] - c) <= 1e-9 * (1.0 + abs(c)))
@@ -446,7 +470,8 @@ def test_potential_integral_is_the_moment_pairing(P, dom):
 def test_stacked_d1_equals_the_per_simplex_sum(P, dom):
     corr = _seeded_correction(P, dom, 3)
     q = _DingQuadrature(P, corr, 1e-8)
-    V, vol = _refined(q.plan.simplices, 0.5 * np.sum(P.scaled_normal_matrix(), axis=0))
+    V, vol = _refined(q.plan.simplices, q.plan.volumes,
+                      0.5 * np.sum(P.scaled_normal_matrix(), axis=0))
     origin = np.zeros(P.dim)
     per_simplex = []
     for pts in V:
@@ -484,22 +509,20 @@ def test_canonical_term_resolves_a_large_weight(b1):
 
 def quadrant_canonical_ratio(b, S):
     """int u_P e^{-<b,x>} / int e^{-<b,x>} over the quadrant x, y >= -2 cut at
-    <b, x + 2> <= S, with mpmath.
+    x + y + 4 <= S, with mpmath.
 
-    In X = x + 2 the region is the triangle X, Y >= 0, b1 X + b2 Y <= S and
+    In X = x + 2 the region is the triangle X, Y >= 0, X + Y <= S and
     u_P = (X log X + Y log Y)/2; each term integrates in closed form across
     the other variable, which leaves 1D integrals.
     """
     with mpmath.workdps(40):
         b1, b2, S = mpmath.mpf(b[0]), mpmath.mpf(b[1]), mpmath.mpf(S)
-
-        def cuts(top):
-            return [0] + [c for c in (1, 2, 5, 10, 20, 40, 80) if c < top] + [top]
+        cuts = [0] + [c for c in (1, 2, 5, 10, 20, 40, 80) if c < S] + [S]
 
         def across(bj, bk, f):
-            # int_0^{S/bj} f(X) e^{-bj X} (1 - e^{-(S - bj X)}) / bk dX
+            # int_0^S f(X) e^{-bj X} (1 - e^{-bk (S - X)}) / bk dX
             return mpmath.quad(lambda X: f(X) * mpmath.exp(-bj * X)
-                               * -mpmath.expm1(-(S - bj * X)) / bk, cuts(S / bj))
+                               * -mpmath.expm1(-bk * (S - X)) / bk, cuts)
 
         def xlogx(X):
             return X * mpmath.log(X)
@@ -509,15 +532,15 @@ def quadrant_canonical_ratio(b, S):
 
 
 def test_canonical_term_reaches_the_facets():
-    # the canonical ladder cuts the quadrant at T = 146 for b = (1, 3): the
-    # slivers along both facets are part of the integral, not dropped
+    # the canonical ladder cuts the quadrant at <beta, x> = T = 78.7, beta =
+    # (1/2, 1/2), for b = (1, 3): the slivers along both facets are part of
+    # the integral, not dropped
     quadrant = box([(-2, None), (-2, None)])
     b = np.array([1.0, 3.0])
-    pl, _ = _fitted_plan(quadrant, b, None, 1e-8, NotInE)
-    T = float(np.max(np.array(pl.ring) @ b))
-    assert 146.0 < T < 147.0
     q = _DingQuadrature(quadrant, None, 1e-8, b_X=b)
-    ref = quadrant_canonical_ratio(b, T + 2 * b.sum())
+    T = float(np.max(q.plan.ring @ np.array([0.5, 0.5])))
+    assert 78.0 < T < 79.0
+    ref = quadrant_canonical_ratio(b, 2.0 * T + 4.0)
     assert q.canonical / q.F == pytest.approx(ref, rel=1e-13)
 
 
@@ -549,13 +572,12 @@ def test_refined_resolves_the_weight_change_along_every_edge(P, w):
     # the weight varies only along w, so the square at (-30, 0) needs strips
     # across x_1 alone, far fewer pieces than halving at the longest edge
     w = np.asarray(w)
-    simplices = build_plan(P, w).simplices
-    V, vol = _refined(simplices, w)
+    pl = build_plan(P, w)
+    V, vol = _refined(pl.simplices, pl.volumes, w)
     assert len(V) < 4096
     p = V @ w
     assert np.max(np.abs(p[:, :, None] - p[:, None, :])) <= 3.0
-    assert math.fsum(vol) == pytest.approx(math.fsum(S.volume for S in simplices),
-                                           rel=1e-13)
+    assert math.fsum(vol) == pytest.approx(math.fsum(pl.volumes), rel=1e-13)
 
 
 @pytest.mark.parametrize("P, f, dom", [

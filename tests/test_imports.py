@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and no module
+reads another object's private attributes.
 
 Parses the sources with ast only, so it runs without numpy.
 """
@@ -28,3 +29,22 @@ def unused_imports(tree):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def foreign_private_reads(tree):
+    """(line, attribute) of each read of obj._name with obj other than self or cls.
+
+    Dunder attributes are the language's own, not private.
+    """
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.endswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_attribute_reads_from_outside(path):
+    assert foreign_private_reads(ast.parse(path.read_text(encoding="utf-8"))) == []

@@ -7,7 +7,9 @@ import pytest
 from numpy.polynomial import chebyshev as C
 from scipy.optimize import brentq
 
-from toricshrink.polyhedra import box, from_halfspaces, half_line, interval
+from toricshrink.cli import main
+from toricshrink.polyhedra import box, from_halfspaces, half_line, interval, \
+    save_polyhedron
 from toricshrink.potentials import CorrectedPotential, GridCorrection, NoConvergence
 from toricshrink.quadrature import DivergentWeight
 from toricshrink.shrinker import (
@@ -353,3 +355,15 @@ def test_solve_rejects_non_product():
 def test_solve_divergent_direction():
     with pytest.raises(DivergentWeight):
         solve(half_line(-2), b=[-1.0])
+
+
+def test_solve_on_a_strip_is_a_divergent_weight(tmp_path, capsys):
+    # every facet of the strip |x| <= 2 is axis-aligned, but it contains the
+    # lines along (0, 1), on which no weight is integrable
+    strip = from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 1, 2)])
+    with pytest.raises(DivergentWeight, match="contains the line"):
+        solve(strip, b=[0.5, 0.5])
+    path = tmp_path / "strip.json"
+    save_polyhedron(strip, path)
+    assert main(["solve", str(path), "--b", "0.5,0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: validation: polyhedron contains the line")
