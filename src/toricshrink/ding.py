@@ -26,8 +26,8 @@ checks the share of F(b_X) the cut drops, and each integral is one array:
   - the correction's potential integral as <C, M>: it is linear in the
     correction's Chebyshev coefficients C, and M is a moment tensor of the
     weight, built once;
-  - the canonical potential integral as one 1D rule per facet, in the level
-    of the facet's L_k, on whose slices the weight integrates in closed form.
+  - the canonical potential integral as one 1D rule per facet in L_k, with
+    slices in closed form and a Gauss rule for -log u at the facet.
 The weight is taken as e^{-<b_X,x>-c}, peaking at 1 on the region; e^{-c}
 cancels in D. Along v_t = (1-t) v_0 + t v_1, g and <C, M> are affine in t
 and D is a polynomial of degree n <= 2 in t, so a scan samples each
@@ -39,14 +39,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
     _density, correction_of
-from .quadrature import _dd_exp_batch, _reference_rule, _tail_bounds, \
-    _unbounded_edges, _weight_skeleton, gauss_rules, plan as build_plan, stable_sum
+from .quadrature import _tail_bounds, _unbounded_edges, _weight_skeleton, gauss_rules, \
+    plan as build_plan, stable_sum
 from .shrinker import _canonical_part, _nonconvex, find_soliton_vector
 
 
@@ -71,7 +72,7 @@ class DingValue:
 # regions
 
 _ORDER = 25            # Gauss order on the refined simplices of both integrals
-_CANONICAL_ORDER = 20  # Gauss-Legendre order on the l-pieces of the canonical term
+_CANONICAL_ORDER = 20  # order of both Gauss rules on the l-pieces of the canonical term
 
 
 def _beta(P: LabeledPolyhedron) -> np.ndarray:
@@ -140,9 +141,10 @@ def _refined(V, vol, weight):
     """Halve simplices until the exponent of e^{-<weight,x>} moves by at most 3
     along every edge.
 
-    Takes and returns a vertex stack (S, n+1, n) with its volumes: a half
-    has half its parent's volume. Each round halves every simplex at the
-    midpoint of its first edge (i, j), i < j in row-major order, of largest change
+    Takes and returns a vertex stack (S, n+1, n) with its volumes, and counts
+    the pieces the cap leaves changing it by more than 3. A half has half its
+    parent's volume. Each round halves every simplex at the midpoint of its
+    first edge (i, j), i < j in row-major order, of largest change
     |<weight, v_i - v_j>|, while that change exceeds 3, until 4096 pieces
     exist. Only the change matters: the weight is constant across it, so a
     simplex long in that direction needs no splitting. In 1D the change is
@@ -166,73 +168,93 @@ def _refined(V, vol, weight):
         halves = np.stack([V[split], V[split]])
         halves[0, rows, i] = halves[1, rows, j] = 0.5 * (V[split, i] + V[split, j])
         V, vol = halves.reshape(-1, *V.shape[1:]), np.tile(0.5 * vol[split], 2)
-    return np.concatenate(done_V), np.concatenate(done_vol)
+    V = np.concatenate(done_V)
+    return V, np.concatenate(done_vol), int(np.sum(np.ptp(V @ w, axis=1) > 3.0))
 
 
 # ---------------------------------------------------------------------------
 # the canonical part of the potential integral
 
-def _crossings(p0, p1, f0, f1, ell):
-    """Where the level sets f = l cross the edges (p0, p1) of a ring, f affine.
+@lru_cache(maxsize=None)
+def _line_rules(order: int):
+    """Read-only Gauss rules (nodes, weights) on [0, 1] for the weights 1 and -log u.
 
-    An edge counts when f0 <= l < f1 or f1 <= l < f0, so a convex ring has
-    two crossings (one on a line) at every l from its lowest corner level up
-    to, but not including, its highest. Returns the mask (K, E) and the
-    crossing points (K, E, n) of all K levels and E edges.
+    The modified Chebyshev algorithm takes the -log u recurrence from the
+    moments 1, (-1)^k (k!)^2 / ((2k)! k (k+1)) against the monic Legendre
+    polynomials on [0, 1] (Gautschi, Orthogonal Polynomials, 2004, 2.1.7).
+    Nodes are Jacobi eigenvalues (Golub & Welsch, Math. Comp. 23, 1969),
+    weights Christoffel numbers 1 / sum_k q_k^2, q_k orthonormal: to rounding.
     """
-    mask = (np.minimum(f0, f1) <= ell[:, None]) & (ell[:, None] < np.maximum(f0, f1))
-    s = (ell[:, None] - f0) / np.where(f1 == f0, 1.0, f1 - f0)
-    return mask, p0 + s[..., None] * (p1 - p0)
+    N = 2 * order
+    b = [1.0] + [0.25 / (4.0 - k ** -2.0) for k in range(1, N)]  # Legendre's recurrence
+    s = [1.0] + [(-1) ** k * math.factorial(k) ** 2 / math.factorial(2 * k) / (k * k + k)
+                 for k in range(1, N)]  # the modified moments
+    alpha, beta, prev = [0.5 + s[1]], [1.0], [0.0] * N
+    for j in range(1, order):
+        new = [0.0] * N
+        for k in range(j, N - j):
+            new[k] = s[k + 1] - (alpha[-1] - 0.5) * s[k] - beta[-1] * prev[k] + b[k] * s[k - 1]
+        alpha.append(0.5 + new[j + 1] / new[j] - s[j] / s[j - 1])
+        beta.append(new[j] / s[j - 1])
+        prev, s = s, new
+    a, r = np.array([[0.5] * order, alpha]), np.sqrt([b[:order], beta])
+    nodes = np.linalg.eigvalsh(a[..., None] * np.eye(order)
+                               + r[..., None] * np.eye(order, k=-1))
+    q, prev, total = np.ones_like(nodes), 0.0, 1.0
+    for k in range(order - 1):
+        q, prev = ((nodes - a[:, k, None]) * q - r[:, k, None] * prev) / r[:, k + 1, None], q
+        total = total + q * q
+    weights = 1.0 / total
+    nodes.flags.writeable = weights.flags.writeable = False
+    return (nodes[0], weights[0]), (nodes[1], weights[1])
 
 
-def _canonical_linear(P: LabeledPolyhedron, b, ring, c) -> float:
-    """int over the ring of u_P e^{-<b,x>-c} dx, one 1D rule in l = L_k per facet.
+def _canonical_linear(P: LabeledPolyhedron, b, ring):
+    """(facet k, term) per node of one 1D rule per facet in l = L_k for the
+    integral over the ring of u_P e^{-<b,x>-c} dx, c the largest -<b,x> on it.
 
-    The ring's slice at L_k = l is a point in 1D and a segment in 2D, along
-    which e^{-<b,x>-c} integrates in closed form: length times exp[t_a, t_c],
-    t = -<b,x> - c at its ends (exp[t_a] at a point), and dx = dl ds / |w_k|.
-    Gauss-Legendre pieces in l run between the corner levels, graded by 1/2
-    toward l = 0, where l log l is singular, from R down to R 2^-26 (R the
-    largest L_k on the ring), then one more piece down to l = 0, and are
-    split until t at the slice ends moves by at most 3 across a piece:
-    _refined's rule for edges carried into l.
+    Pieces run between a facet's corner levels, the lowest 0, split until
+    t = -<b,x> - c moves by at most 3 across one (_refined's rule). The
+    slices L_k = l of a piece end on the same two ring edges, so length and t
+    at the ends are affine in l: e^t integrates along a slice as length
+    e^{t_max} (1 - e^{-delta}) / delta, delta = t_max - t_min, and dx =
+    dl ds / |w_k|. Gauss-Legendre takes (1/2) l log l times the slice, but at
+    the facet int_0^h l log l f = h^2 [log h int_0^1 u f(hu) - int_0^1 (-log u) u f(hu)].
     """
-    n = P.dim
-    lam, g = _reference_rule(1, _CANONICAL_ORDER)  # Gauss-Legendre on [0, 1]
-    p0, p1 = (ring[:1], ring[1:]) if n == 1 else (ring, np.roll(ring, -1, axis=0))
-    rise = np.abs((p1 - p0) @ b)
-    terms = []
-    for wk, ak in zip(P.scaled_normal_matrix(), P.offsets_array()):
-        levels = ring @ wk + ak
-        f0, f1 = p0 @ wk + ak, p1 @ wk + ak
-        slope = rise / np.where(f0 == f1, np.inf, np.abs(f1 - f0))  # |dt/dl| on each edge
-        R = float(np.max(levels))
-        cuts = np.concatenate([levels, R * 0.5 ** np.arange(27), [0.0]])
-        cuts = np.sort(cuts[(cuts >= max(float(np.min(levels)), 0.0)) & (cuts <= R)])
-        cuts = cuts[np.append(True, np.diff(cuts) > 0)]  # each level once
-        lo, width = cuts[:-1], np.diff(cuts)
-        active, _ = _crossings(p0, p1, f0, f1, lo + 0.5 * width)
-        steep = np.max(np.where(active, slope, 0.0), axis=1)
-        count = np.maximum(1, np.ceil(width * steep / 3.0)).astype(int)
-        piece = np.repeat(np.arange(len(lo)), count)
-        h = (width / count)[piece]
-        rank = np.arange(len(piece)) - np.repeat(np.cumsum(count) - count, count)
-        ell = ((lo[piece] + rank * h)[:, None] + h[:, None] * lam[:, 0]).ravel()
-        weight = (h[:, None] * g).ravel()
-        mask, pts = _crossings(p0, p1, f0, f1, ell)
-        if n == 1:
-            ends, length = pts, 1.0
-        else:
-            # the extreme crossings along the level line
-            along = pts @ np.array([-wk[1], wk[0]])
-            rows = np.arange(len(ell))
-            ends = np.stack([pts[rows, np.argmin(np.where(mask, along, np.inf), axis=1)],
-                             pts[rows, np.argmax(np.where(mask, along, -np.inf), axis=1)]],
-                            axis=1)
-            length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
-        slices = length * _dd_exp_batch(-(ends @ b) - c, np.arange(n)[None, :])[:, 0]
-        terms.append(weight * 0.5 * ell * np.log(ell) * slices / np.linalg.norm(wk))
-    return stable_sum(np.concatenate(terms))
+    (u, g), (v, gamma) = _line_rules(_CANONICAL_ORDER)
+    W = P.scaled_normal_matrix()
+    F = W @ ring.T + P.offsets_array()[:, None]  # corner levels (facets, corners)
+    Y = np.stack([np.broadcast_to(np.min(ring @ b) - ring @ b, F.shape),  # t, and the position
+                  W[:, ::-1] * [-1.0, 1.0] @ ring.T if P.dim == 2 else F])  # along L_k = l
+    i0, i1 = np.arange(len(ring)), np.roll(np.arange(len(ring)), -1)  # the ring's edges
+    f0, f1 = F[:, i0], F[:, i1]
+    dY = (Y[:, :, i1] - Y[:, :, i0]) / np.where(f0 == f1, np.inf, f1 - f0)  # per unit l
+    cuts = np.sort(F, axis=1)
+    k, j = np.nonzero(cuts[:, 1:] > cuts[:, :-1])  # the pieces, facet by facet
+    lo, hi = cuts[k, j], cuts[k, j + 1]
+    spans = (np.minimum(f0, f1)[k] <= lo[:, None]) & (hi[:, None] <= np.maximum(f0, f1)[k])
+    # the edges where L_k rises and falls along the ring: in 1D the segment both ways
+    ea, ez = (np.argmax(spans & side[k], axis=1) for side in (f1 > f0, f1 < f0))
+    steep = np.maximum(np.abs(dY[0, k, ea]), np.abs(dY[0, k, ez]))
+    count = np.maximum(1, np.ceil((hi - lo) * steep / 3.0)).astype(int)
+    sub = np.repeat(np.arange(len(lo)), count)
+    rank = np.arange(len(sub)) - np.repeat(np.cumsum(count) - count, count)
+    h = ((hi - lo) / count)[sub, None]
+    x = lo[sub, None] + rank[:, None] * h + h * u
+    at_facet = (rank == 0) & (lo[sub] == cuts[k[sub], 0])
+    ell = np.concatenate([x.ravel(), (h[at_facet] * v).ravel()])
+    weight = np.concatenate([(h * g * x * np.log(np.where(at_facet[:, None], h, x))).ravel(),
+                             (-h[at_facet] ** 2 * gamma * v).ravel()])
+    kk, a, z = (np.repeat(y[np.concatenate([sub, sub[at_facet]])], _CANONICAL_ORDER)
+                for y in (k, ea, ez))
+    def at(e):  # t and the position along L_k = l on edges e, from their nearer corner
+        near = np.where(np.abs(ell - f0[kk, e]) <= np.abs(ell - f1[kk, e]), i0[e], i1[e])
+        return Y[:, kk, near] + (ell - F[kk, near]) * dY[:, kk, e]
+    (ta, sa), (tz, sz) = at(a), at(z)
+    delta = np.maximum(np.abs(tz - ta), 1e-300)  # (1 - e^-delta) / delta is 1 at 0
+    slices = np.exp(np.maximum(ta, tz)) * -np.expm1(-delta) / delta
+    norm = np.linalg.norm(W, axis=1)[kk]
+    return kk, 0.5 * weight * slices * (np.abs(sz - sa) / norm if P.dim == 2 else 1.0) / norm
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +273,12 @@ class _DingQuadrature:
     When b_X is given, F(b_X) and the potential integral are taken over the
     same plan against e^{-<b_X,x>-c}, c the largest -<b_X,x> on its ring:
     e^{-c} cancels between them and keeps both in the float range. The
-    canonical part is one 1D rule per facet (_canonical_linear); the
-    correction part is <C, M>, C the correction's Chebyshev coefficients and
-    M the moment tensor of the order-25 rules on the plan's simplices
-    refined for e^{-<b_X,x>}, built one simplex at a time. tail and dropped
-    (see _fitted_plan) are kept for scan, which raises when either exceeds
-    tol, so a quadrature on a short grid can still be built.
+    canonical part is one 1D rule per facet (_canonical_linear), the
+    correction part <C, M>, C the correction's Chebyshev coefficients and M
+    the moment tensor of the order-25 rules on the plan's simplices refined
+    for e^{-<b_X,x>}, built one simplex at a time. scan raises when tail or
+    dropped (see _fitted_plan) exceeds tol, so a quadrature on a short grid
+    can still be built; unresolved sums _refined's counts of both refinements.
     """
 
     def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None):
@@ -266,8 +288,8 @@ class _DingQuadrature:
         self.b = None if b_X is None else np.asarray(b_X, dtype=float)
         beta = _beta(P)
         self.plan, self.tail, self.dropped = _fitted_plan(P, beta, grid, tol, self.b)
-        self.X, W = gauss_rules(*_refined(self.plan.simplices, self.plan.volumes, beta),
-                                _ORDER)
+        V, vol, self.unresolved = _refined(self.plan.simplices, self.plan.volumes, beta)
+        self.X, W = gauss_rules(V, vol, _ORDER)
         self.L, R_P = _canonical_part(P, np.zeros(P.dim), self.X)
         self.base = W * np.exp(-R_P)
         self.q = _ORDER ** P.dim
@@ -275,8 +297,9 @@ class _DingQuadrature:
         if self.b is not None:
             self.shift = float(np.max(-(self.plan.ring @ self.b)))
             self.F = replace(self.plan, b=self.b).exp_integral(self.shift)
-            self.canonical = _canonical_linear(P, self.b, self.plan.ring, self.shift)
+            self.canonical = stable_sum(_canonical_linear(P, self.b, self.plan.ring)[1])
             self.linear_simplices = _refined(self.plan.simplices, self.plan.volumes, self.b)
+            self.unresolved += self.linear_simplices[2]
             if grid is not None:
                 self.moments = sum(grid.moments(X, W) for X, W in self.linear_rules())
 
@@ -285,7 +308,7 @@ class _DingQuadrature:
 
         Each is (X, W) with the weight e^{-<b_X,x>-c} folded into W.
         """
-        V, vol = self.linear_simplices
+        V, vol, _ = self.linear_simplices
         for s in range(len(V)):
             X, W = gauss_rules(V[s:s + 1], vol[s:s + 1], _ORDER)
             yield X, W * np.exp(-(X @ self.b) - self.shift)

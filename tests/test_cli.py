@@ -404,6 +404,15 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_imports_leave_the_canonical_rules_unbuilt():
+    # the Gauss rules of the canonical term are built at the first Ding call
+    code = ("import toricshrink.cli, toricshrink.ding as d; "
+            "print(d._line_rules.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 def test_potential_of_wrong_dimension_is_parse_error(cube_file, interval_file,
                                                      tmp_path, capsys):
     art = tmp_path / "round.json"

@@ -12,6 +12,8 @@ from toricshrink.ding import (
     Geodesic,
     NotInE,
     _DingQuadrature,
+    _canonical_linear,
+    _line_rules,
     _refined,
     convexity_scan,
     d1,
@@ -25,7 +27,8 @@ from toricshrink.potentials import (
     GridCorrection,
     NotConvexHere,
 )
-from toricshrink.quadrature import Simplex, gauss_simplex_rule, plan as build_plan
+from toricshrink.quadrature import Simplex, _dd_exp_batch, _reference_rule, \
+    gauss_simplex_rule, plan as build_plan, stable_sum
 from toricshrink.shrinker import _correction_arrays, _residual_core, find_soliton_vector, \
     solve
 
@@ -146,9 +149,10 @@ def test_ding_rejects_a_cut_that_drops_the_soliton_weight(half_line_at_32, b_X, 
 
 def test_ding_at_beta_keeps_its_cut(half_line_at_32):
     # at b_X = beta = 1/2 d1's cut is also the soliton weight's own cut at
-    # the grid's end, and D is pinned bit for bit
+    # the grid's end, and D is pinned bit for bit; D with the canonical term
+    # from mpmath is 0.1159315156577535
     P, v = half_line_at_32
-    assert ding(v, P, b_X=[0.5]).value == 0.11593151565775328
+    assert ding(v, P, b_X=[0.5]).value == 0.11593151565775284
 
 
 def test_d1_rejects_nonconvex():
@@ -470,8 +474,8 @@ def test_potential_integral_is_the_moment_pairing(P, dom):
 def test_stacked_d1_equals_the_per_simplex_sum(P, dom):
     corr = _seeded_correction(P, dom, 3)
     q = _DingQuadrature(P, corr, 1e-8)
-    V, vol = _refined(q.plan.simplices, q.plan.volumes,
-                      0.5 * np.sum(P.scaled_normal_matrix(), axis=0))
+    V, vol, _ = _refined(q.plan.simplices, q.plan.volumes,
+                         0.5 * np.sum(P.scaled_normal_matrix(), axis=0))
     origin = np.zeros(P.dim)
     per_simplex = []
     for pts in V:
@@ -544,6 +548,112 @@ def test_canonical_term_reaches_the_facets():
     assert q.canonical / q.F == pytest.approx(ref, rel=1e-13)
 
 
+def graded_canonical(P, b, ring, c):
+    """int over the ring of u_P e^{-<b,x>-c} dx, Gauss-Legendre alone in l = L_k.
+
+    The rule the package used before its log-weighted one, kept as a
+    reference: pieces between the corner levels, graded by 1/2 toward l = 0
+    from R down to R 2^-26 (R the largest L_k on the ring), then one piece
+    down to l = 0, split until t moves by at most 3 across a piece; each
+    slice found by crossing every ring edge, and exp[t_a, t_c] along it from
+    the divided-difference kernel.
+    """
+    lam, g = _reference_rule(1, 20)
+    p0, p1 = (ring[:1], ring[1:]) if P.dim == 1 else (ring, np.roll(ring, -1, axis=0))
+    rise = np.abs((p1 - p0) @ b)
+
+    def crossings(f0, f1, ell):
+        mask = (np.minimum(f0, f1) <= ell[:, None]) & (ell[:, None] < np.maximum(f0, f1))
+        s = (ell[:, None] - f0) / np.where(f1 == f0, 1.0, f1 - f0)
+        return mask, p0 + s[..., None] * (p1 - p0)
+
+    terms = []
+    for wk, ak in zip(P.scaled_normal_matrix(), P.offsets_array()):
+        levels = ring @ wk + ak
+        f0, f1 = p0 @ wk + ak, p1 @ wk + ak
+        slope = rise / np.where(f0 == f1, np.inf, np.abs(f1 - f0))
+        R = float(np.max(levels))
+        cuts = np.concatenate([levels, R * 0.5 ** np.arange(27), [0.0]])
+        cuts = np.sort(cuts[(cuts >= max(float(np.min(levels)), 0.0)) & (cuts <= R)])
+        cuts = cuts[np.append(True, np.diff(cuts) > 0)]
+        lo, width = cuts[:-1], np.diff(cuts)
+        active, _ = crossings(f0, f1, lo + 0.5 * width)
+        steep = np.max(np.where(active, slope, 0.0), axis=1)
+        count = np.maximum(1, np.ceil(width * steep / 3.0)).astype(int)
+        piece = np.repeat(np.arange(len(lo)), count)
+        h = (width / count)[piece]
+        rank = np.arange(len(piece)) - np.repeat(np.cumsum(count) - count, count)
+        ell = ((lo[piece] + rank * h)[:, None] + h[:, None] * lam[:, 0]).ravel()
+        mask, pts = crossings(f0, f1, ell)
+        if P.dim == 1:
+            ends, length = pts, 1.0
+        else:
+            along = pts @ np.array([-wk[1], wk[0]])
+            rows = np.arange(len(ell))
+            ends = np.stack([pts[rows, np.argmin(np.where(mask, along, np.inf), axis=1)],
+                             pts[rows, np.argmax(np.where(mask, along, -np.inf), axis=1)]],
+                            axis=1)
+            length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+        slices = length * _dd_exp_batch(-(ends @ b) - c, np.arange(P.dim)[None, :])[:, 0]
+        terms.append((h[:, None] * g).ravel() * 0.5 * ell * np.log(ell) * slices
+                     / np.linalg.norm(wk))
+    return stable_sum(np.concatenate(terms))
+
+
+def hexagon():
+    return from_halfspaces(2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, 0), 1, 2),
+                               ((0, -1), 1, 2), ((-1, -1), 1, 3), ((1, 1), 1, 3)])
+
+
+@pytest.mark.parametrize("P", [
+    pentagon(),
+    hexagon(),
+    from_halfspaces(2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, -1), 1, 2)]),
+    box([(-2, 1), ("-2/3", None)], labels=[1, 2, 3]),
+], ids=["pentagon", "hexagon", "triangle", "half_strip"])
+@pytest.mark.parametrize("tilt", [(0.0, 0.0), (-20.0, 7.0)])
+def test_canonical_term_matches_the_graded_rule(P, tilt):
+    b = find_soliton_vector(P).b + np.array(tilt)
+    q = _DingQuadrature(P, None, 1e-8, b_X=b)
+    ref = graded_canonical(P, b, q.plan.ring, q.shift)
+    assert q.canonical == pytest.approx(ref, rel=1e-13)
+
+
+def test_canonical_term_needs_few_nodes_per_facet():
+    # one piece per facet of the square at b_X = 0: one Gauss-Legendre rule
+    # and one -log u rule of order 20, where the graded rule took 540 nodes
+    sq = box([(-2, 2), (-2, 2)])
+    q = _DingQuadrature(sq, None, 1e-8, b_X=[0.0, 0.0])
+    facets, terms = _canonical_linear(sq, q.b, q.plan.ring)
+    assert np.bincount(facets).tolist() == [40] * 4
+    assert stable_sum(terms) == q.canonical
+
+
+def test_line_rules_are_gauss_rules():
+    (u, g), (v, gamma) = _line_rules(20)
+    k = np.arange(40)[:, None]
+    assert np.allclose(np.sum(g * u ** k, axis=1) * (k[:, 0] + 1), 1.0, rtol=1e-14, atol=0)
+    # int_0^1 -log(u) u^k du = 1 / (k + 1)^2
+    assert np.allclose(np.sum(gamma * v ** k, axis=1) * (k[:, 0] + 1) ** 2, 1.0,
+                       rtol=1e-14, atol=0)
+    for nodes, weights in ((u, g), (v, gamma)):
+        assert np.all((0.0 < nodes) & (nodes < 1.0)) and np.all(weights > 0.0)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+def test_refined_counts_what_its_cap_leaves_unresolved(half_line_at_32):
+    # the weight's exponent spans 1,600 across the square at b_X = (-400, 0),
+    # past what 4,096 pieces resolve; the benchmark's geodesics stay inside
+    sq = box([(-2, 2), (-2, 2)])
+    q = _DingQuadrature(sq, None, 1e-8, b_X=[-400.0, 0.0])
+    assert (q.unresolved, len(q.linear_simplices[0])) == (4054, 4096)
+    half_line, v = half_line_at_32
+    for P, grid in ((sq, None), (TEARDROP, None), (RECTANGLE, None),
+                    (half_line, v.correction)):
+        q = _DingQuadrature(P, grid, 1e-8, b_X=find_soliton_vector(P).b)
+        assert q.unresolved == 0
+
+
 @pytest.mark.parametrize("P, dom", [
     (TEARDROP, [(-2.0, 2.0 / 3.0)]),
     (RECTANGLE, [(-2.0, 2.0 / 3.0), (-1.0, 2.0)]),
@@ -573,8 +683,8 @@ def test_refined_resolves_the_weight_change_along_every_edge(P, w):
     # across x_1 alone, far fewer pieces than halving at the longest edge
     w = np.asarray(w)
     pl = build_plan(P, w)
-    V, vol = _refined(pl.simplices, pl.volumes, w)
-    assert len(V) < 4096
+    V, vol, unresolved = _refined(pl.simplices, pl.volumes, w)
+    assert len(V) < 4096 and unresolved == 0
     p = V @ w
     assert np.max(np.abs(p[:, :, None] - p[:, None, :])) <= 3.0
     assert math.fsum(vol) == pytest.approx(math.fsum(pl.volumes), rel=1e-13)

@@ -1,10 +1,12 @@
-"""Every name a package module imports is used in that module, and no module
-reads another object's private attributes.
+"""Every name a package module imports is used in that module, every import
+is of the standard library, numpy or the package, and no module reads another
+object's private attributes.
 
 Parses the sources with ast only, so it runs without numpy.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,31 @@ def unused_imports(tree):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def foreign_imports(tree):
+    """(line, module) of each import of neither the standard library, numpy nor
+    the package: the test extra installs scipy and mpmath, the package needs
+    only numpy."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    allowed = sys.stdlib_module_names | {"numpy", "toricshrink"}
+    return sorted((line, name) for line, name in found if name.split(".")[0] not in allowed)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_numpy_or_the_package(path):
+    assert foreign_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_foreign_imports_are_found():
+    tree = ast.parse("import os, scipy.linalg\nfrom mpmath import mp\nfrom . import ding\n"
+                     "from numpy.linalg import det\nimport toricshrink.cli")
+    assert foreign_imports(tree) == [(1, "scipy.linalg"), (2, "mpmath")]
 
 
 def foreign_private_reads(tree):

@@ -11,10 +11,35 @@ from toricshrink.lattice import (
     primitive_reduce,
     quotient_group,
     rref,
-    saturation_basis,
     smith_normal_form,
-    unimodular_inverse,
 )
+
+
+# saturation bases: test_polyhedra's reference for the structure group reads
+# one; the package computes structure groups without them
+
+def saturation_basis(A) -> list[tuple[int, ...]]:
+    """Basis of the saturation (rational row span intersected with Z^n) of the rows of A."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    _, S, V = smith_normal_form(A)
+    rank = sum(1 for i in range(min(m, n)) if S[i][i] != 0)
+    Vinv = unimodular_inverse(V)
+    return [tuple(Vinv[i]) for i in range(rank)]
+
+
+def unimodular_inverse(V) -> list[list[int]]:
+    """Exact inverse of a unimodular integer matrix (Gauss-Jordan over Fractions)."""
+    n = len(V)
+    R, pivots = rref([list(V[i]) + [int(i == j) for j in range(n)] for i in range(n)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is not unimodular")
+    out = [row[n:] for row in R]
+    for row in out:
+        for x in row:
+            if x.denominator != 1:
+                raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in out]
 
 
 def mat_mul(A, B):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import HalfspaceIntersection
 
-from toricshrink.lattice import quotient_group, rref, saturation_basis
+from test_lattice import saturation_basis
+from toricshrink.lattice import quotient_group, rref
 from toricshrink.polyhedra import (
     EmptyFace,
     EmptyPolyhedron,
