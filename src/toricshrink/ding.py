@@ -28,7 +28,7 @@ checks the share of F(b_X) the cut drops, and each integral is one array:
     weight, built once;
   - the canonical potential integral as one 1D rule per facet in L_k, with
     slices in closed form and a Gauss rule for -log u at the facet.
-The weight is taken as e^{-<b_X,x>-c}, peaking at 1 on the region; e^{-c}
+The weight is taken as e^{-<b_X,x>-c}, c the largest -<b_X,x> on P; e^{-c}
 cancels in D. Along v_t = (1-t) v_0 + t v_1, g and <C, M> are affine in t
 and D is a polynomial of degree n <= 2 in t, so a scan samples each
 endpoint once and D at t = 1/2, and every t costs one exponential per node.
@@ -39,15 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
     _density, correction_of
-from .quadrature import _tail_bounds, _unbounded_edges, _weight_skeleton, gauss_rules, \
-    plan as build_plan, stable_sum
+from .quadrature import _line_rules, _tail_bounds, _unbounded_edges, _weight_skeleton, \
+    gauss_rules, plan as build_plan, stable_sum
 from .shrinker import _canonical_part, _nonconvex, find_soliton_vector
 
 
@@ -81,28 +80,32 @@ def _beta(P: LabeledPolyhedron) -> np.ndarray:
 
 
 def _fitted_plan(P, beta, correction, tol, b_X=None):
-    """(plan, tail, dropped): the Ding plan for e^{-<beta,x>}, the summed
-    _tail_bounds of its cut, and the share 1 - F_cut / F_P of F(b_X) the
-    cut drops (0 on bounded P or without b_X), F_P exact over P.
+    """(plan, tail, dropped, F, c): the Ding plan for e^{-<beta,x>}, the
+    summed _tail_bounds of its cut, the share 1 - F / F_P of F(b_X) the cut
+    drops (0 on bounded P), F the integral of e^{-<b_X,x>-c} over the plan's
+    region, F_P the same over P, exact, and c the largest -<b_X,x> on P
+    (dropped 0, F and c None without b_X).
 
     Unbounded P is cut where it first leaves the correction's grid box, on
     an unbounded edge v + tau r (P is its vertices' hull plus its recession
     cone), or, for the canonical potential, at the first rung of T *= 1.3
     where the tail bound, b_X's own bound and the dropped share meet tol.
     """
-    if P.is_bounded():
-        return build_plan(P, beta), 0.0, 0.0
     verts, rays = _weight_skeleton(P, beta)
+    c = None if b_X is None else float(np.max(-(verts @ b_X)))  # -<b_X,x> peaks at a vertex
+    if P.is_bounded():
+        pl = build_plan(P, beta)
+        return pl, 0.0, 0.0, None if b_X is None else replace(pl, b=b_X).exp_integral(c), c
     tail_bounds = _tail_bounds(beta, rays, verts)
     if b_X is not None:
-        c = float(np.max(-(verts @ b_X)))  # -<b_X,x> peaks at a vertex
         F_P = build_plan(P, b_X).exp_integral(c)
 
-    def cut(T):
+    def cut(T):  # the plan cut at T, with its dropped share and F
         pl = build_plan(P, beta, truncation=T)
         if b_X is None:
-            return pl, 0.0
-        return pl, 1.0 - replace(pl, b=b_X).exp_integral(c) / F_P
+            return pl, 0.0, None
+        F = replace(pl, b=b_X).exp_integral(c)
+        return pl, 1.0 - F / F_P, F
 
     edges = np.array(_unbounded_edges(P), dtype=float)
     if correction is None:
@@ -117,9 +120,9 @@ def _fitted_plan(P, beta, correction, tol, b_X=None):
         for _ in range(200):
             tail = sum(tail_bounds(T))
             if tail <= tol and (b_X is None or weight_tail(T) <= tol):
-                pl, dropped = cut(T)
+                pl, dropped, F = cut(T)
                 if dropped <= tol:
-                    return pl, tail, dropped
+                    return pl, tail, dropped, F, c
             T *= 1.3
         raise (DivergentD1 if tail > tol else NotInE)(
             "truncation ladder failed to reach tolerance within 200 steps of T *= 1.3")
@@ -131,10 +134,10 @@ def _fitted_plan(P, beta, correction, tol, b_X=None):
         levels.append(float((v + tau * r) @ beta))
     T = min(levels) * (1.0 - 1e-12) - 1e-12
     try:
-        pl, dropped = cut(T)
+        pl, dropped, F = cut(T)
     except ValueError as err:
         raise DivergentD1(f"correction grid too small for a usable truncation: {err}") from err
-    return pl, float(sum(tail_bounds(T))), dropped
+    return pl, float(sum(tail_bounds(T))), dropped, F, c
 
 
 def _refined(V, vol, weight):
@@ -175,43 +178,9 @@ def _refined(V, vol, weight):
 # ---------------------------------------------------------------------------
 # the canonical part of the potential integral
 
-@lru_cache(maxsize=None)
-def _line_rules(order: int):
-    """Read-only Gauss rules (nodes, weights) on [0, 1] for the weights 1 and -log u.
-
-    The modified Chebyshev algorithm takes the -log u recurrence from the
-    moments 1, (-1)^k (k!)^2 / ((2k)! k (k+1)) against the monic Legendre
-    polynomials on [0, 1] (Gautschi, Orthogonal Polynomials, 2004, 2.1.7).
-    Nodes are Jacobi eigenvalues (Golub & Welsch, Math. Comp. 23, 1969),
-    weights Christoffel numbers 1 / sum_k q_k^2, q_k orthonormal: to rounding.
-    """
-    N = 2 * order
-    b = [1.0] + [0.25 / (4.0 - k ** -2.0) for k in range(1, N)]  # Legendre's recurrence
-    s = [1.0] + [(-1) ** k * math.factorial(k) ** 2 / math.factorial(2 * k) / (k * k + k)
-                 for k in range(1, N)]  # the modified moments
-    alpha, beta, prev = [0.5 + s[1]], [1.0], [0.0] * N
-    for j in range(1, order):
-        new = [0.0] * N
-        for k in range(j, N - j):
-            new[k] = s[k + 1] - (alpha[-1] - 0.5) * s[k] - beta[-1] * prev[k] + b[k] * s[k - 1]
-        alpha.append(0.5 + new[j + 1] / new[j] - s[j] / s[j - 1])
-        beta.append(new[j] / s[j - 1])
-        prev, s = s, new
-    a, r = np.array([[0.5] * order, alpha]), np.sqrt([b[:order], beta])
-    nodes = np.linalg.eigvalsh(a[..., None] * np.eye(order)
-                               + r[..., None] * np.eye(order, k=-1))
-    q, prev, total = np.ones_like(nodes), 0.0, 1.0
-    for k in range(order - 1):
-        q, prev = ((nodes - a[:, k, None]) * q - r[:, k, None] * prev) / r[:, k + 1, None], q
-        total = total + q * q
-    weights = 1.0 / total
-    nodes.flags.writeable = weights.flags.writeable = False
-    return (nodes[0], weights[0]), (nodes[1], weights[1])
-
-
-def _canonical_linear(P: LabeledPolyhedron, b, ring):
+def _canonical_linear(P: LabeledPolyhedron, b, ring, c):
     """(facet k, term) per node of one 1D rule per facet in l = L_k for the
-    integral over the ring of u_P e^{-<b,x>-c} dx, c the largest -<b,x> on it.
+    integral over the ring of u_P e^{-<b,x>-c} dx, c at least -<b,x> on it.
 
     Pieces run between a facet's corner levels, the lowest 0, split until
     t = -<b,x> - c moves by at most 3 across one (_refined's rule). The
@@ -224,7 +193,7 @@ def _canonical_linear(P: LabeledPolyhedron, b, ring):
     (u, g), (v, gamma) = _line_rules(_CANONICAL_ORDER)
     W = P.scaled_normal_matrix()
     F = W @ ring.T + P.offsets_array()[:, None]  # corner levels (facets, corners)
-    Y = np.stack([np.broadcast_to(np.min(ring @ b) - ring @ b, F.shape),  # t, and the position
+    Y = np.stack([np.broadcast_to(-(ring @ b) - c, F.shape),  # t, and the position
                   W[:, ::-1] * [-1.0, 1.0] @ ring.T if P.dim == 2 else F])  # along L_k = l
     i0, i1 = np.arange(len(ring)), np.roll(np.arange(len(ring)), -1)  # the ring's edges
     f0, f1 = F[:, i0], F[:, i1]
@@ -271,7 +240,7 @@ class _DingQuadrature:
     each simplex's q terms are summed, then the simplex sums fsum'd.
 
     When b_X is given, F(b_X) and the potential integral are taken over the
-    same plan against e^{-<b_X,x>-c}, c the largest -<b_X,x> on its ring:
+    same plan against e^{-<b_X,x>-c}, with F and c from _fitted_plan:
     e^{-c} cancels between them and keeps both in the float range. The
     canonical part is one 1D rule per facet (_canonical_linear), the
     correction part <C, M>, C the correction's Chebyshev coefficients and M
@@ -287,7 +256,8 @@ class _DingQuadrature:
         self.P, self.tol = P, tol
         self.b = None if b_X is None else np.asarray(b_X, dtype=float)
         beta = _beta(P)
-        self.plan, self.tail, self.dropped = _fitted_plan(P, beta, grid, tol, self.b)
+        self.plan, self.tail, self.dropped, self.F, self.shift = _fitted_plan(
+            P, beta, grid, tol, self.b)
         V, vol, self.unresolved = _refined(self.plan.simplices, self.plan.volumes, beta)
         self.X, W = gauss_rules(V, vol, _ORDER)
         self.L, R_P = _canonical_part(P, np.zeros(P.dim), self.X)
@@ -295,9 +265,8 @@ class _DingQuadrature:
         self.q = _ORDER ** P.dim
         self.moments = None
         if self.b is not None:
-            self.shift = float(np.max(-(self.plan.ring @ self.b)))
-            self.F = replace(self.plan, b=self.b).exp_integral(self.shift)
-            self.canonical = stable_sum(_canonical_linear(P, self.b, self.plan.ring)[1])
+            self.canonical = stable_sum(
+                _canonical_linear(P, self.b, self.plan.ring, self.shift)[1])
             self.linear_simplices = _refined(self.plan.simplices, self.plan.volumes, self.b)
             self.unresolved += self.linear_simplices[2]
             if grid is not None:

@@ -1,8 +1,12 @@
-"""Exact integer linear algebra: primitive vectors, Smith normal form, lattice quotients.
+"""Exact integer linear algebra: primitive vectors, one diagonal elimination, lattice quotients.
 
 Everything here runs on plain Python integers and Fractions (arbitrary
 precision), so intermediate growth during row/column reduction can never
-overflow or wrap. rref is the one exact elimination of the package.
+overflow or wrap. diagonalize is the one integer elimination: it returns
+the nonzero pivots d and the column transform V, and nothing else. Integer
+kernels are the columns of V past the rank; a quotient's invariant factors
+are the divisibility chain of d, made by gcd/lcm steps on the diagonal
+alone. rref is the one rational elimination.
 """
 
 from __future__ import annotations
@@ -67,138 +71,61 @@ def primitive_reduce(v) -> tuple[tuple[int, ...], int]:
     return tuple(x // g for x in entries), g
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def diagonalize(A) -> tuple[list[int], list[list[int]]]:
+    """Return (d, V): V unimodular and A*V = W*diag(d) for a unimodular W.
 
-
-def _mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def smith_normal_form(A) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (U, S, V) with U*A*V = S, U and V unimodular, S in Smith form.
-
-    S is diagonal (rectangular allowed) with nonnegative entries satisfying
-    the divisibility chain d_1 | d_2 | ... Exact integer arithmetic throughout.
+    d holds the rank-many nonzero pivots, positive; the columns of V past
+    them span the integer kernel of A. At each step the smallest nonzero
+    entry of the remaining block becomes the pivot, and Euclidean row and
+    column steps clear its column and row until both are zero. Only the
+    column steps are recorded. d need not be a divisibility chain; see
+    invariant_factors.
     """
-    S = [[int(x) for x in row] for row in A]
+    A = [[int(x) for x in row] for row in A]
+    S = [row[:] for row in A]
     m = len(S)
     n = len(S[0]) if m else 0
-    U = _identity(m)
-    V = _identity(n)
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = []
+    t = 0
+    while t < min(m, n) and (
+        nonzero := [(abs(S[i][j]), i, j) for i in range(t, m) for j in range(t, n) if S[i][j]]
+    ):
+        _, pi, pj = min(nonzero)
+        S[t], S[pi] = S[pi], S[t]
+        for row in S + V:
+            row[t], row[pj] = row[pj], row[t]
+        p = S[t][t]
+        for i in range(t + 1, m):
+            if q := S[i][t] // p:
+                S[i] = [a - q * b for a, b in zip(S[i], S[t])]
+        for j in range(t + 1, n):
+            if q := S[t][j] // p:
+                for row in S + V:
+                    row[j] -= q * row[t]
+        if not any(S[i][t] for i in range(t + 1, m)) and not any(S[t][t + 1 :]):
+            d.append(abs(p))
+            t += 1
+    # the postcondition, checked without a row transform: A V vanishes past
+    # the rank, and its column j < rank is a multiple of d_j
+    AV = [[sum(a * V[k][j] for k, a in enumerate(row)) for j in range(n)] for row in A]
+    assert all(r[j] % d[j] == 0 if j < t else r[j] == 0 for r in AV for j in range(n))
+    return d, V
 
-    def row_op(i, j, c):  # row_i += c * row_j
-        for k in range(n):
-            S[i][k] += c * S[j][k]
-        for k in range(m):
-            U[i][k] += c * U[j][k]
 
-    def col_op(i, j, c):  # col_i += c * col_j
-        for k in range(m):
-            S[k][i] += c * S[k][j]
-        for k in range(n):
-            V[k][i] += c * V[k][j]
-
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for k in range(m):
-            S[k][i], S[k][j] = S[k][j], S[k][i]
-        for k in range(n):
-            V[k][i], V[k][j] = V[k][j], V[k][i]
-
-    def row_negate(i):
-        for k in range(n):
-            S[i][k] = -S[i][k]
-        for k in range(m):
-            U[i][k] = -U[i][k]
-
-    r = min(m, n)
-    for t in range(r):
-        # move a nonzero pivot of smallest magnitude to (t, t)
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if S[i][j] != 0 and (best is None or abs(S[i][j]) < best):
-                        best = abs(S[i][j])
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            # clear column t and row t by Euclidean steps
-            dirty = False
-            for i in range(t + 1, m):
-                if S[i][t] != 0:
-                    q = S[i][t] // S[t][t]
-                    row_op(i, t, -q)
-                    if S[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, n):
-                if S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    col_op(j, t, -q)
-                    if S[t][j] != 0:
-                        dirty = True
-            if not dirty:
-                break
-        if S[t][t] < 0:
-            row_negate(t)
-
-    # enforce the divisibility chain; each fix replaces d_i by gcd(d_i, d_j)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            a, b = S[i][i], S[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                # bring b into row i, then re-reduce the 2x2 diagonal block
-                row_op(i, i + 1, 1)
-                while S[i][i + 1] != 0 or S[i + 1][i] != 0:
-                    if S[i][i + 1] != 0:
-                        q = S[i][i + 1] // S[i][i] if S[i][i] != 0 else 0
-                        col_op(i + 1, i, -q)
-                        if S[i][i + 1] != 0:
-                            col_swap(i, i + 1)
-                    if S[i + 1][i] != 0:
-                        q = S[i + 1][i] // S[i][i] if S[i][i] != 0 else 0
-                        row_op(i + 1, i, -q)
-                        if S[i + 1][i] != 0:
-                            row_swap(i, i + 1)
-                if S[i][i] < 0:
-                    row_negate(i)
-                if S[i + 1][i + 1] < 0:
-                    row_negate(i + 1)
-                changed = True
-            elif a == 0 and b != 0:
-                row_swap(i, i + 1)
-                col_swap(i, i + 1)
-                changed = True
-
-    assert _mat_mul(_mat_mul(U, [[int(x) for x in row] for row in A]), V) == S
-    return U, S, V
+def invariant_factors(d) -> list[int]:
+    """The divisibility chain of the positive diagonal d: each pair (a, b) becomes (gcd, lcm)."""
+    d = list(d)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return d
 
 
 def integer_kernel(A) -> list[tuple[int, ...]]:
     """Integer basis of {x : A x = 0}; the basis spans a saturated sublattice."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return [tuple(row) for row in _identity(n)]
-    _, S, V = smith_normal_form(A)
-    rank = sum(1 for i in range(min(m, n)) if S[i][i] != 0)
-    return [tuple(V[i][j] for i in range(n)) for j in range(rank, n)]
+    d, V = diagonalize(A)
+    return [tuple(row[j] for row in V) for j in range(len(d), len(V))]
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -235,8 +162,6 @@ def quotient_group(sublattice_gens, ambient_rank: int) -> AbelianGroup:
     for row in gens:
         if len(row) != ambient_rank:
             raise ValueError("generator length does not match ambient rank")
-    S = smith_normal_form(gens)[1] if gens else []
-    diag = [S[i][i] for i in range(min(len(gens), ambient_rank))]
-    rank = sum(1 for d in diag if d != 0)
-    factors = tuple(d for d in diag if d > 1)
-    return AbelianGroup(invariant_factors=factors, free_rank=ambient_rank - rank)
+    d = diagonalize(gens)[0]
+    factors = tuple(x for x in invariant_factors(d) if x > 1)
+    return AbelianGroup(invariant_factors=factors, free_rank=ambient_rank - len(d))

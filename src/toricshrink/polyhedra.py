@@ -8,7 +8,9 @@ dimension. One enumeration over homogenised integer rows gives the
 lineality space, the vertices and the extreme recession rays: cached per
 polyhedron, it serves construction, validation, face verdicts, vertices and
 interior points. Vertex edges come from one exact inverse of the active
-rows, and structure groups from one Smith form.
+rows, and structure groups from the divisibility chain of one integer
+diagonal elimination (lattice.diagonalize), which also gives the lineality
+space and the Delzant kernel.
 
 The module imports no numpy: only the float views (point_float, the numeric
 views of LabeledPolyhedron and the relative interior point) import it where
@@ -402,7 +404,8 @@ def structure_group(P: LabeledPolyhedron, face_spec) -> AbelianGroup:
 
     Λ_F is the saturation of span{n_i} in Z^n. Z^n is Λ_F plus a free
     complement, so Λ_F/⟨m_i n_i⟩ is exactly the torsion of Z^n/⟨m_i n_i⟩:
-    the invariant factors of one Smith form of the scaled normals.
+    the invariant factors of the scaled normals: the gcd/lcm chain of the
+    pivots of one integer diagonal elimination (lattice.quotient_group).
     """
     face_spec = tuple(sorted(set(int(i) for i in face_spec)))
     if any(i < 0 or i >= len(P.facets) for i in face_spec):
@@ -424,9 +427,6 @@ def delzant_data(P: LabeledPolyhedron) -> DelzantData:
     kernel = integer_kernel(transpose)
     if len(kernel) != N - n:
         raise DegenerateProjection("facet normals do not span the ambient space")
-    for c in kernel:
-        combo = [sum(c[i] * M[i][d] for i in range(N)) for d in range(n)]
-        assert all(v == 0 for v in combo)
     return DelzantData(
         projection=tuple(tuple(row) for row in M),
         kernel_basis=tuple(kernel),

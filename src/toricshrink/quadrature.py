@@ -5,15 +5,17 @@ moments are exact sums over pieces read from the polyhedron's exact
 skeleton: the fan of its vertices, and on unbounded P the face x cone pieces
 beyond their hull, each from divided differences of exp at its vertex nodes
 in one batched kernel call per group. A plan may instead be cut at a level
-<b,x> <= T; _tail_bounds bounds what the cut drops. Convex regions are kept
-as rings of corners and fanned into simplices.
+<b,x> <= T; _tail_bounds estimates what the cut drops. Convex regions are
+kept as rings of corners and fanned into simplices.
 
 Divided differences of exp on narrow node sets sum a mean-shifted series
 only as far as its own error bound asks (at most 26 terms); wider sets use
 the recurrence. The scalar divided_difference_exp and exp_integral_simplex
 are the reference the batched kernel is tested against.
-Dense Gauss rules on simplices are one cached reference rule per dimension
-and order, mapped affinely onto a whole stack of simplices at once.
+The one Gauss-Legendre builder is _line_rules, which also gives the Gauss
+rule for the weight -log u on [0, 1]; dense Gauss rules on simplices are its
+Gauss-Legendre half collapsed onto the unit simplex, cached per dimension
+and order and mapped affinely onto a whole stack of simplices at once.
 """
 
 from __future__ import annotations
@@ -255,15 +257,47 @@ def exp_integral_simplex(S: Simplex, b) -> float:
 # dense Gauss quadrature on a simplex (reference integrator)
 
 @lru_cache(maxsize=None)
+def _line_rules(order: int):
+    """Read-only Gauss rules (nodes, weights) on [0, 1] for the weights 1 and -log u.
+
+    The modified Chebyshev algorithm takes the -log u recurrence from the
+    moments 1, (-1)^k (k!)^2 / ((2k)! k (k+1)) against the monic Legendre
+    polynomials on [0, 1] (Gautschi, Orthogonal Polynomials, 2004, 2.1.7).
+    Nodes are Jacobi eigenvalues (Golub & Welsch, Math. Comp. 23, 1969),
+    weights Christoffel numbers 1 / sum_k q_k^2, q_k orthonormal: to rounding.
+    """
+    N = 2 * order
+    b = [1.0] + [0.25 / (4.0 - k ** -2.0) for k in range(1, N)]  # Legendre's recurrence
+    s = [1.0] + [(-1) ** k * math.factorial(k) ** 2 / math.factorial(2 * k) / (k * k + k)
+                 for k in range(1, N)]  # the modified moments
+    alpha, beta, prev = [0.5 + s[1]], [1.0], [0.0] * N
+    for j in range(1, order):
+        new = [0.0] * N
+        for k in range(j, N - j):
+            new[k] = s[k + 1] - (alpha[-1] - 0.5) * s[k] - beta[-1] * prev[k] + b[k] * s[k - 1]
+        alpha.append(0.5 + new[j + 1] / new[j] - s[j] / s[j - 1])
+        beta.append(new[j] / s[j - 1])
+        prev, s = s, new
+    a, r = np.array([[0.5] * order, alpha]), np.sqrt([b[:order], beta])
+    nodes = np.linalg.eigvalsh(a[..., None] * np.eye(order)
+                               + r[..., None] * np.eye(order, k=-1))
+    q, prev, total = np.ones_like(nodes), 0.0, np.ones_like(nodes)
+    for k in range(order - 1):
+        q, prev = ((nodes - a[:, k, None]) * q - r[:, k, None] * prev) / r[:, k + 1, None], q
+        total = total + q * q
+    weights = 1.0 / total
+    nodes.flags.writeable = weights.flags.writeable = False
+    return (nodes[0], weights[0]), (nodes[1], weights[1])
+
+
+@lru_cache(maxsize=None)
 def _reference_rule(n: int, order: int):
     """Tensor Gauss-Legendre nodes on [0,1]^n collapsed onto the unit simplex.
 
     Returns read-only barycentric coordinates (lambda_1..lambda_n per row) and
     weights summing to 1/n!; the Duffy Jacobian is folded into the weights.
     """
-    u, w = np.polynomial.legendre.leggauss(order)
-    u = 0.5 * (u + 1.0)
-    w = 0.5 * w
+    u, w = _line_rules(order)[0]
     grids = np.meshgrid(*([u] * n), indexing="ij")
     weights = np.ones_like(grids[0])
     for g in np.meshgrid(*([w] * n), indexing="ij"):
@@ -428,7 +462,11 @@ def _in_range(terms):
 
 
 def _tail_bounds(b, rays, verts):
-    """Certified bounds on int |x|^d e^{-<b,x>} dx beyond <b,x> = T, as a function of T.
+    """Estimates of int |x|^d e^{-<b,x>} dx beyond <b,x> = T, as a function of T.
+
+    Each bounds its own integral, d = 0, 1, 2; summed as the tail of a Ding
+    integrand they are an estimate, which overstates a density of lower
+    degree and can understate one of degree above 2.
 
     The T-independent constants are computed once, so each T costs three
     closed-form incomplete gammas; a bound that overflows is inf.

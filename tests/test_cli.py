@@ -10,10 +10,11 @@ import pytest
 from test_ding import square_canonical_ding
 
 from toricshrink.cli import main
+from toricshrink.ding import ding
 from toricshrink.polyhedra import (
     box, from_halfspaces, half_line, interval, save_polyhedron,
 )
-from toricshrink.potentials import GridCorrection
+from toricshrink.potentials import CorrectedPotential, GridCorrection
 
 
 @pytest.fixture
@@ -406,11 +407,30 @@ def test_cli_import_loads_no_scipy():
 
 def test_imports_leave_the_canonical_rules_unbuilt():
     # the Gauss rules of the canonical term are built at the first Ding call
-    code = ("import toricshrink.cli, toricshrink.ding as d; "
-            "print(d._line_rules.cache_info().currsize)")
+    code = ("import toricshrink.cli, toricshrink.ding, toricshrink.quadrature as q; "
+            "print(q._line_rules.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+def test_ding_scan_between_two_payloads(teardrop_file, tmp_path, capsys):
+    # a solution and the same solution plus an affine tilt: D is flat along
+    # the segment, and its t = 0 row is the library's ding of the first payload
+    first, second, out = (str(tmp_path / f) for f in ("s.json", "tilted.json", "scan.json"))
+    assert main(["solve", teardrop_file, "--grid", "16", "--out", first]) == 0
+    s = GridCorrection.from_dict(json.loads(Path(first).read_text())["correction"])
+    tilted = GridCorrection(s.axes, s.values + 0.3 - 0.2 * s.axes[0])
+    Path(second).write_text(json.dumps({"correction": tilted.to_dict()}))
+    assert main(["ding-scan", teardrop_file, "--potential", first,
+                 "--potential2", second, "--out", out]) == 0
+    capsys.readouterr()
+    art = json.loads(Path(out).read_text())
+    D = [row["D"] for row in art["scan"]]
+    assert max(D) - min(D) <= 1e-12
+    P = interval(-2, "2/3", 1, 3)
+    v = ding(CorrectedPotential(P, s), P, b_X=art["b"])
+    assert (art["scan"][0]["D1"], art["scan"][0]["D"]) == (v.d1, v.value)
 
 
 def test_potential_of_wrong_dimension_is_parse_error(cube_file, interval_file,

@@ -13,7 +13,6 @@ from toricshrink.ding import (
     NotInE,
     _DingQuadrature,
     _canonical_linear,
-    _line_rules,
     _refined,
     convexity_scan,
     d1,
@@ -27,7 +26,7 @@ from toricshrink.potentials import (
     GridCorrection,
     NotConvexHere,
 )
-from toricshrink.quadrature import Simplex, _dd_exp_batch, _reference_rule, \
+from toricshrink.quadrature import Simplex, _dd_exp_batch, _line_rules, _reference_rule, \
     gauss_simplex_rule, plan as build_plan, stable_sum
 from toricshrink.shrinker import _correction_arrays, _residual_core, find_soliton_vector, \
     solve
@@ -152,7 +151,18 @@ def test_ding_at_beta_keeps_its_cut(half_line_at_32):
     # the grid's end, and D is pinned bit for bit; D with the canonical term
     # from mpmath is 0.1159315156577535
     P, v = half_line_at_32
-    assert ding(v, P, b_X=[0.5]).value == 0.11593151565775284
+    assert ding(v, P, b_X=[0.5]).value == 0.11593151565775339
+
+
+@pytest.mark.parametrize("P", [TEARDROP, pentagon()], ids=["teardrop", "pentagon"])
+def test_ding_and_scan_default_to_the_soliton_vector(P):
+    b = find_soliton_vector(P).b
+    u = CanonicalPotential(P)
+    s = GridCorrection.from_function(lambda x: 0.05 * np.sum(x * x, axis=-1),
+                                     [(-2.0, 2.0)] * P.dim, [8] * P.dim)
+    v = CorrectedPotential(P, s)
+    assert ding(v, P) == ding(v, P, b_X=b)
+    assert convexity_scan(u, v, P, num_t=3) == convexity_scan(u, v, P, b_X=b, num_t=3)
 
 
 def test_d1_rejects_nonconvex():
@@ -624,7 +634,7 @@ def test_canonical_term_needs_few_nodes_per_facet():
     # and one -log u rule of order 20, where the graded rule took 540 nodes
     sq = box([(-2, 2), (-2, 2)])
     q = _DingQuadrature(sq, None, 1e-8, b_X=[0.0, 0.0])
-    facets, terms = _canonical_linear(sq, q.b, q.plan.ring)
+    facets, terms = _canonical_linear(sq, q.b, q.plan.ring, q.shift)
     assert np.bincount(facets).tolist() == [40] * 4
     assert stable_sum(terms) == q.canonical
 

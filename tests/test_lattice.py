@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 from toricshrink.lattice import (
     AbelianGroup,
     ZeroNormal,
+    diagonalize,
     integer_kernel,
+    invariant_factors,
     primitive_reduce,
     quotient_group,
     rref,
-    smith_normal_form,
 )
 
 
@@ -20,12 +22,11 @@ from toricshrink.lattice import (
 
 def saturation_basis(A) -> list[tuple[int, ...]]:
     """Basis of the saturation (rational row span intersected with Z^n) of the rows of A."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    _, S, V = smith_normal_form(A)
-    rank = sum(1 for i in range(min(m, n)) if S[i][i] != 0)
+    # A = W diag(d) (first rank rows of V^-1), and rows of a unimodular
+    # matrix span a saturated sublattice
+    d, V = diagonalize(A)
     Vinv = unimodular_inverse(V)
-    return [tuple(Vinv[i]) for i in range(rank)]
+    return [tuple(Vinv[i]) for i in range(len(d))]
 
 
 def unimodular_inverse(V) -> list[list[int]]:
@@ -76,57 +77,36 @@ class TestPrimitiveReduce:
         assert math.gcd(*prim) == 1
 
 
-class TestSmithNormalForm:
-    def test_identity(self):
-        U, S, V = smith_normal_form([[1, 0], [0, 1]])
-        assert S == [[1, 0], [0, 1]]
-
-    def test_already_diagonal(self):
-        _, S, _ = smith_normal_form([[2, 0], [0, 4]])
-        assert S == [[2, 0], [0, 4]]
-
-    def test_row_reduction(self):
-        A = [[1, 0], [1, 2]]
-        U, S, V = smith_normal_form(A)
-        assert S == [[1, 0], [0, 2]]
-        assert mat_mul(mat_mul(U, A), V) == S
-
-    def test_rectangular(self):
-        A = [[2, 4, 4]]
-        U, S, V = smith_normal_form(A)
-        assert S[0][0] == 2
-        assert S[0][1:] == [0, 0]
-
+class TestDiagonalize:
     @settings(max_examples=200)
-    @given(
-        st.integers(1, 3),
-        st.integers(1, 3),
-        st.data(),
-    )
-    def test_transform_and_chain(self, m, n, data):
-        A = [
-            [data.draw(st.integers(-9, 9)) for _ in range(n)]
-            for _ in range(m)
-        ]
-        U, S, V = smith_normal_form(A)
-        assert mat_mul(mat_mul(U, A), V) == S
-        diag = [S[i][i] for i in range(min(m, n))]
-        # off-diagonal zero
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert S[i][j] == 0
-        # nonnegative, divisibility chain, zeros trailing
-        for d in diag:
-            assert d >= 0
-        for a, b in zip(diag, diag[1:]):
-            if a == 0:
-                assert b == 0
-            else:
-                assert b % a == 0
-        # U, V unimodular
-        assert abs(det(U)) == 1
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_contract(self, m, n, data):
+        A = [[data.draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(m)]
+        d, V = diagonalize(A)
+        r = len(d)
+        assert r == len(rref(A)[1])
+        assert all(x > 0 for x in d)
         assert abs(det(V)) == 1
+        AV = mat_mul(A, V)
+        # the columns past the rank vanish; the first r divided by d are
+        # integral and their r x r minors have gcd 1: A V = W diag(d) for
+        # some unimodular W
+        assert all(row[j] == 0 for row in AV for j in range(r, n))
+        assert all(row[j] % d[j] == 0 for row in AV for j in range(r))
+        W = [[row[j] // d[j] for j in range(r)] for row in AV]
+        if r:
+            minors = [det([W[i] for i in rows]) for rows in itertools.combinations(range(m), r)]
+            assert math.gcd(*minors) == 1
+
+    def test_zero_and_empty(self):
+        assert diagonalize([[0, 0]]) == ([], [[1, 0], [0, 1]])
+        assert diagonalize([]) == ([], [])
+
+    def test_invariant_factors_make_the_chain(self):
+        assert invariant_factors([4, 6]) == [2, 12]
+        assert invariant_factors([6, 10, 15]) == [1, 30, 30]
+        assert invariant_factors([2, 4]) == [2, 4]
+        assert invariant_factors([]) == []
 
 
 def det(M):
@@ -252,6 +232,42 @@ class TestQuotientGroup:
         order, factors = coset_group_structure(gens)
         assert g.order == D == order
         assert g.invariant_factors == factors
+
+    @settings(max_examples=150)
+    @given(st.integers(3, 4), st.integers(0, 2), st.data())
+    def test_recovers_a_chain_hidden_by_unimodular_steps(self, n, extra, data):
+        # Z^n / rows of U diag(e) V is Z/e_1 + ... + Z/e_k + Z^(n-k), whatever
+        # the unimodular U and V. Each e_i is 2^a 3^b 5^c; sorting the
+        # exponents of each prime over i gives the invariant factors, an
+        # oracle independent of the elimination
+        k = data.draw(st.integers(0, n))
+        primes = (2, 3, 5)
+        powers = [[data.draw(st.integers(0, 2)) for _ in range(k)] for _ in primes]
+        e = [math.prod(p ** x[i] for p, x in zip(primes, powers)) for i in range(k)]
+        ranked = [sorted(x) for x in powers]
+        chain = [math.prod(p ** x[i] for p, x in zip(primes, ranked)) for i in range(k)]
+        m = n + extra
+        D = [[e[i] if i == j and i < k else 0 for j in range(n)] for i in range(m)]
+        A = mat_mul(mat_mul(random_unimodular(data, m), D), random_unimodular(data, n))
+        assert quotient_group(A, n) == AbelianGroup(
+            invariant_factors=tuple(x for x in chain if x > 1), free_rank=n - k)
+
+
+def random_unimodular(data, size):
+    """A product of elementary integer steps: row additions, swaps and sign flips."""
+    M = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(data.draw(st.integers(0, 8))):
+        i = data.draw(st.integers(0, size - 1))
+        j = data.draw(st.integers(0, size - 1))
+        step = data.draw(st.sampled_from(["add", "swap", "negate"]))
+        if step == "add" and i != j:
+            c = data.draw(st.integers(-3, 3))
+            M[i] = [a + c * b for a, b in zip(M[i], M[j])]
+        elif step == "swap":
+            M[i], M[j] = M[j], M[i]
+        elif step == "negate":
+            M[i] = [-a for a in M[i]]
+    return M
 
 
 class TestAbelianGroup:

@@ -381,6 +381,20 @@ def test_structure_group_edge_in_3d():
     assert G.invariant_factors == (2,)
 
 
+def test_labeled_3d_simplex_vertex_groups():
+    # at a simplicial vertex the group is Z^3 modulo the three active scaled
+    # normals: its order is their |det|, and here each group is cyclic
+    P = from_halfspaces(3, [((1, 0, 0), 1, 2), ((0, 1, 0), 2, 2),
+                            ((0, 0, 1), 3, 2), ((-1, -1, -1), 1, 2)])
+    groups = []
+    for v in vertices(P):
+        G = structure_group(P, v.active_facets)
+        (a, b, c), (d, e, f), (g, h, i) = (P.facets[k].scaled_normal for k in v.active_facets)
+        assert G.order == abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+        groups.append(str(G))
+    assert groups == ["Z/6", "Z/2", "Z/3", "Z/6"]
+
+
 def test_structure_group_empty_face():
     P = pentagon()
     # x = 0 and x + y = 4 meet at (0,4), outside the pentagon

@@ -20,6 +20,7 @@ from toricshrink.potentials import (
     differentiation_matrix,
     lobatto_nodes,
 )
+from toricshrink.shrinker import find_soliton_vector, solve
 
 SQ = box([(-2, 2), (-2, 2)])
 
@@ -333,6 +334,23 @@ def test_canonical_in_space_on_half_line():
 def test_canonical_in_space_on_square():
     rep = check_space_E(SQ, CanonicalPotential(SQ), [0.0, 0.0])
     assert rep.in_space
+
+
+@pytest.mark.parametrize("P, grid", [(half_line(-2), 16),
+                                     (box([(-2, None), (-2, None)]), 10)])
+def test_solution_in_space_probes_its_rays_on_the_grid(P, grid):
+    # on unbounded P the ray probe stops where the correction grid ends: at
+    # truncation 3 the grid ends at 6, before the probe's default reach of 7
+    s = solve(P, grid=grid, truncation=3.0).correction
+    u = CorrectedPotential(P, s)
+    probes = []
+    gradient = u.gradient
+    u.gradient = lambda x: probes.append(np.array(x)) or gradient(x)
+    rep = check_space_E(P, u, find_soliton_vector(P).b)
+    assert rep.in_space
+    lo, hi = np.array(s.domain).T
+    assert all(np.all((lo <= x) & (x <= hi)) for x in probes)
+    assert max(np.max(x) for x in probes) == 6.0
 
 
 def test_divergent_weight_not_integrable():

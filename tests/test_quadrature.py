@@ -25,6 +25,7 @@ from toricshrink.quadrature import (
     plan,
     _dd_exp_batch,
     _fan,
+    _line_rules,
     _moment_multisets,
     _reference_rule,
     _ring,
@@ -646,7 +647,7 @@ def test_truncation_ladder_is_bitwise_unchanged(P, weights, monkeypatch):
     for b in weights:
         b = np.array(b)
         for tol in (1e-8, 1e-10, 1e-14):
-            _, tail, _ = ding._fitted_plan(P, b, None, tol)
+            _, tail, _, _, _ = ding._fitted_plan(P, b, None, tol)
             T, bounds = _reference_ladder(P, b, tol)
             assert (levels.pop(), tail) == (T, float(sum(bounds)))
 
@@ -672,11 +673,9 @@ def test_plan_deterministic():
 
 
 def _duffy_rule(S, order):
-    # the per-call leggauss + Duffy construction, kept as a reference
+    # the per-call Duffy collapse of the shared 1D rule, kept as a reference
     n = S.dim
-    u, w = np.polynomial.legendre.leggauss(order)
-    u = 0.5 * (u + 1.0)
-    w = 0.5 * w
+    u, w = _line_rules(order)[0]
     grids = np.meshgrid(*([u] * n), indexing="ij")
     weights = np.ones_like(grids[0])
     for g in np.meshgrid(*([w] * n), indexing="ij"):
@@ -706,6 +705,16 @@ def test_cached_gauss_rule_is_bitwise_the_duffy_rule(n, order):
         X_ref, W_ref = _duffy_rule(S, order)
         assert np.array_equal(X, X_ref)
         assert np.array_equal(W, W_ref)
+
+
+@pytest.mark.parametrize("order", [1, 20, 25])
+def test_reference_rule_integrates_monomials_to_rounding(order):
+    # Christoffel weights: int_0^1 u^k du = 1/(k+1) for every k < 2 order;
+    # order 1 is the midpoint rule
+    lam, w = _reference_rule(1, order)
+    k = np.arange(2 * order)[:, None]
+    err = np.abs(np.sum(w * lam[:, 0] ** k, axis=1) * (k[:, 0] + 1) - 1.0)
+    assert np.max(err) <= 1e-14
 
 
 def test_gauss_rule_returns_fresh_arrays():
