@@ -22,7 +22,8 @@ checks the share of F(b_X) the cut drops, and each integral is one array:
     e^{-R_0}, R_0 the soliton residual at b = 0 in shrinker's
     boundary-stable form, is e^{-R_P} e^{-g} D: R_P is u_P's part, fixed at
     the nodes once, g = <grad s, x> - s, and D = det Hess(u_P + s) prod L_i
-    is the boundary-stable density;
+    is the boundary-stable density, a quadratic form in Hess s whose
+    coefficients are also fixed at the nodes once;
   - the correction's potential integral as <C, M>: it is linear in the
     correction's Chebyshev coefficients C, and M is a moment tensor of the
     weight, built once;
@@ -44,7 +45,7 @@ import numpy as np
 
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
-    _density, correction_of
+    _density_at, _density_form, correction_of
 from .quadrature import _line_rules, _tail_bounds, _unbounded_edges, _weight_skeleton, \
     gauss_rules, plan as build_plan, stable_sum
 from .shrinker import _canonical_part, _nonconvex, find_soliton_vector
@@ -71,6 +72,7 @@ class DingValue:
 # regions
 
 _ORDER = 25            # Gauss order on the refined simplices of both integrals
+_CHUNK = 32            # refined simplices per moment pass: bounds the nodes held at once
 _CANONICAL_ORDER = 20  # order of both Gauss rules on the l-pieces of the canonical term
 
 
@@ -234,9 +236,10 @@ class _DingQuadrature:
 
     d1 is one Gauss rule (X, W) stacked over the plan's simplices refined
     for e^{-<beta,x>}, q nodes each. The canonical factor of its integrand
-    is folded in once, as base = W e^{-R_P} with the facet values L at the
-    nodes; a correction is sampled by one jet there, as g = <grad s, x> - s
-    and Hess s. The integrand at a node is base e^{-g} D, D the density;
+    is folded in once, as base = W e^{-R_P}, and so is the density's
+    quadratic form in Hess s (_density_form) at the nodes' facet values; a
+    correction is sampled by one jet there, as g = <grad s, x> - s and
+    Hess s. The integrand at a node is base e^{-g} D, D the density;
     each simplex's q terms are summed, then the simplex sums fsum'd.
 
     When b_X is given, F(b_X) and the potential integral are taken over the
@@ -245,9 +248,10 @@ class _DingQuadrature:
     canonical part is one 1D rule per facet (_canonical_linear), the
     correction part <C, M>, C the correction's Chebyshev coefficients and M
     the moment tensor of the order-25 rules on the plan's simplices refined
-    for e^{-<b_X,x>}, built one simplex at a time. scan raises when tail or
-    dropped (see _fitted_plan) exceeds tol, so a quadrature on a short grid
-    can still be built; unresolved sums _refined's counts of both refinements.
+    for e^{-<b_X,x>}, built with one moment pass per chunk of _CHUNK
+    simplices (linear_rules). scan raises when tail or dropped (see
+    _fitted_plan) exceeds tol, so a quadrature on a short grid can still be
+    built; unresolved sums _refined's counts of both refinements.
     """
 
     def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None):
@@ -260,7 +264,8 @@ class _DingQuadrature:
             P, beta, grid, tol, self.b)
         V, vol, self.unresolved = _refined(self.plan.simplices, self.plan.volumes, beta)
         self.X, W = gauss_rules(V, vol, _ORDER)
-        self.L, R_P = _canonical_part(P, np.zeros(P.dim), self.X)
+        L, R_P = _canonical_part(P, np.zeros(P.dim), self.X)
+        self.form = _density_form(P, L)
         self.base = W * np.exp(-R_P)
         self.q = _ORDER ** P.dim
         self.moments = None
@@ -273,13 +278,14 @@ class _DingQuadrature:
                 self.moments = sum(grid.moments(X, W) for X, W in self.linear_rules())
 
     def linear_rules(self):
-        """The potential integral's rules, one refined simplex at a time.
+        """The potential integral's rules, _CHUNK refined simplices at a time.
 
-        Each is (X, W) with the weight e^{-<b_X,x>-c} folded into W.
+        Each is (X, W) stacked over its chunk, with the weight
+        e^{-<b_X,x>-c} folded into W.
         """
         V, vol, _ = self.linear_simplices
-        for s in range(len(V)):
-            X, W = gauss_rules(V[s:s + 1], vol[s:s + 1], _ORDER)
+        for s in range(0, len(V), _CHUNK):
+            X, W = gauss_rules(V[s:s + _CHUNK], vol[s:s + _CHUNK], _ORDER)
             yield X, W * np.exp(-(X @ self.b) - self.shift)
 
     def sample(self, correction):
@@ -312,9 +318,9 @@ class _DingQuadrature:
             raise NotInE(f"correction grid too small for the soliton weight: the cut "
                          f"drops {self.dropped:.3g} of F(b_X), above tolerance {self.tol:g}")
         (g0, H0, lin0), (g1, H1, lin1) = sample0, sample1
-        D0 = _density(self.P, self.L, H0)
-        D1 = _density(self.P, self.L, H1)
-        Dm = 2.0 * _density(self.P, self.L, 0.5 * (H0 + H1)) - 0.5 * (D0 + D1)
+        D0 = _density_at(self.form, H0)
+        D1 = _density_at(self.form, H1)
+        Dm = 2.0 * _density_at(self.form, 0.5 * (H0 + H1)) - 0.5 * (D0 + D1)
         out = []
         for t in ts:
             linear = None

@@ -353,32 +353,50 @@ def _prod_except(L: np.ndarray, skip) -> np.ndarray:
     return np.prod(L[:, mask], axis=1)
 
 
-def _density(P: LabeledPolyhedron, L, s_hess):
-    """det(Hess(u_P + s)) times prod_i L_i, expanded so no term divides by L."""
+def _density_form(P: LabeledPolyhedron, L):
+    """(A, B, Pi) with det(Hess(u_P + s)) prod_i L_i = A + <B, Hess s> + det(Hess s) Pi.
+
+    The density is a quadratic form in Hess s whose coefficients depend only
+    on the facet values L (m, N): A = det(Hess u_P) prod L, Pi = prod L, and
+    B (m, n, n) the adjugate part, sum_k (1/2) prod_{i != k} L_i p_k p_k^T
+    with p_k the facet normal m_k n_k turned by a right angle. No term
+    divides by L. In 1D, B is zero and the form is A + Pi s''.
+    """
     W = P.scaled_normal_matrix()
     N = len(P.facets)
     m = L.shape[0]
+    A = np.zeros(m)
+    B = np.zeros((m, P.dim, P.dim))
     if P.dim == 1:
         w = W[:, 0]
-        out = np.zeros(m)
         for k in range(N):
-            out += 0.5 * w[k] ** 2 * _prod_except(L, (k,))
-        out += s_hess[:, 0, 0] * np.prod(L, axis=1)
-        return out
-    if P.dim == 2:
-        out = np.zeros(m)
+            A += 0.5 * w[k] ** 2 * _prod_except(L, (k,))
+    elif P.dim == 2:
         for j, k in itertools.combinations(range(N), 2):
             cross = W[j, 0] * W[k, 1] - W[j, 1] * W[k, 0]
             if cross != 0.0:
-                out += 0.25 * cross**2 * _prod_except(L, (j, k))
-        detS = s_hess[:, 0, 0] * s_hess[:, 1, 1] - s_hess[:, 0, 1] ** 2
+                A += 0.25 * cross**2 * _prod_except(L, (j, k))
         for k in range(N):
             p = np.array([-W[k, 1], W[k, 0]])
-            quad = np.einsum("mij,i,j->m", s_hess, p, p)
-            out += 0.5 * quad * _prod_except(L, (k,))
-        out += detS * np.prod(L, axis=1)
-        return out
-    raise ValueError("stable density implemented for dimensions 1 and 2")
+            B += 0.5 * _prod_except(L, (k,))[:, None, None] * np.outer(p, p)
+    else:
+        raise ValueError("stable density implemented for dimensions 1 and 2")
+    return A, B, np.prod(L, axis=1)
+
+
+def _density_at(form, s_hess):
+    """The density A + <B, Hess s> + det(Hess s) Pi of a _density_form at the
+    correction Hessians s_hess (m, n, n)."""
+    A, B, Pi = form
+    if s_hess.shape[-1] == 1:
+        return A + s_hess[:, 0, 0] * Pi
+    detS = s_hess[:, 0, 0] * s_hess[:, 1, 1] - s_hess[:, 0, 1] ** 2
+    return A + np.einsum("mij,mij->m", B, s_hess) + detS * Pi
+
+
+def _density(P: LabeledPolyhedron, L, s_hess):
+    """det(Hess(u_P + s)) times prod_i L_i, expanded so no term divides by L."""
+    return _density_at(_density_form(P, L), s_hess)
 
 
 def boundary_density(P: LabeledPolyhedron, u, x):

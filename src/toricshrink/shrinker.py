@@ -8,12 +8,16 @@ symplectic potential u = u_P + s solves the soliton equation when
 is constant. R is evaluated in a boundary-stable form: the labeled-facet
 factors of det Hess u are cancelled algebraically against the canonical
 potential's own divergence, leaving quantities smooth up to the boundary.
-The density det(Hess u) prod_i L_i comes from potentials._density.
+The density det(Hess u) prod_i L_i is a quadratic form in Hess s whose
+coefficients depend only on the facet values (potentials._density_form);
+the collocation solve builds it once per axis and evaluates it at every
+Gauss-Newton step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .potentials import (
     NoConvergence,
     NotConvexHere,
     _density,
+    _density_form,
     barycentric_weights,
     differentiation_matrix,
     lobatto_nodes,
@@ -132,15 +137,12 @@ def _nonconvex(X, D):
     return NotConvexHere(f"density nonpositive near {tuple(map(float, bad))}")
 
 
-def _correction_part(P: LabeledPolyhedron, L, X, s_val, s_grad, s_hess,
-                     strict: bool = True):
-    """<grad s, x> - s - log D at X with facet values L; None where D <= 0
-    unless strict, which raises NotConvexHere."""
+def _correction_part(P: LabeledPolyhedron, L, X, s_val, s_grad, s_hess):
+    """<grad s, x> - s - log D at X with facet values L; NotConvexHere
+    where D <= 0."""
     D = _density(P, L, s_hess)
     if np.any(D <= 0.0):
-        if strict:
-            raise _nonconvex(X, D)
-        return None
+        raise _nonconvex(X, D)
     return np.einsum("mi,mi->m", s_grad, X) - s_val - np.log(D)
 
 
@@ -189,12 +191,15 @@ class SolveResult:
     truncation: float | None
 
 
-def _solve_domain(P: LabeledPolyhedron, b, truncation):
-    """Axis ranges for the collocation box, cutting unbounded axes at <b,x>=T.
+@lru_cache(maxsize=256)
+def _product_factors(P: LabeledPolyhedron):
+    """(factors, lo, hi): the 1D factor polyhedra of an axis-aligned product P,
+    with P itself as its own factor in 1D, and each axis's finite ends
+    (None where the axis is unbounded), built and checked once per P.
 
     Every facet normal must be +-e_d, so P is the product of the 1D
-    polyhedra cut out by each axis's facets; those factors are returned too,
-    with P itself as its own factor in 1D.
+    polyhedra cut out by each axis's facets. An axis with no facets is a
+    line in P, which no weight integrates; its factor is None.
     """
     n = P.dim
     lo = [None] * n
@@ -213,6 +218,17 @@ def _solve_domain(P: LabeledPolyhedron, b, truncation):
             lo[d] = -float(f.offset) / m
         else:
             hi[d] = float(f.offset) / m
+    factors = (P,) if n == 1 else tuple(
+        LabeledPolyhedron(dim=1, facets=tuple(fs)) if fs else None for fs in axis_facets)
+    return factors, tuple(lo), tuple(hi)
+
+
+def _solve_domain(P: LabeledPolyhedron, b, truncation):
+    """Axis ranges for the collocation box, cutting unbounded axes at <b,x>=T,
+    the truncated axes, and the 1D factors of P (_product_factors)."""
+    n = P.dim
+    factors, lo, hi = _product_factors(P)
+    lo, hi = list(lo), list(hi)
     _weight_skeleton(P, b)  # e^{-<b,x>} is integrable on P
     cuts = []
     for d in range(n):
@@ -226,8 +242,6 @@ def _solve_domain(P: LabeledPolyhedron, b, truncation):
             continue
         if hi[d] <= lo[d]:
             raise ValueError("truncation level does not clear the domain")
-    factors = [P] if n == 1 else [LabeledPolyhedron(dim=1, facets=tuple(fs))
-                                  for fs in axis_facets]
     return list(zip(lo, hi)), tuple(cuts), factors
 
 
@@ -243,10 +257,12 @@ def _solve_axis(P: LabeledPolyhedron, b, x, cut, tol):
 
     The unknowns are the values of s and the constant c. The rows are R - c
     at every node off the cut mask, s'' = 0 on it, and s(0) = s'(0) = 0
-    through the interpolant. The Jacobian is exact: R depends on s through
-    x s' - s - log D, and the density D is affine in s'' with slope prod L.
-    Iteration starts from s = 0 and takes at most 80 steps. Returns s, s',
-    s'' at the nodes and the iteration count.
+    through the interpolant. R depends on s through x s' - s - log D, and
+    the density D = A + s'' prod L is affine in s'' (_density_form, built
+    once here: the facet values are fixed at the nodes), so residual and
+    Jacobian each cost one differentiation and no facet products, and the
+    Jacobian is exact. Iteration starts from s = 0 and takes at most 80
+    steps. Returns s, s', s'' at the nodes and the iteration count.
     """
     X = x[:, None]
     m = len(x)
@@ -261,19 +277,21 @@ def _solve_axis(P: LabeledPolyhedron, b, x, cut, tol):
     lin = np.vstack([D2[cut], ell, ell @ D1])
     lin = np.column_stack([lin, np.zeros(len(lin))])
     L, R_P = _canonical_part(P, b, X)
-    prod_L = np.prod(L, axis=1)
+    A, _, prod_L = _density_form(P, L)
 
     def residual_vector(z):
         s = z[:-1]
-        corr = _correction_part(P, L, X, s, (D1 @ s)[:, None],
-                                (D2 @ s)[:, None, None], strict=False)
-        if corr is None:
+        D = A + (D2 @ s) * prod_L
+        if np.any(D <= 0.0):
             return None
+        corr = x * (D1 @ s) - s - np.log(D)
         return np.concatenate([(R_P + corr)[eq] - z[-1], lin @ z])
 
+    J_fixed = x[:, None] * D1 - np.eye(m)  # x s' - s: the part fixed at the nodes
+
     def jacobian(z):
-        weight = prod_L / _density(P, L, (D2 @ z[:-1])[:, None, None])
-        J_s = x[:, None] * D1 - np.eye(m) - weight[:, None] * D2
+        weight = prod_L / (A + (D2 @ z[:-1]) * prod_L)
+        J_s = J_fixed - weight[:, None] * D2
         return np.vstack([np.column_stack([J_s[eq], -np.ones(eq.sum())]), lin])
 
     z = np.zeros(m + 1)

@@ -1,6 +1,7 @@
 """Ding functional: dual-volume oracles, gauge structure, geodesic convexity."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -27,7 +28,7 @@ from toricshrink.potentials import (
     NotConvexHere,
 )
 from toricshrink.quadrature import Simplex, _dd_exp_batch, _line_rules, _reference_rule, \
-    gauss_simplex_rule, plan as build_plan, stable_sum
+    gauss_rules, gauss_simplex_rule, plan as build_plan, stable_sum
 from toricshrink.shrinker import _correction_arrays, _residual_core, find_soliton_vector, \
     solve
 
@@ -474,6 +475,45 @@ def test_potential_integral_is_the_moment_pairing(P, dom):
         q = _DingQuadrature(P, corr, 1e-8, b)
         dense = math.fsum(float(np.dot(W, corr.value(X))) for X, W in q.linear_rules())
         assert corr.pair(q.moments) == pytest.approx(dense, rel=1e-14)
+
+
+def _steep_square():
+    """The square [-2, 2]^2 with an 8x8 correction 0.01 |x|^2 and the weight
+    e^{-<b,x>} at b = (-400, 0), which _refined cuts into 4,096 pieces."""
+    sq = box([(-2, 2), (-2, 2)])
+    corr = GridCorrection.from_function(lambda x: 0.01 * float(x @ x), [(-2.0, 2.0)] * 2, (8, 8))
+    return sq, corr, [-400.0, 0.0]
+
+
+@pytest.mark.parametrize("case", ["teardrop", "rectangle", "steep square"])
+def test_chunked_moments_equal_the_per_simplex_sum(case):
+    if case == "steep square":
+        P, corr, b = _steep_square()
+    else:
+        P, dom = {"teardrop": (TEARDROP, [(-2.0, 2.0 / 3.0)]),
+                  "rectangle": (RECTANGLE, [(-2.0, 2.0 / 3.0), (-1.0, 2.0)])}[case]
+        corr, b = _seeded_correction(P, dom, 1), find_soliton_vector(P).b
+    q = _DingQuadrature(P, corr, 1e-8, b)
+    V, vol, _ = q.linear_simplices
+    M = 0.0
+    for s in range(len(V)):
+        X, W = gauss_rules(V[s:s + 1], vol[s:s + 1], 25)
+        M = M + corr.moments(X, W * np.exp(-(X @ q.b) - q.shift))
+    assert np.max(np.abs(q.moments - M)) <= 1e-15 * np.max(np.abs(M))
+
+
+def test_moment_pass_holds_a_bounded_chunk_of_nodes():
+    # 4,096 refined simplices of 625 nodes each: stacked at once their
+    # Vandermonde matrices alone take hundreds of MiB
+    P, corr, b = _steep_square()
+    tracemalloc.start()
+    try:
+        q = _DingQuadrature(P, corr, 1e-8, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(q.linear_simplices[0]) == 4096
+    assert peak <= 32 * 2**20
 
 
 @pytest.mark.parametrize("P, dom", [

@@ -1,18 +1,22 @@
 """Potentials: canonical values, grid corrections, detectors."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
 
-from toricshrink.polyhedra import box, half_line, interval, vertices
+from toricshrink.polyhedra import box, from_halfspaces, half_line, interval, vertices
 from toricshrink.potentials import (
     BoundaryReport,
     CanonicalPotential,
     CorrectedPotential,
     GridCorrection,
     OutOfDomain,
+    _density_at,
+    _density_form,
+    _prod_except,
     barycentric_weights,
     boundary_density,
     check_boundary_conditions,
@@ -319,6 +323,76 @@ def test_boundary_density_of_corrected_potential_is_stable():
         on = boundary_density(SQ, u, x)
         assert on > 0.0
         assert on == pytest.approx(boundary_density(SQ, u, inside), rel=1e-7)
+
+
+def _expanded_density(P, L, s_hess):
+    """det(Hess(u_P + s)) prod_i L_i term by term: the density's reference."""
+    W = P.scaled_normal_matrix()
+    N = len(P.facets)
+    m = L.shape[0]
+    if P.dim == 1:
+        w = W[:, 0]
+        out = np.zeros(m)
+        for k in range(N):
+            out += 0.5 * w[k] ** 2 * _prod_except(L, (k,))
+        out += s_hess[:, 0, 0] * np.prod(L, axis=1)
+        return out
+    out = np.zeros(m)
+    for j, k in itertools.combinations(range(N), 2):
+        cross = W[j, 0] * W[k, 1] - W[j, 1] * W[k, 0]
+        if cross != 0.0:
+            out += 0.25 * cross**2 * _prod_except(L, (j, k))
+    detS = s_hess[:, 0, 0] * s_hess[:, 1, 1] - s_hess[:, 0, 1] ** 2
+    for k in range(N):
+        p = np.array([-W[k, 1], W[k, 0]])
+        quad = np.einsum("mij,i,j->m", s_hess, p, p)
+        out += 0.5 * quad * _prod_except(L, (k,))
+    out += detS * np.prod(L, axis=1)
+    return out
+
+
+DENSITY_DOMAINS = {
+    "teardrop": interval(-2, "2/3", 1, 3),
+    "half_line": half_line(-2),
+    "rectangle": from_halfspaces(
+        2, [((1, 0), 1, 2), ((-1, 0), 3, 2), ((0, 1), 2, 2), ((0, -1), 1, 2)]),
+    "pentagon": from_halfspaces(
+        2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, 0), 1, 2), ((0, -1), 1, 2),
+            ((-1, -1), 1, 3)]),
+    "hexagon": from_halfspaces(
+        2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, 0), 1, 2), ((0, -1), 1, 2),
+            ((1, 1), 1, 2), ((-1, -1), 1, 2)]),
+    "triangle": from_halfspaces(2, [((1, 0), 1, 2), ((0, 1), 2, 2), ((-2, -3), 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(DENSITY_DOMAINS))
+def test_density_form_equals_the_expanded_density(name):
+    # interior points, a point inside every facet (L_k = 0) and every vertex
+    P = DENSITY_DOMAINS[name]
+    rng = np.random.default_rng(7)
+    X = np.vstack([P.sample_interior(rng, 40)]
+                  + [P.facet_interior_point(i)[None] for i in range(len(P.facets))]
+                  + [np.array(v.point, dtype=float)[None] for v in vertices(P)])
+    L = X @ P.scaled_normal_matrix().T + P.offsets_array()
+    assert np.any(L == 0.0)
+    form = _density_form(P, L)
+    n = P.dim
+    G = rng.standard_normal((len(X), n, n))
+    if n == 1:
+        assert not np.any(form[1])
+        # the solve's Gauss-Newton steps rest on this: the same bits as the expansion
+        for H in (G, -G, np.zeros_like(G)):
+            assert np.array_equal(_density_at(form, H), _expanded_density(P, L, H))
+        return
+    # positive semidefinite: every term is >= 0, so each value has a relative error
+    H = G @ G.transpose(0, 2, 1)
+    ref = _expanded_density(P, L, H)
+    assert np.all(np.abs(_density_at(form, H) - ref) <= 1e-15 * np.abs(ref))
+    # indefinite: terms cancel, so the error is taken relative to the largest value
+    H = G + G.transpose(0, 2, 1)
+    ref = _expanded_density(P, L, H)
+    assert np.max(np.abs(_density_at(form, H) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
