@@ -504,8 +504,10 @@ def _build_parser():
                    help="truncation level for unbounded directions")
 
     p = add("ding-scan", cmd_ding_scan,
-            tol=(1e-8, "largest truncation tail of the dual volume relative to d1, "
-                       "and largest share of F(b_X) that the cut drops"),
+            tol=(1e-8, "largest share of F(b_X) that the cut drops, largest spill "
+                       "(bound on the canonical potential integral past the cut, "
+                       "relative to F(b_X)), and largest truncation tail estimate "
+                       "of the dual volume relative to d1"),
             help="Ding functional along a potential geodesic")
     p.add_argument("--potential", required=True,
                    help="endpoint correction payload (required)")

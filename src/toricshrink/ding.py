@@ -17,7 +17,9 @@ symplectic potentials D is convex; the scan here samples it.
 d1, ding and convexity_scan take canonical or corrected potentials u_P + s
 and share one quadrature over d1's plan, cut inside the correction grid:
 F(b_X) and the potential integral are taken over the same region, a scan
-checks the share of F(b_X) the cut drops, and each integral is one array:
+checks what the cut drops, integrated exactly over the pieces past it (an
+estimate of d1's tail, the share of F(b_X) and a bound on the canonical
+potential integral), and each integral is one array:
   - d1 on one node set stacked over all refined simplices. Its integrand
     e^{-R_0}, R_0 the soliton residual at b = 0 in shrinker's
     boundary-stable form, is e^{-R_P} e^{-g} D: R_P is u_P's part, fixed at
@@ -46,7 +48,7 @@ import numpy as np
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
     _density_at, _density_form, correction_of
-from .quadrature import _line_rules, _tail_bounds, _unbounded_edges, _weight_skeleton, \
+from .quadrature import _line_rules, _unbounded_edges, _weight_skeleton, \
     gauss_rules, plan as build_plan, stable_sum
 from .shrinker import _canonical_part, _nonconvex, find_soliton_vector
 
@@ -82,64 +84,76 @@ def _beta(P: LabeledPolyhedron) -> np.ndarray:
 
 
 def _fitted_plan(P, beta, correction, tol, b_X=None):
-    """(plan, tail, dropped, F, c): the Ding plan for e^{-<beta,x>}, the
-    summed _tail_bounds of its cut, the share 1 - F / F_P of F(b_X) the cut
-    drops (0 on bounded P), F the integral of e^{-<b_X,x>-c} over the plan's
-    region, F_P the same over P, exact, and c the largest -<b_X,x> on P
-    (dropped 0, F and c None without b_X).
+    """(plan, tail, dropped, spill, F, c): the Ding plan for e^{-<beta,x>} and
+    what its cut drops.
+
+    Past a cut, P is conv(crossings) + rec(P) (QuadraturePlan.past), so each
+    of these is an exact integral there:
+      - tail, an estimate of int (1 + |x| + |x|^2) e^{-<beta,x>}: F + sqrt(F
+        tr m2) + tr m2 from the moments of e^{-<beta,x>}, |x| bounded by
+        Cauchy-Schwarz;
+      - dropped, the share of F(b_X) past the cut;
+      - spill, a bound on the canonical potential integral past the cut
+        relative to F: |l log l| <= l^2 + 1/e for l >= 0, so it is
+        (1/2) sum_k int (L_k^2 + 1/e) e^{-<b_X,x>-c} / F, from the F, m1 and
+        m2 of that weight; taken once dropped <= tol, inf before.
+    F is the integral of e^{-<b_X,x>-c} over the plan and c the largest
+    -<b_X,x> on P; without b_X, dropped and spill are 0 and F and c None.
+    Bounded P is not cut, and all three are 0.
 
     Unbounded P is cut where it first leaves the correction's grid box, on
     an unbounded edge v + tau r (P is its vertices' hull plus its recession
     cone), or, for the canonical potential, at the first rung of T *= 1.3
-    where the tail bound, b_X's own bound and the dropped share meet tol.
+    where tail, dropped and spill all meet tol.
     """
-    verts, rays = _weight_skeleton(P, beta)
-    c = None if b_X is None else float(np.max(-(verts @ b_X)))  # -<b_X,x> peaks at a vertex
-    if P.is_bounded():
-        pl = build_plan(P, beta)
-        return pl, 0.0, 0.0, None if b_X is None else replace(pl, b=b_X).exp_integral(c), c
-    tail_bounds = _tail_bounds(beta, rays, verts)
+    verts, _ = _weight_skeleton(P, beta)
+    c = None
     if b_X is not None:
-        F_P = build_plan(P, b_X).exp_integral(c)
+        _weight_skeleton(P, b_X)  # e^{-<b_X,x>} is integrable on P
+        c = float(np.max(-(verts @ b_X)))  # -<b_X,x> peaks at a vertex
 
-    def cut(T):  # the plan cut at T, with its dropped share and F
+    def cut(T):  # the plan cut at T, with tail, dropped, spill and F
         pl = build_plan(P, beta, truncation=T)
+        F = None if b_X is None else replace(pl, b=b_X).exp_integral(c)
+        if not pl.beyond:  # bounded P is not cut
+            return pl, 0.0, 0.0, 0.0, F
+        past = pl.past()
+        G, _, m2 = past.moments()
+        tail = float(G + math.sqrt(G * np.trace(m2)) + np.trace(m2))
         if b_X is None:
-            return pl, 0.0, None
-        F = replace(pl, b=b_X).exp_integral(c)
-        return pl, 1.0 - F / F_P, F
+            return pl, tail, 0.0, 0.0, None
+        past = replace(past, b=b_X)
+        gone = past.exp_integral(c)
+        dropped, spill = gone / (F + gone), math.inf
+        if dropped <= tol:  # m2 of a weight slow enough to fail may overflow
+            G, m1, m2 = past.moments(c)
+            W, a = P.scaled_normal_matrix(), P.offsets_array()
+            spill = float(np.sum(W.T @ W * m2) + 2.0 * a @ (W @ m1)
+                          + (a @ a + len(a) / math.e) * G) / (2.0 * F)
+        return pl, tail, dropped, spill, F
 
-    edges = np.array(_unbounded_edges(P), dtype=float)
+    if P.is_bounded():
+        return (*cut(None), c)
     if correction is None:
-        def weight_tail(T):
-            # the canonical potential integral's tail lies beyond the least
-            # level of <b_X,x> at which the cut crosses an edge v + tau r
-            v, r = edges[:, 0], edges[:, 1]
-            reached = np.min(v @ b_X + (T - v @ beta) * (r @ b_X) / (r @ beta))
-            return sum(_tail_bounds(b_X, rays, verts)(reached))
-
         T = max(1.0, float(np.max(verts @ beta)) + P.dim + 2.0)
         for _ in range(200):
-            tail = sum(tail_bounds(T))
-            if tail <= tol and (b_X is None or weight_tail(T) <= tol):
-                pl, dropped, F = cut(T)
-                if dropped <= tol:
-                    return pl, tail, dropped, F, c
+            pl, tail, dropped, spill, F = cut(T)
+            if max(tail, dropped, spill) <= tol:
+                return pl, tail, dropped, spill, F, c
             T *= 1.3
         raise (DivergentD1 if tail > tol else NotInE)(
             "truncation ladder failed to reach tolerance within 200 steps of T *= 1.3")
     lo, hi = np.array(correction.domain).T
     levels = []
-    for v, r in edges:
+    for v, r in np.array(_unbounded_edges(P), dtype=float):
         moving = r != 0
         tau = np.min((np.where(r > 0, hi, lo) - v)[moving] / r[moving])
         levels.append(float((v + tau * r) @ beta))
     T = min(levels) * (1.0 - 1e-12) - 1e-12
     try:
-        pl, dropped, F = cut(T)
+        return (*cut(T), c)
     except ValueError as err:
         raise DivergentD1(f"correction grid too small for a usable truncation: {err}") from err
-    return pl, float(sum(tail_bounds(T))), dropped, F, c
 
 
 def _refined(V, vol, weight):
@@ -249,9 +263,10 @@ class _DingQuadrature:
     correction part <C, M>, C the correction's Chebyshev coefficients and M
     the moment tensor of the order-25 rules on the plan's simplices refined
     for e^{-<b_X,x>}, built with one moment pass per chunk of _CHUNK
-    simplices (linear_rules). scan raises when tail or dropped (see
-    _fitted_plan) exceeds tol, so a quadrature on a short grid can still be
-    built; unresolved sums _refined's counts of both refinements.
+    simplices (linear_rules). scan raises when dropped, spill or tail
+    relative to d1 (see _fitted_plan) exceeds tol, so a quadrature on a
+    short grid can still be built; unresolved sums _refined's counts of
+    both refinements.
     """
 
     def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None):
@@ -260,7 +275,7 @@ class _DingQuadrature:
         self.P, self.tol = P, tol
         self.b = None if b_X is None else np.asarray(b_X, dtype=float)
         beta = _beta(P)
-        self.plan, self.tail, self.dropped, self.F, self.shift = _fitted_plan(
+        self.plan, self.tail, self.dropped, self.spill, self.F, self.shift = _fitted_plan(
             P, beta, grid, tol, self.b)
         V, vol, self.unresolved = _refined(self.plan.simplices, self.plan.volumes, beta)
         self.X, W = gauss_rules(V, vol, _ORDER)
@@ -317,6 +332,10 @@ class _DingQuadrature:
         if self.dropped > self.tol:
             raise NotInE(f"correction grid too small for the soliton weight: the cut "
                          f"drops {self.dropped:.3g} of F(b_X), above tolerance {self.tol:g}")
+        if self.spill > self.tol:
+            raise NotInE(f"correction grid too small for the potential integral: past the "
+                         f"cut it may reach {self.spill:.3g} of F(b_X), above tolerance "
+                         f"{self.tol:g}")
         (g0, H0, lin0), (g1, H1, lin1) = sample0, sample1
         D0 = _density_at(self.form, H0)
         D1 = _density_at(self.form, H1)
@@ -367,11 +386,11 @@ def d1(v, P: LabeledPolyhedron, tol: float = 1e-8) -> float:
     v is a canonical or corrected potential u_P + s on P. The integrand is
     e^{-R_0}, R_0 the boundary-stable soliton residual at b = 0, taken at
     fixed Gauss nodes. For unbounded P the region is cut inside the
-    correction grid and the dropped tail, estimated through the
-    e^{-<beta,x>} decay of the canonical factor, must stay below tol
-    relative to the result. The potential is assumed strictly convex with
-    surjective gradient; see check_space_E for a screening routine.
-    Dimensions 1 and 2 only.
+    correction grid and the dropped tail, estimated from the exact moments
+    of the canonical factor's decay e^{-<beta,x>} past the cut, must stay
+    below tol relative to the result. The potential is assumed strictly
+    convex with surjective gradient; see check_space_E for a screening
+    routine. Dimensions 1 and 2 only.
     """
     (corr,) = _corrections(P, v)
     q = _DingQuadrature(P, corr, tol)
@@ -384,7 +403,9 @@ def ding(v, P: LabeledPolyhedron, b_X=None, tol: float = 1e-8) -> DingValue:
     v is a canonical or corrected potential on P. b_X defaults to the soliton
     vector of P; only there is D invariant under affine changes of v. On
     unbounded P both integrals are taken over d1's cut, and NotInE is raised
-    when the cut drops more than tol of F(b_X). Dimensions 1 and 2 only.
+    when the cut drops more than tol of F(b_X), or when the bound on the
+    canonical potential integral past it exceeds tol of F. Dimensions 1 and
+    2 only.
     """
     (corr,) = _corrections(P, v)
     if b_X is None:

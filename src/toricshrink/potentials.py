@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .polyhedra import LabeledPolyhedron
-from .quadrature import plan as build_plan, DivergentWeight
+from .quadrature import DivergentWeight, _weight_skeleton
 
 
 class OutOfDomain(ValueError):
@@ -394,11 +394,6 @@ def _density_at(form, s_hess):
     return A + np.einsum("mij,mij->m", B, s_hess) + detS * Pi
 
 
-def _density(P: LabeledPolyhedron, L, s_hess):
-    """det(Hess(u_P + s)) times prod_i L_i, expanded so no term divides by L."""
-    return _density_at(_density_form(P, L), s_hess)
-
-
 def boundary_density(P: LabeledPolyhedron, u, x):
     """det(Hess u) times the product of facet values: finite and positive on
     the boundary exactly when the potential has the right singular structure.
@@ -411,7 +406,7 @@ def boundary_density(P: LabeledPolyhedron, u, x):
         raise OutOfDomain("point outside the polyhedron")
     s = correction_of(u)
     s_hess = np.zeros((len(X), P.dim, P.dim)) if s is None else s.hessian(X)
-    out = _density(P, L, s_hess)
+    out = _density_at(_density_form(P, L), s_hess)
     return float(out[0]) if single else out
 
 
@@ -482,7 +477,8 @@ def check_space_E(P: LabeledPolyhedron, u, b, seed: int = 0) -> EReport:
     Positive definiteness is sampled at 40 interior points; properness of the
     gradient map is probed toward facets and along recession rays. u_P grows
     like |x| log |x| and a grid correction is a polynomial, so u e^{-<b,x>}
-    is integrable exactly where the weight is, as quadrature.plan decides.
+    is integrable exactly where the weight is, as quadrature._weight_skeleton
+    decides.
     """
     rng = np.random.default_rng(seed)
     pts = P.sample_interior(rng, 40)
@@ -524,7 +520,7 @@ def check_space_E(P: LabeledPolyhedron, u, b, seed: int = 0) -> EReport:
             ray_growth = False
 
     try:
-        build_plan(P, b)
+        _weight_skeleton(P, np.asarray(b, dtype=float))
         integrable = True
     except DivergentWeight:
         integrable = False

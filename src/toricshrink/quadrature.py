@@ -5,8 +5,9 @@ moments are exact sums over pieces read from the polyhedron's exact
 skeleton: the fan of its vertices, and on unbounded P the face x cone pieces
 beyond their hull, each from divided differences of exp at its vertex nodes
 in one batched kernel call per group. A plan may instead be cut at a level
-<b,x> <= T; _tail_bounds estimates what the cut drops. Convex regions are
-kept as rings of corners and fanned into simplices.
+<b,x> <= T; what it drops, conv(crossings) + rec(P), is again face x cone
+pieces (QuadraturePlan.past). Convex regions are kept as rings of corners
+and fanned into simplices.
 
 Divided differences of exp on narrow node sets sum a mean-shifted series
 only as far as its own error bound asks (at most 26 terms); wider sets use
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -370,16 +371,6 @@ def _fan(ring):
     return V[keep], volumes[keep]
 
 
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi}
-
-
-def _upper_gamma(s: int, x: float) -> float:
-    """Gamma(s) Q(s, x) = (s-1)! e^{-x} sum_{k<s} x^k / k! for integer s >= 1."""
-    return math.factorial(s - 1) * math.exp(-x) * math.fsum(
-        x**k / math.factorial(k) for k in range(s)
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class QuadraturePlan:
     """The pieces of a region on which e^{-<b,x>} integrates in closed form.
@@ -388,7 +379,8 @@ class QuadraturePlan:
     simplices their fan as a vertex stack (S, n+1, n) and volumes its
     volumes (S,). Each entry of cones is a pair (points, rays) of exact
     skeleton entries: the hull of the points plus the cone of the rays, with
-    <b,r> > 0 on every ray. A plan cut at a level T has no cones.
+    <b,r> > 0 on every ray. A plan cut at a level T has no cones; beyond
+    holds the pieces past the cut in the same form.
     """
 
     b: tuple[float, ...]
@@ -396,6 +388,12 @@ class QuadraturePlan:
     simplices: np.ndarray
     volumes: np.ndarray
     cones: tuple[tuple[tuple, tuple], ...]
+    beyond: tuple[tuple[tuple, tuple], ...] = ()
+
+    def past(self) -> QuadraturePlan:
+        """What the cut drops, as a plan of its own."""
+        return replace(self, simplices=self.simplices[:0], volumes=self.volumes[:0],
+                       cones=self.beyond, beyond=())
 
     def _pieces(self):
         """The fan, then each cone, as (V, m, inv, scale): one kernel call each.
@@ -422,8 +420,8 @@ class QuadraturePlan:
         return stable_sum(_in_range(np.concatenate(terms)))
 
     @np.errstate(over="ignore", invalid="ignore")  # _in_range reports overflow
-    def moments(self):
-        """Integrals of e^{-<b,x>}, x e^{-<b,x>} and x x^T e^{-<b,x>} over the plan.
+    def moments(self, shift: float = 0.0):
+        """Integrals of (1, x, x x^T) times e^{-<b,x>-shift} over the plan.
 
         With nodes t = -P b, a piece gives scale times exp[t], V^T e_1 and
         V^T E_2 V. At vertex rows (e_1)_j = exp[t, t_j] and (E_2)_jj' =
@@ -437,7 +435,7 @@ class QuadraturePlan:
         parts = []
         for V, m, inv, scale in self._pieces():
             index = _moment_multisets(m)
-            dd = _dd_exp_batch(-(V[:, :m] @ b), index)
+            dd = _dd_exp_batch(-(V[:, :m] @ b) - shift, index)
             e1 = np.concatenate([dd[:, 1 : m + 1], dd[:, :1] * inv], axis=1)
             i, l = index[m + 1 :, m:].T
             E2 = np.empty((len(V), n + 1, n + 1))
@@ -459,43 +457,6 @@ def _in_range(terms):
     if not np.all(np.isfinite(terms)):
         raise OverflowError("a weighted integral over the plan overflows")
     return terms
-
-
-def _tail_bounds(b, rays, verts):
-    """Estimates of int |x|^d e^{-<b,x>} dx beyond <b,x> = T, as a function of T.
-
-    Each bounds its own integral, d = 0, 1, 2; summed as the tail of a Ding
-    integrand they are an estimate, which overstates a density of lower
-    degree and can understate one of degree above 2.
-
-    The T-independent constants are computed once, so each T costs three
-    closed-form incomplete gammas; a bound that overflows is inf.
-    """
-    n = len(b)
-    bnorm = math.hypot(*b)
-    eps = float(np.min(rays @ b / np.linalg.norm(rays, axis=1)))
-    R = float(np.max(np.linalg.norm(verts, axis=1)))
-    mb = float(np.min(verts @ b))
-    C0 = eps * R - mb
-    omega = _SPHERE_AREA[n]
-    coefs = []
-    for d in range(3):
-        try:
-            coefs.append(math.exp(C0) * omega * eps ** (-(d + n)))
-        except OverflowError:
-            coefs.append(None)
-
-    def at(T):
-        r_T = max(0.0, T) / bnorm
-        bounds = []
-        for d, c in enumerate(coefs):
-            try:
-                bounds.append(math.inf if c is None else c * _upper_gamma(d + n, eps * r_T))
-            except OverflowError:
-                bounds.append(math.inf)
-        return tuple(bounds)
-
-    return at
 
 
 def _unbounded_edges(P: LabeledPolyhedron):
@@ -532,15 +493,15 @@ def _weight_skeleton(P: LabeledPolyhedron, b):
     return verts, np.array([r for r, _ in sk.rays], dtype=float)
 
 
-def _cones(P: LabeledPolyhedron):
-    """Unbounded P beyond the hull of its vertices, as exact face x cone pieces.
+def _cones(edges):
+    """conv(v_i) + cone(r_i) over unbounded edges v_i + cone(r_i), as face x
+    cone pieces: P beyond its vertices' hull, or past a level's crossings.
 
-    In 1D the edge [v, inf). In 2D, with unbounded edges v_a + cone(r_a) and
+    In 1D the edge [v, inf). In 2D, with edges v_a + cone(r_a) and
     v_b + cone(r_b): the half-strip conv(v_a, v_b) + cone(r_b) unless v_a = v_b,
     and the corner v_a + cone(r_a, r_b) unless r_a = r_b.
     """
-    edges = _unbounded_edges(P)
-    if P.dim == 1:
+    if len(edges) == 1:
         return tuple(((v,), (r,)) for v, r in edges)
     (va, ra), (vb, rb) = edges
     half_strip, corner = ((va, vb), (rb,)), ((va,), (ra, rb))
@@ -554,21 +515,22 @@ def plan(P: LabeledPolyhedron, b, truncation: float | None = None) -> Quadrature
     and, on unbounded P, the face x cone pieces of _cones, so the plan's
     integrals are exact. A fixed truncation T instead cuts unbounded P by
     <b,x> <= T: the corners are then the vertices and the crossing
-    v + (T - <b,v>) / <b,r> r of each unbounded edge. Raises what
-    _weight_skeleton raises, and ValueError when some vertex has <b,v> >= T.
+    v + (T - <b,v>) / <b,r> r of each unbounded edge, and the pieces past
+    the cut are _cones of the crossings. Raises what _weight_skeleton
+    raises, and ValueError when some vertex has <b,v> >= T.
     """
     b = np.asarray(b, dtype=float)
     verts, rays = _weight_skeleton(P, b)
-    corners, cones = verts, ()
+    corners, cones, beyond = verts, (), ()
     if len(rays) and truncation is None:
-        cones = _cones(P)
+        cones = _cones(_unbounded_edges(P))
     elif len(rays):
         T, base_T = float(truncation), float(np.max(verts @ b))
         if T <= base_T:
             raise ValueError(f"truncation {T} must exceed max vertex level {base_T:.6g}")
         edges = np.array(_unbounded_edges(P), dtype=float)
-        corners = np.vstack([verts] + [
-            v + (T - float(v @ b)) / float(r @ b) * r for v, r in edges
-        ])
+        crossings = [v + (T - float(v @ b)) / float(r @ b) * r for v, r in edges]
+        corners = np.vstack([verts] + crossings)
+        beyond = _cones([(tuple(x), tuple(r)) for x, r in zip(crossings, edges[:, 1])])
     ring = _ring(corners)
-    return QuadraturePlan(tuple(map(float, b)), ring, *_fan(ring), cones)
+    return QuadraturePlan(tuple(map(float, b)), ring, *_fan(ring), cones, beyond)

@@ -26,7 +26,7 @@ from .potentials import (
     GridCorrection,
     NoConvergence,
     NotConvexHere,
-    _density,
+    _density_at,
     _density_form,
     barycentric_weights,
     differentiation_matrix,
@@ -137,28 +137,15 @@ def _nonconvex(X, D):
     return NotConvexHere(f"density nonpositive near {tuple(map(float, bad))}")
 
 
-def _correction_part(P: LabeledPolyhedron, L, X, s_val, s_grad, s_hess):
-    """<grad s, x> - s - log D at X with facet values L; NotConvexHere
-    where D <= 0."""
-    D = _density(P, L, s_hess)
+def _residual_core(P: LabeledPolyhedron, b, X, s_val, s_grad, s_hess):
+    """R at X: the canonical part plus <grad s, x> - s - log D, D the density;
+    NotConvexHere where D <= 0."""
+    L, R = _canonical_part(P, b, X)
+    D = _density_at(_density_form(P, L), s_hess)
     if np.any(D <= 0.0):
         raise _nonconvex(X, D)
-    return np.einsum("mi,mi->m", s_grad, X) - s_val - np.log(D)
-
-
-def _residual_core(P: LabeledPolyhedron, b, X, s_val, s_grad, s_hess):
-    """R at X: the canonical part plus the correction part; NotConvexHere
-    where the density is nonpositive."""
-    L, R = _canonical_part(P, b, X)
-    R += _correction_part(P, L, X, s_val, s_grad, s_hess)
+    R += np.einsum("mi,mi->m", s_grad, X) - s_val - np.log(D)
     return R
-
-
-def _correction_arrays(correction, X, n):
-    if correction is None:
-        m = len(X)
-        return np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n))
-    return correction.jet(X)
 
 
 def residual(P: LabeledPolyhedron, b, x, correction=None):
@@ -170,8 +157,10 @@ def residual(P: LabeledPolyhedron, b, x, correction=None):
     single = X.ndim == 1
     if single:
         X = X[None, :]
-    s_val, s_grad, s_hess = _correction_arrays(correction, X, P.dim)
-    R = _residual_core(P, b, X, s_val, s_grad, s_hess)
+    m, n = X.shape
+    jet = (np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n))) if correction is None \
+        else correction.jet(X)
+    R = _residual_core(P, b, X, *jet)
     return float(R[0]) if single else R
 
 

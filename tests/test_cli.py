@@ -329,6 +329,24 @@ def test_ding_scan_at_a_weight_past_the_float_range(tmp_path, capfd):
     assert first["D"] == pytest.approx(square_canonical_ding(-400.0), rel=1e-10)
 
 
+def test_quadrant_solve_pipes_into_ding_scan(tmp_path, capfd):
+    # the grid ends at <beta, x> = 32, and what the cut drops, integrated
+    # exactly, meets the default tol. u_P solves the soliton equation on the
+    # quadrant, so the solved correction is zero to rounding and d1 = e^2
+    quadrant = tmp_path / "quadrant.json"
+    save_polyhedron(box([(-2, None), (-2, None)]), quadrant)
+    solved = tmp_path / "quadrant.solve.json"
+    scan = tmp_path / "scan.json"
+    assert main(["solve", str(quadrant), "--grid", "16", "--truncation", "32",
+                 "--out", str(solved)]) == 0
+    capfd.readouterr()
+    assert main(["ding-scan", str(quadrant), "--potential", str(solved),
+                 "--out", str(scan)]) == 0
+    assert capfd.readouterr().err == ""
+    first = json.loads(scan.read_text())["scan"][0]
+    assert first["D1"] == pytest.approx(np.exp(2.0), rel=1e-12)
+
+
 def test_steep_weight_on_a_bounded_polyhedron_is_integrable(tmp_path, capfd):
     # every weight is integrable on a bounded polyhedron: e^{400 x} on the
     # square overflows a float, but not the verdict

@@ -29,8 +29,7 @@ from toricshrink.potentials import (
 )
 from toricshrink.quadrature import Simplex, _dd_exp_batch, _line_rules, _reference_rule, \
     gauss_rules, gauss_simplex_rule, plan as build_plan, stable_sum
-from toricshrink.shrinker import _correction_arrays, _residual_core, find_soliton_vector, \
-    solve
+from toricshrink.shrinker import find_soliton_vector, residual, solve
 
 TEARDROP = interval(-2, "2/3", 1, 3)
 
@@ -155,6 +154,25 @@ def test_ding_at_beta_keeps_its_cut(half_line_at_32):
     assert ding(v, P, b_X=[0.5]).value == 0.11593151565775339
 
 
+@pytest.mark.parametrize("b_X", [0.29, 0.30, 0.35, 0.4, 0.5])
+def test_spill_bounds_the_canonical_integral_past_the_cut(b_X):
+    # v = u_P on [-2, 64] through a zero correction: D = (1/2)(1 - gamma -
+    # log b)/b - 1 on the half-line, d1 = e. Past x = 64 the potential
+    # integral falls slower than F(b_X); a call either raises or returns D
+    # within its spill
+    P = half_line(-2)
+    v = CorrectedPotential(P, GridCorrection.zeros([(-2.0, 64.0)], [16]))
+    exact = 0.5 * (1.0 - float(mpmath.euler) - math.log(b_X)) / b_X - 1.0
+    q = _DingQuadrature(P, v.correction, 1e-8, [b_X])
+    assert q.dropped <= 1e-8
+    if b_X < 0.4:
+        with pytest.raises(NotInE, match="past the cut it may reach"):
+            ding(v, P, b_X=[b_X])
+    else:
+        assert q.spill <= 1e-8
+        assert abs(ding(v, P, b_X=[b_X]).value - exact) <= q.spill
+
+
 @pytest.mark.parametrize("P", [TEARDROP, pentagon()], ids=["teardrop", "pentagon"])
 def test_ding_and_scan_default_to_the_soliton_vector(P):
     b = find_soliton_vector(P).b
@@ -188,8 +206,7 @@ def test_d1_stable_equals_direct_integrand():
         )
         v = CorrectedPotential(P, s)
         X = P.sample_interior(rng, 12)
-        stable = np.exp(-_residual_core(P, np.zeros(P.dim), X,
-                                        *_correction_arrays(s, X, P.dim)))
+        stable = np.exp(-residual(P, np.zeros(P.dim), X, s))
         for i, x in enumerate(X):
             det = float(np.linalg.det(v.hessian(x)))
             direct = det * math.exp(v.value(x) - float(v.gradient(x) @ x))
@@ -393,7 +410,7 @@ def test_scan_convexity_on_half_line():
     w = bump_values(axes)
     v0 = CorrectedPotential(P, res.correction)
     v1 = CorrectedPotential(P, GridCorrection(axes, res.correction.values + 0.4 * w))
-    # the certified truncation tail (~3e-6 relative here) is constant across t
+    # the estimated truncation tail (~7e-8 relative here) is constant across t
     # and cancels in differences, so a loose tail tolerance is enough
     scan = convexity_scan(v0, v1, P, b_X=[0.5], num_t=7, tol=1e-5)
     diffs = second_differences(scan)
@@ -530,7 +547,7 @@ def test_stacked_d1_equals_the_per_simplex_sum(P, dom):
     per_simplex = []
     for pts in V:
         X, W = gauss_simplex_rule(Simplex(tuple(map(tuple, pts))), 25)
-        R0 = _residual_core(P, origin, X, *_correction_arrays(corr, X, P.dim))
+        R0 = residual(P, origin, X, corr)
         per_simplex.append(float(np.dot(W, np.exp(-R0))))
     assert q.evaluate(q.sample(corr)) == pytest.approx(math.fsum(per_simplex), rel=1e-14)
 
@@ -586,14 +603,14 @@ def quadrant_canonical_ratio(b, S):
 
 
 def test_canonical_term_reaches_the_facets():
-    # the canonical ladder cuts the quadrant at <beta, x> = T = 78.7, beta =
+    # the canonical ladder cuts the quadrant at <beta, x> = T = 35.8, beta =
     # (1/2, 1/2), for b = (1, 3): the slivers along both facets are part of
     # the integral, not dropped
     quadrant = box([(-2, None), (-2, None)])
     b = np.array([1.0, 3.0])
     q = _DingQuadrature(quadrant, None, 1e-8, b_X=b)
     T = float(np.max(q.plan.ring @ np.array([0.5, 0.5])))
-    assert 78.0 < T < 79.0
+    assert 35.0 < T < 36.0
     ref = quadrant_canonical_ratio(b, 2.0 * T + 4.0)
     assert q.canonical / q.F == pytest.approx(ref, rel=1e-13)
 

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 import mpmath
 from hypothesis import given, settings, strategies as st
-from scipy.special import gamma, gammaincc
 
 from toricshrink.polyhedra import (
-    _skeleton, box, from_halfspaces, half_line, vertices,
+    box, from_halfspaces, half_line, vertices,
 )
 from toricshrink.quadrature import (
     DivergentWeight,
@@ -31,9 +30,6 @@ from toricshrink.quadrature import (
     _ring,
     _series_terms,
     _shifted_series,
-    _tail_bounds,
-    _upper_gamma,
-    _weight_skeleton,
 )
 from toricshrink import ding
 from toricshrink.shrinker import _initial_weight, find_soliton_vector
@@ -343,31 +339,13 @@ def test_quadrant_plan_is_product():
     assert pl.exp_integral() == pytest.approx((2.0 * math.e) ** 2, rel=1e-15)
 
 
-def _cut_tail_bounds(P, b, T):
-    b = np.asarray(b, dtype=float)
-    verts, rays = _weight_skeleton(P, b)
-    return _tail_bounds(b, rays, verts)(T)
-
-
-def test_tail_bound_is_honest():
-    # on the half-line at b = 1/2: F = 2e, m1 = 0 and m2 = 8e exactly; each
-    # moment that a cut at T drops is within its bound on int |x|^d e^{-x/2}
-    P = half_line(-2)
-    for T in (4.0, 6.0, 12.0, 20.0):
-        F, m1, m2 = plan(P, [0.5], truncation=T).moments()
-        bounds = _cut_tail_bounds(P, [0.5], T)
-        errors = (abs(F - 2.0 * math.e), abs(m1[0]), abs(m2[0, 0] - 8.0 * math.e))
-        for err, bound in zip(errors, bounds):
-            assert err <= bound + 1e-11
-    assert sum(_cut_tail_bounds(P, [0.5], 40.0)) <= 1e-6
-
-
 def test_fixed_truncation():
     P = half_line(-2)
     pl = plan(P, [0.5], truncation=12.0)
     assert pl.cones == () and max(x for (x,) in pl.ring) == 24.0
-    err = abs(pl.exp_integral() - 2.0 * math.e)
-    assert err <= sum(_cut_tail_bounds(P, [0.5], 12.0)) + 1e-11
+    # the cut drops [24, inf), which integrates to 2 e^{-12}
+    assert pl.beyond == ((((24.0,),), ((1.0,),)),)
+    assert pl.past().exp_integral() == pytest.approx(2.0 * math.exp(-12.0), rel=1e-15)
     with pytest.raises(ValueError, match="truncation"):
         plan(P, [0.5], truncation=-2.0)
 
@@ -425,13 +403,6 @@ def test_divergent_on_improper_polyhedron():
     strip = from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 1, 2)])
     with pytest.raises(DivergentWeight):
         plan(strip, [1.0, 0.0])
-
-
-def test_closed_form_tail_matches_scipy():
-    for s in range(1, 5):
-        for x in np.linspace(0.0, 60.0, 241):
-            expected = gamma(s) * gammaincc(s, x)
-            assert _upper_gamma(s, x) == pytest.approx(expected, rel=1e-13)
 
 
 def _shoelace_area(P):
@@ -590,53 +561,64 @@ def test_masked_lanes_raise_no_warnings():
                     assert got[s, r] == pytest.approx(ref, rel=2e-15)
 
 
-def _reference_tail_bounds(b, rays, verts, T):
-    """Certified bounds on int |x|^d e^{-<b,x>} dx beyond <b,x> = T; inf on overflow."""
-    n = len(b)
-    bnorm = math.hypot(*b)
-    eps = float(np.min(rays @ b / np.linalg.norm(rays, axis=1)))
-    R = float(np.max(np.linalg.norm(verts, axis=1)))
-    mb = float(np.min(verts @ b))
-    C0 = eps * R - mb
-    r_T = max(0.0, T) / bnorm
-    omega = {1: 2.0, 2: 2.0 * math.pi}[n]
-    bounds = []
-    for d in range(3):
-        s = d + n
-        try:
-            bounds.append(math.exp(C0) * omega * eps ** (-s) * _upper_gamma(s, eps * r_T))
-        except OverflowError:
-            bounds.append(math.inf)
-    return tuple(bounds)
-
-
-def _reference_ladder(P, b, tol):
-    # the Ding truncation search for a canonical potential, with every
-    # constant of the tail bound recomputed on every rung: T must come out
-    # bit-for-bit the same
-    sk = _skeleton(P)
-    verts = np.array([[float(x) for x in p] for p, _ in sk.vertices])
-    rays = np.array([r for r, _ in sk.rays], dtype=float)
-    base_T = float(np.max(verts @ b))
-    T = max(1.0, base_T + P.dim + 2.0)
-    for _ in range(200):
-        bounds = _reference_tail_bounds(b, rays, verts, T)
-        if sum(bounds) <= tol:
-            break
-        T *= 1.3
-    return T, bounds
-
-
-@pytest.mark.parametrize("P, weights", [
-    (half_line(-2), ([0.5], [3.0], [0.01], [1e-3])),
+UNBOUNDED = [
+    (half_line(-2), ([0.5], [3.0], [0.01])),
     (from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 2, 2), ((0, 1), 3, 2)]),
      ([-0.72, 1.5], [2.0, 0.05], [0.0, 4.0])),
     (from_halfspaces(2, [((1, 0), 1, 2), ((0, 1), 1, 2)]),
      ([0.5, 0.5], [0.05, 1.0], [3.0, 0.1])),
     (from_halfspaces(2, [((1, 0), 1, 2), ((1, 1), 1, 2)]),
      ([1.0, 0.4], [0.75, 0.5], [5.0, 0.02])),
-], ids=["half_line", "half_strip", "quadrant", "oblique_wedge"])
-def test_truncation_ladder_is_bitwise_unchanged(P, weights, monkeypatch):
+]
+UNBOUNDED_IDS = ["half_line", "half_strip", "quadrant", "oblique_wedge"]
+
+
+@pytest.mark.parametrize("P, weights", UNBOUNDED, ids=UNBOUNDED_IDS)
+def test_cut_and_past_make_the_exact_plan(P, weights):
+    # a cut above every vertex leaves conv(crossings) + rec(P) past it, as
+    # face x cone pieces, so the two plans together integrate P exactly.
+    # By Cauchy-Schwarz |m1| <= sqrt(F tr m2) and |m2_il| <= tr m2
+    verts = np.array([[float(x) for x in v.point] for v in vertices(P)])
+    for b in weights:
+        F, m1, m2 = plan(P, b).moments()
+        top = float(np.max(verts @ b))
+        for T in (top + 0.5, top + 3.0, top + 12.0):
+            pl = plan(P, b, truncation=T)
+            cut, past = pl.moments(), pl.past().moments()
+            assert past[0] > 0.0 and len(pl.past().simplices) == 0
+            for q, scale in enumerate((F, math.sqrt(F * np.trace(m2)), np.trace(m2))):
+                assert np.all(np.abs(cut[q] + past[q] - (F, m1, m2)[q]) <= 2e-15 * scale)
+            shifted = pl.past().moments(1.5)
+            for q in range(3):
+                assert np.allclose(shifted[q], math.exp(-1.5) * past[q], rtol=1e-15, atol=0.0)
+
+
+def _reference_rung(P, beta, b_X, T, tol):
+    """Whether the Ding cut at <beta,x> = T meets tol: its tail, dropped share
+    and spill from the exact plans of P and of P past the cut, the polyhedron
+    <2 beta, x> >= 2T (2 beta is integral) on P's facets along a ray."""
+    normal = [int(round(2.0 * x)) for x in beta]
+    g = math.gcd(*normal)
+    along = [f for f in P.facets
+             if any(np.dot(f.normal, r) == 0 for r in P.recession_rays())]
+    past = from_halfspaces(P.dim, [(f.normal, f.label, f.offset) for f in along]
+                           + [(tuple(x // g for x in normal), g, -2 * Fraction(T))])
+    G, _, m2 = plan(past, beta).moments()
+    if G + math.sqrt(G * np.trace(m2)) + np.trace(m2) > tol:
+        return False
+    c = float(np.max(-(np.array([[float(x) for x in v.point] for v in vertices(P)]) @ b_X)))
+    G, m1, m2 = plan(past, b_X).moments(c)
+    F = plan(P, b_X).exp_integral(c) - G
+    if G / (F + G) > tol:
+        return False
+    W, a = P.scaled_normal_matrix(), P.offsets_array()
+    square = sum(w @ m2 @ w + 2.0 * ak * (w @ m1) + (ak * ak + 1.0 / math.e) * G
+                 for w, ak in zip(W, a))
+    return 0.5 * square / F <= tol
+
+
+@pytest.mark.parametrize("P, weights", UNBOUNDED, ids=UNBOUNDED_IDS)
+def test_canonical_ladder_stops_at_the_first_rung_that_meets_tol(P, weights, monkeypatch):
     levels = []
 
     def recording_plan(P, b, truncation=None):
@@ -644,12 +626,19 @@ def test_truncation_ladder_is_bitwise_unchanged(P, weights, monkeypatch):
         return plan(P, b, truncation)
 
     monkeypatch.setattr(ding, "build_plan", recording_plan)
-    for b in weights:
-        b = np.array(b)
+    beta = ding._beta(P)
+    verts = np.array([[float(x) for x in v.point] for v in vertices(P)])
+    for b_X in weights:
+        b_X = np.array(b_X)
         for tol in (1e-8, 1e-10, 1e-14):
-            _, tail, _, _, _ = ding._fitted_plan(P, b, None, tol)
-            T, bounds = _reference_ladder(P, b, tol)
-            assert (levels.pop(), tail) == (T, float(sum(bounds)))
+            levels.clear()
+            pl, tail, dropped, spill, _, _ = ding._fitted_plan(P, beta, None, tol, b_X)
+            assert max(tail, dropped, spill) <= tol
+            assert levels[0] == max(1.0, float(np.max(verts @ beta)) + P.dim + 2.0)
+            assert all(T1 == T0 * 1.3 for T0, T1 in zip(levels, levels[1:]))
+            assert float(np.max(pl.ring @ beta)) == pytest.approx(levels[-1], rel=1e-14)
+            assert _reference_rung(P, beta, b_X, levels[-1], tol)
+            assert len(levels) == 1 or not _reference_rung(P, beta, b_X, levels[-2], tol)
 
 
 @pytest.mark.parametrize("name, spec, iterations", SOLITON_FAMILY)
