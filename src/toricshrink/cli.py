@@ -263,11 +263,13 @@ def cmd_soliton_vector(args):
     print(f"b: {list(sol.b)}")
     print(f"F: {sol.F_value!r}")
     print(f"gradient norm: {sol.gradient_norm!r}")
+    print(f"achieved: {sol.achieved!r}")
     print(f"iterations: {sol.iterations}")
     _emit(args, {
         "b": list(sol.b),
         "F_value": sol.F_value,
         "gradient_norm": sol.gradient_norm,
+        "achieved": sol.achieved,
         "iterations": sol.iterations,
     })
     return EXIT_OK

@@ -48,8 +48,8 @@ import numpy as np
 from .polyhedra import LabeledPolyhedron
 from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
     _density_at, _density_form, correction_of
-from .quadrature import _line_rules, _unbounded_edges, _weight_skeleton, \
-    gauss_rules, plan as build_plan, stable_sum
+from .quadrature import _line_rules, _weight_skeleton, gauss_rules, \
+    plan as build_plan, stable_sum
 from .shrinker import _canonical_part, _nonconvex, find_soliton_vector
 
 
@@ -106,11 +106,11 @@ def _fitted_plan(P, beta, correction, tol, b_X=None):
     cone), or, for the canonical potential, at the first rung of T *= 1.3
     where tail, dropped and spill all meet tol.
     """
-    verts, _ = _weight_skeleton(P, beta)
+    g = _weight_skeleton(P, beta)
     c = None
     if b_X is not None:
         _weight_skeleton(P, b_X)  # e^{-<b_X,x>} is integrable on P
-        c = float(np.max(-(verts @ b_X)))  # -<b_X,x> peaks at a vertex
+        c = float(np.max(-(g.verts @ b_X)))  # -<b_X,x> peaks at a vertex
 
     def cut(T):  # the plan cut at T, with tail, dropped, spill and F
         pl = build_plan(P, beta, truncation=T)
@@ -135,7 +135,7 @@ def _fitted_plan(P, beta, correction, tol, b_X=None):
     if P.is_bounded():
         return (*cut(None), c)
     if correction is None:
-        T = max(1.0, float(np.max(verts @ beta)) + P.dim + 2.0)
+        T = max(1.0, float(np.max(g.verts @ beta)) + P.dim + 2.0)
         for _ in range(200):
             pl, tail, dropped, spill, F = cut(T)
             if max(tail, dropped, spill) <= tol:
@@ -145,7 +145,7 @@ def _fitted_plan(P, beta, correction, tol, b_X=None):
             "truncation ladder failed to reach tolerance within 200 steps of T *= 1.3")
     lo, hi = np.array(correction.domain).T
     levels = []
-    for v, r in np.array(_unbounded_edges(P), dtype=float):
+    for v, r in g.edges:
         moving = r != 0
         tau = np.min((np.where(r > 0, hi, lo) - v)[moving] / r[moving])
         levels.append(float((v + tau * r) @ beta))

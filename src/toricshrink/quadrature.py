@@ -4,15 +4,20 @@ The integral of e^{-<b,x>} over a labeled polyhedron and its first and second
 moments are exact sums over pieces read from the polyhedron's exact
 skeleton: the fan of its vertices, and on unbounded P the face x cone pieces
 beyond their hull, each from divided differences of exp at its vertex nodes
-in one batched kernel call per group. A plan may instead be cut at a level
-<b,x> <= T; what it drops, conv(crossings) + rec(P), is again face x cone
-pieces (QuadraturePlan.past). Convex regions are kept as rings of corners
-and fanned into simplices.
+in one batched kernel call per group. Those pieces do not depend on b: every
+plan of P shares one read-only geometry, built once per P (_geometry), and a
+plan for a new b only checks that e^{-<b,x>} is integrable. A plan may
+instead be cut at a level <b,x> <= T; what it drops, conv(crossings) +
+rec(P), is again face x cone pieces (QuadraturePlan.past). Convex regions
+are kept as rings of corners and fanned into simplices.
 
 Divided differences of exp on narrow node sets sum a mean-shifted series
 only as far as its own error bound asks (at most 26 terms); wider sets use
-the recurrence. The scalar divided_difference_exp and exp_integral_simplex
-are the reference the batched kernel is tested against.
+the recurrence. The batched kernel sums the series only on the narrow
+windows its table reads (a row's whole window, or one a wide parent
+reads), and takes what its index rows fix from a cache. The scalar
+divided_difference_exp and exp_integral_simplex are the reference the
+batched kernel is tested against.
 The one Gauss-Legendre builder is _line_rules, which also gives the Gauss
 rule for the weight -log u on [0, 1]; dense Gauss rules on simplices are its
 Gauss-Legendre half collapsed onto the unit simplex, cached per dimension
@@ -113,13 +118,14 @@ def _shifted_series(xi, m) -> float:
     H[0] = 1.0
     for x in xi:
         H = np.convolve(H, x**powers)[:K]
-    return float(H @ _inverse_factorials(m, K))
+    return float(H @ _inverse_factorials(m + 1, K)[m])
 
 
 @lru_cache(maxsize=None)
-def _inverse_factorials(m: int, K: int) -> np.ndarray:
-    """1/(m+k)! for k < K, each correctly rounded (to zero past 177!)."""
-    inv = np.array([1 / math.factorial(m + k) for k in range(K)])
+def _inverse_factorials(M: int, K: int) -> np.ndarray:
+    """Row m < M holds 1/(m+k)! for k < K, each correctly rounded (to zero
+    past 177!); read-only."""
+    inv = np.array([[1 / math.factorial(m + k) for k in range(K)] for m in range(M)])
     inv.flags.writeable = False
     return inv
 
@@ -133,10 +139,21 @@ _EXP_MAX = math.log(sys.float_info.max)
 
 @lru_cache(maxsize=None)
 def _windows(M: int):
-    """Start and end columns of the sub-windows of M sorted nodes, by span then start."""
+    """The sub-windows of M sorted nodes, by span then start, read-only.
+
+    Returns their start and end columns lo, hi and their parents left, right:
+    the windows one node wider on the left, (lo - 1, hi), and on the right,
+    (lo, hi + 1), where a wide window reads them; W, the number of windows,
+    where there is none.
+    """
     lo = np.array([i for s in range(1, M) for i in range(M - s)], dtype=int)
     hi = lo + np.repeat(np.arange(1, M), np.arange(M - 1, 0, -1))
-    return lo, hi
+    flat = {(i, j): w for w, (i, j) in enumerate(zip(lo.tolist(), hi.tolist()))}
+    left = np.array([flat.get((i - 1, j), len(lo)) for i, j in flat], dtype=int)
+    right = np.array([flat.get((i, j + 1), len(lo)) for i, j in flat], dtype=int)
+    for a in (lo, hi, left, right):
+        a.flags.writeable = False
+    return lo, hi, left, right
 
 
 def _narrow_series(xs, lo, hi) -> np.ndarray:
@@ -145,7 +162,8 @@ def _narrow_series(xs, lo, hi) -> np.ndarray:
     Nodes outside the window are shifted to zero, which leaves the series
     unchanged. One K serves every row: the fewest terms for the largest
     shifted node. For fixed k, h_k <- h_k + x h_{k-1} over the nodes in order
-    is a running sum, so each term costs one product and one cumsum.
+    is a running sum, so each term costs one product and one accumulate over
+    the nodes, both written into preallocated arrays.
     """
     cols = np.arange(xs.shape[1])
     member = (cols >= lo[:, None]) & (cols <= hi[:, None])
@@ -153,41 +171,65 @@ def _narrow_series(xs, lo, hi) -> np.ndarray:
     mu = np.sum(xs * member, axis=1) / (m + 1)
     xi = (xs - mu[:, None]) * member
     K = _series_terms(float(np.max(np.abs(xi), initial=0.0)))
-    h = np.empty((len(xs), K))
-    h[:, 0] = 1.0
-    H = np.ones_like(xi)
+    xi = np.ascontiguousarray(xi.T)  # nodes by rows: each running sum is one pass down
+    H = np.empty((K, *xi.shape))
+    H[0] = 1.0
     for k in range(1, K):
-        H = np.cumsum(xi * H, axis=1)
-        h[:, k] = H[:, -1]
-    inv = np.array([_inverse_factorials(j, K) for j in range(xs.shape[1])])[m]
-    return np.exp(mu) * np.einsum("lk,lk->l", h, inv)
+        np.multiply(xi, H[k - 1], out=H[k])
+        np.add.accumulate(H[k], axis=0, out=H[k])
+    h = np.ascontiguousarray(H[:, -1].T)
+    return np.exp(mu) * np.einsum("lk,lk->l", h, _inverse_factorials(xs.shape[1], K)[m])
 
 
-def _dd_exp_sorted(xs, size) -> np.ndarray:
-    """exp[xs_r[:size_r]] for each row of an ascending (N, M) array.
+def _dd_exp_sorted(xs, layout) -> np.ndarray:
+    """exp[xs_sr[:size_r]] for each row of an ascending (S, R, M) array.
 
     Columns from size_r on are pads, each more than 2 above the column
-    before it, so every window that reaches a pad is wide and only feeds
+    before it, so every window that reaches a pad is wide and feeds only
     entries no row reads. The table is divided_difference_exp's: narrow
-    windows from the series, wide ones from the recurrence.
+    windows from the series, wide ones from the recurrence. A narrow window
+    is read only by a wide parent clear of the pads, or as the row's whole
+    window, so the series runs on those windows alone.
     """
-    N, M = xs.shape
-    lo, hi = _windows(M)
-    narrow = xs[:, hi] - xs[:, lo] <= 2.0 * _SERIES_SPREAD
-    rows, w = np.nonzero(narrow)
+    lo, hi, left, right = _windows(xs.shape[2])
+    real, clear, whole, last = layout
+    span = xs[..., hi] - xs[..., lo]
+    narrow = span <= 2.0 * _SERIES_SPREAD
+    wide = np.zeros((*narrow.shape[:2], len(lo) + 1), dtype=bool)
+    np.logical_and(~narrow, clear, out=wide[..., :-1])
+    s, r, w = np.nonzero(narrow & (wide[..., left] | wide[..., right] | whole))
     series = np.zeros(narrow.shape)
-    series[rows, w] = _narrow_series(xs[rows], lo[w], hi[w])
-    prev = np.exp(np.where(np.arange(M) < size[:, None], xs, 0.0))
-    first = [prev[:, 0]]
+    if len(s):
+        series[s, r, w] = _narrow_series(xs[s, r], lo[w], hi[w])
+    den = np.where(narrow, 1.0, span)
+    prev = np.exp(np.where(real, xs, 0.0))
+    first = [prev[..., 0]]
     start = 0
-    for s in range(1, M):
-        span = slice(start, start + M - s)
-        start += M - s
-        wide = ~narrow[:, span]
-        den = np.where(wide, xs[:, s:] - xs[:, :-s], 1.0)
-        prev = np.where(wide, (prev[:, 1:] - prev[:, :-1]) / den, series[:, span])
-        first.append(prev[:, 0])
-    return np.stack(first, axis=1)[np.arange(N), size - 1]
+    for k in range(1, xs.shape[2]):
+        cols = slice(start, start + xs.shape[2] - k)
+        start = cols.stop
+        prev = np.where(narrow[..., cols], series[..., cols],
+                        (prev[..., 1:] - prev[..., :-1]) / den[..., cols])
+        first.append(prev[..., 0])
+    return np.stack(first, axis=-1)[:, np.arange(len(last)), last]
+
+
+@lru_cache(maxsize=64)
+def _index_layout(raw: bytes, shape, dtype: str):
+    """What an index (R, M) fixes in _dd_exp_batch, read-only: the gather
+    index with pads read as column 0, the pads and their offsets above the
+    largest node, and for _dd_exp_sorted each row's real columns, the
+    windows clear of its pads, its whole window and its last column."""
+    index = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    pad = index < 0
+    size = shape[1] - np.sum(pad, axis=1)
+    lo, hi, _, _ = _windows(shape[1])
+    arrays = (np.where(pad, 0, index), pad, 4.0 * _SERIES_SPREAD * np.cumsum(pad, axis=1),
+              np.arange(shape[1]) < size[:, None], hi < size[:, None],
+              (lo == 0) & (hi == size[:, None] - 1), size - 1)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[:3], arrays[3:]
 
 
 def _dd_exp_batch(t, index) -> np.ndarray:
@@ -200,13 +242,9 @@ def _dd_exp_batch(t, index) -> np.ndarray:
     """
     if np.max(t) > _EXP_MAX:
         raise OverflowError("math range error")
-    S, R, M = len(t), *index.shape
-    pad = index < 0
-    X = t[:, np.where(pad, 0, index)]
-    X = np.where(pad, np.max(t, axis=1)[:, None, None]
-                 + 4.0 * _SERIES_SPREAD * np.cumsum(pad, axis=1), X)
-    size = np.tile(M - np.sum(pad, axis=1), S)
-    return _dd_exp_sorted(np.sort(X, axis=-1).reshape(S * R, M), size).reshape(S, R)
+    (safe, pad, offset), layout = _index_layout(index.tobytes(), index.shape, index.dtype.str)
+    X = np.where(pad, np.max(t, axis=1)[:, None, None] + offset, t[:, safe])
+    return _dd_exp_sorted(np.sort(X, axis=-1), layout)
 
 
 @lru_cache(maxsize=None)
@@ -218,6 +256,18 @@ def _moment_multisets(k: int) -> np.ndarray:
     index = np.array(rows)
     index.flags.writeable = False
     return index
+
+
+@lru_cache(maxsize=None)
+def _moment_blocks(m: int, n: int):
+    """For a piece of m vertex rows in R^n, read-only: the vertex pairs (i, l)
+    of _moment_multisets(m)'s last rows, their factors 1 + delta, and the
+    factors 1 + delta of E_2's ray columns (QuadraturePlan.moments)."""
+    i, l = _moment_multisets(m)[m + 1 :, m:].T
+    blocks = (i, l, 1.0 + (i == l), 1.0 + np.eye(n + 1, n + 1 - m, -m))
+    for a in blocks:
+        a.flags.writeable = False
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +428,11 @@ class QuadraturePlan:
     ring holds the corners (m, n) of the bounded part in fan order,
     simplices their fan as a vertex stack (S, n+1, n) and volumes its
     volumes (S,). Each entry of cones is a pair (points, rays) of exact
-    skeleton entries: the hull of the points plus the cone of the rays, with
-    <b,r> > 0 on every ray. A plan cut at a level T has no cones; beyond
-    holds the pieces past the cut in the same form.
+    skeleton entries (a _Cone, which carries its float rows and |det|): the
+    hull of the points plus the cone of the rays, with <b,r> > 0 on every
+    ray. A plan cut at a level T has no cones; beyond holds the pieces past
+    the cut in the same form. The exact plan's arrays and cones are P's
+    shared, read-only _geometry.
     """
 
     b: tuple[float, ...]
@@ -405,11 +457,9 @@ class QuadraturePlan:
         if len(self.simplices):
             yield (self.simplices, len(b) + 1, np.empty((len(self.simplices), 0)),
                    math.factorial(len(b)) * self.volumes)
-        for points, rays in self.cones:
-            V, m = np.array(points + rays, dtype=float), len(points)
-            inv = 1.0 / (V[m:] @ b)
-            scale = abs(np.linalg.det(np.vstack([V[1:m] - V[0], V[m:]]))) * np.prod(inv)
-            yield V[None], m, inv[None], np.array([scale])
+        for cone in self.cones:
+            inv = 1.0 / (cone.rows[cone.m :] @ b)
+            yield cone.rows[None], cone.m, inv[None], np.array([cone.det * np.prod(inv)])
 
     @np.errstate(over="ignore", invalid="ignore")  # _in_range reports overflow
     def exp_integral(self, shift: float = 0.0) -> float:
@@ -434,13 +484,12 @@ class QuadraturePlan:
         b = np.array(self.b)
         parts = []
         for V, m, inv, scale in self._pieces():
-            index = _moment_multisets(m)
-            dd = _dd_exp_batch(-(V[:, :m] @ b) - shift, index)
+            i, l, pair, ray = _moment_blocks(m, n)
+            dd = _dd_exp_batch(-(V[:, :m] @ b) - shift, _moment_multisets(m))
             e1 = np.concatenate([dd[:, 1 : m + 1], dd[:, :1] * inv], axis=1)
-            i, l = index[m + 1 :, m:].T
             E2 = np.empty((len(V), n + 1, n + 1))
-            E2[:, i, l] = E2[:, l, i] = (1 + (i == l)) * dd[:, m + 1 :]
-            E2[:, :, m:] = (1 + np.eye(n + 1, n + 1 - m, -m)) * e1[..., None] * inv[:, None]
+            E2[:, i, l] = E2[:, l, i] = pair * dd[:, m + 1 :]
+            E2[:, :, m:] = ray * e1[..., None] * inv[:, None]
             E2[:, m:, :m] = E2[:, :m, m:].transpose(0, 2, 1)
             Vt = V.transpose(0, 2, 1)
             parts.append(np.concatenate([
@@ -459,38 +508,20 @@ def _in_range(terms):
     return terms
 
 
-def _unbounded_edges(P: LabeledPolyhedron):
-    """Exact (vertex, ray) pairs of P's unbounded edges: on n - 1 common facets."""
-    sk = _skeleton(P)
-    return [
-        (p, r)
-        for p, active in sk.vertices
-        for r, parallel in sk.rays
-        if len(set(active) & set(parallel)) == P.dim - 1
-    ]
+class _Cone(tuple):
+    """A face x cone piece: the pair (points, rays), which compares as that
+    tuple, with what the weight does not change: its float rows = [points;
+    rays] (read-only), m = len(points) and det = |det[P_j - P_0, r_i]|."""
 
+    def __new__(cls, points, rays):
+        return super().__new__(cls, (points, rays))
 
-def _weight_skeleton(P: LabeledPolyhedron, b):
-    """P's float vertex rows and recession rays, once e^{-<b,x>} is integrable on P.
-
-    Raises DivergentWeight when P contains a line or b fails to be positive
-    on some recession direction, and ValueError in dimension > 2.
-    """
-    if b.shape != (P.dim,):
-        raise ValueError("weight vector has the wrong dimension")
-    if P.dim > 2:
-        raise ValueError("quadrature plans are implemented in dimensions 1 and 2")
-    sk = _skeleton(P)
-    if sk.lineality:
-        line = sk.lineality[0]
-        raise DivergentWeight(
-            f"polyhedron contains the line {line}; no weight is integrable", ray=line)
-    for r, _ in sk.rays:
-        if float(np.dot(b, r)) <= 0.0:
-            raise DivergentWeight(
-                f"weight is not integrable along recession direction {r}", ray=r)
-    verts = np.array([p for p, _ in sk.vertices], dtype=float)
-    return verts, np.array([r for r, _ in sk.rays], dtype=float)
+    def __init__(self, points, rays):
+        self.rows = np.array(points + rays, dtype=float)
+        self.rows.flags.writeable = False
+        self.m = len(points)
+        self.det = abs(np.linalg.det(np.vstack([self.rows[1 : self.m] - self.rows[0],
+                                                 self.rows[self.m :]])))
 
 
 def _cones(edges):
@@ -502,10 +533,70 @@ def _cones(edges):
     and the corner v_a + cone(r_a, r_b) unless r_a = r_b.
     """
     if len(edges) == 1:
-        return tuple(((v,), (r,)) for v, r in edges)
+        return tuple(_Cone((v,), (r,)) for v, r in edges)
     (va, ra), (vb, rb) = edges
     half_strip, corner = ((va, vb), (rb,)), ((va,), (ra, rb))
-    return (half_strip,) * (va != vb) + (corner,) * (ra != rb)
+    return tuple(_Cone(*piece) for piece in (half_strip,) * (va != vb) + (corner,) * (ra != rb))
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    """What a plan on P takes from P alone, read-only: the float vertex rows,
+    recession rays and unbounded edges v + cone(r) as (E, 2, n) pairs (v, r),
+    and the exact plan's ring, fan and cones."""
+
+    verts: np.ndarray
+    rays: np.ndarray
+    edges: np.ndarray
+    ring: np.ndarray
+    simplices: np.ndarray
+    volumes: np.ndarray
+    cones: tuple[_Cone, ...]
+
+
+@lru_cache(maxsize=256)
+def _geometry(P: LabeledPolyhedron) -> _Geometry:
+    """P's weight-free plan geometry, built once per P.
+
+    Raises ValueError in dimension > 2 and DivergentWeight when P contains a
+    line, before building anything.
+    """
+    if P.dim > 2:
+        raise ValueError("quadrature plans are implemented in dimensions 1 and 2")
+    sk = _skeleton(P)
+    if sk.lineality:
+        line = sk.lineality[0]
+        raise DivergentWeight(
+            f"polyhedron contains the line {line}; no weight is integrable", ray=line)
+    verts = np.array([p for p, _ in sk.vertices], dtype=float)
+    rays = np.array([r for r, _ in sk.rays], dtype=float).reshape(-1, P.dim)
+    # the unbounded edges: a vertex and a ray on n - 1 common facets
+    edges = [(p, r) for p, active in sk.vertices for r, parallel in sk.rays
+             if len(set(active) & set(parallel)) == P.dim - 1]
+    ring = _ring(verts)
+    g = _Geometry(verts, rays, np.array(edges, dtype=float), ring, *_fan(ring),
+                  _cones(edges) if edges else ())
+    for a in (g.verts, g.rays, g.edges, g.ring, g.simplices, g.volumes):
+        a.flags.writeable = False
+    return g
+
+
+def _weight_skeleton(P: LabeledPolyhedron, b) -> _Geometry:
+    """P's plan geometry (_geometry: its float vertex rows verts, recession
+    rays and the rest, read-only), once e^{-<b,x>} is integrable on P.
+
+    Checks b on every call: raises DivergentWeight when P contains a line or
+    b fails to be positive on some recession direction, and ValueError in
+    dimension > 2.
+    """
+    if b.shape != (P.dim,):
+        raise ValueError("weight vector has the wrong dimension")
+    g = _geometry(P)
+    bad = np.flatnonzero(g.rays @ b <= 0.0)
+    if len(bad):
+        r = _skeleton(P).rays[bad[0]][0]
+        raise DivergentWeight(f"weight is not integrable along recession direction {r}", ray=r)
+    return g
 
 
 def plan(P: LabeledPolyhedron, b, truncation: float | None = None) -> QuadraturePlan:
@@ -513,24 +604,21 @@ def plan(P: LabeledPolyhedron, b, truncation: float | None = None) -> Quadrature
 
     The pieces come from the exact skeleton of P: the fan of its vertices
     and, on unbounded P, the face x cone pieces of _cones, so the plan's
-    integrals are exact. A fixed truncation T instead cuts unbounded P by
-    <b,x> <= T: the corners are then the vertices and the crossing
+    integrals are exact. They do not depend on b, and every plan of P
+    shares them (_geometry). A fixed truncation T instead cuts unbounded P
+    by <b,x> <= T: the corners are then the vertices and the crossing
     v + (T - <b,v>) / <b,r> r of each unbounded edge, and the pieces past
     the cut are _cones of the crossings. Raises what _weight_skeleton
     raises, and ValueError when some vertex has <b,v> >= T.
     """
     b = np.asarray(b, dtype=float)
-    verts, rays = _weight_skeleton(P, b)
-    corners, cones, beyond = verts, (), ()
-    if len(rays) and truncation is None:
-        cones = _cones(_unbounded_edges(P))
-    elif len(rays):
-        T, base_T = float(truncation), float(np.max(verts @ b))
-        if T <= base_T:
-            raise ValueError(f"truncation {T} must exceed max vertex level {base_T:.6g}")
-        edges = np.array(_unbounded_edges(P), dtype=float)
-        crossings = [v + (T - float(v @ b)) / float(r @ b) * r for v, r in edges]
-        corners = np.vstack([verts] + crossings)
-        beyond = _cones([(tuple(x), tuple(r)) for x, r in zip(crossings, edges[:, 1])])
-    ring = _ring(corners)
-    return QuadraturePlan(tuple(map(float, b)), ring, *_fan(ring), cones, beyond)
+    g = _weight_skeleton(P, b)
+    if truncation is None or not len(g.rays):
+        return QuadraturePlan(tuple(map(float, b)), g.ring, g.simplices, g.volumes, g.cones)
+    T, base_T = float(truncation), float(np.max(g.verts @ b))
+    if T <= base_T:
+        raise ValueError(f"truncation {T} must exceed max vertex level {base_T:.6g}")
+    crossings = [v + (T - float(v @ b)) / float(r @ b) * r for v, r in g.edges]
+    ring = _ring(np.vstack([g.verts] + crossings))
+    beyond = _cones([(tuple(x), tuple(r)) for x, r in zip(crossings, g.edges[:, 1])])
+    return QuadraturePlan(tuple(map(float, b)), ring, *_fan(ring), (), beyond)

@@ -55,9 +55,16 @@ def grad_hess_F(P: LabeledPolyhedron, b):
 
 @dataclass(frozen=True)
 class SolitonVector:
+    """The minimiser b of F with F(b), |grad F(b)| and the Newton steps taken.
+
+    achieved is |H^{-1} grad F| at b, the Newton step that b did not take:
+    an estimate of |b - b_X|, not a bound.
+    """
+
     b: tuple[float, ...]
     F_value: float
     gradient_norm: float
+    achieved: float
     iterations: int
 
 
@@ -81,6 +88,7 @@ def find_soliton_vector(P: LabeledPolyhedron, tol: float = 1e-12) -> SolitonVect
                 b=tuple(map(float, b)),
                 F_value=F,
                 gradient_norm=float(np.linalg.norm(g)),
+                achieved=float(np.linalg.norm(np.linalg.solve(H, g))),
                 iterations=it - 1,
             )
         step = np.linalg.solve(H, -g)

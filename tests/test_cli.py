@@ -168,6 +168,8 @@ def test_soliton_vector_half_line(half_line_file, tmp_path, capsys):
     data = json.loads(out_path.read_text())
     assert abs(data["b"][0] - 0.5) < 1e-8
     assert data["gradient_norm"] < 1e-10
+    assert data["achieved"] < 1e-10
+    assert f"achieved: {data['achieved']!r}" in capsys.readouterr().out
 
 
 def test_divergent_weight_is_validation_error(half_line_file, capsys):

@@ -1,6 +1,7 @@
 """Closed-form weighted integrals checked against analytic values and dense Gauss."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -24,14 +25,16 @@ from toricshrink.quadrature import (
     plan,
     _dd_exp_batch,
     _fan,
+    _geometry,
     _line_rules,
     _moment_multisets,
     _reference_rule,
     _ring,
     _series_terms,
     _shifted_series,
+    _windows,
 )
-from toricshrink import ding
+from toricshrink import ding, quadrature
 from toricshrink.shrinker import _initial_weight, find_soliton_vector
 
 
@@ -222,6 +225,42 @@ def test_kernel_raises_on_overflow_like_the_scalar_table():
         divided_difference_exp([710.0, 0.0])
     with pytest.raises(OverflowError):
         _dd_exp_batch(np.array([[710.0, 0.0]]), _moment_multisets(2))
+
+
+@pytest.mark.parametrize("M", range(1, 7))
+def test_window_parents_match_enumeration(M):
+    lo, hi, left, right = _windows(M)
+    windows = [(i, i + s) for s in range(1, M) for i in range(M - s)]
+    assert list(zip(lo.tolist(), hi.tolist())) == windows
+    for w, (i, j) in enumerate(windows):
+        for parents, (pi, pj) in ((left, (i - 1, j)), (right, (i, j + 1))):
+            want = windows.index((pi, pj)) if (pi, pj) in windows else len(windows)
+            assert parents[w] == want
+
+
+def test_narrow_rows_sum_one_series_each(monkeypatch):
+    # every row spans at most 2, so no window is wide: the recurrence reads
+    # nothing, and only each row's whole window takes the series; rows of
+    # one node take none
+    windows = []
+
+    def counting(xs, lo, hi):
+        windows.append(len(xs))
+        return narrow_series(xs, lo, hi)
+
+    narrow_series = quadrature._narrow_series
+    monkeypatch.setattr(quadrature, "_narrow_series", counting)
+    rng = np.random.default_rng(8)
+    t = rng.uniform(-1.0, 1.0, size=(7, 3)) + rng.uniform(-20, 20, size=(7, 1))
+    t[:, 2] = t[:, 0]
+    index = np.array([[0, -1, -1, -1, -1], [0, 1, -1, -1, -1], [0, 1, 2, -1, -1],
+                      [0, 1, 2, 2, -1], [0, 1, 2, 0, 1]])
+    got = _dd_exp_batch(t, index)
+    assert sum(windows) == len(t) * (len(index) - 1)
+    for s, row in enumerate(t):
+        for r, idx in enumerate(index):
+            ref = divided_difference_exp(row[idx[idx >= 0]])
+            assert got[s, r] == pytest.approx(ref, rel=2e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +683,55 @@ def test_canonical_ladder_stops_at_the_first_rung_that_meets_tol(P, weights, mon
 @pytest.mark.parametrize("name, spec, iterations", SOLITON_FAMILY)
 def test_soliton_vector_takes_the_same_newton_steps(name, spec, iterations):
     assert find_soliton_vector(from_halfspaces(*spec)).iterations == iterations
+
+
+# b of each SOLITON_FAMILY polygon, pinned to the last bit: which windows
+# the kernel sums its series on is its own business, the minimiser is not
+SOLITON_VECTORS = {
+    "teardrop": (-1.3475669885427854,),
+    "rectangle": (-1.3475669885427817, 0.7163752666356873),
+    "pentagon": (-0.2173738317700386, -0.2173738317700386),
+    "quadrant": (0.5, 0.5),
+    "half_strip": (-0.7163752666356877, 1.5000000000000002),
+    "hexagon": (0.0, 0.0),
+    "triangle": (-0.6439467652527258, -0.6143834711203041),
+}
+
+
+@pytest.mark.parametrize("name, spec, iterations", SOLITON_FAMILY)
+def test_soliton_vector_is_pinned_and_reports_its_step(name, spec, iterations):
+    sol = find_soliton_vector(from_halfspaces(*spec))
+    want = np.array(SOLITON_VECTORS[name])
+    assert np.all(np.abs(np.array(sol.b) - want) <= 1e-15 * np.abs(want))
+    assert sol.achieved <= 1e-10
+
+
+def test_plans_of_one_polyhedron_share_its_geometry():
+    P = box([(-2, None), (-2, 2)])
+    p1, p2 = plan(P, [0.7, 0.1]), plan(P, [1.3, -0.4])
+    for f in ("ring", "simplices", "volumes", "cones"):
+        assert getattr(p1, f) is getattr(p2, f)
+    arrays = [p1.ring, p1.simplices, p1.volumes] + [c.rows for c in p1.cones]
+    g = _geometry(P)
+    arrays += [g.verts, g.rays, g.edges, plan(P, [0.7, 0.1], truncation=9.0).beyond[0].rows]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_cached_geometry_still_checks_every_weight():
+    P = from_halfspaces(2, [((1, 0), 1, 2), ((1, 1), 1, 2)])
+    plan(P, [1.0, 0.5])
+    # the first ray of the skeleton's order on which <b,r> <= 0
+    for b, ray in (([0.0, 1.0], (1, -1)), ([1.0, -1.0], (0, 1)),
+                   ([-1.0, -1.0], (0, 1)), ([-1.0, 0.5], (1, -1))):
+        with pytest.raises(DivergentWeight, match=re.escape(f"direction {ray}")) as err:
+            plan(P, b)
+        assert err.value.ray == ray
+    cube = box([(-2, 2)] * 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="dimensions 1 and 2"):
+            plan(cube, [0.0, 0.0, 0.0])
 
 
 def test_plan_rejects_dimension_three():
