@@ -1,9 +1,12 @@
 """Solving the soliton equation for the symplectic potential.
 
 The unknown is u = u_P + s where u_P is the canonical potential of the
-labeled polyhedron and s is a smooth correction. The solver collocates the
-stable form of log det(Hess u) + <b, x> - <grad u, x> + u on a Chebyshev
-grid and drives it to a constant by a damped Gauss-Newton iteration.
+labeled polyhedron and s is a smooth correction. On a product the equation
+splits into one ODE per 1D factor, whose momentum profile W = 1/u'' solves
+W' = bW - x in closed form, so the solver needs no iteration: s'' = 1/W - u_P''
+is summed as a Chebyshev series, integrated twice and sampled on a Chebyshev
+grid. The stable form of log det(Hess u) + <b, x> - <grad u, x> + u is then
+constant at every grid node.
 
 Two closed-form solutions anchor everything: the canonical potential of
 [-2,2] is the round sphere (b = 0, constant -log 2) and the canonical

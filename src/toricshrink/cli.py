@@ -328,7 +328,7 @@ def cmd_solve(args):
     print(f"b: {list(res.b)}")
     print(f"constant: {res.constant!r}")
     print(f"residual deviation: {res.residual_deviation!r}")
-    print(f"iterations: {res.iterations}")
+    print(f"offnode deviation: {res.offnode_deviation!r}")
     print(f"domain: {res.domain}")
     if res.truncated_axes:
         print(f"truncated axes: {res.truncated_axes}")
@@ -339,6 +339,7 @@ def cmd_solve(args):
         "b": list(res.b),
         "constant": res.constant,
         "residual_deviation": res.residual_deviation,
+        "offnode_deviation": res.offnode_deviation,
         "iterations": res.iterations,
         "grid": list(res.grid),
         "domain": [list(d) for d in res.domain],
@@ -497,7 +498,8 @@ def _build_parser():
     p.add_argument("--samples", type=_at_least(1), default=200)
 
     p = add("solve", cmd_solve,
-            tol=(1e-10, "collocation residual norm at which Gauss-Newton stops"),
+            tol=(1e-10, "the solve fails if the residual's deviation or an "
+                 "unbounded axis's defect exceeds the larger of this and 1e-6"),
             help="solve the soliton equation")
     p.add_argument("--b", default=None, help="comma-separated weight vector")
     p.add_argument("--grid", type=_at_least(2), default=None,

@@ -162,6 +162,12 @@ class LabeledPolyhedron:
                 raise ValueError("facet normal length does not match dimension")
         _check_construction(self)
 
+    def __hash__(self) -> int:
+        # cached: every per-polyhedron cache hashes P, and each Fraction, per lookup
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.dim, self.facets)))
+        return self.__dict__["_hash"]
+
     # -- numeric views -------------------------------------------------------
 
     def scaled_normal_matrix(self) -> np.ndarray:

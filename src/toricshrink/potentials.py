@@ -89,31 +89,6 @@ def lobatto_nodes(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + (hi - lo) * (t + 1.0) / 2.0
 
 
-def barycentric_weights(nodes) -> np.ndarray:
-    """Weights proportional to 1 / prod_{k != j} (x_j - x_k), with the differences
-    scaled by the power of two that puts the span in [2, 4): no product
-    overflows, and the weight ratios, all that the callers read, are exact.
-    """
-    x = np.asarray(nodes, dtype=float)
-    m = len(x)
-    diff = (x[:, None] - x[None, :])[~np.eye(m, dtype=bool)]
-    diff = np.ldexp(diff, 2 - np.frexp(np.ptp(x))[1])
-    return 1.0 / np.prod(diff.reshape(m, m - 1), axis=1)
-
-
-def differentiation_matrix(nodes) -> np.ndarray:
-    """Barycentric differentiation matrix for arbitrary distinct nodes."""
-    x = np.asarray(nodes, dtype=float)
-    m = len(x)
-    off = ~np.eye(m, dtype=bool)
-    w = barycentric_weights(x)
-    diff = np.where(off, x[:, None] - x[None, :], 1.0)
-    D = np.where(off, (w[None, :] / w[:, None]) / diff, 0.0)
-    # each row differentiates constants to zero
-    np.fill_diagonal(D, -np.sum(D[off].reshape(m, m - 1), axis=1))
-    return D
-
-
 class GridCorrection:
     """Polynomial correction s sampled on a tensor product of node axes.
 
@@ -187,12 +162,17 @@ class GridCorrection:
         """The first count entries of the stack at the points x, shape (count, m)."""
         X, single = _as_batch(x, self.dim)
         V = self._vander(X)
+        # values alone read the coefficients and derive no stack
+        if count > 1:
+            stack = self._stack[:count]
+        else:
+            stack = self._coef[None, :, None] if self.dim == 1 else self._coef[None]
         if self.dim == 1:
-            return (V[0] @ self._stack[:count])[..., 0], single
+            return (V[0] @ stack)[..., 0], single
         # one matrix product per stacked array, then a row-wise dot in place,
         # so no (count, m, degree) product is ever held at once
         rows = np.empty((count, len(X)))
-        for k, c in enumerate(self._stack[:count]):
+        for k, c in enumerate(stack):
             prod = V[0] @ c
             prod *= V[1]
             rows[k] = np.sum(prod, axis=-1)

@@ -8,28 +8,27 @@ symplectic potential u = u_P + s solves the soliton equation when
 is constant. R is evaluated in a boundary-stable form: the labeled-facet
 factors of det Hess u are cancelled algebraically against the canonical
 potential's own divergence, leaving quantities smooth up to the boundary.
-The density det(Hess u) prod_i L_i is a quadratic form in Hess s whose
-coefficients depend only on the facet values (potentials._density_form);
-the collocation solve builds it once per axis and evaluates it at every
-Gauss-Newton step.
+On a product P the equation splits into one ODE per 1D factor, whose
+momentum profile W = 1/u'' has a closed form, so solve needs no iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 
 from .polyhedra import Facet, LabeledPolyhedron
 from .potentials import (
     GridCorrection,
     NoConvergence,
     NotConvexHere,
+    _as_batch,
     _density_at,
     _density_form,
-    barycentric_weights,
-    differentiation_matrix,
     lobatto_nodes,
 )
 from .quadrature import DivergentWeight, _weight_skeleton, plan as build_plan
@@ -161,10 +160,7 @@ def residual(P: LabeledPolyhedron, b, x, correction=None):
 
     correction=None means the canonical potential itself.
     """
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
+    X, single = _as_batch(x, P.dim)
     m, n = X.shape
     jet = (np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n))) if correction is None \
         else correction.jet(X)
@@ -173,7 +169,7 @@ def residual(P: LabeledPolyhedron, b, x, correction=None):
 
 
 # ---------------------------------------------------------------------------
-# collocation solver
+# closed-form solver on products
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -181,6 +177,7 @@ class SolveResult:
     correction: GridCorrection
     constant: float
     residual_deviation: float
+    offnode_deviation: float
     iterations: int
     grid: tuple[int, ...]
     domain: tuple[tuple[float, float], ...]
@@ -190,56 +187,44 @@ class SolveResult:
 
 @lru_cache(maxsize=256)
 def _product_factors(P: LabeledPolyhedron):
-    """(factors, lo, hi): the 1D factor polyhedra of an axis-aligned product P,
-    with P itself as its own factor in 1D, and each axis's finite ends
-    (None where the axis is unbounded), built and checked once per P.
+    """The 1D factor polyhedra of an axis-aligned product P, one per axis,
+    with P itself as its own factor in 1D, built and checked once per P.
 
     Every facet normal must be +-e_d, so P is the product of the 1D
     polyhedra cut out by each axis's facets. An axis with no facets is a
     line in P, which no weight integrates; its factor is None.
     """
-    n = P.dim
-    lo = [None] * n
-    hi = [None] * n
-    axis_facets = [[] for _ in range(n)]
+    axis_facets = [[] for _ in range(P.dim)]
     for f in P.facets:
         support = [d for d, c in enumerate(f.normal) if c != 0]
         if len(support) != 1 or abs(f.normal[support[0]]) != 1:
-            raise NotAProduct(
-                "the collocation solver needs an axis-aligned product domain"
-            )
+            raise NotAProduct("the solver needs an axis-aligned product domain")
         d = support[0]
         axis_facets[d].append(Facet(normal=(f.normal[d],), label=f.label, offset=f.offset))
-        m = f.label
-        if f.normal[d] == 1:
-            lo[d] = -float(f.offset) / m
-        else:
-            hi[d] = float(f.offset) / m
-    factors = (P,) if n == 1 else tuple(
-        LabeledPolyhedron(dim=1, facets=tuple(fs)) if fs else None for fs in axis_facets)
-    return factors, tuple(lo), tuple(hi)
+    if P.dim == 1:
+        return (P,)
+    return tuple(LabeledPolyhedron(dim=1, facets=tuple(fs)) if fs else None
+                 for fs in axis_facets)
 
 
 def _solve_domain(P: LabeledPolyhedron, b, truncation):
-    """Axis ranges for the collocation box, cutting unbounded axes at <b,x>=T,
-    the truncated axes, and the 1D factors of P (_product_factors)."""
-    n = P.dim
-    factors, lo, hi = _product_factors(P)
-    lo, hi = list(lo), list(hi)
+    """Axis ranges for the grid, cutting unbounded axes at <b,x> = T, the
+    truncated axes, and the 1D factors of P (_product_factors)."""
+    factors = _product_factors(P)
     _weight_skeleton(P, b)  # e^{-<b,x>} is integrable on P
-    cuts = []
-    for d in range(n):
-        if hi[d] is None:
-            hi[d] = truncation / float(b[d])
-            cuts.append((d, "upper"))
-        elif lo[d] is None:
-            lo[d] = truncation / float(b[d])
-            cuts.append((d, "lower"))
-        else:
-            continue
-        if hi[d] <= lo[d]:
-            raise ValueError("truncation level does not clear the domain")
-    return list(zip(lo, hi)), tuple(cuts), factors
+    domain, cuts = [], []
+    for d, F in enumerate(factors):
+        # the facet n m x + a >= 0 ends the axis at x = -n a/m
+        ends = {f.normal[0]: -f.normal[0] * float(f.offset) / f.label for f in F.facets}
+        lo, hi = ends.get(1), ends.get(-1)
+        if lo is None or hi is None:
+            cut = truncation / float(b[d])
+            lo, hi, side = (lo, cut, "upper") if hi is None else (cut, hi, "lower")
+            cuts.append((d, side))
+            if hi <= lo:
+                raise ValueError("truncation level does not clear the domain")
+        domain.append((lo, hi))
+    return domain, tuple(cuts), factors
 
 
 def _tensor(arrays) -> np.ndarray:
@@ -249,136 +234,133 @@ def _tensor(arrays) -> np.ndarray:
     )
 
 
-def _solve_axis(P: LabeledPolyhedron, b, x, cut, tol):
-    """Gauss-Newton collocation of the 1D soliton equation at the nodes x.
+# 1/(k+2)! for k = 16..0: Horner's order for the Taylor series of phi_2
+_PHI2_TAYLOR = [1.0 / math.factorial(k + 2) for k in range(16, -1, -1)]
+# a coefficient of s'' below _CHOP u_P''(0) is noise; the series doubles to at most 256
+_CHOP = 2.0**-50
 
-    The unknowns are the values of s and the constant c. The rows are R - c
-    at every node off the cut mask, s'' = 0 on it, and s(0) = s'(0) = 0
-    through the interpolant. R depends on s through x s' - s - log D, and
-    the density D = A + s'' prod L is affine in s'' (_density_form, built
-    once here: the facet values are fixed at the nodes), so residual and
-    Jacobian each cost one differentiation and no facet products, and the
-    Jacobian is exact. Iteration starts from s = 0 and takes at most 80
-    steps. Returns s, s', s'' at the nodes and the iteration count.
+
+def _phi2(z):
+    """(e^z - 1 - z)/z^2, from its Taylor series where |z| < 1 (the tail is
+    below 1/19!), so nothing cancels near 0."""
+    small = np.abs(z) < 1.0
+    zb = np.where(small, 1.0, z)
+    return np.where(small, np.polyval(_PHI2_TAYLOR, z), (np.expm1(zb) - zb) / zb**2)
+
+
+def _defect(f: Facet, b: float) -> float:
+    """kappa = (m - a n b)/m for the facet n x >= -a/m of a 1D factor."""
+    return float((f.label - f.offset * f.normal[0] * b) / f.label)
+
+
+def _axis_second_derivative(F: LabeledPolyhedron, b: float, x):
+    """s'' = 1/W - u_P'' at the points x of the bounded 1D factor F.
+
+    The momentum profile W = 1/u'' solves W' = bW - x (Abreu, Int. J.
+    Math. 9, 1998). Seen from a facet at distance h = L/m with offset 2, it
+    is W = 2h/m - kappa h^2 phi_2(n b h), and 1/W minus the facet's own
+    u_P'' = m/(2h) is kappa m h phi_2(n b h)/(2W), smooth up to the facet.
+    W is taken from the nearer facet, less the other facet's u_P''.
     """
-    X = x[:, None]
-    m = len(x)
-    D1 = differentiation_matrix(x)
-    D2 = D1 @ D1
-    eq = ~cut
-    # ell @ s = s(0): the barycentric interpolation row at the origin, or a
-    # unit row where a node is exactly 0 (the teardrop's grid of 64 has one)
-    ell = barycentric_weights(x) / -x if np.all(x) else (x == 0.0).astype(float)
-    ell = ell / np.sum(ell)
-    # the rows after the equations are linear in z = (s, c)
-    lin = np.vstack([D2[cut], ell, ell @ D1])
-    lin = np.column_stack([lin, np.zeros(len(lin))])
-    L, R_P = _canonical_part(P, b, X)
-    A, _, prod_L = _density_form(P, L)
+    h = [f.normal[0] * x + 2.0 / f.label for f in F.facets]
+    near = []
+    for f, hk, ho, fo in zip(F.facets, h, h[::-1], F.facets[::-1]):
+        m, kappa, p = f.label, _defect(f, b), _phi2(f.normal[0] * b * hk)
+        W = 2.0 * hk / m - kappa * hk * hk * p
+        near.append(kappa * m * hk * p / (2.0 * W) - fo.label / (2.0 * ho))
+    return np.where(h[0] <= h[1], near[0], near[1])
 
-    def residual_vector(z):
-        s = z[:-1]
-        D = A + (D2 @ s) * prod_L
-        if np.any(D <= 0.0):
-            return None
-        corr = x * (D1 @ s) - s - np.log(D)
-        return np.concatenate([(R_P + corr)[eq] - z[-1], lin @ z])
 
-    J_fixed = x[:, None] * D1 - np.eye(m)  # x s' - s: the part fixed at the nodes
+def _solve_axis(F: LabeledPolyhedron, b: float, lo: float, hi: float, x):
+    """(s, s', s'') at the points x of a 1D factor, with s(0) = s'(0) = 0.
 
-    def jacobian(z):
-        weight = prod_L / (A + (D2 @ z[:-1]) * prod_L)
-        J_s = J_fixed - weight[:, None] * D2
-        return np.vstack([np.column_stack([J_s[eq], -np.ones(eq.sum())]), lin])
-
-    z = np.zeros(m + 1)
-    phi = residual_vector(z)
-    if phi is None:
-        raise NotConvexHere("the canonical potential's density is nonpositive")
-    z[-1] = float(np.mean(phi[: eq.sum()]))
-    phi = residual_vector(z)
-    norm = float(np.linalg.norm(phi, np.inf))
-
-    it = 0
-    for it in range(1, 81):
-        if norm <= tol:
+    On a bounded factor, s'' is sampled at n = 16, 32, ... 256 Chebyshev
+    points of the first kind until the last quarter of its coefficients is
+    noise, chopped after the last coefficient above it (Aurentz &
+    Trefethen, ACM TOMS 43(4), 2017, in a plain form), and integrated twice
+    from the origin. An unbounded factor takes the profile that does not
+    grow, W = (kappa + n b h)/b^2. Its term -m kappa (1 + n b h)/(2h (kappa
+    + n b h)) tends to -m/(2h) at the facet unless kappa = 0, so s = 0 is
+    the one admissible correction, and solve holds |kappa| to its bound.
+    """
+    if len(F.facets) == 1:
+        return np.zeros((3, len(x)))
+    level = _CHOP * sum(f.label**2 / 4.0 for f in F.facets)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for n in (16, 32, 64, 128, 256):
+        c2 = C.chebinterpolate(lambda t: _axis_second_derivative(F, b, mid + half * t),
+                               n - 1)
+        big = np.flatnonzero(np.abs(c2) > level)
+        if big.size == 0 or big[-1] < n - n // 4:
             break
-        step, *_ = np.linalg.lstsq(jacobian(z), -phi, rcond=None)
-        lam = 1.0
-        improved = False
-        while lam > 1e-12:
-            zn = z + lam * step
-            pn = residual_vector(zn)
-            if pn is not None:
-                nn = float(np.linalg.norm(pn, np.inf))
-                if nn < norm:
-                    z, phi, norm = zn, pn, nn
-                    improved = True
-                    break
-            lam *= 0.5
-        if not improved:
-            break
-
-    if norm > max(tol, 1e-6):
-        raise NoConvergence(
-            f"collocation residual stalled at {norm:.3e} after {it} iterations"
-        )
-    s = z[:-1]
-    return s, D1 @ s, D2 @ s, it
+    c2 = c2[: big[-1] + 1] if big.size else np.zeros(1)
+    c1 = half * C.chebint(c2, lbnd=-mid / half)
+    c0 = half * C.chebint(c1, lbnd=-mid / half)
+    stack = np.column_stack([np.pad(c, (0, len(c2) + 2 - len(c))) for c in (c0, c1, c2)])
+    return (C.chebvander((x - mid) / half, len(stack) - 1) @ stack).T
 
 
 def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
           tol: float = 1e-11) -> SolveResult:
-    """Solve the soliton equation for the correction s by spectral collocation.
+    """Solve the soliton equation for the correction s in closed form.
 
     Supports 1D and 2D product domains. In 2D, every facet normal is +-e_d,
-    so P splits into two 1D factors, one per axis. The canonical potential,
-    log det Hess u and the residual separate over them, so the tensor sum
-    s_1(x) + s_2(y) of the factor solutions solves the 2D equation with
-    constant c_1 + c_2. Each axis is solved by Gauss-Newton with the exact
-    Jacobian. A node on a truncation plane trades its equation row for a
-    vanishing second derivative of s. The affine gauge is pinned at the
-    origin, s(0) = grad s(0) = 0, through the interpolant, so the constant
-    does not depend on the grid. Offsets must be 2, so the origin is
-    interior; at the soliton vector it is the barycenter of e^{-<b,x>}. The
-    reported constant and deviation come from the residual on the full grid.
+    so P splits into two 1D factors. u_P, log det Hess u and the residual
+    separate over them, so the tensor sum s_1(x) + s_2(y) of the factor
+    solutions (_solve_axis) solves the 2D equation with constant c_1 + c_2.
+    The gauge s(0) = grad s(0) = 0 is pinned at the origin, interior as the
+    offsets must be 2, so the constant does not depend on the grid. The
+    constant and residual_deviation come from the residual at every grid
+    node; offnode_deviation is the largest gap between the grid
+    interpolant and the series at the grid's midpoints. Away from b_X, a
+    bounded factor has no solution, which the residual shows, and an
+    unbounded one has a defect (_defect): either beyond max(tol, 1e-6)
+    raises NoConvergence.
     """
     n = P.dim
     if n > 2:
-        raise NotAProduct("the collocation solver supports dimensions 1 and 2")
-    if b is None:
-        b = np.array(find_soliton_vector(P).b)
-    else:
-        b = np.asarray(b, dtype=float)
+        raise NotAProduct("the closed-form solver supports dimensions 1 and 2")
+    b = np.array(find_soliton_vector(P).b) if b is None else np.asarray(b, dtype=float)
     if grid is None:
-        grid = (48,) if n == 1 else (24, 24)
-    elif isinstance(grid, int):
-        grid = (grid,) * n
-    grid = tuple(grid)
+        grid = 48 if n == 1 else 24
+    grid = (grid,) * n if isinstance(grid, int) else tuple(grid)
     domain, cuts, factors = _solve_domain(P, b, truncation)
+    if not P.is_shrinker_normalized():
+        raise ValueError("the closed-form solver needs shrinker-normalized offsets")
+    bound = max(tol, 1e-6)
+    for d, F in enumerate(factors):
+        kappa = _defect(F.facets[0], b[d]) if len(F.facets) == 1 else 0.0
+        if not abs(kappa) <= bound:
+            raise NoConvergence(f"b misses the unbounded axis {d}: its defect "
+                                f"{kappa:.3e} exceeds {bound:.0e}")
 
     axes = [lobatto_nodes(lo, hi, g) for (lo, hi), g in zip(domain, grid)]
-    on_cut = [np.zeros(len(x), dtype=bool) for x in axes]
-    for d, side in cuts:
-        on_cut[d][-1 if side == "upper" else 0] = True
-    sols = [_solve_axis(factors[d], b[d:d + 1], axes[d], on_cut[d], tol)
-            for d in range(n)]
-    s_axes, ds_axes, dds_axes, its = zip(*sols)
-
-    X = _tensor(axes)
-    svals = _tensor(s_axes).sum(axis=1)
-    grad = _tensor(ds_axes)
-    hess = _tensor(dds_axes)[:, :, None] * np.eye(n)
-    interior = ~_tensor(on_cut).any(axis=1)
-    R = _residual_core(P, b, X, svals, grad, hess)
-    c_star = float(np.mean(R[interior]))
-    deviation = float(np.max(np.abs(R[interior] - c_star)))
+    mids = [0.5 * (x[1:] + x[:-1]) for x in axes]
+    # far from b_X, W may overflow or vanish: the checks below report that
+    with np.errstate(all="ignore"):
+        jets = [_solve_axis(factors[d], float(b[d]), *domain[d], np.concatenate(xm))
+                for d, xm in enumerate(zip(axes, mids))]
+        s, ds, dds = (_tensor([j[k, :len(x)] for j, x in zip(jets, axes)]) for k in range(3))
+        try:
+            R = _residual_core(P, b, _tensor(axes), s.sum(axis=1), ds,
+                               dds[:, :, None] * np.eye(n))
+        except NotConvexHere as err:
+            raise NoConvergence(f"b is not the soliton vector: {err}") from err
+        c_star = float(np.mean(R))
+        deviation = float(np.max(np.abs(R - c_star)))
+    if not deviation <= bound:
+        raise NoConvergence(f"residual deviation {deviation:.3e} exceeds {bound:.0e}: "
+                            "b is not the soliton vector")
+    correction = GridCorrection(axes, s.sum(axis=1).reshape(grid))
+    s_mids = _tensor([j[0, len(x):] for j, x in zip(jets, axes)]).sum(axis=1)
+    offnode = float(np.max(np.abs(correction.value(_tensor(mids)) - s_mids)))
     return SolveResult(
         b=tuple(map(float, b)),
-        correction=GridCorrection(axes, svals.reshape(grid)),
+        correction=correction,
         constant=c_star,
         residual_deviation=deviation,
-        iterations=max(its),
+        offnode_deviation=offnode,
+        iterations=0,
         grid=grid,
         domain=tuple((float(lo), float(hi)) for lo, hi in domain),
         truncated_axes=tuple(cuts),

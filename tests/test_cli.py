@@ -305,9 +305,10 @@ def test_nonconvex_potential_is_validation_error(interval_file, tmp_path, capsys
 
 
 def test_library_runtime_error_is_convergence_error(half_line_file, capfd):
-    # on the half-line b = 1e-300 puts the solve's grid end at 1.2e301,
-    # where collocation stalls. capfd also sees what LAPACK writes to the
-    # process's own streams.
+    # on the half-line (label 1) b = 1e-300 is far from the soliton
+    # component 1/2: the defect 1 - 2b of the unbounded axis is about 1, so
+    # the solve raises NoConvergence. capfd also sees what a library writes
+    # to the process's own streams.
     assert main(["solve", half_line_file, "--b", "1e-300"]) == 3
     out, err = capfd.readouterr()
     assert out == ""

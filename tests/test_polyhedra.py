@@ -80,6 +80,18 @@ def test_box_labels_keep_facets_at_their_bounds():
         box([(-2, 2), (-2, None)], labels=[1, 2, 3, 4])
 
 
+def test_equal_polyhedra_hash_and_compare_equal():
+    # the hash is cached on the instance; equality still reads the facets
+    rows = [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, 0), 1, 2), ((0, -1), 1, 2),
+            ((-1, -1), 1, Fraction(7, 2))]
+    P, Q = from_halfspaces(2, rows), from_halfspaces(2, rows)
+    assert P is not Q and P == Q and hash(P) == hash(Q) == hash(P)
+    assert hash(P) == hash((P.dim, P.facets))
+    assert {P: 1}[Q] == 1
+    R = from_halfspaces(2, rows[:-1] + [((-1, -1), 2, Fraction(7, 2))])
+    assert R != P and len({P, Q, R}) == 2
+
+
 def test_empty_infeasible_rejected():
     with pytest.raises(EmptyPolyhedron):
         from_halfspaces(1, [((1,), 1, 0), ((-1,), 1, -2)])  # x >= 0 and x <= -2

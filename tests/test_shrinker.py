@@ -1,7 +1,8 @@
-"""Soliton vector, stable residual, and the collocation solver against oracles."""
+"""Soliton vector, stable residual, and the closed-form solver against oracles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
@@ -14,6 +15,7 @@ from toricshrink.potentials import CorrectedPotential, GridCorrection, NoConverg
 from toricshrink.quadrature import DivergentWeight
 from toricshrink.shrinker import (
     NotAProduct,
+    _axis_second_derivative,
     find_soliton_vector,
     grad_hess_F,
     residual,
@@ -210,7 +212,7 @@ def test_residual_affine_shift_property():
 
 
 # ---------------------------------------------------------------------------
-# collocation solve
+# closed-form solve
 
 def affine_residual(xs, vals):
     """Sup-norm residual of the best affine fit."""
@@ -367,3 +369,112 @@ def test_solve_on_a_strip_is_a_divergent_weight(tmp_path, capsys):
     save_polyhedron(strip, path)
     assert main(["solve", str(path), "--b", "0.5,0.5"]) == 2
     assert capsys.readouterr().err.startswith("error: validation: polyhedron contains the line")
+
+
+def mp_axis_solution(lo, m_lo, hi, m_hi):
+    """b_X, s'' and s(x) = int_0^x (x - t) s''(t) dt on [lo, hi] at 30 digits.
+
+    b_X is the root of the first moment of e^{-bx}; s'' = 1/W - u_P'' is
+    the plain difference, with W from the ODE's closed form seen from the
+    nearer end, so each end's W vanishes there exactly.
+    """
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    moment = lambda b: (mpmath.exp(-b * lo) * (lo / b + 1 / b**2)
+                        - mpmath.exp(-b * hi) * (hi / b + 1 / b**2))
+    b = mpmath.findroot(moment, mpmath.mpf("-0.5"))
+    mid = (lo + hi) / 2
+
+    def W(t):
+        end = lo if t < mid else hi
+        return (1 + b * t - (1 + b * end) * mpmath.exp(b * (t - end))) / b**2
+
+    spp = lambda t: 1 / W(t) - m_lo / (2 * (t - lo)) - m_hi / (2 * (hi - t))
+
+    def s(x):
+        x = mpmath.mpf(float(x))
+        cuts = [0, mid, x] if min(0, x) < mid < max(0, x) else [0, x]
+        return mpmath.quad(lambda t: (x - t) * spp(t), cuts)
+
+    return b, spp, s
+
+
+def test_closed_form_matches_mpmath_at_the_nodes():
+    with mpmath.workdps(30):
+        bx, _, sx = mp_axis_solution(-2, 1, mpmath.mpf(2) / 3, 3)
+        by, _, sy = mp_axis_solution(-1, 2, 2, 1)
+        res = solve(TEARDROP, b=[float(bx)], grid=32)
+        ref = np.array([float(sx(x)) for x in res.correction.axes[0]])
+        assert np.max(np.abs(res.correction.values - ref)) <= 1e-13
+        rect = box([(-2, "2/3"), (-1, 2)], labels=[1, 3, 2, 1])
+        res = solve(rect, b=[float(bx), float(by)], grid=14)
+        ref = [np.array([float(f(x)) for x in axis])
+               for f, axis in zip((sx, sy), res.correction.axes)]
+        assert np.max(np.abs(res.correction.values - (ref[0][:, None] + ref[1]))) <= 1e-13
+
+
+def test_second_derivative_does_not_cancel_at_the_facets():
+    # 1/W and u_P'' both grow like m/(2h) at a facet; their plain
+    # difference would lose about log10(1/h) digits there
+    h = 10.0 ** -np.arange(1, 9)
+    x = np.concatenate([-2.0 + h, 2.0 / 3.0 - h])
+    with mpmath.workdps(30):
+        b, spp, _ = mp_axis_solution(-2, 1, mpmath.mpf(2) / 3, 3)
+        ref = np.array([float(spp(mpmath.mpf(float(t)))) for t in x])
+    got = _axis_second_derivative(TEARDROP, float(b), x)
+    assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def test_solve_reports_its_offnode_deviation():
+    # the series is exact at the nodes; between them the grid interpolant
+    # carries the discretization error, which falls with the grid
+    rect = box([(-2, "2/3"), (-1, 2)], labels=[1, 3, 2, 1])
+    b = find_soliton_vector(rect).b
+    res = [solve(rect, b=b, grid=g) for g in (8, 12, 24)]
+    off = [r.offnode_deviation for r in res]
+    assert off[0] > 1e-10 and off[0] > 100 * off[1] and off[2] <= 1e-14
+    assert res[0].residual_deviation <= 1e-13 and res[0].iterations == 0
+
+
+def test_teardrop_verdicts_near_the_soliton_vector():
+    # away from b_X, W from the two facets disagrees by O(|b - b_X|), and
+    # the residual shows it
+    b = find_soliton_vector(TEARDROP).b[0]
+    res = solve(TEARDROP, b=[b + 1e-8])
+    assert 1e-9 <= res.residual_deviation <= 1e-6
+    with pytest.raises(NoConvergence, match="residual deviation"):
+        solve(TEARDROP, b=[b + 1e-4])
+
+
+@pytest.mark.parametrize("b", [5.0, 800.0, -800.0])
+def test_interval_far_from_its_soliton_vector_does_not_converge(b):
+    # far from b_X the nearer-facet profiles turn nonconvex (b = 5) or
+    # overflow (|b| = 800); both read as a missed soliton vector, without
+    # a numpy warning
+    with pytest.raises(NoConvergence, match="soliton vector"):
+        solve(interval(-2, 2), b=[b])
+
+
+@pytest.mark.parametrize("b", [0.4, 0.6, 1.0])
+def test_half_line_off_its_soliton_component_does_not_converge(b):
+    # the non-growing profile (1 + bx)/b^2 has no admissible correction
+    # unless b = m/2
+    with pytest.raises(NoConvergence, match="defect"):
+        solve(half_line(-2), b=[b])
+
+
+@pytest.mark.parametrize("P", [interval(-1, 1), half_line(-3),
+                               box([(-3, 3), (-2, 2)]), interval(-2, 2, 1, 2)])
+def test_solve_needs_shrinker_normalized_offsets(P):
+    with pytest.raises(ValueError, match="shrinker-normalized"):
+        solve(P)
+
+
+def test_unbounded_factors_are_exactly_flat():
+    # kappa = 0 exactly on the half-line at b = 1/2; on the half-strip b_y
+    # is one ulp above 3/2, and the correction stays flat along y
+    assert not np.any(solve(half_line(-2), b=[0.5]).correction.values)
+    strip = box([(-2, 1), ("-2/3", None)], labels=[1, 2, 3])
+    res = solve(strip, truncation=32)
+    assert res.truncated_axes == ((1, "upper"),)
+    assert float(np.max(np.ptp(res.correction.values, axis=1))) <= 1e-13
+    assert float(np.ptp(res.correction.values[:, 0])) > 1e-2
