@@ -329,6 +329,11 @@ def cmd_solve(args):
     print(f"constant: {res.constant!r}")
     print(f"residual deviation: {res.residual_deviation!r}")
     print(f"offnode deviation: {res.offnode_deviation!r}")
+    print(f"converged: {res.converged}")
+    if not res.converged:
+        print(f"warning: the interpolant misses --tol {args.tol:g} between the grid's "
+              f"nodes by up to {res.offnode_deviation:.3g}; a finer --grid may meet it",
+              file=sys.stderr)
     print(f"domain: {res.domain}")
     if res.truncated_axes:
         print(f"truncated axes: {res.truncated_axes}")
@@ -340,6 +345,7 @@ def cmd_solve(args):
         "constant": res.constant,
         "residual_deviation": res.residual_deviation,
         "offnode_deviation": res.offnode_deviation,
+        "converged": res.converged,
         "iterations": res.iterations,
         "grid": list(res.grid),
         "domain": [list(d) for d in res.domain],

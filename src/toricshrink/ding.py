@@ -31,6 +31,12 @@ potential integral), and each integral is one array:
     weight, built once;
   - the canonical potential integral as one 1D rule per facet in L_k, with
     slices in closed form and a Gauss rule for -log u at the facet.
+None of this depends on a correction's values, only on its Chebyshev
+domain and coefficient shape (its basis), so the quadrature is held per
+(P, tol, b_X, basis) and built on the first call with that key
+(_quadrature), together with the basis's Vandermonde matrices at the d1
+nodes. A call samples each endpoint by contracting its coefficient stack
+against them, and runs every check afresh.
 The weight is taken as e^{-<b_X,x>-c}, c the largest -<b_X,x> on P; e^{-c}
 cancels in D. Along v_t = (1-t) v_0 + t v_1, g and <C, M> are affine in t
 and D is a polynomial of degree n <= 2 in t, so a scan samples each
@@ -41,6 +47,7 @@ The numerics cover dimensions 1 and 2.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +83,9 @@ class DingValue:
 _ORDER = 25            # Gauss order on the refined simplices of both integrals
 _CHUNK = 32            # refined simplices per moment pass: bounds the nodes held at once
 _CANONICAL_ORDER = 20  # order of both Gauss rules on the l-pieces of the canonical term
+_PIECES = 4096         # _refined stops halving at this many pieces
+_HELD_NODES = _PIECES * _ORDER ** 2  # d1 nodes held over all keys: one 2D quadrature at the cap
+_HELD_KEYS = 64        # quadratures held, each with its refinements and M
 
 
 def _beta(P: LabeledPolyhedron) -> np.ndarray:
@@ -164,7 +174,7 @@ def _refined(V, vol, weight):
     the pieces the cap leaves changing it by more than 3. A half has half its
     parent's volume. Each round halves every simplex at the midpoint of its
     first edge (i, j), i < j in row-major order, of largest change
-    |<weight, v_i - v_j>|, while that change exceeds 3, until 4096 pieces
+    |<weight, v_i - v_j>|, while that change exceeds 3, until _PIECES pieces
     exist. Only the change matters: the weight is constant across it, so a
     simplex long in that direction needs no splitting. In 1D the change is
     |weight| times the length.
@@ -177,7 +187,7 @@ def _refined(V, vol, weight):
         change = np.abs(p[:, :, None] - p[:, None, :]).reshape(len(V), -1)
         e = np.argmax(change, axis=1)
         split = np.flatnonzero(change[np.arange(len(V)), e] > 3.0)
-        split = split[:max(0, 4096 - sum(map(len, done_V)) - len(V))]  # pieces cap
+        split = split[:max(0, _PIECES - sum(map(len, done_V)) - len(V))]  # pieces cap
         keep = np.ones(len(V), dtype=bool)
         keep[split] = False
         done_V.append(V[keep])
@@ -248,13 +258,19 @@ def _canonical_linear(P: LabeledPolyhedron, b, ring, c):
 class _DingQuadrature:
     """Both Ding integrals as three arrays over d1's plan (_fitted_plan), fixed once.
 
+    Nothing here depends on a correction's values, only on its basis
+    (GridCorrection.basis), so one quadrature serves every call on the
+    key (P, tol, b_X, basis), and _quadrature holds it; every array it
+    holds is read-only. The per-call part is sample and scan.
+
     d1 is one Gauss rule (X, W) stacked over the plan's simplices refined
     for e^{-<beta,x>}, q nodes each. The canonical factor of its integrand
     is folded in once, as base = W e^{-R_P}, and so is the density's
-    quadratic form in Hess s (_density_form) at the nodes' facet values; a
-    correction is sampled by one jet there, as g = <grad s, x> - s and
-    Hess s. The integrand at a node is base e^{-g} D, D the density;
-    each simplex's q terms are summed, then the simplex sums fsum'd.
+    quadratic form in Hess s (_density_form) at the nodes' facet values,
+    and the basis's Vandermonde matrices at X (vander); a correction is
+    sampled by one jet through them, as g = <grad s, x> - s and Hess s.
+    The integrand at a node is base e^{-g} D, D the density; each
+    simplex's q terms are summed, then the simplex sums fsum'd.
 
     When b_X is given, F(b_X) and the potential integral are taken over the
     same plan against e^{-<b_X,x>-c}, with F and c from _fitted_plan:
@@ -263,17 +279,18 @@ class _DingQuadrature:
     correction part <C, M>, C the correction's Chebyshev coefficients and M
     the moment tensor of the order-25 rules on the plan's simplices refined
     for e^{-<b_X,x>}, built with one moment pass per chunk of _CHUNK
-    simplices (linear_rules). scan raises when dropped, spill or tail
-    relative to d1 (see _fitted_plan) exceeds tol, so a quadrature on a
-    short grid can still be built; unresolved sums _refined's counts of
-    both refinements.
+    simplices (linear_rules). scan raises, on every call, when dropped,
+    spill or tail relative to d1 (see _fitted_plan) exceeds tol, so a
+    quadrature on a short grid can still be built and held; unresolved
+    sums _refined's counts of both refinements.
     """
 
     def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None):
         if np.any(P.offsets_array() <= 0.0):
             raise DivergentD1("a facet offset <= 0 makes the dual volume diverge")
         self.P, self.tol = P, tol
-        self.b = None if b_X is None else np.asarray(b_X, dtype=float)
+        self.basis = None if grid is None else grid.basis
+        self.b = None if b_X is None else np.array(b_X, dtype=float)
         beta = _beta(P)
         self.plan, self.tail, self.dropped, self.spill, self.F, self.shift = _fitted_plan(
             P, beta, grid, tol, self.b)
@@ -283,14 +300,21 @@ class _DingQuadrature:
         self.form = _density_form(P, L)
         self.base = W * np.exp(-R_P)
         self.q = _ORDER ** P.dim
+        self.vander = () if grid is None else tuple(grid.vander(self.X))
         self.moments = None
+        held = [self.X, self.base, *self.form, *self.vander,
+                self.plan.ring, self.plan.simplices, self.plan.volumes]
         if self.b is not None:
             self.canonical = stable_sum(
                 _canonical_linear(P, self.b, self.plan.ring, self.shift)[1])
             self.linear_simplices = _refined(self.plan.simplices, self.plan.volumes, self.b)
             self.unresolved += self.linear_simplices[2]
+            held += [self.b, *self.linear_simplices[:2]]
             if grid is not None:
                 self.moments = sum(grid.moments(X, W) for X, W in self.linear_rules())
+                held.append(self.moments)
+        for a in held:
+            a.flags.writeable = False
 
     def linear_rules(self):
         """The potential integral's rules, _CHUNK refined simplices at a time.
@@ -306,14 +330,18 @@ class _DingQuadrature:
     def sample(self, correction):
         """(g, Hess s, <C, M>) of a correction: g = <grad s, x> - s at the d1 nodes.
 
-        A canonical endpoint (None) samples as zeros, with no jet. <C, M> is
+        A canonical endpoint (None) samples as zeros, with no jet; a
+        correction contracts its coefficient stack against the held vander,
+        and must have the basis the quadrature was built for. <C, M> is
         None when no b_X was given.
         """
         m, n = self.X.shape
         lin = None if self.b is None else 0.0
         if correction is None:
             return np.zeros(m), np.zeros((m, n, n)), lin
-        s, G, H = correction.jet(self.X)
+        if correction.basis != self.basis:
+            raise ValueError("correction's grid basis differs from the quadrature's")
+        s, G, H = correction.jet(self.X, self.vander)
         if lin is not None:
             lin = correction.pair(self.moments)
         return np.einsum("mi,mi->m", G, self.X) - s, H, lin
@@ -367,6 +395,40 @@ class _DingQuadrature:
         return out
 
 
+class _Held:
+    """The _DingQuadrature of each key (P, tol, b_X, grid basis), built on
+    first use and held while the d1 nodes of all held keys stay within
+    _HELD_NODES and the keys within _HELD_KEYS, the least recently used
+    dropped first. A construction that raises holds nothing, so it raises
+    again on the next call.
+    """
+
+    def __init__(self):
+        self.entries = OrderedDict()
+
+    @property
+    def nodes(self) -> int:
+        return sum(len(q.X) for q in self.entries.values())
+
+    def __call__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None) -> _DingQuadrature:
+        key = (P, float(tol), None if b_X is None else tuple(map(float, b_X)),
+               None if grid is None else grid.basis)
+        q = self.entries.pop(key, None)
+        if q is not None:  # a hit moves to the end and leaves the totals as they are
+            self.entries[key] = q
+            return q
+        q = self.entries[key] = _DingQuadrature(P, grid, tol, b_X)
+        while len(self.entries) > _HELD_KEYS or self.nodes > _HELD_NODES:
+            self.entries.popitem(last=False)
+        return q
+
+    def cache_clear(self):
+        self.entries.clear()
+
+
+_quadrature = _Held()
+
+
 def _corrections(P: LabeledPolyhedron, *potentials):
     """Corrections of canonical or corrected potentials on P; None if canonical."""
     if P.dim > 2:
@@ -393,7 +455,7 @@ def d1(v, P: LabeledPolyhedron, tol: float = 1e-8) -> float:
     routine. Dimensions 1 and 2 only.
     """
     (corr,) = _corrections(P, v)
-    q = _DingQuadrature(P, corr, tol)
+    q = _quadrature(P, corr, tol)
     return q.evaluate(q.sample(corr))
 
 
@@ -410,7 +472,7 @@ def ding(v, P: LabeledPolyhedron, b_X=None, tol: float = 1e-8) -> DingValue:
     (corr,) = _corrections(P, v)
     if b_X is None:
         b_X = find_soliton_vector(P).b
-    q = _DingQuadrature(P, corr, tol, b_X)
+    q = _quadrature(P, corr, tol, b_X)
     return q.evaluate(q.sample(corr))
 
 
@@ -479,7 +541,7 @@ def convexity_scan(v0, v1, P: LabeledPolyhedron, b_X=None, num_t: int = 9,
     Geodesic(v0, v1)  # the endpoints share a grid
     if b_X is None:
         b_X = find_soliton_vector(P).b
-    q = _DingQuadrature(P, c1 if c0 is None else c0, tol, b_X)
+    q = _quadrature(P, c1 if c0 is None else c0, tol, b_X)
     return q.scan(q.sample(c0), q.sample(c1), np.linspace(0.0, 1.0, num_t))
 
 

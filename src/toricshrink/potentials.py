@@ -97,9 +97,11 @@ class GridCorrection:
     then the first partials, then the second partials (i, j), i <= j, each
     scaled to x and zero-padded to the shape of the value grid. value,
     gradient, hessian and jet all evaluate a prefix of that stack from one
-    Vandermonde matrix per axis. A weighted sum of s over a rule is linear
-    in the coefficients: moments gives the rule's tensor M once, and pair
-    the sum <coefficients, M> for each s on the grid. Dimensions 1 and 2.
+    Vandermonde matrix per axis (vander), which depends on the points and
+    the basis alone, so jet takes it back for every correction of that
+    basis. A weighted sum of s over a rule is linear in the coefficients:
+    moments gives the rule's tensor M once, and pair the sum
+    <coefficients, M> for each s on the grid. Dimensions 1 and 2.
     """
 
     def __init__(self, axes, values):
@@ -125,6 +127,12 @@ class GridCorrection:
     @property
     def orders(self) -> tuple[int, ...]:
         return tuple(len(a) - 1 for a in self.axes)
+
+    @property
+    def basis(self):
+        """(domain, coefficient shape), hashable: what fixes vander, moments
+        and the meaning of the coefficients; the values do not enter."""
+        return self.domain, self._coef.shape
 
     def _map(self, X):
         lo, hi = np.array(self.domain).T
@@ -153,15 +161,15 @@ class GridCorrection:
             stack[(k,) + tuple(slice(0, m) for m in c.shape)] = c
         return stack[..., None] if n == 1 else stack
 
-    def _vander(self, X):
+    def vander(self, X):
         """One Chebyshev Vandermonde matrix per axis at the points X (m, n)."""
         T = self._map(X)
         return [C.chebvander(T[:, d], k - 1) for d, k in enumerate(self._coef.shape)]
 
-    def _partials(self, x, count):
+    def _partials(self, x, count, vander=None):
         """The first count entries of the stack at the points x, shape (count, m)."""
         X, single = _as_batch(x, self.dim)
-        V = self._vander(X)
+        V = self.vander(X) if vander is None else vander
         # values alone read the coefficients and derive no stack
         if count > 1:
             stack = self._stack[:count]
@@ -184,17 +192,21 @@ class GridCorrection:
         The rule (X, W) enters only through M, whose shape is the coefficient
         grid's: a Vandermonde transpose times the weighted Vandermonde.
         """
-        V = self._vander(X)
+        V = self.vander(X)
         return V[0].T @ W if self.dim == 1 else V[0].T @ (W[:, None] * V[1])
 
     def pair(self, M) -> float:
         """<coefficients of s, M>: the integral of s against the rule behind M."""
         return float(np.vdot(self._coef, M))
 
-    def jet(self, x):
-        """(s, grad s, Hess s) at x, from one Vandermonde matrix per axis."""
+    def jet(self, x, vander=None):
+        """(s, grad s, Hess s) at x, from one Vandermonde matrix per axis.
+
+        vander, when given, is vander(x) of a correction with this basis,
+        taken as it is instead of built again.
+        """
         n = self.dim
-        rows, single = self._partials(x, 1 + n + n * (n + 1) // 2)
+        rows, single = self._partials(x, 1 + n + n * (n + 1) // 2, vander)
         G = rows[1:1 + n].T
         H = np.empty((rows.shape[1], n, n))
         pairs = [(i, j) for i in range(n) for j in range(i, n)]

@@ -178,6 +178,7 @@ class SolveResult:
     constant: float
     residual_deviation: float
     offnode_deviation: float
+    converged: bool
     iterations: int
     grid: tuple[int, ...]
     domain: tuple[tuple[float, float], ...]
@@ -312,10 +313,11 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
     offsets must be 2, so the constant does not depend on the grid. The
     constant and residual_deviation come from the residual at every grid
     node; offnode_deviation is the largest gap between the grid
-    interpolant and the series at the grid's midpoints. Away from b_X, a
-    bounded factor has no solution, which the residual shows, and an
-    unbounded one has a defect (_defect): either beyond max(tol, 1e-6)
-    raises NoConvergence.
+    interpolant and the series at the grid's midpoints, and converged says
+    whether it meets tol: a grid too coarse for tol is reported, not
+    raised. Away from b_X, a bounded factor has no solution, which the
+    residual shows, and an unbounded one has a defect (_defect): either
+    beyond max(tol, 1e-6) raises NoConvergence.
     """
     n = P.dim
     if n > 2:
@@ -360,6 +362,7 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
         constant=c_star,
         residual_deviation=deviation,
         offnode_deviation=offnode,
+        converged=bool(offnode <= tol),
         iterations=0,
         grid=grid,
         domain=tuple((float(lo), float(hi)) for lo, hi in domain),

@@ -198,6 +198,28 @@ def test_solve_and_residual_roundtrip(interval_file, tmp_path, capsys):
     assert np.std(vals) < 1e-9
 
 
+@pytest.mark.parametrize("spec, grid, tol, converged", [
+    ((2, [((1, 0), 1, 2), ((-1, 0), 3, 2), ((0, 1), 2, 2), ((0, -1), 1, 2)]), 8, 1e-11, False),
+    ((1, [((1,), 1, 2), ((-1,), 3, 2)]), 64, 1e-15, True),
+], ids=["rectangle_8", "teardrop_64"])
+def test_solve_warns_when_it_misses_tol(tmp_path, capfd, spec, grid, tol, converged):
+    # a missed tol between the grid's nodes is a warning on stderr and a
+    # false converged in the artifact; the exit code stays 0
+    path = tmp_path / "P.json"
+    save_polyhedron(from_halfspaces(*spec), path)
+    art = tmp_path / "solve.json"
+    assert main(["solve", str(path), "--grid", str(grid), "--tol", str(tol),
+                 "--out", str(art)]) == 0
+    out, err = capfd.readouterr()
+    assert f"converged: {converged}" in out
+    assert json.loads(art.read_text())["converged"] is converged
+    if converged:
+        assert err == ""
+    else:
+        assert err.startswith("warning: ") and err.count("\n") == 1
+        assert "1e-11" in err and "4.03e-09" in err
+
+
 def test_solve_csv_artifact(interval_file, tmp_path):
     art = tmp_path / "round.csv"
     assert main(["solve", interval_file, "--out", str(art)]) == 0

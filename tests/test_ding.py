@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from toricshrink import ding as ding_module
 from toricshrink.ding import (
     DingValue,
     DivergentD1,
@@ -14,6 +15,7 @@ from toricshrink.ding import (
     NotInE,
     _DingQuadrature,
     _canonical_linear,
+    _quadrature,
     _refined,
     convexity_scan,
     d1,
@@ -767,3 +769,166 @@ def test_scan_toward_a_nonconvex_endpoint_is_rejected(P, f, dom):
     with pytest.raises(NotConvexHere, match="density nonpositive near"):
         convexity_scan(CanonicalPotential(P), CorrectedPotential(P, s), P,
                        b_X=[0.0] * P.dim, num_t=9)
+
+
+# ---------------------------------------------------------------------------
+# the held quadrature: one per (P, tol, b_X, grid basis)
+
+@pytest.fixture
+def held():
+    """The held quadratures, empty before and after the test."""
+    _quadrature.cache_clear()
+    yield _quadrature
+    _quadrature.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def geodesics(half_line_at_32):
+    """The five kinds of geodesic that a Ding scan serves, as (P, v0, v1, b_X)."""
+    rng = np.random.default_rng(5)
+    out = {}
+    sq = box([(-2, 2), (-2, 2)])
+    ends = []
+    for c in rng.uniform(-0.05, 0.05, (2, 6)):
+        g = GridCorrection.from_function(
+            lambda x, c=c: float(c[0] * x[0] ** 2 + c[1] * x[0] * x[1] + c[2] * x[1] ** 2
+                                 + c[3] * x[0] ** 3 + c[4] * x[1] ** 3 + c[5] * x[0] ** 2 * x[1]),
+            [(-2.0, 2.0)] * 2, (8, 8))
+        ends.append(CorrectedPotential(sq, g))
+    out["square"] = (sq, *ends)
+    for k, P, grid in (("teardrop", TEARDROP, 48), ("rectangle", RECTANGLE, 14)):
+        b = find_soliton_vector(P).b
+        out[k] = (P, CanonicalPotential(P),
+                  CorrectedPotential(P, solve(P, b=b, grid=grid).correction))
+    P, v = half_line_at_32
+    out["half_line"] = (P, CanonicalPotential(P), v)
+    s = solve(RECTANGLE, grid=12).correction
+    gx, gy = np.meshgrid(*s.axes, indexing="ij")
+    tilted = GridCorrection(s.axes, s.values + 0.3 + 0.2 * gx - 0.4 * gy)
+    out["affine"] = (RECTANGLE, CorrectedPotential(RECTANGLE, s),
+                     CorrectedPotential(RECTANGLE, tilted))
+    return {k: (P, v0, v1, find_soliton_vector(P).b) for k, (P, v0, v1) in out.items()}
+
+
+@pytest.mark.parametrize("kind", ["square", "teardrop", "rectangle", "half_line", "affine"])
+def test_warm_scans_equal_scans_from_a_fresh_quadrature(held, geodesics, kind):
+    P, v0, v1, b = geodesics[kind]
+    cold = convexity_scan(v0, v1, P, b_X=b)
+    (q,) = held.entries.values()
+    warm = convexity_scan(v0, v1, P, b_X=b)
+    assert list(held.entries.values()) == [q]  # the second scan was a hit
+    c0, c1 = Geodesic(v0, v1).corrections()
+    fresh = _DingQuadrature(P, c0, 1e-8, b)
+    assert fresh is not q
+    ref = fresh.scan(fresh.sample(c0), fresh.sample(c1), np.linspace(0.0, 1.0, 9))
+    assert cold == warm == ref
+    end = ding(v1, P, b_X=b)
+    assert (end.d1, end.value) == (ref[-1].d1, ref[-1].value)
+    assert list(held.entries.values()) == [q]
+
+
+@pytest.mark.parametrize("kind", ["rectangle", "half_line"])
+def test_held_arrays_are_read_only(held, geodesics, kind):
+    P, _, v, b = geodesics[kind]
+    ding(v, P, b_X=b)
+    (q,) = held.entries.values()
+    arrays = [q.X, q.base, *q.form, *q.vander, q.moments, q.b, *q.linear_simplices[:2],
+              q.plan.ring, q.plan.simplices, q.plan.volumes]
+    assert len(q.vander) == P.dim
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+
+
+def test_one_basis_holds_one_quadrature(held):
+    P = TEARDROP
+    b = find_soliton_vector(P).b
+    dom = [(-2.0, 2.0 / 3.0)]
+
+    def value(f, dom=dom, count=10, tol=1e-8, b=b):
+        corr = GridCorrection.from_function(f, dom, [count])
+        return ding(CorrectedPotential(P, corr), P, b_X=b, tol=tol)
+
+    value(lambda x: 0.02 * x[0] ** 2)
+    value(lambda x: 0.05 * x[0] ** 2 - 0.01 * x[0] ** 3)  # other values, one basis
+    assert len(held.entries) == 1
+    value(lambda x: 0.02 * x[0] ** 2, dom=[(-1.5, 0.5)])
+    value(lambda x: 0.02 * x[0] ** 2, count=12)
+    value(lambda x: 0.02 * x[0] ** 2, tol=1e-9)
+    value(lambda x: 0.02 * x[0] ** 2, b=np.add(b, 0.25))
+    d1(CanonicalPotential(P), P)
+    assert len(held.entries) == 6
+    bases = [key[3] for key in held.entries]
+    assert [shape for _, shape in bases[:5]] == [(10,), (10,), (12,), (10,), (10,)]
+    assert bases[1][0] == ((-1.5, 0.5),) and bases[0][0] == bases[2][0] != bases[1][0]
+    assert bases[-1] is None
+
+
+def test_a_quadrature_samples_only_its_own_basis():
+    corr = GridCorrection.zeros([(-2.0, 2.0 / 3.0)], [10])
+    q = _DingQuadrature(TEARDROP, corr, 1e-8)
+    with pytest.raises(ValueError, match="grid basis"):
+        q.sample(GridCorrection.zeros([(-2.0, 2.0 / 3.0)], [12]))
+
+
+def test_held_nodes_stay_within_the_bound(held, monkeypatch):
+    # the bound is one quadrature at _refined's cap in 2D. One canonical
+    # teardrop quadrature holds 25 d1 nodes: with room for 60 the third key
+    # drops the least recently used, and one larger than the bound leaves
+    # nothing held
+    assert ding_module._HELD_NODES == ding_module._PIECES * ding_module._ORDER ** 2
+    monkeypatch.setattr(ding_module, "_HELD_NODES", 60)
+    u = CanonicalPotential(TEARDROP)
+    tols = [1e-8, 1e-9, 1e-10]
+    for tol in tols:
+        ding(u, TEARDROP, b_X=[0.0], tol=tol)
+        assert held.nodes == sum(len(q.X) for q in held.entries.values()) <= 60
+    assert [key[1] for key in held.entries] == tols[1:]
+    ding(u, TEARDROP, b_X=[0.0], tol=tols[1])  # a hit becomes the most recently used
+    ding(u, TEARDROP, b_X=[0.0], tol=tols[0])
+    assert [key[1] for key in held.entries] == [tols[1], tols[0]]
+    v = CorrectedPotential(RECTANGLE, GridCorrection.zeros([(-2.0, 2.0 / 3.0), (-1.0, 2.0)],
+                                                           [8, 8]))
+    assert ding(v, RECTANGLE).d1 > 0.0
+    assert held.nodes == 0 and not held.entries
+    monkeypatch.setattr(ding_module, "_HELD_KEYS", 1)
+    for tol in tols:
+        ding(u, TEARDROP, b_X=[0.0], tol=tol)
+    assert [key[1] for key in held.entries] == tols[-1:]
+
+
+def test_a_hit_still_checks_the_cut(held, half_line_at_32):
+    # the quadrature is held once built; what its cut drops is checked on
+    # every call
+    P, v = half_line_at_32
+    for _ in range(2):
+        with pytest.raises(NotInE, match="the cut drops 0.00136 of F"):
+            ding(v, P, b_X=[0.1])
+    assert len(held.entries) == 1
+
+
+def test_a_hit_still_checks_convexity(held):
+    P = interval(-2, 2)
+    convex = GridCorrection.from_function(lambda x: 0.1 * x[0] ** 2, [(-2.0, 2.0)], [8])
+    bent = GridCorrection.from_function(lambda x: -0.3 * x[0] ** 2, [(-2.0, 2.0)], [8])
+    u = CanonicalPotential(P)
+    convexity_scan(u, CorrectedPotential(P, convex), P, b_X=[0.0])
+    (q,) = held.entries.values()
+    with pytest.raises(NotConvexHere, match="density nonpositive near"):
+        convexity_scan(u, CorrectedPotential(P, bent), P, b_X=[0.0])
+    assert list(held.entries.values()) == [q]
+
+
+@pytest.mark.parametrize("P, dom", [
+    (interval(0, 4), None),                  # a facet offset <= 0
+    (half_line(-2), [(-3.0, -2.5)]),         # the grid ends before P begins
+])
+def test_a_failed_construction_is_not_held(held, P, dom):
+    v = CanonicalPotential(P) if dom is None else CorrectedPotential(
+        P, GridCorrection.zeros(dom, [8]))
+    with pytest.raises(DivergentD1):
+        _DingQuadrature(P, None if dom is None else v.correction, 1e-8)
+    for _ in range(2):
+        with pytest.raises(DivergentD1):
+            d1(v, P)
+    assert not held.entries

@@ -435,6 +435,27 @@ def test_solve_reports_its_offnode_deviation():
     assert res[0].residual_deviation <= 1e-13 and res[0].iterations == 0
 
 
+ORBIFOLD_RECTANGLE = from_halfspaces(
+    2, [((1, 0), 1, 2), ((-1, 0), 3, 2), ((0, 1), 2, 2), ((0, -1), 1, 2)])
+
+
+@pytest.mark.parametrize("P, grid, tol, converged", [
+    # the grid interpolant misses tol between the nodes by about 4e-9,
+    # though the residual at the nodes is at rounding
+    (ORBIFOLD_RECTANGLE, 8, 1e-11, False),
+    # the residual misses tol by rounding alone, the interpolant meets it
+    (TEARDROP, 64, 1e-15, True),
+], ids=["rectangle_8", "teardrop_64"])
+def test_solve_reports_whether_its_offnode_deviation_meets_tol(P, grid, tol, converged):
+    res = solve(P, grid=grid, tol=tol)
+    assert res.converged is converged
+    assert (res.offnode_deviation <= tol) is converged
+    if converged:
+        assert res.offnode_deviation <= 1e-16 and res.residual_deviation > tol
+    else:
+        assert 1e-9 < res.offnode_deviation < 1e-8 and res.residual_deviation <= 1e-13
+
+
 def test_teardrop_verdicts_near_the_soliton_vector():
     # away from b_X, W from the two facets disagrees by O(|b - b_X|), and
     # the residual shows it
