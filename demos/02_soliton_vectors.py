@@ -10,7 +10,7 @@ exact there too.
 
 import numpy as np
 
-from toricshrink.polyhedra import box, half_line, interval
+from toricshrink.polyhedra import box, from_halfspaces, half_line, interval
 from toricshrink.quadrature import DivergentWeight
 from toricshrink.shrinker import find_soliton_vector, grad_hess_F, weighted_volume
 
@@ -20,6 +20,8 @@ cases = [
     ("square [-2,2]^2", box([(-2, 2), (-2, 2)])),
     ("quadrant [-2,oo)^2", box([(-2, None), (-2, None)])),
     ("teardrop [-2,2/3] labels (1,3)", interval(-2, "2/3", 1, 3)),
+    ("pentagon, a square cut by x + y <= 2", from_halfspaces(
+        2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, 0), 1, 2), ((0, -1), 1, 2), ((-1, -1), 1, 2)])),
 ]
 
 for name, P in cases:
@@ -29,7 +31,8 @@ for name, P in cases:
           f"({sol.iterations} Newton steps)")
 
 # bounded symmetric domains give b_X = 0; each unbounded direction
-# contributes the Gaussian value 1/2
+# contributes the Gaussian value 1/2. On a product, b_X is the closed-form
+# root of each factor, which Newton only checks; the pentagon is no product
 
 print()
 print("convexity at a random weight on the half line:")

@@ -8,14 +8,15 @@ symplectic potential u = u_P + s solves the soliton equation when
 is constant. R is evaluated in a boundary-stable form: the labeled-facet
 factors of det Hess u are cancelled algebraically against the canonical
 potential's own divergence, leaving quantities smooth up to the boundary.
-On a product P the equation splits into one ODE per 1D factor, whose
-momentum profile W = 1/u'' has a closed form, so solve needs no iteration.
+On a product P, b_X and the equation split over the 1D factors: each has
+a closed-form root and momentum profile W = 1/u'', so neither iterates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +55,8 @@ def grad_hess_F(P: LabeledPolyhedron, b):
 
 @dataclass(frozen=True)
 class SolitonVector:
-    """The minimiser b of F with F(b), |grad F(b)| and the Newton steps taken.
+    """The minimiser b of F with F(b), |grad F(b)| and the Newton steps taken
+    (0 on an axis-aligned product, whose closed-form root Newton only checks).
 
     achieved is |H^{-1} grad F| at b, the Newton step that b did not take:
     an estimate of |b - b_X|, not a bound.
@@ -74,22 +76,58 @@ def _initial_weight(P: LabeledPolyhedron) -> np.ndarray:
     return np.sum(W / np.linalg.norm(W, axis=1, keepdims=True), axis=0)
 
 
+# (sinh(z)/z - 1)/z^2 and (z cosh z - sinh z)/z^3 in z^2, positive terms in Horner's order
+_SERIES = [(1.0 / math.factorial(2 * k + 1), 2.0 * k / math.factorial(2 * k + 1))
+           for k in range(16, 0, -1)]
+
+
+def _factor_root(lo: Fraction | None, hi: Fraction | None) -> float:
+    """The b at which int x e^{-bx} = 0 over [lo, hi], -1/end on a half-line.
+
+    On [c - w, c + w] the mean is c - w L(bw), L(z) = coth z - 1/z, so b = z/w
+    where L(z) = y = c/w. On z > 0, L is concave and below z/3 and 1 - 1/(1 + z),
+    so Newton rises to the root from max(3|y|, |y|/r), r = 1 - |y|. Past z = 3, z(L - |y|)
+    and zL' come from r and coth z - 1: no sinh z or z^2 to overflow, and r keeps its digits."""
+    if lo is None or hi is None:
+        return float(-1 / (hi if lo is None else lo))
+    y = (lo + hi) / (hi - lo)
+    a, r = float(abs(y)), float(1 - abs(y))
+    z = max(3.0 * a, float(abs(y) / (1 - abs(y))))
+    for _ in range(100):
+        if z < 3.0:
+            u, T, N = z * z, 0.0, 0.0
+            for t, n in _SERIES:
+                T, N = T * u + t, N * u + n
+            S = 1.0 + u * T
+            gap, slope = z * N / S - a, T * (S + 1.0) / (S * S)
+        else:
+            p = 2.0 * math.exp(-2.0 * z) / -math.expm1(-2.0 * z)  # coth z - 1
+            gap, slope = z * (r + p) - 1.0, 1.0 / z - z * p * (2.0 + p)  # both times z
+        step = gap / slope
+        z -= step
+        if abs(step) <= 2.0**-52 * z:
+            break
+    return math.copysign(z, y) / float((hi - lo) / 2)
+
+
 def find_soliton_vector(P: LabeledPolyhedron, tol: float = 1e-12) -> SolitonVector:
-    """Damped Newton minimization of the strictly convex functional F, at most 200 steps."""
-    if P.is_bounded():
+    """Damped Newton minimization of the strictly convex F, at most 200 steps, from the
+    factors' roots on an axis-aligned product (_factor_root), else from 0 or _initial_weight.
+    With an offset <= 0 the origin is not interior and F has no critical point: ValueError."""
+    if any(f.offset <= 0 for f in P.facets):
+        raise ValueError("the origin is not interior to P: F has no minimiser")
+    if (factors := _product_factors(P)) and None not in factors:
+        b = np.array([_factor_root(*_axis_ends(F)) for F in factors])
+    elif P.is_bounded():
         b = np.zeros(P.dim)
     else:
         b = _initial_weight(P)
     F, g, H = grad_hess_F(P, b)
     for it in range(1, 201):
         if np.linalg.norm(g) <= tol * max(1.0, abs(F)):
-            return SolitonVector(
-                b=tuple(map(float, b)),
-                F_value=F,
-                gradient_norm=float(np.linalg.norm(g)),
-                achieved=float(np.linalg.norm(np.linalg.solve(H, g))),
-                iterations=it - 1,
-            )
+            return SolitonVector(b=tuple(map(float, b)), F_value=F,
+                                 gradient_norm=float(np.linalg.norm(g)), iterations=it - 1,
+                                 achieved=float(np.linalg.norm(np.linalg.solve(H, g))))
         step = np.linalg.solve(H, -g)
         lam = 1.0
         while lam > 1e-16:
@@ -132,9 +170,7 @@ def _canonical_part(P: LabeledPolyhedron, b, X):
     coefs = 1.0 - a / 2.0
     if np.any(coefs != 0.0):
         if np.any((L == 0.0) & (np.abs(coefs) > 0.0)[None, :]):
-            raise ValueError(
-                "boundary evaluation needs shrinker-normalized offsets"
-            )
+            raise ValueError("boundary evaluation needs shrinker-normalized offsets")
         R += np.log(np.where(L > 0, L, 1.0)) @ coefs
     return L, R
 
@@ -186,21 +222,27 @@ class SolveResult:
     truncation: float | None
 
 
+def _axis_ends(F: LabeledPolyhedron):
+    """Exact (lo, hi) of a 1D factor, None where open: n m x + a >= 0 ends at -n a/m."""
+    ends = {f.normal[0]: Fraction(-f.normal[0] * f.offset.numerator,
+                                  f.offset.denominator * f.label) for f in F.facets}
+    return ends.get(1), ends.get(-1)
+
+
 @lru_cache(maxsize=256)
 def _product_factors(P: LabeledPolyhedron):
     """The 1D factor polyhedra of an axis-aligned product P, one per axis,
     with P itself as its own factor in 1D, built and checked once per P.
 
-    Every facet normal must be +-e_d, so P is the product of the 1D
-    polyhedra cut out by each axis's facets. An axis with no facets is a
-    line in P, which no weight integrates; its factor is None.
+    Unless a facet normal is not +-e_d, where P gives None, P is the
+    product of the 1D polyhedra cut out by each axis's facets. An axis with
+    no facets is a line in P, which no weight integrates; its factor is None.
     """
+    if any(sum(map(abs, f.normal)) != 1 for f in P.facets):
+        return None
     axis_facets = [[] for _ in range(P.dim)]
     for f in P.facets:
-        support = [d for d, c in enumerate(f.normal) if c != 0]
-        if len(support) != 1 or abs(f.normal[support[0]]) != 1:
-            raise NotAProduct("the solver needs an axis-aligned product domain")
-        d = support[0]
+        d = [abs(c) for c in f.normal].index(1)
         axis_facets[d].append(Facet(normal=(f.normal[d],), label=f.label, offset=f.offset))
     if P.dim == 1:
         return (P,)
@@ -212,12 +254,12 @@ def _solve_domain(P: LabeledPolyhedron, b, truncation):
     """Axis ranges for the grid, cutting unbounded axes at <b,x> = T, the
     truncated axes, and the 1D factors of P (_product_factors)."""
     factors = _product_factors(P)
+    if factors is None:
+        raise NotAProduct("the solver needs an axis-aligned product domain")
     _weight_skeleton(P, b)  # e^{-<b,x>} is integrable on P
     domain, cuts = [], []
     for d, F in enumerate(factors):
-        # the facet n m x + a >= 0 ends the axis at x = -n a/m
-        ends = {f.normal[0]: -f.normal[0] * float(f.offset) / f.label for f in F.facets}
-        lo, hi = ends.get(1), ends.get(-1)
+        lo, hi = (None if e is None else float(e) for e in _axis_ends(F))
         if lo is None or hi is None:
             cut = truncation / float(b[d])
             lo, hi, side = (lo, cut, "upper") if hi is None else (cut, hi, "lower")
@@ -230,9 +272,7 @@ def _solve_domain(P: LabeledPolyhedron, b, truncation):
 
 def _tensor(arrays) -> np.ndarray:
     """Rows (a_0[i], a_1[j], ...) over the grid of per-axis arrays, C order."""
-    return np.column_stack(
-        [g.ravel() for g in np.meshgrid(*arrays, indexing="ij")]
-    )
+    return np.column_stack([g.ravel() for g in np.meshgrid(*arrays, indexing="ij")])
 
 
 # 1/(k+2)! for k = 16..0: Horner's order for the Taylor series of phi_2

@@ -172,6 +172,16 @@ def test_soliton_vector_half_line(half_line_file, tmp_path, capsys):
     assert f"achieved: {data['achieved']!r}" in capsys.readouterr().out
 
 
+def test_soliton_vector_with_the_origin_outside_is_validation_error(tmp_path, capsys):
+    # x >= 1: F has no minimiser, so no b is printed and the exit code is 2
+    path = tmp_path / "ray.json"
+    save_polyhedron(half_line(1), path)
+    assert main(["soliton-vector", str(path), "--allow-general-offsets"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: validation: the origin is not interior")
+
+
 def test_divergent_weight_is_validation_error(half_line_file, capsys):
     # e^{-bx} with b < 0 blows up along the recession ray of [-2, oo)
     assert main(["solve", half_line_file, "--b", "-0.5"]) == 2

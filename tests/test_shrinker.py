@@ -1,6 +1,7 @@
 """Soliton vector, stable residual, and the closed-form solver against oracles."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,6 +17,8 @@ from toricshrink.quadrature import DivergentWeight
 from toricshrink.shrinker import (
     NotAProduct,
     _axis_second_derivative,
+    _defect,
+    _product_factors,
     find_soliton_vector,
     grad_hess_F,
     residual,
@@ -138,6 +141,74 @@ def test_soliton_vector_rejects_improper():
     strip = from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 1, 2)])
     with pytest.raises(DivergentWeight):
         find_soliton_vector(strip)
+
+
+def _barycentre_root(lo, hi):
+    # the root of int_lo^hi x e^{-bx} dx = 0 at 50 digits: b = z/w, where
+    # coth z - 1/z = c/w on [c - w, c + w], and |z| lies in [|y|, 1/(1 - |y|)]
+    with mpmath.workdps(50):
+        lo, hi = (mpmath.mpf(q.numerator) / q.denominator for q in map(Fraction, (lo, hi)))
+        c, w = (lo + hi) / 2, (hi - lo) / 2
+        y = abs(c / w)
+        z = mpmath.findroot(lambda z: mpmath.coth(z) - 1 / z - y, (y, 1 / (1 - y)),
+                            solver="anderson")
+        return float(mpmath.sign(c) * z / w)
+
+
+@pytest.mark.parametrize("lo, hi, labels", [
+    ("-1/100", 100, (1, 1)),
+    (-100, "1/100", (1, 1)),
+    ("-1/1000000", 1, (1, 1)),
+    (-1, 3, (2, 5)),
+    (-2, "2.000000001", (1, 1)),
+], ids=["far_right", "far_left", "near_zero_end", "orbifold", "near_symmetric"])
+def test_interval_starts_at_its_closed_form_root(lo, hi, labels):
+    # b is the factor's root, which Newton accepts without a step. F < 1 on
+    # the near_zero_end interval, and on near_symmetric the gradient is small
+    # wherever b is, so the test |grad F| <= tol max(1, F) is absolute there
+    # and would pass well away from b_X (3.7500003e-10 against 3.7499999981e-10)
+    sol = find_soliton_vector(interval(lo, hi, *labels))
+    want = _barycentre_root(lo, hi)
+    assert sol.iterations == 0
+    assert abs(sol.b[0] - want) <= 1e-15 * abs(want)
+
+
+def test_half_line_factors_are_exact():
+    # b = -1/end on a half-line: exactly 1/2, and 3/2 on the half-strip's y
+    # axis, y >= -2/3, where its defect is exactly 0
+    assert find_soliton_vector(half_line(-2)).b == (0.5,)
+    assert find_soliton_vector(box([(-2, None), (-2, None)])).b == (0.5, 0.5)
+    strip = box([(-2, 1), ("-2/3", None)], labels=[1, 2, 3])
+    assert find_soliton_vector(strip).b[1] == 1.5
+    res = solve(strip)
+    assert res.b[1] == 1.5
+    assert _defect(_product_factors(strip)[1].facets[0], res.b[1]) == 0.0
+
+
+def test_non_products_take_the_general_start():
+    # unbounded and not a product, the wedge starts at _initial_weight and
+    # the quadrant cut twice too; the strip's y axis has no facet
+    wedge = from_halfspaces(2, [((1, 0), 1, 2), ((1, 1), 1, 2)])
+    cut = from_halfspaces(2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((2, 1), 1, 5), ((1, 2), 1, 5)])
+    for P, b, steps in ((wedge, (0.9999999999999971, 0.4999999999999971), 5),
+                        (cut, (0.5326945491643453, 0.5326945491643453), 8)):
+        sol = find_soliton_vector(P)
+        assert (sol.b, sol.iterations) == (b, steps)
+    strip = from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 1, 2)])
+    with pytest.raises(DivergentWeight, match=r"contains the line \(0, 1\)"):
+        find_soliton_vector(strip)
+
+
+@pytest.mark.parametrize("P", [
+    half_line(1), from_halfspaces(1, [((-1,), 1, -1)]), interval(1, 3), interval(0, 2),
+    half_line(0), box([(1, 3), (-2, 2)]),
+], ids=["x>=1", "x<=-1", "[1,3]", "[0,2]", "x>=0", "[1,3]x[-2,2]"])
+def test_soliton_vector_needs_the_origin_inside(P):
+    # a weighted barycentre lies in the interior, and at a critical point of
+    # F it is the origin: with an offset <= 0 there is none, though F -> 0
+    # along a direction in which a tol-relative gradient test would pass
+    with pytest.raises(ValueError, match="origin is not interior"):
+        find_soliton_vector(P)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +562,8 @@ def test_solve_needs_shrinker_normalized_offsets(P):
 
 
 def test_unbounded_factors_are_exactly_flat():
-    # kappa = 0 exactly on the half-line at b = 1/2; on the half-strip b_y
-    # is one ulp above 3/2, and the correction stays flat along y
+    # kappa = 0 exactly on the half-line at b = 1/2, and on the half-strip,
+    # whose b_y is exactly 3/2; the correction is flat along y
     assert not np.any(solve(half_line(-2), b=[0.5]).correction.values)
     strip = box([(-2, 1), ("-2/3", None)], labels=[1, 2, 3])
     res = solve(strip, truncation=32)
