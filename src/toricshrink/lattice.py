@@ -1,19 +1,18 @@
 """Exact integer linear algebra: primitive vectors, one diagonal elimination, lattice quotients.
 
-Everything here runs on plain Python integers and Fractions (arbitrary
-precision), so intermediate growth during row/column reduction can never
-overflow or wrap. diagonalize is the one integer elimination: it returns
-the nonzero pivots d and the column transform V, and nothing else. Integer
-kernels are the columns of V past the rank; a quotient's invariant factors
-are the divisibility chain of d, made by gcd/lcm steps on the diagonal
-alone. rref is the one rational elimination.
+Everything here runs on plain Python integers (arbitrary precision), so
+intermediate growth during row/column reduction can never overflow or wrap.
+diagonalize is the one elimination: it returns the nonzero pivots d and the
+unimodular column transform V, and nothing else. Integer kernels are the
+columns of V past the rank, primitive because V is unimodular; a quotient's
+invariant factors are the divisibility chain of d, made by gcd/lcm steps on
+the diagonal alone. Rational rows enter cleared of their denominators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class ZeroNormal(ValueError):
@@ -126,30 +125,6 @@ def integer_kernel(A) -> list[tuple[int, ...]]:
     """Integer basis of {x : A x = 0}; the basis spans a saturated sublattice."""
     d, V = diagonalize(A)
     return [tuple(row[j] for row in V) for j in range(len(d), len(V))]
-
-
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals: (reduced rows, pivot columns).
-
-    Columns are taken left to right; each pivot is the first nonzero entry at
-    or below the current row, scaled to 1 and cleared from every other row.
-    """
-    R = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(len(R[0]) if R else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        inv = R[r][c]
-        R[r] = [x / inv for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
-        pivots.append(c)
-    return R, pivots
 
 
 def quotient_group(sublattice_gens, ambient_rank: int) -> AbelianGroup:

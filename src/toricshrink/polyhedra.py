@@ -3,14 +3,15 @@
 A labeled polyhedron is P = { x : <x, m_i n_i> + a_i >= 0 } with primitive
 integer normals n_i, positive integer labels m_i, and rational offsets a_i.
 Predicates and verdicts (vertices, ranks, nonempty interior, irredundant
-facets, nonempty faces) use exact Fraction/integer arithmetic, in any
-dimension. One enumeration over homogenised integer rows gives the
+facets, nonempty faces) use exact integer arithmetic, with Fractions only
+for offsets and vertex coordinates, in any dimension. One enumeration over homogenised integer rows gives the
 lineality space, the vertices and the extreme recession rays: cached per
 polyhedron, it serves construction, validation, face verdicts, vertices and
-interior points. Vertex edges come from one exact inverse of the active
-rows, and structure groups from the divisibility chain of one integer
-diagonal elimination (lattice.diagonalize), which also gives the lineality
-space and the Delzant kernel.
+interior points. Every elimination is lattice.diagonalize on integer rows:
+each skeleton ray, and each vertex edge, is the one primitive kernel vector
+of its tight rows; face dimensions are ranks; structure groups are the
+divisibility chain of its pivots; the lineality space and the Delzant kernel
+are integer kernels.
 
 The module imports no numpy: only the float views (point_float, the numeric
 views of LabeledPolyhedron and the relative interior point) import it where
@@ -28,10 +29,10 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .lattice import (
+    diagonalize,
     integer_kernel,
     primitive_reduce,
     quotient_group,
-    rref,
     AbelianGroup,
 )
 
@@ -64,20 +65,6 @@ class DegenerateProjection(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# primitive integer directions
-
-def rational_to_primitive(vec) -> tuple[int, ...]:
-    """Clear denominators of a rational direction and reduce to a primitive integer vector."""
-    fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    prim, _ = primitive_reduce(ints)
-    return prim
-
-
-# ---------------------------------------------------------------------------
 # core types
 
 @dataclass(frozen=True)
@@ -107,11 +94,11 @@ class Facet:
 
 @dataclass(frozen=True)
 class Cone:
-    """A cone of the normal fan: generated by the primitive normals of the
-    facets in face_indices, as exact rationals."""
+    """A cone of the normal fan: generated by the primitive integer normals
+    of the facets in face_indices."""
 
     dim: int
-    generators: tuple[tuple[Fraction, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
     face_indices: tuple[int, ...]
 
 
@@ -272,14 +259,10 @@ def _skeleton(P: LabeledPolyhedron) -> _Skeleton:
     fixed = [k + (0,) for k in lineality]
     verts, rays = {}, {}
     for subset in itertools.combinations(rows, n - len(lineality)):
-        R, pivots = rref(fixed + list(subset))
-        if len(pivots) != n:
+        kernel = integer_kernel(fixed + list(subset))
+        if len(kernel) != 1:
             continue
-        free = next(c for c in range(n + 1) if c not in pivots)
-        w = [int(c == free) for c in range(n + 1)]
-        for i, c in enumerate(pivots):
-            w[c] = -R[i][free]
-        w = rational_to_primitive(w)
+        (w,) = kernel  # primitive: a column of a unimodular matrix
         vals = [sum(r * wi for r, wi in zip(row, w)) for row in rows]
         if min(vals) < 0:
             if max(vals) > 0:
@@ -307,8 +290,11 @@ def _affine_dim(points, rays) -> int:
     """Dimension of conv(points) + cone(rays); -1 when there are no points."""
     if not points:
         return -1
-    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
-    return len(rref(rows + [list(r) for r in rays])[1])
+    # the rank of the differences and the rays, each row cleared of its denominators
+    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]] + list(rays)
+    lcms = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    return len(diagonalize([[x.numerator * (m // x.denominator) for x in row]
+                            for row, m in zip(rows, lcms)])[0])
 
 
 def _relative_interior_point(points, rays) -> np.ndarray:
@@ -360,8 +346,8 @@ def vertices(P: LabeledPolyhedron) -> list[VertexData]:
     """Vertices with active facets and inward primitive edge generators (simple P).
 
     The edge that leaves facet k solves <w, m_j n_j> = 0 for the other active
-    j and <w, m_k n_k> = 1 > 0: it is column k of the inverse of the active
-    rows, which are independent because they cut out the vertex alone.
+    j and <w, m_k n_k> > 0: the one primitive kernel vector of the active rows
+    with row k zeroed, which are independent because they cut out the vertex alone.
     """
     n = P.dim
     data = []
@@ -371,10 +357,13 @@ def vertices(P: LabeledPolyhedron) -> list[VertexData]:
                 f"vertex {tuple(float(p) for p in point)} meets {len(active)} "
                 f"facets (expected {n})"
             )
-        R, _ = rref([list(P.facets[i].scaled_normal) + [int(i == j) for j in active]
-                     for i in active])
-        edges = tuple(rational_to_primitive([row[n + k] for row in R]) for k in range(n))
-        data.append(VertexData(point=point, active_facets=active, edge_generators=edges))
+        rows = [P.facets[i].scaled_normal for i in active]
+        edges = []
+        for k in range(n):
+            # the zero row keeps n columns when n = 1
+            (w,) = integer_kernel(rows[:k] + [(0,) * n] + rows[k + 1:])
+            edges.append(w if sum(a * b for a, b in zip(w, rows[k])) > 0 else tuple(-x for x in w))
+        data.append(VertexData(point=point, active_facets=active, edge_generators=tuple(edges)))
     return data
 
 
@@ -459,9 +448,7 @@ def normal_fan(P: LabeledPolyhedron) -> list[Cone]:
     cones = []
     for sub in sorted(subsets, key=lambda s: (len(s), tuple(sorted(s)))):
         idx = tuple(sorted(sub))
-        gens = tuple(
-            tuple(Fraction(x) for x in P.facets[i].normal) for i in idx
-        )
+        gens = tuple(P.facets[i].normal for i in idx)
         cones.append(Cone(dim=P.dim, generators=gens, face_indices=idx))
     return cones
 

@@ -124,11 +124,15 @@ def find_soliton_vector(P: LabeledPolyhedron, tol: float = 1e-12) -> SolitonVect
         b = _initial_weight(P)
     F, g, H = grad_hess_F(P, b)
     for it in range(1, 201):
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError as err:  # H underflows far out, as on [-1e-300, 1]
+            raise NoConvergence(f"the Hessian of F is singular at b = {b}: neither the "
+                                "Newton step nor its decrement can be formed") from err
         if np.linalg.norm(g) <= tol * max(1.0, abs(F)):
             return SolitonVector(b=tuple(map(float, b)), F_value=F,
                                  gradient_norm=float(np.linalg.norm(g)), iterations=it - 1,
-                                 achieved=float(np.linalg.norm(np.linalg.solve(H, g))))
-        step = np.linalg.solve(H, -g)
+                                 achieved=float(np.linalg.norm(step)))
         lam = 1.0
         while lam > 1e-16:
             try:

@@ -182,6 +182,17 @@ def test_soliton_vector_with_the_origin_outside_is_validation_error(tmp_path, ca
     assert captured.err.startswith("error: validation: the origin is not interior")
 
 
+@pytest.mark.parametrize("k", [300, 400])
+def test_soliton_vector_far_out_is_a_convergence_error(k, tmp_path, capsys):
+    # [-10^-k, 1]: a singular Hessian (k = 300) and an overflow (k = 400) both exit 3
+    path = tmp_path / "interval.json"
+    save_polyhedron(interval(f"-1/{10**k}", 1), path)
+    assert main(["soliton-vector", str(path), "--allow-general-offsets"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: convergence: ")
+
+
 def test_divergent_weight_is_validation_error(half_line_file, capsys):
     # e^{-bx} with b < 0 blows up along the recession ray of [-2, oo)
     assert main(["solve", half_line_file, "--b", "-0.5"]) == 2

@@ -75,3 +75,12 @@ def foreign_private_reads(tree):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_attribute_reads_from_outside(path):
     assert foreign_private_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_lattice_eliminates_over_the_integers_only():
+    # diagonalize is the package's one elimination: lattice has no Fractions to reduce
+    tree = ast.parse((SOURCES[0].parent / "lattice.py").read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert modules and "fractions" not in modules

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,34 @@ from toricshrink.lattice import (
     invariant_factors,
     primitive_reduce,
     quotient_group,
-    rref,
 )
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals: (reduced rows, pivot columns).
+
+    The package eliminates only over the integers (diagonalize); this
+    Gauss-Jordan over Fractions is the independent reference the tests
+    compare it against. Columns are taken left to right; each pivot is the
+    first nonzero entry at or below the current row, scaled to 1 and cleared
+    from every other row.
+    """
+    R = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(R[0]) if R else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        inv = R[r][c]
+        R[r] = [x / inv for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+    return R, pivots
 
 
 # saturation bases: test_polyhedra's reference for the structure group reads

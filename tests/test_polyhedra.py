@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import HalfspaceIntersection
 
-from test_lattice import saturation_basis
-from toricshrink.lattice import quotient_group, rref
+from test_lattice import rref, saturation_basis
+from toricshrink.lattice import primitive_reduce, quotient_group
 from toricshrink.polyhedra import (
     EmptyFace,
     EmptyPolyhedron,
@@ -27,7 +27,6 @@ from toricshrink.polyhedra import (
     normal_fan,
     polyhedron_from_dict,
     polyhedron_to_dict,
-    rational_to_primitive,
     structure_group,
     validate,
     vertices,
@@ -211,6 +210,33 @@ def test_square_vertex_edges():
     assert set(corner.edge_generators) == {(1, 0), (0, 1)}
 
 
+@pytest.mark.parametrize("P", [
+    interval(-2, Fraction(2, 3), 1, 3),
+    from_halfspaces(2, [((1, 0), 2, 2), ((0, 1), 3, 2), ((-2, -3), 1, 2)]),
+    box([(-2, 2), (-1, 3), (-2, 5)], labels=[1, 2, 3, 1, 4, 2]),
+    # the CI simplex, and one whose active rows have no integral inverse
+    from_halfspaces(3, [((1, 0, 0), 1, 2), ((0, 1, 0), 2, 2), ((0, 0, 1), 3, 2),
+                        ((-1, -1, -1), 1, 2)]),
+    from_halfspaces(3, [((1, 0, 0), 2, 2), ((0, 1, 0), 3, 2), ((0, 0, 1), 5, 2),
+                        ((-1, -2, -3), 1, 2)]),
+    from_halfspaces(4, [((1, 0, 0, 0), 2, 2), ((0, 1, 0, 0), 3, 2), ((0, 0, 1, 0), 1, 2),
+                        ((0, 0, 0, 1), 5, 2), ((-1, -1, -2, -3), 2, 2)]),
+], ids=["teardrop", "triangle", "box3", "simplex3", "simplex3-nonintegral", "simplex4"])
+def test_edge_generators_leave_one_facet_each(P):
+    # the edge in position k leaves active_facets[k]: primitive, parallel to
+    # every other active facet, and pointing into P across facet k
+    vs = vertices(P)
+    assert vs
+    for v in vs:
+        rows = [P.facets[i].scaled_normal for i in v.active_facets]
+        assert len(v.edge_generators) == len(rows) == P.dim
+        for k, w in enumerate(v.edge_generators):
+            assert math.gcd(*w) == 1
+            pairings = [sum(a * b for a, b in zip(w, r)) for r in rows]
+            assert pairings[k] > 0
+            assert pairings[:k] + pairings[k + 1:] == [0] * (P.dim - 1)
+
+
 def qhull_vertices(P):
     A = P.scaled_normal_matrix()
     a = P.offsets_array()
@@ -238,7 +264,7 @@ def test_random_polygons_match_qhull():
             n = (int(np.round(3 * np.cos(th))), int(np.round(3 * np.sin(th))))
             if n == (0, 0):
                 continue
-            n = rational_to_primitive(n)
+            n = primitive_reduce(n)[0]
             rows.append((n, 1, int(rng.integers(1, 5))))
         rows = list({r[0]: r for r in rows}.values())
         if len(rows) < 3:
@@ -440,8 +466,7 @@ def test_structure_group_is_the_saturation_quotient(data):
     n = data.draw(st.sampled_from([2, 3]))
     k = data.draw(st.integers(1, n))
     vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
-    normals = [rational_to_primitive(v)
-               for v in data.draw(st.lists(vec, min_size=k, max_size=k))]
+    normals = [primitive_reduce(v)[0] for v in data.draw(st.lists(vec, min_size=k, max_size=k))]
     assume(np.linalg.matrix_rank(np.array(normals)) == k)
     labels = data.draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
     # the k independent facets alone: their intersection is a face of P
@@ -493,9 +518,7 @@ def test_normal_fan_square_has_nine_cones():
 
 def test_normal_fan_interval():
     cones = normal_fan(interval(-2, 2))
-    gens = sorted(
-        tuple(rational_to_primitive(g) for g in c.generators) for c in cones
-    )
+    gens = sorted(c.generators for c in cones)
     assert gens == [(), ((-1,),), ((1,),)]
 
 

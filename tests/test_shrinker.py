@@ -211,6 +211,18 @@ def test_soliton_vector_needs_the_origin_inside(P):
         find_soliton_vector(P)
 
 
+@pytest.mark.parametrize("k, error, message", [
+    (300, NoConvergence, "Hessian of F is singular"),
+    (400, OverflowError, "too large for a float"),
+], ids=["1e-300", "1e-400"])
+def test_soliton_vector_far_out_is_a_numerical_error(k, error, message):
+    # on [-10^-k, 1], b_X is about 10^k: at k = 300 the Hessian underflows to
+    # [[0.0]], at k = 400 the closed-form start overflows a float; neither is
+    # a validation error
+    with pytest.raises(error, match=message):
+        find_soliton_vector(interval(Fraction(-1, 10**k), 1))
+
+
 # ---------------------------------------------------------------------------
 # residuals of model solutions
 
