@@ -2,16 +2,19 @@
 
 A labeled polyhedron is P = { x : <x, m_i n_i> + a_i >= 0 } with primitive
 integer normals n_i, positive integer labels m_i, and rational offsets a_i.
-Predicates and verdicts (vertices, ranks, nonempty interior, irredundant
-facets, nonempty faces) use exact integer arithmetic, with Fractions only
-for offsets and vertex coordinates, in any dimension. One enumeration over homogenised integer rows gives the
-lineality space, the vertices and the extreme recession rays: cached per
-polyhedron, it serves construction, validation, face verdicts, vertices and
-interior points. Every elimination is lattice.diagonalize on integer rows:
-each skeleton ray, and each vertex edge, is the one primitive kernel vector
-of its tight rows; face dimensions are ranks; structure groups are the
-divisibility chain of its pivots; the lineality space and the Delzant kernel
-are integer kernels.
+Predicates and verdicts (vertices, nonempty interior, irredundant facets,
+nonempty faces) use exact integer arithmetic, with Fractions only for
+offsets and vertex coordinates, in any dimension. One enumeration over
+homogenised integer rows gives the lineality space, the vertices with their
+active facets and the extreme recession rays with their parallel facets:
+cached per polyhedron, it serves construction, validation, face verdicts,
+vertices and interior points. Construction reads its verdicts off those
+incidence sets, since a facet is tight on a face exactly when it is in the
+set of every vertex and ray of the face. Every elimination is
+lattice.diagonalize on integer rows: each skeleton ray, and each vertex
+edge, is the one primitive kernel vector of its tight rows; structure groups
+are the divisibility chain of its pivots; the lineality space and the
+Delzant kernel are integer kernels.
 
 The module imports no numpy: only the float views (point_float, the numeric
 views of LabeledPolyhedron and the relative interior point) import it where
@@ -22,14 +25,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .lattice import (
-    diagonalize,
     integer_kernel,
     primitive_reduce,
     quotient_group,
@@ -76,7 +77,18 @@ class Facet:
     offset: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", tuple(int(x) for x in self.normal))
+        # int() would truncate 1.5 to 1, so each entry must equal its int
+        try:
+            normal, label = tuple(int(x) for x in self.normal), int(self.label)
+            integral = normal == tuple(self.normal) and label == self.label
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(
+                f"facet normal {self.normal!r} and label {self.label!r} must be integers"
+            )
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "offset", Fraction(self.offset))
         prim, mult = primitive_reduce(self.normal)
         if mult != 1:
@@ -286,17 +298,6 @@ def _face(P: LabeledPolyhedron, spec=()):
     )
 
 
-def _affine_dim(points, rays) -> int:
-    """Dimension of conv(points) + cone(rays); -1 when there are no points."""
-    if not points:
-        return -1
-    # the rank of the differences and the rays, each row cleared of its denominators
-    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]] + list(rays)
-    lcms = [math.lcm(*(x.denominator for x in row)) for row in rows]
-    return len(diagonalize([[x.numerator * (m // x.denominator) for x in row]
-                            for row, m in zip(rows, lcms)])[0])
-
-
 def _relative_interior_point(points, rays) -> np.ndarray:
     """Barycenter of the points plus the sum of the rays, exact until the return.
 
@@ -312,24 +313,33 @@ def _relative_interior_point(points, rays) -> np.ndarray:
 
 
 def _check_construction(P: LabeledPolyhedron) -> None:
-    """Raise unless P has nonempty interior and no redundant facet."""
+    """Raise unless P has nonempty interior and no redundant facet.
+
+    A facet is tight on a face exactly when it is active at every vertex and
+    parallel to every ray of the face, so every verdict reads the skeleton's
+    incidence sets: the interior is empty when some facet is tight on all of
+    P, and the face of facet i has dimension n - 1 when it has a vertex and
+    every facet tight on it bounds the same half-space as facet i.
+    """
     sk = _skeleton(P)
     if not sk.vertices:
         raise EmptyPolyhedron("inequality system is infeasible")
-    dim = P.dim - len(sk.lineality)
-    if _affine_dim(*_face(P)) < dim:
+    incidences = [set(active) for _, active in sk.vertices + sk.rays]
+    if set.intersection(*incidences):
         raise EmptyPolyhedron("inequality system has empty interior")
-    # an (n-1)-dimensional facet is still redundant when an earlier facet
-    # gives the same half-space
-    seen = set()
-    for i, f in enumerate(P.facets):
-        halfspace = (f.normal, f.offset / f.label)
-        if halfspace in seen or _affine_dim(*_face(P, (i,))) < dim - 1:
+    halfspaces = [(f.normal, f.offset / f.label) for f in P.facets]
+    for i, (f, halfspace) in enumerate(zip(P.facets, halfspaces)):
+        # redundant: an earlier facet gives the same half-space, or the face
+        # of facet i has no vertex, or a facet tight on that face bounds
+        # another half-space, so the face has dimension below n - 1
+        if (halfspace in halfspaces[:i]
+                or not any(i in active for _, active in sk.vertices)
+                or any(halfspaces[j] != halfspace
+                       for j in set.intersection(*(s for s in incidences if i in s)))):
             raise RedundantFacet(
                 f"facet {i} (normal {f.normal}) does not meet the "
                 "polyhedron in a facet; labels on it would be meaningless"
             )
-        seen.add(halfspace)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +382,6 @@ def validate(P: LabeledPolyhedron) -> ValidationReport:
     lineality = _skeleton(P).lineality
     line = lineality[0] if lineality else None
 
-    # normals are primitive lattice vectors by construction, and every edge
-    # generator solves an integer system, so rationality is structural here
-    rational = all(
-        isinstance(x, int) for f in P.facets for x in f.normal
-    )
-
     simple = True
     witness = None
     for point, active in _enumerate_vertices(P):
@@ -387,7 +391,8 @@ def validate(P: LabeledPolyhedron) -> ValidationReport:
             break
     return ValidationReport(
         proper=line is None,
-        rational=rational,
+        # Facet admits only integer normals, so rationality is structural
+        rational=True,
         simple=simple,
         improper_line=line,
         nonsimple_vertex=witness,
@@ -461,10 +466,11 @@ def _offset_from_json(v) -> Fraction:
         return Fraction(v)
     if isinstance(v, bool):
         raise ValueError("offset must be a number or 'p/q' string")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)
+    if isinstance(v, (int, float)):
+        try:
+            return Fraction(v)
+        except (OverflowError, ValueError):  # inf and nan
+            raise ValueError(f"offset {v!r} is not finite") from None
     raise ValueError(f"cannot parse offset {v!r}")
 
 
@@ -477,14 +483,13 @@ def _offset_to_json(a: Fraction):
 def polyhedron_from_dict(d: dict) -> LabeledPolyhedron:
     try:
         dim = int(d["dim"])
-        facets = tuple(
-            Facet(
-                normal=tuple(int(x) for x in f["normal"]),
-                label=int(f["label"]),
-                offset=_offset_from_json(f["offset"]),
-            )
-            for f in d["facets"]
-        )
+        facets = []
+        for f in d["facets"]:
+            normal, label = tuple(f["normal"]), f["label"]
+            if any(isinstance(x, bool) for x in normal + (label,)):
+                raise ValueError("facet normal and label must be integers, not booleans")
+            facets.append(Facet(normal=normal, label=label,
+                                offset=_offset_from_json(f["offset"])))
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed polyhedron payload: {e}") from e
     return LabeledPolyhedron(dim=dim, facets=facets)

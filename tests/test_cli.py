@@ -100,6 +100,41 @@ def test_empty_polyhedron_is_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: validation:")
 
 
+@pytest.mark.parametrize("facet", [
+    '{"normal": [1], "label": 2.7, "offset": 2}',
+    '{"normal": [1.5], "label": 1, "offset": 2}',
+    '{"normal": [1], "label": true, "offset": 2}',
+    '{"normal": [1], "label": 1, "offset": 1e400}',  # json reads inf
+])
+def test_non_integer_entries_and_non_finite_offsets_are_parse_errors(tmp_path, capsys,
+                                                                     facet):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 1, "facets": [%s, {"normal": [-1], "label": 1, "offset": 2}]}'
+                    % facet)
+    assert main(["validate", str(path), "--allow-general-offsets"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse: bad polyhedron file:") and err.count("\n") == 1
+
+
+# the box [-1, 2]^3, lower facets of label 2 and upper facets of label 1
+_BOX3 = [{"normal": [s * int(i == d) for i in range(3)], "label": m, "offset": 2}
+         for d in range(3) for s, m in ((1, 2), (-1, 1))]
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"normal": [1, 1, 0], "label": 1, "offset": 2},  # meets the box in an edge
+     "facet 6 (normal (1, 1, 0)) does not meet the polyhedron in a facet; "
+     "labels on it would be meaningless"),
+    ({"normal": [-1, 0, 0], "label": 2, "offset": -2},  # with x >= -1, only the face x = -1 is left
+     "inequality system has empty interior"),
+])
+def test_construction_verdicts_in_3d(tmp_path, capsys, extra, message):
+    path = tmp_path / "box3.json"
+    path.write_text(json.dumps({"dim": 3, "facets": _BOX3 + [extra]}))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: validation: {message}\n"
+
+
 def test_structure_groups_of_teardrop(teardrop_file, capsys, tmp_path):
     out_path = tmp_path / "groups.json"
     assert main(["structure-group", teardrop_file, "--out", str(out_path)]) == 0

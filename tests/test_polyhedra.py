@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import HalfspaceIntersection
 
 from test_lattice import rref, saturation_basis
-from toricshrink.lattice import primitive_reduce, quotient_group
+from toricshrink import lattice
+from toricshrink.lattice import diagonalize, primitive_reduce, quotient_group
 from toricshrink.polyhedra import (
     EmptyFace,
     EmptyPolyhedron,
@@ -27,6 +30,8 @@ from toricshrink.polyhedra import (
     normal_fan,
     polyhedron_from_dict,
     polyhedron_to_dict,
+    _face,
+    _skeleton,
     structure_group,
     validate,
     vertices,
@@ -159,6 +164,139 @@ def test_nonprimitive_normal_rejected():
 def test_label_must_be_positive():
     with pytest.raises(ValueError):
         Facet(normal=(1, 0), label=0, offset=Fraction(2))
+
+
+@pytest.mark.parametrize("normal, label", [((1.5, 0), 1), ((1, 0), 2.7), ((1, 0), "2"),
+                                           (("1", 0), 1), ((1, 0), None), ((1, 0), math.inf)])
+def test_facet_rejects_non_integer_entries(normal, label):
+    with pytest.raises(ValueError, match="must be integers"):
+        Facet(normal=normal, label=label, offset=Fraction(2))
+
+
+def test_facet_stores_integral_entries_as_int():
+    f = Facet(normal=[np.int64(1), 0.0], label=Fraction(2), offset=Fraction(2))
+    assert f.normal == (1, 0) and f.label == 2
+    assert all(type(x) is int for x in f.normal + (f.label,))
+
+
+def test_float_label_is_rejected_before_the_exact_layer():
+    # a float label in the exact layer would make [-20/27, 2] read as empty
+    with pytest.raises(ValueError, match="must be integers") as info:
+        from_halfspaces(1, [((1,), 2.7, 2), ((-1,), 1, 2)])
+    assert type(info.value) is ValueError
+
+
+def _unchecked(dim, rows):
+    """The polyhedron of rows without the construction checks."""
+    P = object.__new__(LabeledPolyhedron)
+    object.__setattr__(P, "dim", dim)
+    object.__setattr__(P, "facets", tuple(
+        Facet(normal=n, label=m, offset=Fraction(a)) for n, m, a in rows))
+    return P
+
+
+def _affine_dim(points, rays):
+    """Dimension of conv(points) + cone(rays); -1 when there are no points."""
+    if not points:
+        return -1
+    # the rank of the differences and the rays, each row cleared of its denominators
+    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]] + list(rays)
+    lcms = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    return len(diagonalize([[x.numerator * (m // x.denominator) for x in row]
+                            for row, m in zip(rows, lcms)])[0])
+
+
+def rank_verdict(dim, rows):
+    """The construction verdict from face dimensions, each a rank from
+    diagonalize: (type, message), or None."""
+    P = _unchecked(dim, rows)
+    sk = _skeleton(P)
+    if not sk.vertices:
+        return EmptyPolyhedron, "inequality system is infeasible"
+    full = dim - len(sk.lineality)
+    if _affine_dim(*_face(P)) < full:
+        return EmptyPolyhedron, "inequality system has empty interior"
+    seen = set()
+    for i, f in enumerate(P.facets):
+        halfspace = (f.normal, f.offset / f.label)
+        if halfspace in seen or _affine_dim(*_face(P, (i,))) < full - 1:
+            return RedundantFacet, (
+                f"facet {i} (normal {f.normal}) does not meet the "
+                "polyhedron in a facet; labels on it would be meaningless"
+            )
+        seen.add(halfspace)
+    return None
+
+
+def random_system(rng):
+    """(dim, rows, has lineality): random facets plus parallel copies of some."""
+    dim = rng.randint(1, 4)
+    # normals in the first k coordinates leave a lineality space when k < dim
+    k = rng.randint(1, dim - 1) if dim > 1 and rng.random() < 0.25 else dim
+
+    def normal():
+        while not any(v := [rng.randint(-2, 2) for _ in range(k)]):
+            pass
+        return primitive_reduce(v + [0] * (dim - k))[0]
+
+    rows = []
+    for _ in range(rng.randint(1, dim + 3)):
+        m = rng.randint(1, 3)
+        rows.append((normal(), m, m * Fraction(rng.randint(-2, 6), rng.randint(1, 2))))
+    sk = _skeleton(_unchecked(dim, rows))
+    n, m = normal(), rng.randint(1, 3)
+    if sk.vertices and all(sum(a * b for a, b in zip(r, n)) >= 0 for r, _ in sk.rays):
+        # a supporting hyperplane: it meets the vertices in a face of any dimension
+        low = min(sum(a * b for a, b in zip(p, n)) for p, _ in sk.vertices)
+        rows.append((n, m, -m * low))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        n, m, a = rng.choice(rows)
+        c = rng.randint(2, 3)
+        rows.append(rng.choice([
+            (n, m, a),  # exact repeat
+            (n, c * m, c * a),  # the same half-space under another label
+            (tuple(-x for x in n), m, -a),  # the opposite half-space, same hyperplane
+            (tuple(-x for x in n), c, c * Fraction(rng.randint(-2, 4)) - c * a / m),  # slab
+            (n, m, a + rng.choice([-1, 1]) * Fraction(1, c)),  # shifted parallel copy
+        ]))
+    rng.shuffle(rows)
+    return dim, rows, k < dim
+
+
+def test_construction_matches_the_rank_verdict():
+    rng = random.Random(30)
+    outcomes, with_lineality = {}, 0
+    for _ in range(400):
+        dim, rows, lineal = random_system(rng)
+        try:
+            from_halfspaces(dim, rows)
+            got = None
+        except (EmptyPolyhedron, RedundantFacet) as e:
+            got = type(e), str(e)
+        assert got == rank_verdict(dim, rows), (dim, rows)
+        verdict = got if got is None or got[0] is EmptyPolyhedron else RedundantFacet
+        outcomes[verdict] = outcomes.get(verdict, 0) + 1
+        with_lineality += lineal
+    # every verdict is exercised, and lineality often enough to count
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 20, outcomes
+    assert with_lineality >= 50
+
+
+def test_warm_construction_runs_no_elimination(monkeypatch):
+    P = pentagon()
+    original, calls = lattice.diagonalize, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "toricshrink" or name.startswith("toricshrink."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert pentagon() == P
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +754,21 @@ def test_json_parses_fraction_strings_and_ints():
     P = polyhedron_from_dict(d)
     assert P.facets[0].offset == 2
     assert P.is_shrinker_normalized()
+
+
+@pytest.mark.parametrize("facet", [
+    {"normal": [1], "label": 2.7, "offset": 2},
+    {"normal": [1.5], "label": 1, "offset": 2},
+    {"normal": [True], "label": 1, "offset": 2},
+    {"normal": [1], "label": True, "offset": 2},
+    {"normal": [1], "label": 1, "offset": 1e400},
+    {"normal": [1], "label": 1, "offset": -math.inf},
+    {"normal": [1], "label": 1, "offset": math.nan},
+])
+def test_json_rejects_non_integer_entries_and_non_finite_offsets(facet):
+    with pytest.raises(ValueError) as info:
+        polyhedron_from_dict({"dim": 1, "facets": [facet]})
+    assert type(info.value) is ValueError
 
 
 def test_json_rejects_garbage():
