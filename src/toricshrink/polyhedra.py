@@ -89,7 +89,11 @@ class Facet:
             )
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        try:
+            offset = Fraction(self.offset)
+        except (OverflowError, ValueError):  # inf, nan and strings that are no fraction
+            raise ValueError(f"facet offset {self.offset!r} must be a finite rational") from None
+        object.__setattr__(self, "offset", offset)
         prim, mult = primitive_reduce(self.normal)
         if mult != 1:
             raise ValueError(
@@ -461,17 +465,11 @@ def normal_fan(P: LabeledPolyhedron) -> list[Cone]:
 # ---------------------------------------------------------------------------
 # JSON interface
 
-def _offset_from_json(v) -> Fraction:
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, bool):
-        raise ValueError("offset must be a number or 'p/q' string")
-    if isinstance(v, (int, float)):
-        try:
-            return Fraction(v)
-        except (OverflowError, ValueError):  # inf and nan
-            raise ValueError(f"offset {v!r} is not finite") from None
-    raise ValueError(f"cannot parse offset {v!r}")
+def _offset_from_json(v):
+    # Facet converts the offset and rejects what is not finite
+    if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        raise ValueError(f"offset {v!r} must be a number or 'p/q' string")
+    return v
 
 
 def _offset_to_json(a: Fraction):
@@ -482,7 +480,9 @@ def _offset_to_json(a: Fraction):
 
 def polyhedron_from_dict(d: dict) -> LabeledPolyhedron:
     try:
-        dim = int(d["dim"])
+        dim = int(d["dim"])  # int() would truncate 1.9 to 1
+        if isinstance(d["dim"], bool) or dim != d["dim"]:
+            raise ValueError(f"dim {d['dim']!r} must be an integer")
         facets = []
         for f in d["facets"]:
             normal, label = tuple(f["normal"]), f["label"]
@@ -490,7 +490,7 @@ def polyhedron_from_dict(d: dict) -> LabeledPolyhedron:
                 raise ValueError("facet normal and label must be integers, not booleans")
             facets.append(Facet(normal=normal, label=label,
                                 offset=_offset_from_json(f["offset"])))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed polyhedron payload: {e}") from e
     return LabeledPolyhedron(dim=dim, facets=facets)
 
@@ -527,7 +527,7 @@ def from_halfspaces(dim, rows) -> LabeledPolyhedron:
     """Build from (normal, label, offset) triples."""
     return LabeledPolyhedron(
         dim=dim,
-        facets=tuple(Facet(normal=n, label=m, offset=Fraction(a)) for n, m, a in rows),
+        facets=tuple(Facet(normal=n, label=m, offset=a) for n, m, a in rows),
     )
 
 

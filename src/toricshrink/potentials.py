@@ -177,14 +177,14 @@ class GridCorrection:
             stack = self._coef[None, :, None] if self.dim == 1 else self._coef[None]
         if self.dim == 1:
             return (V[0] @ stack)[..., 0], single
-        # one matrix product per stacked array, then a row-wise dot in place,
-        # so no (count, m, degree) product is ever held at once
-        rows = np.empty((count, len(X)))
-        for k, c in enumerate(stack):
-            prod = V[0] @ c
-            prod *= V[1]
-            rows[k] = np.sum(prod, axis=-1)
-        return rows, single
+        # the count arrays side by side as (kx, count ky): one matrix product,
+        # whose (m, count ky) result is the one temporary, then a row-wise dot
+        # with V[1] per array. einsum sums each row alike for every count, so
+        # the rows of a shorter prefix are the same bits (a batched matmul
+        # rounds one array differently from six)
+        kx, ky = self._coef.shape
+        prod = V[0] @ stack.transpose(1, 0, 2).reshape(kx, count * ky)
+        return np.einsum("mkb,mb->km", prod.reshape(len(X), count, ky), V[1]), single
 
     def moments(self, X, W):
         """M with sum_i W_i s(X_i) = <coefficients of s, M> for every s on this grid.

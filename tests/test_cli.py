@@ -116,6 +116,17 @@ def test_non_integer_entries_and_non_finite_offsets_are_parse_errors(tmp_path, c
     assert err.startswith("error: parse: bad polyhedron file:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dim", ["1.9", "true", "1e400"])
+def test_a_non_integer_dim_is_a_parse_error(tmp_path, capsys, dim):
+    # int() would read 1.9 and true as 1, a valid interval
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": %s, "facets": [{"normal": [1], "label": 1, "offset": 2}, '
+                    '{"normal": [-1], "label": 1, "offset": 2}]}' % dim)
+    assert main(["validate", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse: bad polyhedron file:") and err.count("\n") == 1
+
+
 # the box [-1, 2]^3, lower facets of label 2 and upper facets of label 1
 _BOX3 = [{"normal": [s * int(i == d) for i in range(3)], "label": m, "offset": 2}
          for d in range(3) for s, m in ((1, 2), (-1, 1))]

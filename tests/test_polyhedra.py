@@ -173,6 +173,13 @@ def test_facet_rejects_non_integer_entries(normal, label):
         Facet(normal=normal, label=label, offset=Fraction(2))
 
 
+@pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
+def test_non_finite_offsets_are_value_errors(offset):
+    with pytest.raises(ValueError, match="must be a finite rational") as info:
+        from_halfspaces(1, [((1,), 1, offset), ((-1,), 1, 2)])
+    assert type(info.value) is ValueError
+
+
 def test_facet_stores_integral_entries_as_int():
     f = Facet(normal=[np.int64(1), 0.0], label=Fraction(2), offset=Fraction(2))
     assert f.normal == (1, 0) and f.label == 2

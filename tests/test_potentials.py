@@ -167,6 +167,25 @@ def test_grid_correction_matches_chebval_reference(dim, count, monkeypatch):
     assert np.array_equal(H_jet, H)
 
 
+def test_partials_at_the_affine_geodesic_size():
+    # 12 x 12 coefficients at 2,500 points: the prefixes of the stack come
+    # from one product each and agree bit for bit, and match one product
+    # per stacked array
+    rng = np.random.default_rng(12)
+    domain = [(-2.0, 2.0 / 3.0), (-1.0, 2.0)]
+    g = GridCorrection([lobatto_nodes(lo, hi, 12) for lo, hi in domain],
+                       rng.normal(size=(12, 12)))
+    lo, hi = np.array(domain).T
+    X = rng.uniform(lo, hi, size=(2500, 2))
+    V = g.vander(X)
+    rows = {count: g._partials(X, count, V)[0] for count in (1, 3, 6)}
+    assert rows[6].shape == (6, 2500)
+    assert np.array_equal(rows[6][:3], rows[3]) and np.array_equal(rows[3][:1], rows[1])
+    for c, r in zip(g._stack, rows[6]):
+        ref = np.sum((V[0] @ c) * V[1], axis=-1)
+        assert np.max(np.abs(r - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_grid_correction_json_roundtrip():
     g = GridCorrection.from_function(lambda x: math.sin(x[0]), [(-2.0, 2.0)], [12])
     d = g.to_dict()
