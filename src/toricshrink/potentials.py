@@ -81,12 +81,13 @@ class CanonicalPotential:
 # Chebyshev grids
 
 def lobatto_nodes(lo: float, hi: float, count: int) -> np.ndarray:
-    """Chebyshev-Lobatto points mapped to [lo, hi], ascending, endpoints included."""
+    """Chebyshev-Lobatto points mapped to [lo, hi], ascending, endpoints
+    included; clipped to [lo, hi], which lo + (hi - lo) can round past."""
     if count < 2:
         raise ValueError("need at least two nodes")
     k = np.arange(count)
     t = -np.cos(np.pi * k / (count - 1))
-    return lo + (hi - lo) * (t + 1.0) / 2.0
+    return np.clip(lo + (hi - lo) * (t + 1.0) / 2.0, lo, hi)
 
 
 class GridCorrection:

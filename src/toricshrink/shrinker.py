@@ -276,7 +276,11 @@ def _solve_domain(P: LabeledPolyhedron, b, truncation):
 
 def _tensor(arrays) -> np.ndarray:
     """Rows (a_0[i], a_1[j], ...) over the grid of per-axis arrays, C order."""
-    return np.column_stack([g.ravel() for g in np.meshgrid(*arrays, indexing="ij")])
+    k = len(arrays)
+    out = np.empty(tuple(len(a) for a in arrays) + (k,))
+    for d, a in enumerate(arrays):
+        out[..., d] = a.reshape((-1,) + (1,) * (k - 1 - d))
+    return out.reshape(-1, k)
 
 
 # 1/(k+2)! for k = 16..0: Horner's order for the Taylor series of phi_2
@@ -290,7 +294,11 @@ def _phi2(z):
     below 1/19!), so nothing cancels near 0."""
     small = np.abs(z) < 1.0
     zb = np.where(small, 1.0, z)
-    return np.where(small, np.polyval(_PHI2_TAYLOR, z), (np.expm1(zb) - zb) / zb**2)
+    taylor = np.full_like(z, _PHI2_TAYLOR[0])
+    for t in _PHI2_TAYLOR[1:]:
+        taylor *= z
+        taylor += t
+    return np.where(small, taylor, (np.expm1(zb) - zb) / zb**2)
 
 
 def _defect(f: Facet, b: float) -> float:
@@ -298,50 +306,106 @@ def _defect(f: Facet, b: float) -> float:
     return float((f.label - f.offset * f.normal[0] * b) / f.label)
 
 
-def _axis_second_derivative(F: LabeledPolyhedron, b: float, x):
-    """s'' = 1/W - u_P'' at the points x of the bounded 1D factor F.
+def _axis_second_derivative(F: LabeledPolyhedron, b: float):
+    """s'' = 1/W - u_P'' as a function of the points x of the bounded 1D factor F.
 
     The momentum profile W = 1/u'' solves W' = bW - x (Abreu, Int. J.
     Math. 9, 1998). Seen from a facet at distance h = L/m with offset 2, it
     is W = 2h/m - kappa h^2 phi_2(n b h), and 1/W minus the facet's own
     u_P'' = m/(2h) is kappa m h phi_2(n b h)/(2W), smooth up to the facet.
-    W is taken from the nearer facet, less the other facet's u_P''.
+    W is taken from the nearer facet, less the other facet's u_P''. Each
+    facet's kappa and 2/m are computed once, here.
     """
-    h = [f.normal[0] * x + 2.0 / f.label for f in F.facets]
-    near = []
-    for f, hk, ho, fo in zip(F.facets, h, h[::-1], F.facets[::-1]):
-        m, kappa, p = f.label, _defect(f, b), _phi2(f.normal[0] * b * hk)
-        W = 2.0 * hk / m - kappa * hk * hk * p
-        near.append(kappa * m * hk * p / (2.0 * W) - fo.label / (2.0 * ho))
-    return np.where(h[0] <= h[1], near[0], near[1])
+    facets = F.facets
+    two_m = [2.0 / f.label for f in facets]
+    kappas = [_defect(f, b) for f in facets]
+
+    def profile(x):
+        h = [f.normal[0] * x + t for f, t in zip(facets, two_m)]
+        near = []
+        for f, kappa, hk, ho, fo in zip(facets, kappas, h, h[::-1], facets[::-1]):
+            m, p = f.label, _phi2(f.normal[0] * b * hk)
+            W = 2.0 * hk / m - kappa * hk * hk * p
+            near.append(kappa * m * hk * p / (2.0 * W) - fo.label / (2.0 * ho))
+        return np.where(h[0] <= h[1], near[0], near[1])
+
+    return profile
+
+
+@lru_cache(maxsize=5)
+def _first_kind(n: int):
+    """The n Chebyshev points of the first kind on [-1, 1] and the transposed
+    Vandermonde that takes samples there to coefficients, both read-only."""
+    t = C.chebpts1(n)
+    vander_t = C.chebvander(t, n - 1).T
+    t.setflags(write=False)
+    vander_t.setflags(write=False)
+    return t, vander_t
+
+
+def _integral(c, lbnd: float) -> np.ndarray:
+    """The Chebyshev series of the integral of c from lbnd: chebint's
+    recurrence in one pass, with its operations in its order."""
+    n = len(c)
+    a = np.empty(n + 1)
+    a[0] = c[0] * 0
+    a[1] = c[0]
+    a[2:] = c[1:] / (2 * np.arange(2, n + 1))
+    a[1:n - 1] -= c[2:] / (2 * np.arange(1, n - 1))
+    a[0] += 0 - C.chebval(lbnd, a)  # chebint's k - chebval with k = 0, signed zeros too
+    return a
+
+
+def _axis_series(F: LabeledPolyhedron, b: float, lo: float, hi: float) -> np.ndarray:
+    """The Chebyshev coefficients of (s, s', s'') on [lo, hi] as the columns
+    of one (K + 2, 3) stack, with s(0) = s'(0) = 0, for the bounded 1D factor F.
+
+    s'' is sampled at n = 16, 32, ... 256 Chebyshev points of the first
+    kind until the last quarter of its coefficients is noise, chopped after
+    the last coefficient above it (Aurentz & Trefethen, ACM TOMS 43(4),
+    2017, in a plain form), and integrated twice from the origin. The
+    points and the transposed Vandermonde are held per n (_first_kind), so
+    a round is one product and numpy's own scaling. A sample that is not
+    finite, as where phi_2 overflows, raises NoConvergence: its
+    coefficients would be NaN, which no chop level exceeds.
+    """
+    profile = _axis_second_derivative(F, b)
+    level = _CHOP * sum(f.label**2 / 4.0 for f in F.facets)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for n in (16, 32, 64, 128, 256):
+        t, vander_t = _first_kind(n)
+        samples = profile(mid + half * t)
+        if not np.all(np.isfinite(samples)):
+            raise NoConvergence(f"the s'' profile of the factor on [{lo:.6g}, {hi:.6g}] "
+                                f"is not finite at b = {b:.6g}, as where phi_2(n b h) "
+                                "overflows (|b| h past about 709): no series is formed")
+        c2 = np.dot(vander_t, samples)
+        c2[0] /= n
+        c2[1:] /= n / 2
+        big = np.flatnonzero(np.abs(c2) > level)
+        if big.size == 0 or big[-1] < n - n // 4:
+            break
+    c2 = c2[: big[-1] + 1] if big.size else np.zeros(1)
+    stack = np.zeros((len(c2) + 2, 3))
+    stack[:-2, 2] = c2
+    stack[:-1, 1] = half * _integral(c2, -mid / half)
+    stack[:, 0] = half * _integral(stack[:-1, 1], -mid / half)
+    return stack
 
 
 def _solve_axis(F: LabeledPolyhedron, b: float, lo: float, hi: float, x):
     """(s, s', s'') at the points x of a 1D factor, with s(0) = s'(0) = 0.
 
-    On a bounded factor, s'' is sampled at n = 16, 32, ... 256 Chebyshev
-    points of the first kind until the last quarter of its coefficients is
-    noise, chopped after the last coefficient above it (Aurentz &
-    Trefethen, ACM TOMS 43(4), 2017, in a plain form), and integrated twice
-    from the origin. An unbounded factor takes the profile that does not
-    grow, W = (kappa + n b h)/b^2. Its term -m kappa (1 + n b h)/(2h (kappa
-    + n b h)) tends to -m/(2h) at the facet unless kappa = 0, so s = 0 is
-    the one admissible correction, and solve holds |kappa| to its bound.
+    A bounded factor takes its series from _axis_series. An unbounded
+    factor takes the profile that does not grow, W = (kappa + n b h)/b^2.
+    Its term -m kappa (1 + n b h)/(2h (kappa + n b h)) tends to -m/(2h) at
+    the facet unless kappa = 0, so s = 0 is the one admissible correction,
+    and solve holds |kappa| to its bound.
     """
     if len(F.facets) == 1:
         return np.zeros((3, len(x)))
-    level = _CHOP * sum(f.label**2 / 4.0 for f in F.facets)
+    stack = _axis_series(F, b, lo, hi)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    for n in (16, 32, 64, 128, 256):
-        c2 = C.chebinterpolate(lambda t: _axis_second_derivative(F, b, mid + half * t),
-                               n - 1)
-        big = np.flatnonzero(np.abs(c2) > level)
-        if big.size == 0 or big[-1] < n - n // 4:
-            break
-    c2 = c2[: big[-1] + 1] if big.size else np.zeros(1)
-    c1 = half * C.chebint(c2, lbnd=-mid / half)
-    c0 = half * C.chebint(c1, lbnd=-mid / half)
-    stack = np.column_stack([np.pad(c, (0, len(c2) + 2 - len(c))) for c in (c0, c1, c2)])
     return (C.chebvander((x - mid) / half, len(stack) - 1) @ stack).T
 
 
@@ -370,6 +434,8 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
     if grid is None:
         grid = 48 if n == 1 else 24
     grid = (grid,) * n if isinstance(grid, int) else tuple(grid)
+    if len(grid) != n:
+        raise ValueError(f"a per-axis grid needs {n} entries, one per axis, not {len(grid)}")
     domain, cuts, factors = _solve_domain(P, b, truncation)
     if not P.is_shrinker_normalized():
         raise ValueError("the closed-form solver needs shrinker-normalized offsets")

@@ -12,11 +12,14 @@ from scipy.optimize import brentq
 from toricshrink.cli import main
 from toricshrink.polyhedra import box, from_halfspaces, half_line, interval, \
     save_polyhedron
-from toricshrink.potentials import CorrectedPotential, GridCorrection, NoConvergence
+from toricshrink.potentials import CorrectedPotential, GridCorrection, NoConvergence, \
+    lobatto_nodes
 from toricshrink.quadrature import DivergentWeight
 from toricshrink.shrinker import (
     NotAProduct,
+    _PHI2_TAYLOR,
     _axis_second_derivative,
+    _axis_series,
     _defect,
     _product_factors,
     find_soliton_vector,
@@ -503,7 +506,7 @@ def test_second_derivative_does_not_cancel_at_the_facets():
     with mpmath.workdps(30):
         b, spp, _ = mp_axis_solution(-2, 1, mpmath.mpf(2) / 3, 3)
         ref = np.array([float(spp(mpmath.mpf(float(t)))) for t in x])
-    got = _axis_second_derivative(TEARDROP, float(b), x)
+    got = _axis_second_derivative(TEARDROP, float(b))(x)
     assert np.max(np.abs(got - ref)) <= 1e-13
 
 
@@ -551,11 +554,101 @@ def test_teardrop_verdicts_near_the_soliton_vector():
 
 @pytest.mark.parametrize("b", [5.0, 800.0, -800.0])
 def test_interval_far_from_its_soliton_vector_does_not_converge(b):
-    # far from b_X the nearer-facet profiles turn nonconvex (b = 5) or
-    # overflow (|b| = 800); both read as a missed soliton vector, without
-    # a numpy warning
-    with pytest.raises(NoConvergence, match="soliton vector"):
+    # far from b_X the nearer-facet profiles turn nonconvex (b = 5), which
+    # reads as a missed soliton vector, or overflow (|b| = 800), which the
+    # series refuses to sample; neither gives a numpy warning
+    match = "soliton vector" if b == 5.0 else "profile of the factor on .* is not finite"
+    with pytest.raises(NoConvergence, match=match):
         solve(interval(-2, 2), b=[b])
+
+
+def test_an_overflowing_profile_is_not_blamed_on_b():
+    # b_X = -1500 exactly; phi_2(n b h) overflows on the far side of the
+    # midpoint, where |b| h passes about 709, and its NaN coefficients
+    # would chop to a zero series and a residual deviation of 6
+    P = from_halfspaces(1, [((1,), 1, 2), ((-1,), 3000, 2)])
+    b = find_soliton_vector(P)
+    assert b.b == (-1500.0,) and b.achieved <= 1e-12
+    with pytest.raises(NoConvergence, match=r"factor on \[-2, 0.000666667\] is not finite"):
+        solve(P, b=b.b)
+
+
+def test_the_last_grid_node_stays_in_the_factor():
+    # lo + (hi - lo) rounds past hi on [-2, 2e-5], where the residual was
+    # asked for outside P (ValueError); with the nodes clipped to [lo, hi],
+    # solve reports the profile's overflow
+    P = interval(-2, "1/50000", 1, 100000)
+    assert lobatto_nodes(-2.0, 2e-5, 64)[-1] == 2e-5
+    with pytest.raises(NoConvergence, match="not finite"):
+        solve(P, b=find_soliton_vector(P).b, grid=64)
+
+
+@pytest.mark.parametrize("grid", [(12,), (12, 13, 14)])
+def test_a_per_axis_grid_has_one_entry_per_axis(grid):
+    rect = box([(-2, "2/3"), (-1, 2)], labels=[1, 3, 2, 1])
+    with pytest.raises(ValueError, match=f"needs 2 entries, one per axis, not {len(grid)}"):
+        solve(rect, grid=grid)
+
+
+def reference_axis_series(F, b, lo, hi):
+    """The factor series as numpy's chebinterpolate, chebint and pad form
+    it, with phi_2's Taylor series through np.polyval: the reference that
+    _axis_series reproduces bit for bit."""
+    def phi2(z):
+        small = np.abs(z) < 1.0
+        zb = np.where(small, 1.0, z)
+        return np.where(small, np.polyval(_PHI2_TAYLOR, z), (np.expm1(zb) - zb) / zb**2)
+
+    def profile(x):
+        h = [f.normal[0] * x + 2.0 / f.label for f in F.facets]
+        near = []
+        for f, hk, ho, fo in zip(F.facets, h, h[::-1], F.facets[::-1]):
+            m, kappa, p = f.label, _defect(f, b), phi2(f.normal[0] * b * hk)
+            W = 2.0 * hk / m - kappa * hk * hk * p
+            near.append(kappa * m * hk * p / (2.0 * W) - fo.label / (2.0 * ho))
+        return np.where(h[0] <= h[1], near[0], near[1])
+
+    level = 2.0**-50 * sum(f.label**2 / 4.0 for f in F.facets)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for n in (16, 32, 64, 128, 256):
+        c2 = C.chebinterpolate(lambda t: profile(mid + half * t), n - 1)
+        big = np.flatnonzero(np.abs(c2) > level)
+        if big.size == 0 or big[-1] < n - n // 4:
+            break
+    c2 = c2[: big[-1] + 1] if big.size else np.zeros(1)
+    c1 = half * C.chebint(c2, lbnd=-mid / half)
+    c0 = half * C.chebint(c1, lbnd=-mid / half)
+    return np.column_stack([np.pad(c, (0, len(c2) + 2 - len(c))) for c in (c0, c1, c2)])
+
+
+def mirrored(P):
+    return from_halfspaces(1, [((-f.normal[0],), f.label, f.offset) for f in P.facets])
+
+
+# the bounded factors of the benchmark's rectangle, half-strip and teardrop;
+# labels (1, 3), (1, 30) and (1, 300), whose series take 32, 256 and 256 samples
+SERIES_FACTORS = [interval(-2, "2/3", 1, 3), interval(-1, 2, 2, 1), interval(-2, 1, 1, 2),
+                  interval(-2, "1/15", 1, 30), interval(-2, "1/150", 1, 300)]
+
+
+@pytest.mark.parametrize("F", SERIES_FACTORS + [mirrored(F) for F in SERIES_FACTORS])
+def test_axis_series_is_bitwise_the_numpy_series(F):
+    b = find_soliton_vector(F).b[0]
+    lo, hi = sorted(float(-f.normal[0] * f.offset / f.label) for f in F.facets)
+    ref = reference_axis_series(F, b, lo, hi)
+    got = _axis_series(F, b, lo, hi)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_axis_series_is_bitwise_the_numpy_series_off_center():
+    # [-2, 2 + 1e-9] puts the origin 5e-10 off the midpoint, so both
+    # integrals take their constants from a lower bound other than 0; at
+    # b = 0, u_P solves the equation and s'' chops to the zero series
+    F = interval(-2, 2)
+    for b in (0.0, 0.2, -0.3):
+        ref = reference_axis_series(F, b, -2.0, 2.0 + 1e-9)
+        got = _axis_series(F, b, -2.0, 2.0 + 1e-9)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("b", [0.4, 0.6, 1.0])
