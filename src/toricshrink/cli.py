@@ -482,8 +482,8 @@ def _build_parser():
         p.set_defaults(func=func)
         return p
 
-    soliton_tol = (1e-10, "gradient norm of F at which the soliton vector "
-                          "search stops, when --b is not given")
+    soliton_tol = (1e-10, "Newton decrement of log F at which the soliton "
+                          "vector search stops, when --b is not given")
 
     add("validate", cmd_validate, help="properness, rationality, simplicity")
     add("vertices", cmd_vertices, help="exact vertices with active facets")
@@ -493,7 +493,7 @@ def _build_parser():
     add("fan", cmd_fan, help="normal fan cones")
 
     add("soliton-vector", cmd_soliton_vector,
-        tol=(1e-10, "gradient norm of F at which Newton's method stops"),
+        tol=(1e-10, "Newton decrement of log F at which Newton's method stops"),
         help="minimize the weighted volume functional")
 
     p = add("residual", cmd_residual, tol=soliton_tol,

@@ -8,8 +8,9 @@ symplectic potential u = u_P + s solves the soliton equation when
 is constant. R is evaluated in a boundary-stable form: the labeled-facet
 factors of det Hess u are cancelled algebraically against the canonical
 potential's own divergence, leaving quantities smooth up to the boundary.
-On a product P, b_X and the equation split over the 1D factors: each has
-a closed-form root and momentum profile W = 1/u'', so neither iterates.
+Newton finds b_X with a stop on log F's Newton decrement, which has no
+scale. On a product P, b_X and the equation split over the 1D factors: each
+has a closed-form root and momentum profile W = 1/u'', so neither iterates.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .potentials import (
     _density_form,
     lobatto_nodes,
 )
-from .quadrature import DivergentWeight, _weight_skeleton, plan as build_plan
+from .quadrature import _geometry, _weight_skeleton, plan as build_plan
 
 
 class NotAProduct(ValueError):
@@ -58,8 +59,9 @@ class SolitonVector:
     """The minimiser b of F with F(b), |grad F(b)| and the Newton steps taken
     (0 on an axis-aligned product, whose closed-form root Newton only checks).
 
-    achieved is |H^{-1} grad F| at b, the Newton step that b did not take:
-    an estimate of |b - b_X|, not a bound.
+    achieved is log F's Newton decrement lam at b. For lam < 1, |b - b_X| <= lam/(1 - lam)
+    in the norm of Hess log F at b (Nesterov 2004, 4.1) in exact arithmetic; the
+    computed lam carries the rounding of F's moments.
     """
 
     b: tuple[float, ...]
@@ -70,10 +72,12 @@ class SolitonVector:
 
 
 def _initial_weight(P: LabeledPolyhedron) -> np.ndarray:
-    # the sum of unit facet normals pairs strictly positively with every
-    # nonzero recession direction, so F is finite there
+    # the sum w of unit facet normals pairs strictly positively with every nonzero
+    # recession direction; over rho = max -<w, v> at P's vertices v (> 0, the origin
+    # being interior), the weight is at most e at every vertex, whatever P's scale
     W = np.array([f.normal for f in P.facets], dtype=float)
-    return np.sum(W / np.linalg.norm(W, axis=1, keepdims=True), axis=0)
+    w = np.sum(W / np.linalg.norm(W, axis=1, keepdims=True), axis=0)
+    return w / np.max(-(_geometry(P).verts @ w))
 
 
 # (sinh(z)/z - 1)/z^2 and (z cosh z - sinh z)/z^3 in z^2, positive terms in Horner's order
@@ -111,9 +115,12 @@ def _factor_root(lo: Fraction | None, hi: Fraction | None) -> float:
 
 
 def find_soliton_vector(P: LabeledPolyhedron, tol: float = 1e-12) -> SolitonVector:
-    """Damped Newton minimization of the strictly convex F, at most 200 steps, from the
-    factors' roots on an axis-aligned product (_factor_root), else from 0 or _initial_weight.
-    With an offset <= 0 the origin is not interior and F has no critical point: ValueError."""
+    """Newton on the strictly convex F, at most 200 steps, from the factors' roots on an
+    axis-aligned product (_factor_root), else from 0 or _initial_weight. By Sherman-Morrison
+    the step -H^{-1} g is log F's Newton step over 1 + lam^2, lam its decrement; log F is
+    standard self-concordant (Bubeck & Eldan, COLT 2015), so the step has local length <= 1/2
+    and lowers log F by >= delta^2, delta = -<g, step>/F = lam^2/(1 + lam^2): no line search.
+    Stops at lam <= tol, which has no scale, as achieved. An offset <= 0: ValueError."""
     if any(f.offset <= 0 for f in P.facets):
         raise ValueError("the origin is not interior to P: F has no minimiser")
     if (factors := _product_factors(P)) and None not in factors:
@@ -123,30 +130,20 @@ def find_soliton_vector(P: LabeledPolyhedron, tol: float = 1e-12) -> SolitonVect
     else:
         b = _initial_weight(P)
     F, g, H = grad_hess_F(P, b)
-    for it in range(1, 201):
+    for it in range(200):
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError as err:  # H underflows far out, as on [-1e-300, 1]
             raise NoConvergence(f"the Hessian of F is singular at b = {b}: neither the "
                                 "Newton step nor its decrement can be formed") from err
-        if np.linalg.norm(g) <= tol * max(1.0, abs(F)):
+        delta = max(0.0, -float(g @ step) / float(F))  # -0.0 at an exact root
+        lam = math.sqrt(delta / (1.0 - delta)) if delta < 1.0 else math.inf
+        if lam <= tol:
             return SolitonVector(b=tuple(map(float, b)), F_value=F,
-                                 gradient_norm=float(np.linalg.norm(g)), iterations=it - 1,
-                                 achieved=float(np.linalg.norm(step)))
-        lam = 1.0
-        while lam > 1e-16:
-            try:
-                Fn, gn, Hn = grad_hess_F(P, b + lam * step)
-            except DivergentWeight:
-                lam *= 0.5
-                continue
-            if Fn < F or np.linalg.norm(gn) < 0.5 * np.linalg.norm(g):
-                b = b + lam * step
-                F, g, H = Fn, gn, Hn
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence("line search failed while minimizing F")
+                                 gradient_norm=float(np.linalg.norm(g)), iterations=it,
+                                 achieved=lam)
+        b = b + step
+        F, g, H = grad_hess_F(P, b)
     raise NoConvergence("soliton vector did not converge in 200 steps")
 
 

@@ -523,7 +523,7 @@ SOLITON_FAMILY = (
     ("pentagon", (2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, 0), 1, 2), ((0, -1), 1, 2),
                       ((-1, -1), 1, 2)]), 4),
     ("quadrant", (2, [((1, 0), 1, 2), ((0, 1), 1, 2)]), 6),
-    ("half_strip", (2, [((1, 0), 1, 2), ((-1, 0), 2, 2), ((0, 1), 3, 2)]), 6),
+    ("half_strip", (2, [((1, 0), 1, 2), ((-1, 0), 2, 2), ((0, 1), 3, 2)]), 5),
     ("hexagon", (2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, 0), 1, 2), ((0, -1), 1, 2),
                      ((1, 1), 1, 2), ((-1, -1), 1, 2)]), 0),
     ("triangle", (2, [((1, 0), 1, 2), ((0, 1), 2, 2), ((-2, -3), 1, 2)]), 5),
@@ -717,6 +717,44 @@ def test_soliton_vector_is_pinned_and_reports_its_step(name, spec, iterations):
     if name not in PRODUCTS:
         assert sol.b == SOLITON_VECTORS[name]
     assert sol.achieved <= 1e-10
+
+
+def _log_F_second(P, b, h):
+    # D^2 log F[h, h] at b: the variance of <h, x> under the law ~ e^{-<b,x>} on P
+    F, g, H = shrinker.grad_hess_F(P, b)
+    return float(h @ H @ h) / F - (float(g @ h) / F) ** 2
+
+
+@pytest.mark.parametrize("name, P", [(name, from_halfspaces(*spec))
+                                     for name, spec, _ in SOLITON_FAMILY] + [
+    ("wedge", from_halfspaces(2, [((1, 0), 1, 2), ((1, 1), 1, 2)])),
+    ("quadrant_cut_twice",
+     from_halfspaces(2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((2, 1), 1, 5), ((1, 2), 1, 5)])),
+    ("half_line", half_line(-2)),
+], ids=[name for name, _, _ in SOLITON_FAMILY] + ["wedge", "quadrant_cut_twice", "half_line"])
+def test_log_F_is_standard_self_concordant(name, P):
+    # log F is the cumulant generating function of the log-concave law
+    # ~ e^{-<b,x>} on P, whose third central moment along any h is at most
+    # 2 sigma^3 (Bubeck & Eldan, "The entropic barrier", COLT 2015):
+    # |D^3 log F[h, h, h]| <= 2 (D^2 log F[h, h])^{3/2}, which makes
+    # find_soliton_vector's Newton step safe without a line search. D^3 is a
+    # central difference of D^2 along h with a step of 1e-4 sigma, whose
+    # truncation error is about 1e-8 relative. The exponential law on the
+    # half-line attains the bound
+    rng = np.random.default_rng(33)
+    b_X = np.array(find_soliton_vector(P).b)
+    ratios = []
+    for b in (b_X, b_X + rng.uniform(-0.1, 0.1, P.dim)):
+        for _ in range(3):
+            h = rng.normal(size=P.dim)
+            h /= np.linalg.norm(h)
+            d2 = _log_F_second(P, b, h)
+            eps = 1e-4 / math.sqrt(d2)
+            d3 = (_log_F_second(P, b + eps * h, h) - _log_F_second(P, b - eps * h, h)) / (2 * eps)
+            ratios.append(abs(d3) / d2**1.5)
+    assert max(ratios) <= 2.0 * (1 + 1e-5)
+    if name == "half_line":
+        assert min(ratios) >= 2.0 * (1 - 1e-5)
 
 
 def test_plans_of_one_polyhedron_share_its_geometry():

@@ -190,16 +190,37 @@ def test_half_line_factors_are_exact():
 
 def test_non_products_take_the_general_start():
     # unbounded and not a product, the wedge starts at _initial_weight and
-    # the quadrant cut twice too; the strip's y axis has no facet
+    # the quadrant cut twice too; the strip's y axis has no facet. The
+    # wedge's b_X is (1, 1/2) exactly: x + 2 and x + y + 2 are independent
+    # exponential laws of mean 2 there. The cut quadrant's is t(1, 1), t the
+    # root of its barycentre's x component, 0.53269454916434524499871... by
+    # mpmath at 60 digits
     wedge = from_halfspaces(2, [((1, 0), 1, 2), ((1, 1), 1, 2)])
     cut = from_halfspaces(2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((2, 1), 1, 5), ((1, 2), 1, 5)])
-    for P, b, steps in ((wedge, (0.9999999999999971, 0.4999999999999971), 5),
-                        (cut, (0.5326945491643453, 0.5326945491643453), 8)):
+    for P, b, steps in ((wedge, (1.0, 0.5), 7),
+                        (cut, (0.5326945491643452, 0.5326945491643452), 6)):
         sol = find_soliton_vector(P)
         assert (sol.b, sol.iterations) == (b, steps)
     strip = from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 1, 2)])
     with pytest.raises(DivergentWeight, match=r"contains the line \(0, 1\)"):
         find_soliton_vector(strip)
+
+
+@pytest.mark.parametrize("make", [
+    lambda k: from_halfspaces(2, [((1, 0), 1, 2 * k), ((0, 1), 1, k), ((-2, -3), 1, k)]),
+    lambda k: from_halfspaces(2, [((1, 0), 1, 2 * k), ((0, 1), 2, 2 * k), ((-2, -3), 1, 2 * k)]),
+    lambda k: from_halfspaces(2, [((1, 0), 1, 2 * k), ((1, 1), 1, 2 * k)]),
+], ids=["small_triangle", "triangle", "wedge"])
+def test_soliton_vector_is_scale_free(make):
+    # b_X of kP is b_X(P)/k. Newton's decrement does not change under
+    # b -> b/k, nor does the general start, so the stop and the steps do not
+    # see the scale. A stop with the scale of F or of P ends 4e-5 relative
+    # off on the first triangle at k = 1e-3, and a start with no scale puts
+    # e^3414 at a vertex of the wedge at k = 1e3
+    b1 = np.array(find_soliton_vector(make(1)).b)
+    for k in (Fraction(1, 1000), 1000):
+        kb = float(k) * np.array(find_soliton_vector(make(k)).b)
+        assert np.all(np.abs(kb - b1) <= 1e-13 * np.abs(b1))
 
 
 @pytest.mark.parametrize("P", [
