@@ -9,7 +9,7 @@ the uniqueness argument for shrinker potentials, witnessed numerically.
 
 import numpy as np
 
-from toricshrink.ding import Geodesic, convexity_scan, ding, second_differences
+from toricshrink.ding import convexity_scan, ding, second_differences
 from toricshrink.polyhedra import interval
 from toricshrink.potentials import CanonicalPotential, CorrectedPotential, GridCorrection
 from toricshrink.shrinker import solve
@@ -62,5 +62,6 @@ tilted = CorrectedPotential(P, s1)
 scan = convexity_scan(solution, tilted, P, b_X=b_X, num_t=7)
 vals = [s.value for s in scan]
 print(f"D along the gauge geodesic: spread = {max(vals) - min(vals):.2e}")
-mid = Geodesic(solution, tilted).at(0.5)
+mid = CorrectedPotential(P, GridCorrection(s1.axes, 0.5 * res.correction.values
+                                             + 0.5 * s1.values))
 print(f"midpoint evaluates identically: {ding(mid, P, b_X=b_X).value:.10f}")

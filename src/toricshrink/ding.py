@@ -36,7 +36,8 @@ domain and coefficient shape (its basis), so the quadrature is held per
 (P, tol, b_X, basis) and built on the first call with that key
 (_quadrature), together with the basis's Vandermonde matrices at the d1
 nodes. A call samples each endpoint by contracting its coefficient stack
-against them, and runs every check afresh.
+against them, and runs every check afresh. Sampling is the one endpoint
+check: a scan's corrected endpoints share one basis, their nodes may differ.
 The weight is taken as e^{-<b_X,x>-c}, c the largest -<b_X,x> on P; e^{-c}
 cancels in D. Along v_t = (1-t) v_0 + t v_1, g and <C, M> are affine in t
 and D is a polynomial of degree n <= 2 in t, so a scan samples each
@@ -53,8 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .polyhedra import LabeledPolyhedron
-from .potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
-    _density_at, _density_form, correction_of
+from .potentials import _density_at, _density_form, correction_of
 from .quadrature import _line_rules, _weight_skeleton, gauss_rules, \
     plan as build_plan, stable_sum
 from .shrinker import _canonical_part, _nonconvex, find_soliton_vector
@@ -340,7 +340,8 @@ class _DingQuadrature:
         if correction is None:
             return np.zeros(m), np.zeros((m, n, n)), lin
         if correction.basis != self.basis:
-            raise ValueError("correction's grid basis differs from the quadrature's")
+            raise ValueError(f"correction's grid basis (domain, coefficient shape) "
+                             f"{correction.basis} differs from the quadrature's {self.basis}")
         s, G, H = correction.jet(self.X, self.vander)
         if lin is not None:
             lin = correction.pair(self.moments)
@@ -476,56 +477,6 @@ def ding(v, P: LabeledPolyhedron, b_X=None, tol: float = 1e-8) -> DingValue:
     return q.evaluate(q.sample(corr))
 
 
-@dataclass(frozen=True)
-class Geodesic:
-    """Linear interpolation v_t = (1-t) v0 + t v1 of symplectic potentials.
-
-    Both endpoints live on the same polyhedron; corrected endpoints must
-    share grid axes so the blend is again a grid correction. Convexity of
-    every v_t follows from convexity of the endpoints.
-    """
-
-    v0: object
-    v1: object
-
-    def __post_init__(self):
-        P = self.v0.polyhedron
-        if self.v1.polyhedron != P:
-            raise ValueError("geodesic endpoints live on different polyhedra")
-        c0 = correction_of(self.v0)
-        c1 = correction_of(self.v1)
-        if c0 is not None and c1 is not None:
-            if len(c0.axes) != len(c1.axes) or not all(
-                np.array_equal(a, b) for a, b in zip(c0.axes, c1.axes)
-            ):
-                raise ValueError("geodesic endpoints use different grids")
-
-    @property
-    def polyhedron(self) -> LabeledPolyhedron:
-        return self.v0.polyhedron
-
-    def corrections(self):
-        """Endpoint corrections on a shared grid; (None, None) if canonical."""
-        c0 = correction_of(self.v0)
-        c1 = correction_of(self.v1)
-        if c0 is None and c1 is None:
-            return None, None
-        if c0 is None:
-            c0 = GridCorrection(c1.axes, np.zeros_like(c1.values))
-        if c1 is None:
-            c1 = GridCorrection(c0.axes, np.zeros_like(c0.values))
-        return c0, c1
-
-    def at(self, t: float):
-        c0, c1 = self.corrections()
-        if c0 is None:
-            return CanonicalPotential(self.polyhedron)
-        blend = GridCorrection(
-            c0.axes, (1.0 - t) * c0.values + t * c1.values
-        )
-        return CorrectedPotential(self.polyhedron, blend)
-
-
 def convexity_scan(v0, v1, P: LabeledPolyhedron, b_X=None, num_t: int = 9,
                    tol: float = 1e-8) -> list[DingValue]:
     """Sample D along the geodesic from v0 to v1 at num_t uniform t values.
@@ -533,12 +484,12 @@ def convexity_scan(v0, v1, P: LabeledPolyhedron, b_X=None, num_t: int = 9,
     Every sample is the quadrature that ding uses, taken at the blend of
     the endpoints' samples, so differences across t are free of regridding
     noise and the endpoints equal ding of v0 and v1 whenever both carry a
-    correction. Dimensions 1 and 2 only.
+    correction. Corrected endpoints must share a grid basis, and blend as
+    Chebyshev coefficients. Dimensions 1 and 2 only.
     """
     c0, c1 = _corrections(P, v0, v1)
     if num_t < 2:
         raise ValueError("a scan needs at least two sample points")
-    Geodesic(v0, v1)  # the endpoints share a grid
     if b_X is None:
         b_X = find_soliton_vector(P).b
     q = _quadrature(P, c1 if c0 is None else c0, tol, b_X)

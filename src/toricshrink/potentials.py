@@ -112,12 +112,14 @@ class GridCorrection:
             raise ValueError("grid corrections support dimensions 1 and 2")
         if values.shape != tuple(len(a) for a in axes):
             raise ValueError("value grid shape does not match axes")
-        for a in axes:
-            if len(a) < 2 or np.any(np.diff(a) <= 0):
+        for a in axes:  # NaN fails diff > 0; an infinite node that passes is an end
+            if len(a) < 2 or not np.all(np.diff(a) > 0):
                 raise ValueError("axes must be strictly increasing with >= 2 nodes")
         self.axes = axes
         self.values = values
         self.domain = tuple((float(a[0]), float(a[-1])) for a in axes)
+        if not (np.isfinite(self.domain).all() and np.isfinite(values).all()):
+            raise ValueError(f"axis ends and values must be finite (domain {self.domain})")
         self._scale = np.array([2.0 / (hi - lo) for lo, hi in self.domain])
         self._coef = self._fit()
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -541,6 +542,37 @@ def test_ding_scan_between_two_payloads(teardrop_file, tmp_path, capsys):
     P = interval(-2, "2/3", 1, 3)
     v = ding(CorrectedPotential(P, s), P, b_X=art["b"])
     assert (art["scan"][0]["D1"], art["scan"][0]["D"]) == (v.d1, v.value)
+
+
+def test_ding_scan_between_payloads_of_two_grid_bases(teardrop_file, tmp_path, capsys):
+    # the endpoints must share a grid basis; the one error line names both
+    first, second = (str(tmp_path / f) for f in ("g16.json", "g12.json"))
+    assert main(["solve", teardrop_file, "--grid", "16", "--out", first]) == 0
+    assert main(["solve", teardrop_file, "--grid", "12", "--out", second]) == 0
+    capsys.readouterr()
+    assert main(["ding-scan", teardrop_file, "--potential", first,
+                 "--potential2", second]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: validation: correction's grid basis")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert "(12,))" in captured.err and "(16,))" in captured.err
+
+
+@pytest.mark.parametrize("command", ["residual", "check-potential", "ding-scan"])
+@pytest.mark.parametrize("field, index, entry", [
+    ("values", 1, math.nan), ("values", 1, math.inf), ("axes", 1, math.nan), ("axes", 4, math.inf),
+])
+def test_a_non_finite_correction_payload_is_a_parse_error(interval_file, tmp_path, capsys,
+                                                          command, field, index, entry):
+    # json writes and reads NaN and Infinity; a NaN node passes a test for diff <= 0
+    payload = {"kind": "chebyshev-tensor", "axes": [[-2, -1, 0, 1, 2]], "values": [0] * 5}
+    (payload["values"] if field == "values" else payload["axes"][0])[index] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, interval_file, "--potential", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: parse: bad potential payload:")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_potential_of_wrong_dimension_is_parse_error(cube_file, interval_file,

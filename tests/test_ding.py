@@ -1,5 +1,6 @@
 """Ding functional: dual-volume oracles, gauge structure, geodesic convexity."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -11,7 +12,6 @@ from toricshrink import ding as ding_module
 from toricshrink.ding import (
     DingValue,
     DivergentD1,
-    Geodesic,
     NotInE,
     _DingQuadrature,
     _canonical_linear,
@@ -28,6 +28,7 @@ from toricshrink.potentials import (
     CorrectedPotential,
     GridCorrection,
     NotConvexHere,
+    correction_of,
 )
 from toricshrink.quadrature import Simplex, _dd_exp_batch, _line_rules, _reference_rule, \
     gauss_rules, gauss_simplex_rule, plan as build_plan, stable_sum
@@ -315,18 +316,28 @@ def test_ding_rejects_potential_objects():
 # ---------------------------------------------------------------------------
 # geodesics and scans
 
+def _blend(v0, v1, t):
+    """The potential (1 - t) v0 + t v1, its grid values blended on the
+    endpoints' shared nodes: the reference for a scan's blend of samples."""
+    c0, c1 = correction_of(v0), correction_of(v1)
+    if c0 is None and c1 is None:
+        return CanonicalPotential(v0.polyhedron)
+    s0, s1 = (0.0 if c is None else c.values for c in (c0, c1))
+    return CorrectedPotential(v0.polyhedron, GridCorrection(
+        (c1 if c0 is None else c0).axes, (1.0 - t) * s0 + t * s1))
+
+
 def test_geodesic_blend_and_validation():
     P = interval(-2, 2)
     s1 = GridCorrection.from_function(lambda x: 0.05 * x[0] ** 2, [(-2.0, 2.0)], [9])
-    geo = Geodesic(CanonicalPotential(P), CorrectedPotential(P, s1))
-    mid = geo.at(0.5)
+    mid = _blend(CanonicalPotential(P), CorrectedPotential(P, s1), 0.5)
     x = np.array([0.7])
     assert mid.value(x) == pytest.approx(
         CanonicalPotential(P).value(x) + 0.5 * s1.value(x), abs=1e-12
     )
     other = GridCorrection.from_function(lambda x: x[0], [(-2.0, 2.0)], [12])
-    with pytest.raises(ValueError):
-        Geodesic(CorrectedPotential(P, s1), CorrectedPotential(P, other))
+    with pytest.raises(ValueError, match="grid basis"):
+        convexity_scan(CorrectedPotential(P, s1), CorrectedPotential(P, other), P, b_X=[0.0])
 
 
 def test_scan_matches_single_evaluations():
@@ -341,7 +352,7 @@ def test_scan_matches_single_evaluations():
     assert [s.t for s in scan] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     assert scan[0].value == pytest.approx(ding(v0, P, b_X=[0.0]).value, abs=1e-10)
     assert scan[-1].value == pytest.approx(ding(v1, P, b_X=[0.0]).value, abs=1e-10)
-    mid = Geodesic(v0, v1).at(0.5)
+    mid = _blend(v0, v1, 0.5)
     assert scan[2].value == pytest.approx(ding(mid, P, b_X=[0.0]).value, abs=1e-10)
 
 
@@ -735,11 +746,34 @@ def test_scan_equals_ding_along_the_geodesic(P, dom):
     corrected = CorrectedPotential(P, _seeded_correction(P, dom, 4))
     for v0 in (CanonicalPotential(P), CorrectedPotential(P, _seeded_correction(P, dom, 5))):
         scan = convexity_scan(v0, corrected, P, b_X=b, num_t=9)
-        geo = Geodesic(v0, corrected)
         for s in scan:
-            ref = ding(geo.at(s.t), P, b_X=b)
+            ref = ding(_blend(v0, corrected, s.t), P, b_X=b)
             assert s.d1 == pytest.approx(ref.d1, rel=1e-14, abs=0.0)
             assert s.value == pytest.approx(ref.value, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("P, dom", [
+    (TEARDROP, [(-2.0, 2.0 / 3.0)]),
+    (RECTANGLE, [(-2.0, 2.0 / 3.0), (-1.0, 2.0)]),
+])
+def test_scan_blends_one_basis_on_other_nodes(P, dom):
+    # s1 has s0's basis on uniform interior nodes: the scan blends their
+    # Chebyshev coefficients, the linear geodesic of the two interpolants
+    b = find_soliton_vector(P).b
+    s0 = _seeded_correction(P, dom, 4)
+    uniform = [np.linspace(a[0], a[-1], 9) for a in s0.axes]  # the same end nodes
+    f = _seeded_correction(P, dom, 5).value
+    s1 = GridCorrection(uniform, np.reshape([f(np.array(x)) for x in itertools.product(*uniform)],
+                                            [9] * P.dim))
+    assert s1.basis == s0.basis and not np.array_equal(s1.axes[0], s0.axes[0])
+    scan = convexity_scan(CorrectedPotential(P, s0), CorrectedPotential(P, s1), P,
+                          b_X=b, num_t=5)
+    for s in scan:
+        blend = GridCorrection.from_function(
+            lambda x: (1.0 - s.t) * s0.value(x) + s.t * s1.value(x), dom, [9] * P.dim)
+        ref = ding(CorrectedPotential(P, blend), P, b_X=b)
+        assert s.d1 == pytest.approx(ref.d1, rel=1e-13, abs=0.0)
+        assert s.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("P, w", [
@@ -817,8 +851,8 @@ def test_warm_scans_equal_scans_from_a_fresh_quadrature(held, geodesics, kind):
     (q,) = held.entries.values()
     warm = convexity_scan(v0, v1, P, b_X=b)
     assert list(held.entries.values()) == [q]  # the second scan was a hit
-    c0, c1 = Geodesic(v0, v1).corrections()
-    fresh = _DingQuadrature(P, c0, 1e-8, b)
+    c0, c1 = correction_of(v0), correction_of(v1)
+    fresh = _DingQuadrature(P, c1 if c0 is None else c0, 1e-8, b)
     assert fresh is not q
     ref = fresh.scan(fresh.sample(c0), fresh.sample(c1), np.linspace(0.0, 1.0, 9))
     assert cold == warm == ref

@@ -204,6 +204,21 @@ def test_grid_correction_validation():
         GridCorrection([np.array([1.0, 0.0])], np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["value", "first node", "middle node", "last node"])
+def test_grid_correction_rejects_non_finite_entries(bad, where):
+    # NaN compares False, so a NaN node passes a test for diff <= 0
+    axis, values = np.linspace(-2.0, 2.0, 5), np.zeros(5)
+    if where == "value":
+        values[1] = bad
+    else:
+        axis[{"first node": 0, "middle node": 2, "last node": -1}[where]] = bad
+    with pytest.raises(ValueError, match="finite|strictly increasing"):
+        GridCorrection([axis], values)
+    with pytest.raises(ValueError, match="finite|strictly increasing"):
+        GridCorrection([np.linspace(-1.0, 1.0, 3), axis], np.zeros((3, 5)) + values)
+
+
 def test_lobatto_nodes_and_differentiation():
     xs = lobatto_nodes(-2.0, 2.0, 9)
     assert xs[0] == -2.0 and xs[-1] == 2.0
