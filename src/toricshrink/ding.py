@@ -14,8 +14,9 @@ terms, and at b = b_X linear tilts leave both terms unchanged, so D descends
 to potentials modulo affine functions. Along linear interpolations of
 symplectic potentials D is convex; the scan here samples it.
 
-d1, ding and convexity_scan take canonical or corrected potentials u_P + s
-and share one quadrature over d1's plan, cut inside the correction grid:
+ding and convexity_scan take canonical or corrected potentials u_P + s,
+and every DingValue carries its dual volume d1. Both share one quadrature
+over d1's plan, cut inside the correction grid:
 F(b_X) and the potential integral are taken over the same region, a scan
 checks what the cut drops, integrated exactly over the pieces past it (an
 estimate of d1's tail, the share of F(b_X) and a bound on the canonical
@@ -93,7 +94,7 @@ def _beta(P: LabeledPolyhedron) -> np.ndarray:
     return 0.5 * np.sum(P.scaled_normal_matrix(), axis=0)
 
 
-def _fitted_plan(P, beta, correction, tol, b_X=None):
+def _fitted_plan(P, beta, correction, tol, b_X):
     """(plan, tail, dropped, spill, F, c): the Ding plan for e^{-<beta,x>} and
     what its cut drops.
 
@@ -108,8 +109,7 @@ def _fitted_plan(P, beta, correction, tol, b_X=None):
         (1/2) sum_k int (L_k^2 + 1/e) e^{-<b_X,x>-c} / F, from the F, m1 and
         m2 of that weight; taken once dropped <= tol, inf before.
     F is the integral of e^{-<b_X,x>-c} over the plan and c the largest
-    -<b_X,x> on P; without b_X, dropped and spill are 0 and F and c None.
-    Bounded P is not cut, and all three are 0.
+    -<b_X,x> on P. Bounded P is not cut, and all three are 0.
 
     Unbounded P is cut where it first leaves the correction's grid box, on
     an unbounded edge v + tau r (P is its vertices' hull plus its recession
@@ -117,21 +117,17 @@ def _fitted_plan(P, beta, correction, tol, b_X=None):
     where tail, dropped and spill all meet tol.
     """
     g = _weight_skeleton(P, beta)
-    c = None
-    if b_X is not None:
-        _weight_skeleton(P, b_X)  # e^{-<b_X,x>} is integrable on P
-        c = float(np.max(-(g.verts @ b_X)))  # -<b_X,x> peaks at a vertex
+    _weight_skeleton(P, b_X)  # e^{-<b_X,x>} is integrable on P
+    c = float(np.max(-(g.verts @ b_X)))  # -<b_X,x> peaks at a vertex
 
     def cut(T):  # the plan cut at T, with tail, dropped, spill and F
         pl = build_plan(P, beta, truncation=T)
-        F = None if b_X is None else replace(pl, b=b_X).exp_integral(c)
+        F = replace(pl, b=b_X).exp_integral(c)
         if not pl.beyond:  # bounded P is not cut
             return pl, 0.0, 0.0, 0.0, F
         past = pl.past()
         G, _, m2 = past.moments()
         tail = float(G + math.sqrt(G * np.trace(m2)) + np.trace(m2))
-        if b_X is None:
-            return pl, tail, 0.0, 0.0, None
         past = replace(past, b=b_X)
         gone = past.exp_integral(c)
         dropped, spill = gone / (F + gone), math.inf
@@ -253,7 +249,7 @@ def _canonical_linear(P: LabeledPolyhedron, b, ring, c):
 
 
 # ---------------------------------------------------------------------------
-# one quadrature for d1, ding and the scan
+# one quadrature for ding and the scan
 
 class _DingQuadrature:
     """Both Ding integrals as three arrays over d1's plan (_fitted_plan), fixed once.
@@ -272,8 +268,8 @@ class _DingQuadrature:
     The integrand at a node is base e^{-g} D, D the density; each
     simplex's q terms are summed, then the simplex sums fsum'd.
 
-    When b_X is given, F(b_X) and the potential integral are taken over the
-    same plan against e^{-<b_X,x>-c}, with F and c from _fitted_plan:
+    F(b_X) and the potential integral are taken over the same plan against
+    e^{-<b_X,x>-c}, with F and c from _fitted_plan:
     e^{-c} cancels between them and keeps both in the float range. The
     canonical part is one 1D rule per facet (_canonical_linear), the
     correction part <C, M>, C the correction's Chebyshev coefficients and M
@@ -285,12 +281,12 @@ class _DingQuadrature:
     sums _refined's counts of both refinements.
     """
 
-    def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None):
+    def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X):
         if np.any(P.offsets_array() <= 0.0):
             raise DivergentD1("a facet offset <= 0 makes the dual volume diverge")
         self.P, self.tol = P, tol
         self.basis = None if grid is None else grid.basis
-        self.b = None if b_X is None else np.array(b_X, dtype=float)
+        self.b = np.array(b_X, dtype=float)
         beta = _beta(P)
         self.plan, self.tail, self.dropped, self.spill, self.F, self.shift = _fitted_plan(
             P, beta, grid, tol, self.b)
@@ -301,20 +297,15 @@ class _DingQuadrature:
         self.base = W * np.exp(-R_P)
         self.q = _ORDER ** P.dim
         self.vander = () if grid is None else tuple(grid.vander(self.X))
-        self.moments = None
-        held = [self.X, self.base, *self.form, *self.vander,
-                self.plan.ring, self.plan.simplices, self.plan.volumes]
-        if self.b is not None:
-            self.canonical = stable_sum(
-                _canonical_linear(P, self.b, self.plan.ring, self.shift)[1])
-            self.linear_simplices = _refined(self.plan.simplices, self.plan.volumes, self.b)
-            self.unresolved += self.linear_simplices[2]
-            held += [self.b, *self.linear_simplices[:2]]
-            if grid is not None:
-                self.moments = sum(grid.moments(X, W) for X, W in self.linear_rules())
-                held.append(self.moments)
-        for a in held:
-            a.flags.writeable = False
+        self.canonical = stable_sum(_canonical_linear(P, self.b, self.plan.ring, self.shift)[1])
+        self.linear_simplices = _refined(self.plan.simplices, self.plan.volumes, self.b)
+        self.unresolved += self.linear_simplices[2]
+        self.moments = None if grid is None else sum(
+            grid.moments(X, W) for X, W in self.linear_rules())
+        for a in (self.X, self.base, *self.form, *self.vander, self.b, *self.linear_simplices[:2],
+                  self.plan.ring, self.plan.simplices, self.plan.volumes, self.moments):
+            if a is not None:  # no moments without a grid
+                a.flags.writeable = False
 
     def linear_rules(self):
         """The potential integral's rules, _CHUNK refined simplices at a time.
@@ -330,29 +321,21 @@ class _DingQuadrature:
     def sample(self, correction):
         """(g, Hess s, <C, M>) of a correction: g = <grad s, x> - s at the d1 nodes.
 
-        A canonical endpoint (None) samples as zeros, with no jet; a
-        correction contracts its coefficient stack against the held vander,
-        and must have the basis the quadrature was built for. <C, M> is
-        None when no b_X was given.
+        A canonical endpoint (None) samples as zeros, with no jet and
+        <C, M> = 0; a correction contracts its coefficient stack against the
+        held vander, and must have the basis the quadrature was built for.
         """
         m, n = self.X.shape
-        lin = None if self.b is None else 0.0
         if correction is None:
-            return np.zeros(m), np.zeros((m, n, n)), lin
+            return np.zeros(m), np.zeros((m, n, n)), 0.0
         if correction.basis != self.basis:
             raise ValueError(f"correction's grid basis (domain, coefficient shape) "
                              f"{correction.basis} differs from the quadrature's {self.basis}")
         s, G, H = correction.jet(self.X, self.vander)
-        if lin is not None:
-            lin = correction.pair(self.moments)
-        return np.einsum("mi,mi->m", G, self.X) - s, H, lin
-
-    def evaluate(self, sample):
-        """d1, or the DingValue when b_X was given, of one sampled correction."""
-        return self.scan(sample, sample, [0.0])[0]
+        return np.einsum("mi,mi->m", G, self.X) - s, H, correction.pair(self.moments)
 
     def scan(self, sample0, sample1, ts):
-        """d1 or DingValues at each t along the blend of two samples.
+        """DingValues at each t along the blend of two samples.
 
         g and <C, M> blend linearly; the density, quadratic in the Hessian,
         is D(t) = (1-t)^2 D_0 + 2t(1-t) D_m + t^2 D_1 with
@@ -371,11 +354,9 @@ class _DingQuadrature:
         Dm = 2.0 * _density_at(self.form, 0.5 * (H0 + H1)) - 0.5 * (D0 + D1)
         out = []
         for t in ts:
-            linear = None
-            if lin0 is not None:
-                linear = (self.canonical + ((1.0 - t) * lin0 + t * lin1)) / self.F
-                if not math.isfinite(linear):
-                    raise NotInE("potential integral against the soliton weight is not finite")
+            linear = (self.canonical + ((1.0 - t) * lin0 + t * lin1)) / self.F
+            if not math.isfinite(linear):
+                raise NotInE("potential integral against the soliton weight is not finite")
             D = (1.0 - t) ** 2 * D0 + 2.0 * t * (1.0 - t) * Dm + t * t * D1
             if np.any(D <= 0.0):
                 raise _nonconvex(self.X, D)
@@ -388,11 +369,8 @@ class _DingQuadrature:
                     f"truncation tail estimate {self.tail:.3e} exceeds "
                     f"tolerance {self.tol:g} relative to d1 = {dual:.6g} at t = {t}"
                 )
-            if linear is None:
-                out.append(float(dual))
-            else:
-                out.append(DingValue(t=float(t), d1=float(dual),
-                                     value=float(linear - math.log(dual))))
+            out.append(DingValue(t=float(t), d1=float(dual),
+                                 value=float(linear - math.log(dual))))
         return out
 
 
@@ -411,9 +389,8 @@ class _Held:
     def nodes(self) -> int:
         return sum(len(q.X) for q in self.entries.values())
 
-    def __call__(self, P: LabeledPolyhedron, grid, tol: float, b_X=None) -> _DingQuadrature:
-        key = (P, float(tol), None if b_X is None else tuple(map(float, b_X)),
-               None if grid is None else grid.basis)
+    def __call__(self, P: LabeledPolyhedron, grid, tol: float, b_X) -> _DingQuadrature:
+        key = (P, float(tol), tuple(map(float, b_X)), None if grid is None else grid.basis)
         q = self.entries.pop(key, None)
         if q is not None:  # a hit moves to the end and leaves the totals as they are
             self.entries[key] = q
@@ -441,40 +418,26 @@ def _corrections(P: LabeledPolyhedron, *potentials):
 
 
 # ---------------------------------------------------------------------------
-# the dual volume and the Ding functional
-
-def d1(v, P: LabeledPolyhedron, tol: float = 1e-8) -> float:
-    """Dual volume of v: int_P e^{v - <grad v, x>} det(Hess v) dx.
-
-    v is a canonical or corrected potential u_P + s on P. The integrand is
-    e^{-R_0}, R_0 the boundary-stable soliton residual at b = 0, taken at
-    fixed Gauss nodes. For unbounded P the region is cut inside the
-    correction grid and the dropped tail, estimated from the exact moments
-    of the canonical factor's decay e^{-<beta,x>} past the cut, must stay
-    below tol relative to the result. The potential is assumed strictly
-    convex with surjective gradient; see check_space_E for a screening
-    routine. Dimensions 1 and 2 only.
-    """
-    (corr,) = _corrections(P, v)
-    q = _quadrature(P, corr, tol)
-    return q.evaluate(q.sample(corr))
-
+# the Ding functional
 
 def ding(v, P: LabeledPolyhedron, b_X=None, tol: float = 1e-8) -> DingValue:
     """D(v) = (1/F(b_X)) int_P v e^{-<b_X,x>} dx - log d1(v), tagged t = 0.
 
-    v is a canonical or corrected potential on P. b_X defaults to the soliton
-    vector of P; only there is D invariant under affine changes of v. On
-    unbounded P both integrals are taken over d1's cut, and NotInE is raised
-    when the cut drops more than tol of F(b_X), or when the bound on the
-    canonical potential integral past it exceeds tol of F. Dimensions 1 and
-    2 only.
+    v is a canonical or corrected potential on P, and the value's d1 is its
+    dual volume. b_X defaults to the soliton vector of P; only there is D
+    invariant under affine changes of v. On unbounded P both integrals are
+    taken over d1's cut, and NotInE is raised when the cut drops more than
+    tol of F(b_X), or when the bound on the canonical potential integral
+    past it exceeds tol of F; DivergentD1 when d1's tail estimate exceeds
+    tol of d1. The potential is assumed strictly convex with surjective
+    gradient; see check_space_E. Dimensions 1 and 2 only.
     """
     (corr,) = _corrections(P, v)
     if b_X is None:
         b_X = find_soliton_vector(P).b
     q = _quadrature(P, corr, tol, b_X)
-    return q.evaluate(q.sample(corr))
+    sample = q.sample(corr)
+    return q.scan(sample, sample, [0.0])[0]
 
 
 def convexity_scan(v0, v1, P: LabeledPolyhedron, b_X=None, num_t: int = 9,

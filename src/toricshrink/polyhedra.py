@@ -91,7 +91,7 @@ class Facet:
         object.__setattr__(self, "label", label)
         try:
             offset = Fraction(self.offset)
-        except (OverflowError, ValueError):  # inf, nan and strings that are no fraction
+        except (OverflowError, ValueError, ZeroDivisionError):  # inf, nan, "p/0", non-fractions
             raise ValueError(f"facet offset {self.offset!r} must be a finite rational") from None
         object.__setattr__(self, "offset", offset)
         prim, mult = primitive_reduce(self.normal)

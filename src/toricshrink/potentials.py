@@ -243,6 +243,8 @@ class GridCorrection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridCorrection":
+        if not isinstance(d, dict):
+            raise ValueError(f"a correction is a JSON object, not {type(d).__name__}")
         if d.get("kind") != "chebyshev-tensor":
             raise ValueError(f"unknown correction kind {d.get('kind')!r}")
         g = cls(tuple(np.array(a) for a in d["axes"]), np.array(d["values"]))
@@ -285,7 +287,7 @@ class CorrectedPotential:
 def correction_of(u):
     """The correction part of a potential: None for the canonical one.
 
-    d1, ding and convexity_scan need a GridCorrection here; the boundary
+    ding and convexity_scan need a GridCorrection here; the boundary
     checks read only the correction's value and gradient.
     """
     if isinstance(u, CanonicalPotential):

@@ -106,6 +106,7 @@ def test_empty_polyhedron_is_validation_error(tmp_path, capsys):
     '{"normal": [1.5], "label": 1, "offset": 2}',
     '{"normal": [1], "label": true, "offset": 2}',
     '{"normal": [1], "label": 1, "offset": 1e400}',  # json reads inf
+    '{"normal": [1], "label": 1, "offset": "1/0"}',
 ])
 def test_non_integer_entries_and_non_finite_offsets_are_parse_errors(tmp_path, capsys,
                                                                      facet):
@@ -569,6 +570,18 @@ def test_a_non_finite_correction_payload_is_a_parse_error(interval_file, tmp_pat
     (payload["values"] if field == "values" else payload["axes"][0])[index] = entry
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
+    assert main([command, interval_file, "--potential", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: parse: bad potential payload:")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["residual", "check-potential", "ding-scan"])
+@pytest.mark.parametrize("payload", ["[1, 2]", '"abc"', '{"correction": 5}'])
+def test_a_potential_payload_that_is_no_object_is_a_parse_error(interval_file, tmp_path, capsys,
+                                                                command, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
     assert main([command, interval_file, "--potential", str(path)]) == 4
     captured = capsys.readouterr()
     assert captured.err.startswith("error: parse: bad potential payload:")

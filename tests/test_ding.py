@@ -18,7 +18,6 @@ from toricshrink.ding import (
     _quadrature,
     _refined,
     convexity_scan,
-    d1,
     ding,
     second_differences,
 )
@@ -68,17 +67,17 @@ def bump_values(axes, width=1.0 / 3.0):
 # dual volume d1
 
 def test_d1_canonical_closed_forms():
-    assert d1(CanonicalPotential(interval(-2, 2)), interval(-2, 2)) == pytest.approx(
+    assert ding(CanonicalPotential(interval(-2, 2)), interval(-2, 2)).d1 == pytest.approx(
         8.0, rel=1e-10
     )
     sq = box([(-2, 2), (-2, 2)])
-    assert d1(CanonicalPotential(sq), sq) == pytest.approx(64.0, rel=1e-10)
+    assert ding(CanonicalPotential(sq), sq).d1 == pytest.approx(64.0, rel=1e-10)
     hl = half_line(-2)
-    assert d1(CanonicalPotential(hl), hl) == pytest.approx(math.e, rel=1e-8)
+    assert ding(CanonicalPotential(hl), hl).d1 == pytest.approx(math.e, rel=1e-8)
     # teardrop: the stable integrand is (3x+10) e^{x}
     td = TEARDROP
     exact = 9.0 * math.exp(2.0 / 3.0) - math.exp(-2.0)
-    assert d1(CanonicalPotential(td), td) == pytest.approx(exact, rel=1e-10)
+    assert ding(CanonicalPotential(td), td).d1 == pytest.approx(exact, rel=1e-10)
 
 
 def test_d1_matches_dual_side_quadrature():
@@ -87,7 +86,7 @@ def test_d1_matches_dual_side_quadrature():
         lambda x: 0.05 * x[0] ** 2 - 0.02 * x[0] ** 3, [(-2.0, 2.0)], [14]
     )
     v = CorrectedPotential(P, s)
-    got = d1(v, P, tol=1e-10)
+    got = ding(v, P, tol=1e-10).d1
 
     # independent y-side quadrature of e^{-phi} with phi the Legendre dual;
     # beyond |y| = 9 the tail is below 1e-6 relative and the gradient map
@@ -111,24 +110,29 @@ def test_d1_matches_dual_side_quadrature():
 def test_d1_constant_shift_scaling():
     P = interval(-2, 2)
     s = GridCorrection.from_function(lambda x: 0.03 * x[0] ** 2, [(-2.0, 2.0)], [10])
-    base = d1(CorrectedPotential(P, s), P)
+    base = ding(CorrectedPotential(P, s), P).d1
     for kappa in (-1.0, 0.7, 5.0):
         shifted = GridCorrection(s.axes, s.values + kappa)
-        got = d1(CorrectedPotential(P, shifted), P)
+        got = ding(CorrectedPotential(P, shifted), P).d1
         assert got == pytest.approx(math.exp(kappa) * base, rel=1e-10)
 
 
 def test_d1_rejects_nonpositive_offsets():
+    # b_X is given: find_soliton_vector rejects such offsets first
     P = interval(0, 4)
     with pytest.raises(DivergentD1):
-        d1(CanonicalPotential(P), P)
+        ding(CanonicalPotential(P), P, b_X=[0.0])
 
 
-def test_d1_rejects_uncertified_tail():
+def test_d1_rejects_uncertified_tail(held):
+    # the grid ends at x = 40, where the cut drops e^{-21} of F(1/2) and the
+    # spill is below tol, but d1's tail estimate is not
     P = half_line(-2)
-    s = GridCorrection.zeros([(-2.0, 3.0)], [8])
-    with pytest.raises(DivergentD1):
-        d1(CorrectedPotential(P, s), P)
+    v = CorrectedPotential(P, solve(P, b=[0.5], grid=16, truncation=20).correction)
+    with pytest.raises(DivergentD1, match="truncation tail estimate"):
+        ding(v, P, b_X=[0.5], tol=1e-6)
+    (q,) = held.entries.values()
+    assert q.dropped <= 1e-6 and q.spill <= 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +195,7 @@ def test_d1_rejects_nonconvex():
     P = interval(-2, 2)
     s = GridCorrection.from_function(lambda x: -2.0 * x[0] ** 2, [(-2.0, 2.0)], [8])
     with pytest.raises(NotConvexHere):
-        d1(CorrectedPotential(P, s), P)
+        ding(CorrectedPotential(P, s), P).d1
 
 
 def test_d1_stable_equals_direct_integrand():
@@ -276,8 +280,6 @@ def test_ding_numerics_reject_dimension_three():
     v = CanonicalPotential(P)
     b = [0.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="dimensions 1 and 2"):
-        d1(v, P)
-    with pytest.raises(ValueError, match="dimensions 1 and 2"):
         ding(v, P, b_X=b)
     with pytest.raises(ValueError, match="dimensions 1 and 2"):
         convexity_scan(v, v, P, b_X=b)
@@ -303,8 +305,6 @@ def test_ding_rejects_potential_objects():
     # only canonical and corrected potentials have the stable d1 integrand
     P = interval(-2, 2)
     v = _ValueGradientHessian(P)
-    with pytest.raises(TypeError):
-        d1(v, P)
     with pytest.raises(TypeError):
         ding(v, P, b_X=[0.0])
     with pytest.raises(TypeError):
@@ -553,7 +553,7 @@ def test_moment_pass_holds_a_bounded_chunk_of_nodes():
 ])
 def test_stacked_d1_equals_the_per_simplex_sum(P, dom):
     corr = _seeded_correction(P, dom, 3)
-    q = _DingQuadrature(P, corr, 1e-8)
+    q = _DingQuadrature(P, corr, 1e-8, find_soliton_vector(P).b)
     V, vol, _ = _refined(q.plan.simplices, q.plan.volumes,
                          0.5 * np.sum(P.scaled_normal_matrix(), axis=0))
     origin = np.zeros(P.dim)
@@ -562,7 +562,9 @@ def test_stacked_d1_equals_the_per_simplex_sum(P, dom):
         X, W = gauss_simplex_rule(Simplex(tuple(map(tuple, pts))), 25)
         R0 = residual(P, origin, X, corr)
         per_simplex.append(float(np.dot(W, np.exp(-R0))))
-    assert q.evaluate(q.sample(corr)) == pytest.approx(math.fsum(per_simplex), rel=1e-14)
+    sample = q.sample(corr)
+    got = q.scan(sample, sample, [0.0])[0].d1
+    assert got == pytest.approx(math.fsum(per_simplex), rel=1e-14)
 
 
 def square_canonical_ding(b1):
@@ -890,7 +892,7 @@ def test_one_basis_holds_one_quadrature(held):
     value(lambda x: 0.02 * x[0] ** 2, count=12)
     value(lambda x: 0.02 * x[0] ** 2, tol=1e-9)
     value(lambda x: 0.02 * x[0] ** 2, b=np.add(b, 0.25))
-    d1(CanonicalPotential(P), P)
+    ding(CanonicalPotential(P), P, b_X=b)
     assert len(held.entries) == 6
     bases = [key[3] for key in held.entries]
     assert [shape for _, shape in bases[:5]] == [(10,), (10,), (12,), (10,), (10,)]
@@ -900,7 +902,7 @@ def test_one_basis_holds_one_quadrature(held):
 
 def test_a_quadrature_samples_only_its_own_basis():
     corr = GridCorrection.zeros([(-2.0, 2.0 / 3.0)], [10])
-    q = _DingQuadrature(TEARDROP, corr, 1e-8)
+    q = _DingQuadrature(TEARDROP, corr, 1e-8, find_soliton_vector(TEARDROP).b)
     with pytest.raises(ValueError, match="grid basis"):
         q.sample(GridCorrection.zeros([(-2.0, 2.0 / 3.0)], [12]))
 
@@ -961,8 +963,8 @@ def test_a_failed_construction_is_not_held(held, P, dom):
     v = CanonicalPotential(P) if dom is None else CorrectedPotential(
         P, GridCorrection.zeros(dom, [8]))
     with pytest.raises(DivergentD1):
-        _DingQuadrature(P, None if dom is None else v.correction, 1e-8)
+        _DingQuadrature(P, None if dom is None else v.correction, 1e-8, [0.5])
     for _ in range(2):
         with pytest.raises(DivergentD1):
-            d1(v, P)
+            ding(v, P, b_X=[0.5])
     assert not held.entries

@@ -173,7 +173,7 @@ def test_facet_rejects_non_integer_entries(normal, label):
         Facet(normal=normal, label=label, offset=Fraction(2))
 
 
-@pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan, "1/0"])
 def test_non_finite_offsets_are_value_errors(offset):
     with pytest.raises(ValueError, match="must be a finite rational") as info:
         from_halfspaces(1, [((1,), 1, offset), ((-1,), 1, 2)])
