@@ -330,10 +330,11 @@ def cmd_solve(args):
     print(f"residual deviation: {res.residual_deviation!r}")
     print(f"offnode deviation: {res.offnode_deviation!r}")
     print(f"converged: {res.converged}")
-    if not res.converged:
-        print(f"warning: the interpolant misses --tol {args.tol:g} between the grid's "
-              f"nodes by up to {res.offnode_deviation:.3g}; a finer --grid may meet it",
-              file=sys.stderr)
+    if res.offnode_deviation > args.tol:
+        print(f"warning: the interpolant misses --tol {args.tol:g} between the grid's nodes by "
+              f"up to {res.offnode_deviation:.3g}; a finer --grid may meet it", file=sys.stderr)
+    elif not res.converged:
+        print("warning: a factor's s'' series did not resolve in 256 samples", file=sys.stderr)
     print(f"domain: {res.domain}")
     if res.truncated_axes:
         print(f"truncated axes: {res.truncated_axes}")

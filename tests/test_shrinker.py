@@ -563,6 +563,59 @@ def test_solve_reports_whether_its_offnode_deviation_meets_tol(P, grid, tol, con
         assert 1e-9 < res.offnode_deviation < 1e-8 and res.residual_deviation <= 1e-13
 
 
+def sampled_offnode_deviation(P, res):
+    """The largest gap between the grid interpolant and the series at the
+    grid's midpoints, and the largest |s| at the nodes: the sample that the
+    tail bound replaced, computed from the same series as before."""
+    mids = [0.5 * (x[1:] + x[:-1]) for x in res.correction.axes]
+    s_mids = 0.0
+    for d, (F, (lo, hi)) in enumerate(zip(_product_factors(P), res.domain)):
+        if len(F.facets) > 1:
+            stack = _axis_series(F, res.b[d], lo, hi)
+            t = (mids[d] - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+            s_d = (C.chebvander(t, len(stack) - 1) @ stack)[:, 0]
+        else:
+            s_d = np.zeros(len(mids[d]))
+        s_mids = np.add.outer(s_mids, s_d) if d else s_d
+    pts = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1).reshape(-1, P.dim)
+    gap = np.max(np.abs(res.correction.value(pts) - np.ravel(s_mids)))
+    return gap, np.max(np.abs(res.correction.values))
+
+
+HALF_STRIP = from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 2, 2), ((0, 1), 3, 2)])
+LABELED_BOX = box([(-2, "2/3"), (-1, 2)], labels=[1, 3, 2, 1])
+
+
+@pytest.mark.parametrize("P, grid", [
+    *((ORBIFOLD_RECTANGLE, g) for g in (12, 13, 14, 16, 20)),
+    (HALF_STRIP, 12), (HALF_STRIP, 13), (TEARDROP, 48), (TEARDROP, 64),
+    *((LABELED_BOX, g) for g in (8, 12, 24)),
+], ids=[*(f"rectangle_{g}" for g in (12, 13, 14, 16, 20)), "half_strip_12", "half_strip_13",
+        "teardrop_48", "teardrop_64", *(f"labeled_box_{g}" for g in (8, 12, 24))])
+def test_the_offnode_bound_dominates_the_midpoint_sample(P, grid):
+    # 2 sum_{k>N} |c_k| bounds the interpolant's miss everywhere in exact
+    # arithmetic, so it holds the midpoint sample up to rounding, and it is
+    # tight wherever the tail is above rounding
+    res = solve(P, grid=grid)
+    sample, scale = sampled_offnode_deviation(P, res)
+    assert res.offnode_deviation >= sample - 1e-15 * scale
+    if sample >= 1e-13:
+        assert res.offnode_deviation <= 1.5 * sample
+
+
+@pytest.mark.parametrize("labels, converged", [
+    ((1, 10), True), ((1, 30), False), ((1, 60), True), ((7, 200), False),
+], ids=["1_10", "1_30", "1_60", "7_200"])
+def test_an_unresolved_series_is_not_converged(labels, converged):
+    # on x >= -2/m_0, -x >= -2/m_1 at b_X, the s'' series of (1, 30) and
+    # (7, 200) does not chop by n = 256, though the tail bound and the
+    # residual both meet tol: converged says so
+    P = from_halfspaces(1, [((1,), labels[0], 2), ((-1,), labels[1], 2)])
+    res = solve(P, b=find_soliton_vector(P).b)
+    assert res.converged is converged
+    assert res.offnode_deviation <= 1e-12 and res.residual_deviation <= 1e-10
+
+
 def test_teardrop_verdicts_near_the_soliton_vector():
     # away from b_X, W from the two facets disagrees by O(|b - b_X|), and
     # the residual shows it
