@@ -96,13 +96,14 @@ class GridCorrection:
     The stored values determine the unique tensor interpolant. Its jet is
     one stacked tensor of Chebyshev coefficients, derived on first use: s,
     then the first partials, then the second partials (i, j), i <= j, each
-    scaled to x and zero-padded to the shape of the value grid. value,
-    gradient, hessian and jet all evaluate a prefix of that stack from one
-    Vandermonde matrix per axis (vander), which depends on the points and
-    the basis alone, so jet takes it back for every correction of that
-    basis. A weighted sum of s over a rule is linear in the coefficients:
-    moments gives the rule's tensor M once, and pair the sum
-    <coefficients, M> for each s on the grid. Dimensions 1 and 2.
+    scaled to x and zero-padded to the shape of the value grid. jet is the
+    one evaluator: it contracts the whole stack with one Vandermonde matrix
+    per axis (vander), which depends on the points and the basis alone, so
+    jet takes it back for every correction of that basis; value, gradient
+    and hessian each return one entry of jet. A weighted sum of s over a
+    rule is linear in the coefficients: moments gives the rule's tensor M
+    once, and pair the sum <coefficients, M> for each s on the grid.
+    Dimensions 1 and 2.
     """
 
     def __init__(self, axes, values):
@@ -169,26 +170,6 @@ class GridCorrection:
         T = self._map(X)
         return [C.chebvander(T[:, d], k - 1) for d, k in enumerate(self._coef.shape)]
 
-    def _partials(self, x, count, vander=None):
-        """The first count entries of the stack at the points x, shape (count, m)."""
-        X, single = _as_batch(x, self.dim)
-        V = self.vander(X) if vander is None else vander
-        # values alone read the coefficients and derive no stack
-        if count > 1:
-            stack = self._stack[:count]
-        else:
-            stack = self._coef[None, :, None] if self.dim == 1 else self._coef[None]
-        if self.dim == 1:
-            return (V[0] @ stack)[..., 0], single
-        # the count arrays side by side as (kx, count ky): one matrix product,
-        # whose (m, count ky) result is the one temporary, then a row-wise dot
-        # with V[1] per array. einsum sums each row alike for every count, so
-        # the rows of a shorter prefix are the same bits (a batched matmul
-        # rounds one array differently from six)
-        kx, ky = self._coef.shape
-        prod = V[0] @ stack.transpose(1, 0, 2).reshape(kx, count * ky)
-        return np.einsum("mkb,mb->km", prod.reshape(len(X), count, ky), V[1]), single
-
     def moments(self, X, W):
         """M with sum_i W_i s(X_i) = <coefficients of s, M> for every s on this grid.
 
@@ -203,15 +184,26 @@ class GridCorrection:
         return float(np.vdot(self._coef, M))
 
     def jet(self, x, vander=None):
-        """(s, grad s, Hess s) at x, from one Vandermonde matrix per axis.
+        """(s, grad s, Hess s) at x: the whole stack contracted with one
+        Vandermonde matrix per axis.
 
         vander, when given, is vander(x) of a correction with this basis,
         taken as it is instead of built again.
         """
-        n = self.dim
-        rows, single = self._partials(x, 1 + n + n * (n + 1) // 2, vander)
+        X, single = _as_batch(x, self.dim)
+        V = self.vander(X) if vander is None else vander
+        n, stack = self.dim, self._stack
+        if n == 1:
+            rows = (V[0] @ stack)[..., 0]
+        else:
+            # the stacked arrays side by side as (kx, count ky): one matrix
+            # product, whose (m, count ky) result is the one temporary, then
+            # a row-wise dot with V[1] per array
+            count, kx, ky = stack.shape
+            prod = V[0] @ stack.transpose(1, 0, 2).reshape(kx, count * ky)
+            rows = np.einsum("mkb,mb->km", prod.reshape(len(X), count, ky), V[1])
         G = rows[1:1 + n].T
-        H = np.empty((rows.shape[1], n, n))
+        H = np.empty((len(X), n, n))
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
         for (i, j), r in zip(pairs, rows[1 + n:]):
             H[:, i, j] = H[:, j, i] = r
@@ -220,13 +212,10 @@ class GridCorrection:
         return rows[0], G, H
 
     def value(self, x):
-        rows, single = self._partials(x, 1)
-        return float(rows[0, 0]) if single else rows[0]
+        return self.jet(x)[0]
 
     def gradient(self, x):
-        rows, single = self._partials(x, 1 + self.dim)
-        G = rows[1:].T
-        return G[0] if single else G
+        return self.jet(x)[1]
 
     def hessian(self, x):
         return self.jet(x)[2]
@@ -449,10 +438,8 @@ class EReport:
     boundary: BoundaryReport
     gradient_surjective: bool
     integrable: bool
-    note: str = (
-        "sampled sufficient conditions at finitely many points; "
-        "this is numerical evidence, not a certificate"
-    )
+    note = ("sampled sufficient conditions at finitely many points; "
+            "this is numerical evidence, not a certificate")
 
     @property
     def boundary_behaviour(self) -> bool:

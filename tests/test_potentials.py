@@ -168,9 +168,8 @@ def test_grid_correction_matches_chebval_reference(dim, count, monkeypatch):
 
 
 def test_partials_at_the_affine_geodesic_size():
-    # 12 x 12 coefficients at 2,500 points: the prefixes of the stack come
-    # from one product each and agree bit for bit, and match one product
-    # per stacked array
+    # 12 x 12 coefficients at 2,500 points: each row of the jet matches one
+    # product per stacked array
     rng = np.random.default_rng(12)
     domain = [(-2.0, 2.0 / 3.0), (-1.0, 2.0)]
     g = GridCorrection([lobatto_nodes(lo, hi, 12) for lo, hi in domain],
@@ -178,12 +177,34 @@ def test_partials_at_the_affine_geodesic_size():
     lo, hi = np.array(domain).T
     X = rng.uniform(lo, hi, size=(2500, 2))
     V = g.vander(X)
-    rows = {count: g._partials(X, count, V)[0] for count in (1, 3, 6)}
-    assert rows[6].shape == (6, 2500)
-    assert np.array_equal(rows[6][:3], rows[3]) and np.array_equal(rows[3][:1], rows[1])
-    for c, r in zip(g._stack, rows[6]):
+    s, G, H = g.jet(X, V)
+    rows = [s, G[:, 0], G[:, 1], H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]]
+    for c, r in zip(g._stack, rows, strict=True):
         ref = np.sum((V[0] @ c) * V[1], axis=-1)
         assert np.max(np.abs(r - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("count", [8, 14, 24])
+def test_every_reader_gives_the_jets_bits(dim, count):
+    rng = np.random.default_rng(5)
+    domain = [(-2.0, 2.0), (-1.0, 3.0)][:dim]
+    g = GridCorrection([lobatto_nodes(lo, hi, count) for lo, hi in domain],
+                       rng.normal(size=(count,) * dim))
+    lo, hi = np.array(domain).T
+    for m in (1, 2, 3, 6, 40, 2500):
+        X = rng.uniform(lo, hi, size=(m, dim))
+        s, G, H = g.jet(X)
+        assert np.array_equal(g.value(X), s)
+        assert np.array_equal(g.gradient(X), G)
+        assert np.array_equal(g.hessian(X), H)
+        # a single point returns a float, an (n,) gradient and an (n, n) Hessian
+        x = X[0]
+        s, G, H = g.jet(x)
+        assert isinstance(s, float) and G.shape == (dim,) and H.shape == (dim, dim)
+        assert g.value(x) == s
+        assert np.array_equal(g.gradient(x), G)
+        assert np.array_equal(g.hessian(x), H)
 
 
 def test_grid_correction_json_roundtrip():
