@@ -330,11 +330,17 @@ def cmd_solve(args):
     print(f"residual deviation: {res.residual_deviation!r}")
     print(f"offnode deviation: {res.offnode_deviation!r}")
     print(f"converged: {res.converged}")
-    if res.offnode_deviation > args.tol:
-        print(f"warning: the interpolant misses --tol {args.tol:g} between the grid's nodes by "
-              f"up to {res.offnode_deviation:.3g}; a finer --grid may meet it", file=sys.stderr)
-    elif not res.converged:
-        print("warning: a factor's s'' series did not resolve in 256 samples", file=sys.stderr)
+    misses = res.offnode_deviation > args.tol
+    # a missed --tol hides whether every series resolved; with no tol, converged tells
+    resolved = res.converged or (misses and solve(
+        P, b=res.b, grid=args.grid, truncation=args.truncation, tol=math.inf).converged)
+    reasons = [f"the interpolant misses --tol {args.tol:g} between the grid's nodes by "
+               f"up to {res.offnode_deviation:.3g}"] if misses else []
+    if not resolved:
+        reasons.append("a factor's s'' series did not resolve in 256 samples")
+    if reasons:
+        advice = "; a finer --grid may meet it" if resolved else ""
+        print("warning: " + ", and ".join(reasons) + advice, file=sys.stderr)
     print(f"domain: {res.domain}")
     if res.truncated_axes:
         print(f"truncated axes: {res.truncated_axes}")

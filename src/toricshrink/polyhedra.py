@@ -220,9 +220,10 @@ class LabeledPolyhedron:
         """Interior sample points: vertex convex combinations plus recession moves."""
         import numpy as np
 
-        verts = [v.point_float for v in vertices(self)]
+        verts = [np.array([float(p) for p in point]) for point, _ in _enumerate_vertices(self)]
         rays = np.array(self.recession_rays(), dtype=float).reshape(-1, self.dim)
         center = self.interior_point()
+        W, a = self.scaled_normal_matrix(), self.offsets_array()
         out = []
         tries = 0
         while len(out) < count:
@@ -237,7 +238,7 @@ class LabeledPolyhedron:
             for r in rays:
                 x = x + rng.exponential(3.0) * r / np.linalg.norm(r)
             x = 0.9 * x + 0.1 * center  # pull off the boundary
-            if self.interior_contains(x, margin=1e-10):
+            if np.all(W @ x + a > 1e-10):
                 out.append(x)
         return np.array(out)
 

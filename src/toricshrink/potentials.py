@@ -45,36 +45,39 @@ def _as_batch(x, n):
 # canonical potential
 
 class CanonicalPotential:
-    """The boundary-adapted potential determined by the labeled facets."""
+    """The boundary-adapted potential determined by the labeled facets.
+
+    jet, the one evaluator, gives (u_P, grad u_P, Hess u_P) from the facet
+    values L, built once with one domain check; value, gradient and hessian
+    each return one entry of it.
+    """
 
     def __init__(self, P: LabeledPolyhedron):
         self.polyhedron = P
         self._W = P.scaled_normal_matrix()  # rows m_i n_i
         self._a = P.offsets_array()
 
-    def _L(self, X):
+    def jet(self, x):
+        X, single = _as_batch(x, self.polyhedron.dim)
         L = X @ self._W.T + self._a
         if np.any(L <= 0.0):
             raise OutOfDomain("point outside the interior of the polyhedron")
-        return L
+        log_L = np.log(L)
+        v = 0.5 * np.sum(L * log_L, axis=1)
+        G = 0.5 * (1.0 + log_L) @ self._W
+        H = 0.5 * np.einsum("mi,ij,ik->mjk", 1.0 / L, self._W, self._W)
+        if single:
+            return float(v[0]), G[0], H[0]
+        return v, G, H
 
     def value(self, x):
-        X, single = _as_batch(x, self.polyhedron.dim)
-        L = self._L(X)
-        v = 0.5 * np.sum(L * np.log(L), axis=1)
-        return float(v[0]) if single else v
+        return self.jet(x)[0]
 
     def gradient(self, x):
-        X, single = _as_batch(x, self.polyhedron.dim)
-        L = self._L(X)
-        G = 0.5 * (1.0 + np.log(L)) @ self._W
-        return G[0] if single else G
+        return self.jet(x)[1]
 
     def hessian(self, x):
-        X, single = _as_batch(x, self.polyhedron.dim)
-        L = self._L(X)
-        H = 0.5 * np.einsum("mi,ij,ik->mjk", 1.0 / L, self._W, self._W)
-        return H[0] if single else H
+        return self.jet(x)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +280,7 @@ def correction_of(u):
     """The correction part of a potential: None for the canonical one.
 
     ding and convexity_scan need a GridCorrection here; the boundary
-    checks read only the correction's value and gradient.
+    checks read only the correction's jet.
     """
     if isinstance(u, CanonicalPotential):
         return None
@@ -401,27 +404,25 @@ def check_boundary_conditions(P: LabeledPolyhedron, u) -> BoundaryReport:
 
     (i) the correction and its gradient stay bounded;
     (ii) det(Hess u) * prod_i L_i stays bounded and strictly positive.
+    Each ladder takes one jet of the correction, whose Hessian enters the
+    density through _density_form, as in boundary_density.
     """
     s = correction_of(u)
+    W, a = P.scaled_normal_matrix(), P.offsets_array()
     checks = []
     for i in range(len(P.facets)):
         ladder = np.array(facet_ladder(P, i))
         corr_ok = grad_ok = True
+        H = np.zeros((len(ladder), P.dim, P.dim))
         if s is not None:
-            corr_ok = _differences_decay(s.value(ladder))
-            grads = s.gradient(ladder)
-            grad_ok = all(_differences_decay(grads[:, c]) for c in range(P.dim))
-        dens = boundary_density(P, u, ladder)
+            v, G, H = s.jet(ladder)
+            corr_ok = _differences_decay(v)
+            grad_ok = all(_differences_decay(G[:, c]) for c in range(P.dim))
+        dens = _density_at(_density_form(P, ladder @ W.T + a), H)
         dens_ok = _differences_decay(dens) and bool(1e-8 <= dens[-1] <= 1e8)
-        checks.append(
-            FacetBoundaryCheck(
-                facet=i,
-                correction_bounded=corr_ok,
-                gradient_bounded=grad_ok,
-                density_bounded=dens_ok,
-                density_value=float(dens[-1]),
-            )
-        )
+        checks.append(FacetBoundaryCheck(facet=i, correction_bounded=corr_ok,
+                                         gradient_bounded=grad_ok, density_bounded=dens_ok,
+                                         density_value=float(dens[-1])))
     return BoundaryReport(
         checks=tuple(checks),
         correction_ok=all(c.correction_bounded and c.gradient_bounded for c in checks),
@@ -458,28 +459,25 @@ class EReport:
 def check_space_E(P: LabeledPolyhedron, u, b, seed: int = 0) -> EReport:
     """Numerical membership test for the admissible potential space.
 
-    Positive definiteness is sampled at 40 interior points; properness of the
-    gradient map is probed toward facets and along recession rays. u_P grows
-    like |x| log |x| and a grid correction is a polynomial, so u e^{-<b,x>}
-    is integrable exactly where the weight is, as quadrature._weight_skeleton
-    decides.
+    Positive definiteness is sampled at 40 interior points by one stacked
+    Cholesky factorization of their Hessians, which fails if any sample's
+    does; properness of the gradient map is probed with one gradient call
+    per facet ladder and per recession ray. u_P grows like |x| log |x| and a
+    grid correction is a polynomial, so u e^{-<b,x>} is integrable exactly
+    where the weight is, as quadrature._weight_skeleton decides.
     """
     rng = np.random.default_rng(seed)
-    pts = P.sample_interior(rng, 40)
-    hess_ok = True
-    for x in pts:
-        try:
-            np.linalg.cholesky(u.hessian(x))
-        except np.linalg.LinAlgError:
-            hess_ok = False
-            break
+    try:
+        np.linalg.cholesky(u.hessian(P.sample_interior(rng, 40)))
+        hess_ok = True
+    except np.linalg.LinAlgError:
+        hess_ok = False
 
     boundary = check_boundary_conditions(P, u)
     W = P.scaled_normal_matrix()
     grad_blows = True
     for i in range(len(P.facets)):
-        ladder = facet_ladder(P, i)
-        q = [float(u.gradient(x) @ W[i]) / np.linalg.norm(W[i]) for x in ladder]
+        q = u.gradient(np.array(facet_ladder(P, i))) @ W[i] / np.linalg.norm(W[i])
         if not (q[-1] < q[-2] < q[-3] and (q[-2] - q[-1]) >= 0.8 * (q[-3] - q[-2])):
             grad_blows = False
 
@@ -498,8 +496,7 @@ def check_space_E(P: LabeledPolyhedron, u, b, seed: int = 0) -> EReport:
                     t_hi = min(t_hi, (hi - x0[d]) / w[d])
                 elif w[d] < -1e-12:
                     t_hi = min(t_hi, (lo - x0[d]) / w[d])
-        taus = [0.25 * t_hi, 0.5 * t_hi, t_hi]
-        h = [float(u.gradient(x0 + tau * w) @ w) for tau in taus]
+        h = u.gradient(np.array([x0 + tau * t_hi * w for tau in (0.25, 0.5, 1.0)])) @ w
         if not (h[2] > h[1] > h[0] and h[2] - h[0] >= 0.05):
             ray_growth = False
 

@@ -276,7 +276,12 @@ def test_solve_and_residual_roundtrip(interval_file, tmp_path, capsys):
     # no finer --grid would help
     ((1, [((1,), 1, 2), ((-1,), 30, 2)]), 48, 1e-11, False,
      "warning: a factor's s'' series did not resolve in 256 samples\n"),
-], ids=["rectangle_8", "teardrop_64", "labels_1_30"])
+    # on a coarse grid both reasons hold: the warning names both and, as
+    # the series stays unresolved on every grid, advises no finer --grid
+    ((1, [((1,), 1, 2), ((-1,), 30, 2)]), 14, 1e-11, False,
+     "warning: the interpolant misses --tol 1e-11 between the grid's nodes by up to 1.48e-06, "
+     "and a factor's s'' series did not resolve in 256 samples\n"),
+], ids=["rectangle_8", "teardrop_64", "labels_1_30", "labels_1_30_grid_14"])
 def test_solve_warns_when_it_misses_tol(tmp_path, capfd, spec, grid, tol, converged, warning):
     # a missed tol between the grid's nodes, or an unresolved series, is one
     # warning line on stderr and a false converged in the artifact; the exit

@@ -827,6 +827,40 @@ def test_strip_points_and_structure_group():
     assert structure_group(strip, [0]).is_trivial
 
 
+def _samples_from_vertex_data(P, rng, count):
+    # the sampler as it was built on vertices(P) and interior_contains
+    verts = [v.point_float for v in vertices(P)]
+    rays = np.array(P.recession_rays(), dtype=float).reshape(-1, P.dim)
+    center = P.interior_point()
+    out = []
+    while len(out) < count:
+        if verts:
+            w = rng.dirichlet(np.ones(len(verts)))
+            x = np.sum([wi * v for wi, v in zip(w, verts)], axis=0)
+        else:
+            x = center.copy()
+        for r in rays:
+            x = x + rng.exponential(3.0) * r / np.linalg.norm(r)
+        x = 0.9 * x + 0.1 * center
+        if P.interior_contains(x, margin=1e-10):
+            out.append(x)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("P", [
+    interval(-2, "2/3", 1, 3),
+    half_line(-2),
+    from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 3, 2), ((0, 1), 2, 2), ((0, -1), 1, 2)]),
+    box([(-2, None), (-2, None)]),
+    from_halfspaces(2, [((1, 0), 1, 2), ((0, 1), 1, 2), ((-1, -1), 1, 2), ((-1, 0), 1, 3)]),
+], ids=["teardrop", "half_line", "rectangle", "quadrant", "pentagon_cut"])
+def test_sample_interior_matches_the_vertex_data_sampler(P):
+    # the same draws in the same order give the same bits
+    for seed in (0, 5):
+        ref = _samples_from_vertex_data(P, np.random.default_rng(seed), 40)
+        assert np.array_equal(P.sample_interior(np.random.default_rng(seed), 40), ref)
+
+
 def test_sample_interior_respects_domain():
     P = box([(-2, None), (-2, 2)])
     rng = np.random.default_rng(5)

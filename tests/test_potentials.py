@@ -25,6 +25,9 @@ from toricshrink.potentials import (
 from toricshrink.shrinker import find_soliton_vector, solve
 
 SQ = box([(-2, 2), (-2, 2)])
+TEARDROP = interval(-2, "2/3", 1, 3)
+ORBIFOLD_RECTANGLE = from_halfspaces(
+    2, [((1, 0), 1, 2), ((-1, 0), 3, 2), ((0, 1), 2, 2), ((0, -1), 1, 2)])
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -187,24 +190,35 @@ def test_partials_at_the_affine_geodesic_size():
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("count", [8, 14, 24])
 def test_every_reader_gives_the_jets_bits(dim, count):
+    # a grid correction and the canonical potential on the same box; the
+    # canonical jet must keep the bits of its per-reader formulas, written
+    # out below as the reference
     rng = np.random.default_rng(5)
     domain = [(-2.0, 2.0), (-1.0, 3.0)][:dim]
     g = GridCorrection([lobatto_nodes(lo, hi, count) for lo, hi in domain],
                        rng.normal(size=(count,) * dim))
+    P = box(domain)
+    W, a = P.scaled_normal_matrix(), P.offsets_array()
     lo, hi = np.array(domain).T
     for m in (1, 2, 3, 6, 40, 2500):
         X = rng.uniform(lo, hi, size=(m, dim))
-        s, G, H = g.jet(X)
-        assert np.array_equal(g.value(X), s)
-        assert np.array_equal(g.gradient(X), G)
-        assert np.array_equal(g.hessian(X), H)
-        # a single point returns a float, an (n,) gradient and an (n, n) Hessian
-        x = X[0]
-        s, G, H = g.jet(x)
-        assert isinstance(s, float) and G.shape == (dim,) and H.shape == (dim, dim)
-        assert g.value(x) == s
-        assert np.array_equal(g.gradient(x), G)
-        assert np.array_equal(g.hessian(x), H)
+        L = X @ W.T + a
+        reference = (0.5 * np.sum(L * np.log(L), axis=1), 0.5 * (1.0 + np.log(L)) @ W,
+                     0.5 * np.einsum("mi,ij,ik->mjk", 1.0 / L, W, W))
+        u_P = CanonicalPotential(P)
+        assert all(np.array_equal(r, j) for r, j in zip(reference, u_P.jet(X)))
+        for u in (g, u_P):
+            s, G, H = u.jet(X)
+            assert np.array_equal(u.value(X), s)
+            assert np.array_equal(u.gradient(X), G)
+            assert np.array_equal(u.hessian(X), H)
+            # a single point returns a float, an (n,) gradient and an (n, n) Hessian
+            x = X[0]
+            s, G, H = u.jet(x)
+            assert isinstance(s, float) and G.shape == (dim,) and H.shape == (dim, dim)
+            assert u.value(x) == s
+            assert np.array_equal(u.gradient(x), G)
+            assert np.array_equal(u.hessian(x), H)
 
 
 def test_grid_correction_json_roundtrip():
@@ -450,6 +464,35 @@ def test_solution_in_space_probes_its_rays_on_the_grid(P, grid):
     lo, hi = np.array(s.domain).T
     assert all(np.all((lo <= x) & (x <= hi)) for x in probes)
     assert max(np.max(x) for x in probes) == 6.0
+
+
+@pytest.mark.parametrize("P, grid, most", [(ORBIFOLD_RECTANGLE, 14, 9), (TEARDROP, 48, 5)],
+                         ids=["rectangle_14", "teardrop_48"])
+def test_space_check_evaluates_each_point_set_once(P, grid, most, monkeypatch):
+    # one jet for the 40 interior Hessians, then per facet one for the
+    # boundary ladder and one for the gradient probe on it
+    u = CorrectedPotential(P, solve(P, grid=grid).correction)
+    shapes = []
+    jet = GridCorrection.jet
+    monkeypatch.setattr(GridCorrection, "jet",
+                        lambda self, x, vander=None: shapes.append(np.shape(x))
+                        or jet(self, x, vander))
+    assert check_space_E(P, u, find_soliton_vector(P).b).in_space
+    assert len(shapes) <= most
+    assert all(len(shape) == 2 and shape[0] > 1 for shape in shapes), shapes
+
+
+@pytest.mark.parametrize("k, convex", [(0.5, False), (0.2, True)])
+def test_hessian_positive_fails_where_one_sample_fails(k, convex):
+    # u_xx = 2/(4 - x^2) - 2k on the square: at k = 1/2 negative for
+    # |x| < sqrt(2) only, so some of the 40 samples pass and some fail;
+    # at k = 1/5 positive everywhere
+    s = GridCorrection.from_function(lambda x: -k * x[0] ** 2, [(-2.0, 2.0)] * 2, [5, 5])
+    u = CorrectedPotential(SQ, s)
+    lowest = np.linalg.eigvalsh(u.hessian(SQ.sample_interior(np.random.default_rng(0), 40)))[:, 0]
+    assert np.any(lowest > 0.0)
+    assert bool(np.all(lowest > 0.0)) is convex
+    assert check_space_E(SQ, u, [0.0, 0.0]).hessian_positive is convex
 
 
 def test_divergent_weight_not_integrable():
