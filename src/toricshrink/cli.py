@@ -16,6 +16,7 @@ without numpy, and each numeric subcommand imports the layers it calls.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -116,15 +117,27 @@ def _numpy_types(*names):
     return () if np is None else tuple(getattr(np, name) for name in names)
 
 
+def _fields(record) -> dict:
+    """A result record's fields by name: the keys of its artifact.
+
+    dataclasses.fields, not vars, so no cached value (a polyhedron's _hash)
+    becomes a key.
+    """
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _fields(obj)
     if isinstance(obj, _numpy_types("ndarray", "generic")):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(args, payload: dict, csv_rows=None, csv_header=None):
+def _emit(args, payload, csv_rows=None, csv_header=None):
+    """Write payload, a dict or a result record, as JSON to --out, or csv_rows as CSV."""
     out = getattr(args, "out", None)
     if out is None:
         return
@@ -164,18 +177,7 @@ def cmd_validate(args):
         print(f"contains line: {tuple(report.improper_line)}")
     if report.nonsimple_vertex is not None:
         print(f"non-simple vertex witness: {report.nonsimple_vertex}")
-    payload = {
-        "proper": report.proper,
-        "rational": report.rational,
-        "simple": report.simple,
-        "improper_line": report.improper_line,
-        "nonsimple_vertex": report.nonsimple_vertex,
-        "facets": [
-            {"normal": list(f.normal), "label": f.label, "offset": f.offset}
-            for f in P.facets
-        ],
-    }
-    _emit(args, payload)
+    _emit(args, {**_fields(report), "facets": P.facets})
     return EXIT_OK if report.all_ok else EXIT_VALIDATION
 
 
@@ -198,12 +200,7 @@ def cmd_vertices(args):
     for v in verts:
         print(f"vertex {tuple(str(c) for c in v.point)} "
               f"active facets {tuple(v.active_facets)}")
-        rows.append({
-            "point": [str(c) for c in v.point],
-            "point_float": [float(c) for c in v.point],
-            "active_facets": list(v.active_facets),
-            "edge_generators": [list(g) for g in v.edge_generators],
-        })
+        rows.append({**_fields(v), "point_float": [float(c) for c in v.point]})
     _emit(args, {"vertices": rows})
     return EXIT_OK
 
@@ -232,11 +229,7 @@ def cmd_delzant(args):
     print(f"projection rows: {data.projection}")
     print(f"kernel basis: {data.kernel_basis}")
     print(f"offsets: {tuple(str(a) for a in data.offsets)}")
-    _emit(args, {
-        "projection": [list(r) for r in data.projection],
-        "kernel_basis": [list(r) for r in data.kernel_basis],
-        "offsets": [str(a) for a in data.offsets],
-    })
+    _emit(args, data)
     return EXIT_OK
 
 
@@ -265,13 +258,7 @@ def cmd_soliton_vector(args):
     print(f"gradient norm: {sol.gradient_norm!r}")
     print(f"achieved: {sol.achieved!r}")
     print(f"iterations: {sol.iterations}")
-    _emit(args, {
-        "b": list(sol.b),
-        "F_value": sol.F_value,
-        "gradient_norm": sol.gradient_norm,
-        "achieved": sol.achieved,
-        "iterations": sol.iterations,
-    })
+    _emit(args, sol)
     return EXIT_OK
 
 
@@ -347,19 +334,8 @@ def cmd_solve(args):
     header = rows = None
     if args.out is not None and args.out.endswith(".csv"):
         header, rows = _solve_csv(P, res)
-    _emit(args, {
-        "b": list(res.b),
-        "constant": res.constant,
-        "residual_deviation": res.residual_deviation,
-        "offnode_deviation": res.offnode_deviation,
-        "converged": res.converged,
-        "iterations": res.iterations,
-        "grid": list(res.grid),
-        "domain": [list(d) for d in res.domain],
-        "truncated_axes": [list(t) for t in res.truncated_axes],
-        "truncation": res.truncation,
-        "correction": res.correction.to_dict(),
-    }, csv_rows=rows, csv_header=header)
+    _emit(args, {**_fields(res), "correction": res.correction.to_dict()},
+          csv_rows=rows, csv_header=header)
     return EXIT_OK
 
 
@@ -408,31 +384,14 @@ def cmd_check_potential(args):
     print(f"gradient surjective: {space.gradient_surjective}")
     print(f"integrable: {space.integrable}")
     print(f"note: {space.note}")
-    payload = {
-        "boundary": {
-            "correction_ok": boundary.correction_ok,
-            "density_ok": boundary.density_ok,
-            "checks": [
-                {
-                    "facet": c.facet,
-                    "correction_bounded": c.correction_bounded,
-                    "gradient_bounded": c.gradient_bounded,
-                    "density_bounded": c.density_bounded,
-                    "density_value": c.density_value,
-                }
-                for c in boundary.checks
-            ],
-        },
-        "space": {
-            "hessian_positive": space.hessian_positive,
-            "boundary_behaviour": space.boundary_behaviour,
-            "gradient_surjective": space.gradient_surjective,
-            "integrable": space.integrable,
-            "note": space.note,
-        },
+    fields = _fields(space)
+    del fields["boundary"]  # written whole under its own key
+    _emit(args, {
+        "boundary": boundary,
+        "space": {**fields, "boundary_behaviour": space.boundary_behaviour,
+                  "note": space.note},
         "b": b,
-    }
-    _emit(args, payload)
+    })
     return EXIT_OK if space.in_space else EXIT_VALIDATION
 
 

@@ -120,6 +120,10 @@ class Cone:
 
 @dataclass(frozen=True)
 class VertexData:
+    """A vertex: its exact point, the facets active there, and an edge
+    generator per active facet. The fields are the keys of a row of the
+    `vertices` artifact, beside point_float; renaming one changes the artifact."""
+
     point: tuple[Fraction, ...]
     active_facets: tuple[int, ...]
     edge_generators: tuple[tuple[int, ...], ...]
@@ -133,6 +137,9 @@ class VertexData:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """validate's verdicts with a witness for each failure. The fields are keys
+    of the `validate` artifact, beside facets; renaming one changes the artifact."""
+
     proper: bool
     rational: bool
     simple: bool
@@ -146,6 +153,9 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class DelzantData:
+    """The labeled Delzant data of P. The fields are the keys of the `delzant`
+    artifact; renaming one changes the artifact."""
+
     projection: tuple[tuple[int, ...], ...]  # N x n rows m_i n_i
     kernel_basis: tuple[tuple[int, ...], ...]  # integer basis of ker(projection map)
     offsets: tuple[Fraction, ...]

@@ -294,7 +294,8 @@ def correction_of(u):
 # facet ladders and boundary conditions
 
 def facet_ladder(P: LabeledPolyhedron, i: int):
-    """Points approaching the interior of facet i: distances 10^-k for k = 1..6."""
+    """Points approaching the interior of facet i, one row each: distances 10^-k
+    for k = 1..6."""
     W = P.scaled_normal_matrix()
     a = P.offsets_array()
     xstar = P.facet_interior_point(i)
@@ -304,7 +305,7 @@ def facet_ladder(P: LabeledPolyhedron, i: int):
     t0 = 1.0
     if len(margins):
         t0 = min(1.0, float(np.min(margins / (2.0 * norms))))
-    return [xstar + t0 * 10.0 ** (-k) * d for k in range(1, 7)]
+    return np.array([xstar + t0 * 10.0 ** (-k) * d for k in range(1, 7)])
 
 
 def _differences_decay(q) -> bool:
@@ -317,6 +318,9 @@ def _differences_decay(q) -> bool:
 
 @dataclass(frozen=True)
 class FacetBoundaryCheck:
+    """The boundary probes on facet's ladder. The fields are the keys of a row
+    of check-potential's boundary.checks; renaming one changes the artifact."""
+
     facet: int
     correction_bounded: bool
     gradient_bounded: bool
@@ -326,6 +330,9 @@ class FacetBoundaryCheck:
 
 @dataclass(frozen=True)
 class BoundaryReport:
+    """The probes on every facet and their verdicts. The fields are the keys of
+    check-potential's boundary object; renaming one changes the artifact."""
+
     checks: tuple[FacetBoundaryCheck, ...]
     correction_ok: bool
     density_ok: bool
@@ -407,11 +414,15 @@ def check_boundary_conditions(P: LabeledPolyhedron, u) -> BoundaryReport:
     Each ladder takes one jet of the correction, whose Hessian enters the
     density through _density_form, as in boundary_density.
     """
+    return _boundary_report(P, u, [facet_ladder(P, i) for i in range(len(P.facets))])
+
+
+def _boundary_report(P: LabeledPolyhedron, u, ladders) -> BoundaryReport:
+    """check_boundary_conditions on ladders already built, one per facet."""
     s = correction_of(u)
     W, a = P.scaled_normal_matrix(), P.offsets_array()
     checks = []
-    for i in range(len(P.facets)):
-        ladder = np.array(facet_ladder(P, i))
+    for i, ladder in enumerate(ladders):
         corr_ok = grad_ok = True
         H = np.zeros((len(ladder), P.dim, P.dim))
         if s is not None:
@@ -435,6 +446,10 @@ def check_boundary_conditions(P: LabeledPolyhedron, u) -> BoundaryReport:
 
 @dataclass(frozen=True)
 class EReport:
+    """check_space_E's verdicts. The fields other than boundary, which is written
+    whole beside it, are keys of check-potential's space object, with
+    boundary_behaviour and note; renaming one changes the artifact."""
+
     hessian_positive: bool
     boundary: BoundaryReport
     gradient_surjective: bool
@@ -462,9 +477,10 @@ def check_space_E(P: LabeledPolyhedron, u, b, seed: int = 0) -> EReport:
     Positive definiteness is sampled at 40 interior points by one stacked
     Cholesky factorization of their Hessians, which fails if any sample's
     does; properness of the gradient map is probed with one gradient call
-    per facet ladder and per recession ray. u_P grows like |x| log |x| and a
-    grid correction is a polynomial, so u e^{-<b,x>} is integrable exactly
-    where the weight is, as quadrature._weight_skeleton decides.
+    per facet ladder, on the ladders the boundary checks read, and per
+    recession ray. u_P grows like |x| log |x| and a grid correction is a
+    polynomial, so u e^{-<b,x>} is integrable exactly where the weight is,
+    as quadrature._weight_skeleton decides.
     """
     rng = np.random.default_rng(seed)
     try:
@@ -473,11 +489,12 @@ def check_space_E(P: LabeledPolyhedron, u, b, seed: int = 0) -> EReport:
     except np.linalg.LinAlgError:
         hess_ok = False
 
-    boundary = check_boundary_conditions(P, u)
+    ladders = [facet_ladder(P, i) for i in range(len(P.facets))]
+    boundary = _boundary_report(P, u, ladders)
     W = P.scaled_normal_matrix()
     grad_blows = True
-    for i in range(len(P.facets)):
-        q = u.gradient(np.array(facet_ladder(P, i))) @ W[i] / np.linalg.norm(W[i])
+    for i, ladder in enumerate(ladders):
+        q = u.gradient(ladder) @ W[i] / np.linalg.norm(W[i])
         if not (q[-1] < q[-2] < q[-3] and (q[-2] - q[-1]) >= 0.8 * (q[-3] - q[-2])):
             grad_blows = False
 

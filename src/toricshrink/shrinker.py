@@ -62,6 +62,9 @@ class SolitonVector:
     achieved is log F's Newton decrement lam at b. For lam < 1, |b - b_X| <= lam/(1 - lam)
     in the norm of Hess log F at b (Nesterov 2004, 4.1) in exact arithmetic; the
     computed lam carries the rounding of F's moments.
+
+    The fields are the keys of the `soliton-vector` artifact; renaming one
+    changes the artifact.
     """
 
     b: tuple[float, ...]
@@ -214,7 +217,10 @@ class SolveResult:
     residual's mean (constant) and largest deviation at the nodes; the tail bound
     on the interpolant's miss off them (offnode_deviation); whether it meets tol
     with every s'' series resolved (converged); the axes cut at <b, x> = truncation;
-    and iterations, always 0, which the benchmark's tracer still reads."""
+    and iterations, always 0, which the benchmark's tracer still reads.
+
+    The fields are the keys of the `solve` artifact, which writes correction as
+    its to_dict payload; renaming one changes the artifact."""
 
     b: tuple[float, ...]
     correction: GridCorrection

@@ -472,6 +472,54 @@ def test_verdicts_are_json_booleans(interval_file, tmp_path):
     assert space["space"]["hessian_positive"] is True
 
 
+def test_record_artifacts_pin_their_records_fields(teardrop_file, tmp_path):
+    # these six artifacts are result records written field by field, so
+    # renaming a record field changes an artifact key; the literal sets catch it
+    def run(command, *flags):
+        out = tmp_path / f"{command}.json"
+        assert main([command, teardrop_file, *flags, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    report = run("validate")
+    assert set(report) == {"proper", "rational", "simple", "improper_line",
+                           "nonsimple_vertex", "facets"}
+    assert [set(f) for f in report["facets"]] == [{"normal", "label", "offset"}] * 2
+    assert [f["offset"] for f in report["facets"]] == ["2", "2"]
+    assert report["proper"] is report["rational"] is report["simple"] is True
+    assert report["improper_line"] is None and report["nonsimple_vertex"] is None
+
+    rows = run("vertices")["vertices"]
+    assert [set(r) for r in rows] == [
+        {"point", "point_float", "active_facets", "edge_generators"}] * 2
+
+    delzant = run("delzant")
+    assert set(delzant) == {"projection", "kernel_basis", "offsets"}
+    assert delzant["offsets"] == ["2", "2"]
+
+    assert set(run("soliton-vector")) == {"b", "F_value", "gradient_norm",
+                                          "achieved", "iterations"}
+
+    solved = run("solve")
+    assert set(solved) == {"b", "correction", "constant", "residual_deviation",
+                           "offnode_deviation", "converged", "iterations", "grid",
+                           "domain", "truncated_axes", "truncation"}
+    assert solved["converged"] is True
+
+    check = run("check-potential", "--potential", str(tmp_path / "solve.json"))
+    assert set(check) == {"boundary", "space", "b"}
+    assert set(check["boundary"]) == {"checks", "correction_ok", "density_ok"}
+    assert [set(c) for c in check["boundary"]["checks"]] == [
+        {"facet", "correction_bounded", "gradient_bounded", "density_bounded",
+         "density_value"}] * 2
+    assert set(check["space"]) == {"hessian_positive", "boundary_behaviour",
+                                   "gradient_surjective", "integrable", "note"}
+    verdicts = [check["boundary"]["correction_ok"], check["boundary"]["density_ok"],
+                *(c[k] for c in check["boundary"]["checks"]
+                  for k in ("correction_bounded", "gradient_bounded", "density_bounded")),
+                *(v for k, v in check["space"].items() if k != "note")]
+    assert all(v is True for v in verdicts), check
+
+
 def test_solve_csv_lists_the_grid_values_in_c_order(tmp_path):
     path = tmp_path / "rectangle.json"
     save_polyhedron(box([(-2, "2/3"), (-1, 2)], labels=[1, 3, 2, 1]), path)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
 
+from toricshrink import potentials
 from toricshrink.polyhedra import box, from_halfspaces, half_line, interval, vertices
 from toricshrink.potentials import (
     BoundaryReport,
@@ -480,6 +481,17 @@ def test_space_check_evaluates_each_point_set_once(P, grid, most, monkeypatch):
     assert check_space_E(P, u, find_soliton_vector(P).b).in_space
     assert len(shapes) <= most
     assert all(len(shape) == 2 and shape[0] > 1 for shape in shapes), shapes
+
+
+@pytest.mark.parametrize("P", [ORBIFOLD_RECTANGLE, TEARDROP], ids=["rectangle", "teardrop"])
+def test_space_check_builds_each_facet_ladder_once(P, monkeypatch):
+    # the boundary checks and the gradient probe read the same ladders
+    built = []
+    ladder = potentials.facet_ladder
+    monkeypatch.setattr(potentials, "facet_ladder",
+                        lambda P, i: built.append(i) or ladder(P, i))
+    assert check_space_E(P, CanonicalPotential(P), find_soliton_vector(P).b).in_space
+    assert built == list(range(len(P.facets)))
 
 
 @pytest.mark.parametrize("k, convex", [(0.5, False), (0.2, True)])
