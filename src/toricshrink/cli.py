@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .polyhedra import (
     EmptyPolyhedron,
-    NotProper,
     RedundantFacet,
+    _enumerate_vertices,
     delzant_data,
     load_polyhedron,
     normal_fan,
@@ -55,7 +55,7 @@ def _load(args):
         P = load_polyhedron(args.input)
     except (OSError, json.JSONDecodeError) as err:
         raise _CliError(EXIT_IO, "io", f"cannot read polyhedron: {err}")
-    except (EmptyPolyhedron, RedundantFacet, NotProper):
+    except (EmptyPolyhedron, RedundantFacet):
         raise  # a well-formed file describing an invalid polyhedron
     except (KeyError, TypeError, ValueError) as err:
         raise _CliError(EXIT_IO, "parse", f"bad polyhedron file: {err}")
@@ -83,9 +83,21 @@ def _load_potential(P, path):
         data = data["correction"]
     try:
         corr = GridCorrection.from_dict(data)
-        return CorrectedPotential(P, corr), corr
+        u = CorrectedPotential(P, corr)
     except (KeyError, TypeError, ValueError) as err:
         raise _CliError(EXIT_IO, "parse", f"bad potential payload: {err}")
+    # a grid that misses a vertex of P was solved on another polyhedron, and its
+    # polynomial would be read far outside the grid. Each end may miss by a
+    # rounding gap: a solve grid can end one ulp inside P
+    for point, _ in _enumerate_vertices(P):
+        for d, (lo, hi) in enumerate(corr.domain):
+            gap = 1e-12 * (hi - lo)
+            if not lo - gap <= point[d] <= hi + gap:
+                raise _CliError(EXIT_IO, "parse",
+                                f"bad potential payload: grid axis {d} spans [{lo!r}, {hi!r}], "
+                                f"which misses vertex {tuple(float(c) for c in point)} "
+                                "of the polyhedron")
+    return u, corr
 
 
 def _parse_b(text, dim):
@@ -111,12 +123,6 @@ def _weights(args, P, tol):
     return list(find_soliton_vector(P, tol=tol).b) if b is None else b
 
 
-def _numpy_types(*names):
-    """The named numpy types, or () while numpy is not loaded: no value is one then."""
-    np = sys.modules.get("numpy")
-    return () if np is None else tuple(getattr(np, name) for name in names)
-
-
 def _fields(record) -> dict:
     """A result record's fields by name: the keys of its artifact.
 
@@ -131,8 +137,6 @@ def _json_default(obj):
         return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _fields(obj)
-    if isinstance(obj, _numpy_types("ndarray", "generic")):
-        return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -147,9 +151,8 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
                 raise _CliError(EXIT_IO, "io",
                                 "this subcommand has no CSV artifact; use a .json path")
             lines = [",".join(csv_header)]
-            floats = (float, *_numpy_types("floating"))
             for row in csv_rows:
-                lines.append(",".join(repr(float(v)) if isinstance(v, floats)
+                lines.append(",".join(repr(float(v)) if isinstance(v, float)
                                       else str(v) for v in row))
             text = "\n".join(lines) + "\n"
         else:
@@ -181,21 +184,9 @@ def cmd_validate(args):
     return EXIT_OK if report.all_ok else EXIT_VALIDATION
 
 
-def _vertices(P):
-    """vertices(P), refusing a polyhedron with a line.
-
-    Such a polyhedron has no vertices; an empty list would read as success,
-    so it is rejected with validate's witness.
-    """
-    line = validate(P).improper_line
-    if line is not None:
-        raise _CliError(EXIT_VALIDATION, "validation", f"contains line: {tuple(line)}")
-    return vertices(P)
-
-
 def cmd_vertices(args):
     P = _load(args)
-    verts = _vertices(P)
+    verts = vertices(P)
     rows = []
     for v in verts:
         print(f"vertex {tuple(str(c) for c in v.point)} "
@@ -207,7 +198,7 @@ def cmd_vertices(args):
 
 def cmd_structure_group(args):
     P = _load(args)
-    verts = _vertices(P)
+    verts = vertices(P)
     rows = []
     for v in verts:
         g = structure_group(P, v.active_facets)

@@ -46,10 +46,6 @@ class AbelianGroup:
             raise ValueError("infinite group has no order")
         return math.prod(self.invariant_factors) if self.invariant_factors else 1
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors and self.free_rank == 0
-
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.invariant_factors]
         if self.free_rank:

@@ -113,7 +113,6 @@ class Cone:
     """A cone of the normal fan: generated by the primitive integer normals
     of the facets in face_indices."""
 
-    dim: int
     generators: tuple[tuple[int, ...], ...]
     face_indices: tuple[int, ...]
 
@@ -193,18 +192,6 @@ class LabeledPolyhedron:
 
         return np.array([float(f.offset) for f in self.facets])
 
-    def linear_values(self, x) -> np.ndarray:
-        """Values l_i(x) + a_i, one per facet."""
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        return self.scaled_normal_matrix() @ x + self.offsets_array()
-
-    def interior_contains(self, x, margin: float = 1e-12) -> bool:
-        import numpy as np
-
-        return bool(np.all(self.linear_values(x) > margin))
-
     def interior_point(self) -> np.ndarray:
         return _relative_interior_point(*_face(self))
 
@@ -227,7 +214,10 @@ class LabeledPolyhedron:
         return [r for r, _ in sk.rays]
 
     def sample_interior(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Interior sample points: vertex convex combinations plus recession moves."""
+        """Interior sample points: vertex convex combinations plus recession moves.
+
+        recession_rays refuses a polyhedron with a line, the one kind without vertices.
+        """
         import numpy as np
 
         verts = [np.array([float(p) for p in point]) for point, _ in _enumerate_vertices(self)]
@@ -240,11 +230,8 @@ class LabeledPolyhedron:
             tries += 1
             if tries > 400 * count:
                 raise RuntimeError("interior sampling failed to converge")
-            if verts:
-                w = rng.dirichlet(np.ones(len(verts)))
-                x = np.sum([wi * v for wi, v in zip(w, verts)], axis=0)
-            else:
-                x = center.copy()
+            w = rng.dirichlet(np.ones(len(verts)))
+            x = np.sum([wi * v for wi, v in zip(w, verts)], axis=0)
             for r in rays:
                 x = x + rng.exponential(3.0) * r / np.linalg.norm(r)
             x = 0.9 * x + 0.1 * center  # pull off the boundary
@@ -370,13 +357,20 @@ def _enumerate_vertices(P: LabeledPolyhedron):
 def vertices(P: LabeledPolyhedron) -> list[VertexData]:
     """Vertices with active facets and inward primitive edge generators (simple P).
 
+    Raises NotProper, with validate's line witness, when P contains a line:
+    it has no vertices, and an empty list would read as success. Raises
+    NotSimple when a vertex meets more than n facets.
+
     The edge that leaves facet k solves <w, m_j n_j> = 0 for the other active
     j and <w, m_k n_k> > 0: the one primitive kernel vector of the active rows
     with row k zeroed, which are independent because they cut out the vertex alone.
     """
+    sk = _skeleton(P)
+    if sk.lineality:
+        raise NotProper(f"contains line: {sk.lineality[0]}")
     n = P.dim
     data = []
-    for point, active in _enumerate_vertices(P):
+    for point, active in sk.vertices:
         if len(active) != n:
             raise NotSimple(
                 f"vertex {tuple(float(p) for p in point)} meets {len(active)} "
@@ -469,7 +463,7 @@ def normal_fan(P: LabeledPolyhedron) -> list[Cone]:
     for sub in sorted(subsets, key=lambda s: (len(s), tuple(sorted(s)))):
         idx = tuple(sorted(sub))
         gens = tuple(P.facets[i].normal for i in idx)
-        cones.append(Cone(dim=P.dim, generators=gens, face_indices=idx))
+        cones.append(Cone(generators=gens, face_indices=idx))
     return cones
 
 

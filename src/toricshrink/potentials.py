@@ -84,8 +84,12 @@ class CanonicalPotential:
 # Chebyshev grids
 
 def lobatto_nodes(lo: float, hi: float, count: int) -> np.ndarray:
-    """Chebyshev-Lobatto points mapped to [lo, hi], ascending, endpoints
-    included; clipped to [lo, hi], which lo + (hi - lo) can round past."""
+    """Chebyshev-Lobatto points mapped to [lo, hi], ascending, from lo.
+
+    The last node is lo + (hi - lo), which can round one ulp short of hi
+    (the teardrop's grid on [-2, 2/3] ends at 0.6666666666666665) or past
+    it; clipping to [lo, hi] keeps every node inside.
+    """
     if count < 2:
         raise ValueError("need at least two nodes")
     k = np.arange(count)
@@ -245,11 +249,6 @@ class GridCorrection:
         return g
 
     @classmethod
-    def zeros(cls, domain, counts) -> "GridCorrection":
-        axes = [lobatto_nodes(lo, hi, c) for (lo, hi), c in zip(domain, counts)]
-        return cls(axes, np.zeros(tuple(counts)))
-
-    @classmethod
     def from_function(cls, f, domain, counts) -> "GridCorrection":
         axes = [lobatto_nodes(lo, hi, c) for (lo, hi), c in zip(domain, counts)]
         vals = [f(np.array(x)) for x in itertools.product(*axes)]
@@ -390,29 +389,13 @@ def _density_at(form, s_hess):
     return A + np.einsum("mij,mij->m", B, s_hess) + detS * Pi
 
 
-def boundary_density(P: LabeledPolyhedron, u, x):
-    """det(Hess u) times the product of facet values: finite and positive on
-    the boundary exactly when the potential has the right singular structure.
-
-    Evaluated in the stable form, so points on the boundary give the limit.
-    """
-    X, single = _as_batch(x, P.dim)
-    L = X @ P.scaled_normal_matrix().T + P.offsets_array()
-    if np.any(L < 0.0):
-        raise OutOfDomain("point outside the polyhedron")
-    s = correction_of(u)
-    s_hess = np.zeros((len(X), P.dim, P.dim)) if s is None else s.hessian(X)
-    out = _density_at(_density_form(P, L), s_hess)
-    return float(out[0]) if single else out
-
-
 def check_boundary_conditions(P: LabeledPolyhedron, u) -> BoundaryReport:
     """Probe both admissibility conditions on ladders toward every facet.
 
     (i) the correction and its gradient stay bounded;
     (ii) det(Hess u) * prod_i L_i stays bounded and strictly positive.
     Each ladder takes one jet of the correction, whose Hessian enters the
-    density through _density_form, as in boundary_density.
+    density through _density_form.
     """
     return _boundary_report(P, u, [facet_ladder(P, i) for i in range(len(P.facets))])
 

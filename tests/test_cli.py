@@ -35,7 +35,7 @@ def interval_file(tmp_path):
 @pytest.fixture
 def zero_potential_file(tmp_path):
     path = tmp_path / "zero.json"
-    corr = GridCorrection.zeros([(-2.0, 2.0)], [8])
+    corr = GridCorrection.from_function(lambda x: 0.0, [(-2.0, 2.0)], [8])
     path.write_text(json.dumps({"correction": corr.to_dict()}))
     return str(path)
 
@@ -546,6 +546,7 @@ def test_console_entry_point(teardrop_file):
 @pytest.mark.parametrize("argv", [
     ["soliton-vector"],
     ["residual"],
+    ["solve"],
     ["check-potential"],
     ["check-potential", "--b", "0,0,0"],
 ])
@@ -642,6 +643,64 @@ def test_a_potential_payload_that_is_no_object_is_a_parse_error(interval_file, t
     captured = capsys.readouterr()
     assert captured.err.startswith("error: parse: bad potential payload:")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", "--potential", "{other}"],
+    ["ding-scan", "--potential", "{other}"],
+    ["ding-scan", "--potential", "{zero}", "--potential2", "{other}"],
+    ["check-potential", "--potential", "{other}"],
+], ids=["residual", "ding-scan", "ding-scan-potential2", "check-potential"])
+def test_a_payload_solved_on_another_polyhedron_is_a_parse_error(
+        teardrop_file, interval_file, zero_potential_file, tmp_path, capsys, argv):
+    # the teardrop's grid [-2, 2/3] misses the vertex 2 of [-2, 2]; read there,
+    # its polynomial would pass for a nonconvex potential. On the teardrop the
+    # grid's end, one ulp inside 2/3, is a rounding gap
+    other = str(tmp_path / "teardrop.solve.json")
+    assert main(["solve", teardrop_file, "--out", other]) == 0
+    argv = [a.format(other=other, zero=zero_potential_file) for a in argv]
+    assert main([argv[0], teardrop_file, "--potential", other]) == 0
+    capsys.readouterr()
+    assert main([argv[0], interval_file] + argv[1:]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: parse: bad potential payload: grid axis 0 spans "
+                            "[-2.0, 0.6666666666666665], which misses vertex (2.0,) "
+                            "of the polyhedron\n")
+
+
+# the square pyramid z >= -2, z <= 2 +- x, z <= 2 +- y: four facets meet at its apex
+SQUARE_PYRAMID = from_halfspaces(3, [((0, 0, 1), 1, 2), ((1, 0, -1), 1, 2), ((-1, 0, -1), 1, 2),
+                                     ((0, 1, -1), 1, 2), ((0, -1, -1), 1, 2)])
+
+
+@pytest.mark.parametrize("P, argv, code, line", [
+    (from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 1, 2)]), ["validate"], 2,
+     "contains line: (0, 1)"),
+    (SQUARE_PYRAMID, ["validate"], 2,
+     "non-simple vertex witness: ((0.0, 0.0, 2.0), (1, 2, 3, 4))"),
+    (interval(-2, 2), ["residual", "--potential", "{tmp}/orders.json"], 4,
+     "error: parse: bad potential payload: stored orders disagree with axis lengths"),
+    (interval(-2, 2), ["residual", "--potential", "{tmp}/missing.json"], 4,
+     "error: io: cannot read potential: "),
+    (interval(-2, 2), ["validate", "--out", "{tmp}/v.csv"], 4,
+     "error: io: this subcommand has no CSV artifact; use a .json path"),
+    (interval(-2, 2), ["validate", "--out", "{tmp}"], 4, "error: io: cannot write artifact: "),
+], ids=["strip", "square-pyramid", "payload-orders", "missing-potential", "validate-csv",
+        "out-directory"])
+def test_error_paths_print_their_one_line(tmp_path, capsys, P, argv, code, line):
+    # a verdict's witness goes to stdout, an error to stderr as its one line
+    path = tmp_path / "P.json"
+    save_polyhedron(P, path)
+    payload = GridCorrection.from_function(lambda x: 0.0, [(-2.0, 2.0)], [8]).to_dict()
+    (tmp_path / "orders.json").write_text(json.dumps(dict(payload, orders=[5])))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([argv[0], str(path)] + argv[1:]) == code
+    captured = capsys.readouterr()
+    if line.startswith("error: "):
+        assert captured.err.startswith(line) and captured.err.count("\n") == 1
+    else:
+        assert line in captured.out.splitlines() and captured.err == ""
 
 
 def test_potential_of_wrong_dimension_is_parse_error(cube_file, interval_file,

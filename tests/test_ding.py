@@ -168,7 +168,8 @@ def test_spill_bounds_the_canonical_integral_past_the_cut(b_X):
     # integral falls slower than F(b_X); a call either raises or returns D
     # within its spill
     P = half_line(-2)
-    v = CorrectedPotential(P, GridCorrection.zeros([(-2.0, 64.0)], [16]))
+    zero = GridCorrection.from_function(lambda x: 0.0, [(-2.0, 64.0)], [16])
+    v = CorrectedPotential(P, zero)
     exact = 0.5 * (1.0 - float(mpmath.euler) - math.log(b_X)) / b_X - 1.0
     q = _DingQuadrature(P, v.correction, 1e-8, [b_X])
     assert q.dropped <= 1e-8
@@ -901,10 +902,10 @@ def test_one_basis_holds_one_quadrature(held):
 
 
 def test_a_quadrature_samples_only_its_own_basis():
-    corr = GridCorrection.zeros([(-2.0, 2.0 / 3.0)], [10])
+    corr = GridCorrection.from_function(lambda x: 0.0, [(-2.0, 2.0 / 3.0)], [10])
     q = _DingQuadrature(TEARDROP, corr, 1e-8, find_soliton_vector(TEARDROP).b)
     with pytest.raises(ValueError, match="grid basis"):
-        q.sample(GridCorrection.zeros([(-2.0, 2.0 / 3.0)], [12]))
+        q.sample(GridCorrection.from_function(lambda x: 0.0, [(-2.0, 2.0 / 3.0)], [12]))
 
 
 def test_held_nodes_stay_within_the_bound(held, monkeypatch):
@@ -923,8 +924,8 @@ def test_held_nodes_stay_within_the_bound(held, monkeypatch):
     ding(u, TEARDROP, b_X=[0.0], tol=tols[1])  # a hit becomes the most recently used
     ding(u, TEARDROP, b_X=[0.0], tol=tols[0])
     assert [key[1] for key in held.entries] == [tols[1], tols[0]]
-    v = CorrectedPotential(RECTANGLE, GridCorrection.zeros([(-2.0, 2.0 / 3.0), (-1.0, 2.0)],
-                                                           [8, 8]))
+    zero = GridCorrection.from_function(lambda x: 0.0, [(-2.0, 2.0 / 3.0), (-1.0, 2.0)], [8, 8])
+    v = CorrectedPotential(RECTANGLE, zero)
     assert ding(v, RECTANGLE).d1 > 0.0
     assert held.nodes == 0 and not held.entries
     monkeypatch.setattr(ding_module, "_HELD_KEYS", 1)
@@ -961,7 +962,7 @@ def test_a_hit_still_checks_convexity(held):
 ])
 def test_a_failed_construction_is_not_held(held, P, dom):
     v = CanonicalPotential(P) if dom is None else CorrectedPotential(
-        P, GridCorrection.zeros(dom, [8]))
+        P, GridCorrection.from_function(lambda x: 0.0, dom, [8]))
     with pytest.raises(DivergentD1):
         _DingQuadrature(P, None if dom is None else v.correction, 1e-8, [0.5])
     for _ in range(2):

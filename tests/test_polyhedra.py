@@ -13,13 +13,14 @@ from scipy.spatial import HalfspaceIntersection
 
 from test_lattice import rref, saturation_basis
 from toricshrink import lattice
-from toricshrink.lattice import diagonalize, primitive_reduce, quotient_group
+from toricshrink.lattice import AbelianGroup, diagonalize, primitive_reduce, quotient_group
 from toricshrink.polyhedra import (
     EmptyFace,
     EmptyPolyhedron,
     DegenerateProjection,
     Facet,
     LabeledPolyhedron,
+    NotProper,
     NotSimple,
     RedundantFacet,
     box,
@@ -36,6 +37,11 @@ from toricshrink.polyhedra import (
     validate,
     vertices,
 )
+
+
+def facet_values(P, x):
+    """The values <x, m_i n_i> + a_i at x, one per facet."""
+    return P.scaled_normal_matrix() @ np.asarray(x, dtype=float) + P.offsets_array()
 
 
 def square(side=2):
@@ -70,7 +76,7 @@ def octahedron():
 def test_interval_shrinker_normalized():
     P = interval(-2, 2)
     assert P.is_shrinker_normalized()
-    assert P.interior_contains([0.0]) and not P.interior_contains([2.5])
+    assert np.all(facet_values(P, [0.0]) > 0.0) and not np.all(facet_values(P, [2.5]) > 0.0)
     assert interval(-2, Fraction(2, 3), 1, 3).is_shrinker_normalized()
 
 
@@ -109,7 +115,7 @@ def test_empty_interior_rejected():
 def test_thin_interval_accepted():
     # width 1e-12 lies below any float margin, yet the interior is nonempty
     P = from_halfspaces(1, [((1,), 1, 0), ((-1,), 1, Fraction(1, 10**12))])
-    assert P.interior_contains(P.interior_point(), margin=0.0)
+    assert np.all(facet_values(P, P.interior_point()) > 0.0)
 
 
 def test_shallow_corner_cut_is_a_facet():
@@ -480,6 +486,13 @@ def test_recession_rays_refuse_a_line():
         strip.recession_rays()
 
 
+def test_vertices_refuse_a_line():
+    # the strip has no vertices; an empty list would read as success
+    strip = from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 1, 2)])
+    with pytest.raises(NotProper, match=r"^contains line: \(0, 1\)$"):
+        vertices(strip)
+
+
 def test_ray_extraction_skips_interior_directions():
     # the recession cone is the dual of cone{(1,0),(1,2)}; the normals
     # themselves are interior rays of it and must not appear in the output
@@ -518,7 +531,7 @@ def test_minkowski_sampling_stays_inside():
         x = sum(wi * v.point_float for wi, v in zip(w, verts))
         for r in rays:
             x = x + rng.exponential(1.0) * r
-        assert np.all(P.linear_values(x) >= -1e-9)
+        assert np.all(facet_values(P, x) >= -1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +539,7 @@ def test_minkowski_sampling_stays_inside():
 
 def test_structure_group_single_facet_is_label_cyclic():
     P = interval(-2, Fraction(2, 3), 1, 3)
-    assert structure_group(P, [0]).is_trivial
+    assert structure_group(P, [0]) == AbelianGroup()
     G = structure_group(P, [1])
     assert G.invariant_factors == (3,)
     assert str(G) == "Z/3"
@@ -707,7 +720,7 @@ def test_4d_box_discrete_layer():
         for g in v.edge_generators:
             axis = next(i for i in range(4) if g[i])
             assert g[axis] * v.point[axis] < 0
-        assert structure_group(P, v.active_facets).is_trivial
+        assert structure_group(P, v.active_facets) == AbelianGroup()
     assert len(normal_fan(P)) == 3 ** 4
     d = delzant_data(P)
     assert len(d.projection) == 8 and len(d.kernel_basis) == 4
@@ -802,10 +815,10 @@ def test_json_roundtrip_boxes(lows):
 def test_interior_and_facet_points():
     P = pentagon()
     x = P.interior_point()
-    assert P.interior_contains(x)
+    assert np.all(facet_values(P, x) > 1e-12)
     for i in range(len(P.facets)):
         y = P.facet_interior_point(i)
-        vals = P.linear_values(y)
+        vals = facet_values(P, y)
         assert abs(vals[i]) < 1e-8
         others = np.delete(vals, i)
         assert np.all(others > 1e-6)
@@ -820,29 +833,26 @@ def test_square_interior_point_ignores_facet_order():
 def test_strip_points_and_structure_group():
     # the strip |x| <= 2 has the y-axis as lineality space
     strip = from_halfspaces(2, [((1, 0), 1, 2), ((-1, 0), 1, 2)])
-    assert strip.interior_contains(strip.interior_point())
+    assert np.all(facet_values(strip, strip.interior_point()) > 1e-12)
     for i in range(2):
-        vals = strip.linear_values(strip.facet_interior_point(i))
+        vals = facet_values(strip, strip.facet_interior_point(i))
         assert vals[i] == 0 and vals[1 - i] > 0
-    assert structure_group(strip, [0]).is_trivial
+    assert structure_group(strip, [0]) == AbelianGroup()
 
 
 def _samples_from_vertex_data(P, rng, count):
-    # the sampler as it was built on vertices(P) and interior_contains
+    # the sampler as it was built on vertices(P) and a margin on the facet values
     verts = [v.point_float for v in vertices(P)]
     rays = np.array(P.recession_rays(), dtype=float).reshape(-1, P.dim)
     center = P.interior_point()
     out = []
     while len(out) < count:
-        if verts:
-            w = rng.dirichlet(np.ones(len(verts)))
-            x = np.sum([wi * v for wi, v in zip(w, verts)], axis=0)
-        else:
-            x = center.copy()
+        w = rng.dirichlet(np.ones(len(verts)))
+        x = np.sum([wi * v for wi, v in zip(w, verts)], axis=0)
         for r in rays:
             x = x + rng.exponential(3.0) * r / np.linalg.norm(r)
         x = 0.9 * x + 0.1 * center
-        if P.interior_contains(x, margin=1e-10):
+        if np.all(facet_values(P, x) > 1e-10):
             out.append(x)
     return np.array(out)
 
@@ -867,4 +877,4 @@ def test_sample_interior_respects_domain():
     pts = P.sample_interior(rng, 30)
     assert pts.shape == (30, 2)
     for x in pts:
-        assert P.interior_contains(x, margin=1e-11)
+        assert np.all(facet_values(P, x) > 1e-11)

@@ -18,7 +18,6 @@ from toricshrink.potentials import (
     _density_at,
     _density_form,
     _prod_except,
-    boundary_density,
     check_boundary_conditions,
     check_space_E,
     lobatto_nodes,
@@ -336,15 +335,18 @@ def test_doubled_log_fails_detector():
         assert not rep.correction_ok
 
 
+def _stable_density(P, s_hess, X):
+    """det(Hess u) prod_i L_i at the points X, as the boundary checks read it."""
+    L = X @ P.scaled_normal_matrix().T + P.offsets_array()
+    return _density_at(_density_form(P, L), s_hess)
+
+
 def test_boundary_density_value_interval():
     # for u_P on [-2,2]: det Hess = 2/(L0 L1), so the density is 2, also in
     # the limit on either facet
-    P = interval(-2, 2)
-    u = CanonicalPotential(P)
-    for x in (-2.0, -1.5, 0.0, 1.2, 2.0):
-        assert boundary_density(P, u, [x]) == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(OutOfDomain):
-        boundary_density(P, u, [2.5])
+    X = np.array([[-2.0], [-1.5], [0.0], [1.2], [2.0]])
+    dens = _stable_density(interval(-2, 2), np.zeros((len(X), 1, 1)), X)
+    assert np.allclose(dens, 2.0, rtol=1e-12, atol=0.0)
 
 
 def test_boundary_density_of_corrected_potential_is_stable():
@@ -356,13 +358,13 @@ def test_boundary_density_of_corrected_potential_is_stable():
     X = SQ.sample_interior(np.random.default_rng(3), 20)
     L = X @ SQ.scaled_normal_matrix().T + SQ.offsets_array()
     naive = np.linalg.det(u.hessian(X)) * np.prod(L, axis=1)
-    assert np.allclose(boundary_density(SQ, u, X), naive, rtol=1e-12, atol=0.0)
+    assert np.allclose(_stable_density(SQ, s.hessian(X), X), naive, rtol=1e-12, atol=0.0)
     # on a facet and at a corner it is the limit from inside
     for x in ([-2.0, 0.3], [-2.0, 2.0]):
-        inside = np.array(x) - 1e-9 * np.sign(x)
-        on = boundary_density(SQ, u, x)
+        X = np.array([x, np.array(x) - 1e-9 * np.sign(x)])
+        on, inside = _stable_density(SQ, s.hessian(X), X)
         assert on > 0.0
-        assert on == pytest.approx(boundary_density(SQ, u, inside), rel=1e-7)
+        assert on == pytest.approx(inside, rel=1e-7)
 
 
 def _expanded_density(P, L, s_hess):
