@@ -467,8 +467,9 @@ def _build_parser():
     p.add_argument("--b", default=None, help="comma-separated weight vector")
     p.add_argument("--grid", type=_at_least(2), default=None,
                    help="nodes per axis (default 48 in 1D, 24 in 2D)")
-    p.add_argument("--truncation", type=_finite, default=12.0,
-                   help="truncation level for unbounded directions")
+    p.add_argument("--truncation", type=_finite, default=32.0,
+                   help="level <b,x> at which unbounded axes are cut (default 32, "
+                        "which ding-scan's default --tol accepts)")
 
     p = add("ding-scan", cmd_ding_scan,
             tol=(1e-8, "largest share of F(b_X) that the cut drops, largest spill "

@@ -284,7 +284,7 @@ class _DingQuadrature:
     def __init__(self, P: LabeledPolyhedron, grid, tol: float, b_X):
         if np.any(P.offsets_array() <= 0.0):
             raise DivergentD1("a facet offset <= 0 makes the dual volume diverge")
-        self.P, self.tol = P, tol
+        self.tol = tol
         self.basis = None if grid is None else grid.basis
         self.b = np.array(b_X, dtype=float)
         beta = _beta(P)

@@ -538,23 +538,19 @@ def from_halfspaces(dim, rows) -> LabeledPolyhedron:
 
 def interval(lo="-2", hi="2", lo_label=1, hi_label=1) -> LabeledPolyhedron:
     """1D polytope {x : lo <= x <= hi} in labeled form with integer-primitive normals."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    return from_halfspaces(
-        1, [((1,), lo_label, -lo * lo_label), ((-1,), hi_label, hi * hi_label)]
-    )
+    return box([(lo, hi)], labels=[lo_label, hi_label])
 
 
 def half_line(lo="-2", label=1) -> LabeledPolyhedron:
-    lo = Fraction(lo)
-    return from_halfspaces(1, [((1,), label, -lo * label)])
+    return box([(lo, None)], labels=[label])
 
 
 def box(bounds, labels=None) -> LabeledPolyhedron:
     """Axis-aligned product of intervals; bounds = [(lo, hi or None), ...].
 
     labels gives one label per facet in row order: for each axis the lower
-    facet, then the upper one if present. Offsets scale with the labels, as
-    in interval, so each facet stays at its bound. Default: all labels 1.
+    facet, then the upper one if present. Offsets scale with the labels, so
+    each facet stays at its bound. Default: all labels 1.
     """
     dim = len(bounds)
     rows = []

@@ -11,13 +11,12 @@ instead be cut at a level <b,x> <= T; what it drops, conv(crossings) +
 rec(P), is again face x cone pieces (QuadraturePlan.past). Convex regions
 are kept as rings of corners and fanned into simplices.
 
-Divided differences of exp on narrow node sets sum a mean-shifted series
-only as far as its own error bound asks (at most 26 terms); wider sets use
-the recurrence. The batched kernel sums the series only on the narrow
-windows its table reads (a row's whole window, or one a wide parent
-reads), and takes what its index rows fix from a cache. The scalar
-divided_difference_exp and exp_integral_simplex are the reference the
-batched kernel is tested against.
+Divided differences of exp come from one batched kernel, _dd_exp_batch:
+narrow node sets sum a mean-shifted series only as far as its own error
+bound asks (at most 26 terms), wider sets use the recurrence. The kernel
+sums the series only on the narrow windows its table reads (a row's whole
+window, or one a wide parent reads), and takes what its index rows fix from
+a cache. divided_difference_exp is its one-row form.
 The one Gauss-Legendre builder is _line_rules, which also gives the Gauss
 rule for the weight -log u on [0, 1]; dense Gauss rules on simplices are its
 Gauss-Legendre half collapsed onto the unit simplex, cached per dimension
@@ -39,10 +38,6 @@ from .polyhedra import LabeledPolyhedron, _skeleton
 class DivergentWeight(ValueError):
     """The weight e^{-<b,x>} is not integrable over the polyhedron."""
 
-    def __init__(self, message, ray=None):
-        super().__init__(message)
-        self.ray = ray
-
 
 def stable_sum(values) -> float:
     """Exactly rounded floating-point summation."""
@@ -56,42 +51,6 @@ def stable_sum(values) -> float:
 
 _SERIES_SPREAD = 1.0
 _SERIES_TOL = 2.0**-56
-
-
-def divided_difference_exp(nodes) -> float:
-    """exp[t_0, ..., t_m]: the divided difference of e^t, repeated nodes allowed.
-
-    Narrow node sets use a mean-shifted series of complete homogeneous
-    symmetric polynomials (the regime where the recursive formula cancels
-    catastrophically), truncated where its own error bound falls below
-    2^-56 relative: at most 26 terms, since the shifted nodes satisfy
-    |xi_i| < 2. Wide sets are sorted and tabulated: sub-spans no wider than
-    the series radius come from the series, wider spans from the standard
-    recurrence, whose denominators are then bounded away from zero.
-    """
-    t = np.asarray(nodes, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("nodes must be a nonempty 1-d sequence")
-    m = t.size - 1
-    if m == 0:
-        return float(np.exp(t[0]))
-    xs = np.sort(t)
-    if xs[-1] - xs[0] <= 2.0 * _SERIES_SPREAD:
-        return _series_dd(xs)
-    table = {(i, i): math.exp(xs[i]) for i in range(m + 1)}
-    for span in range(1, m + 1):
-        for i in range(m + 1 - span):
-            j = i + span
-            if xs[j] - xs[i] <= 2.0 * _SERIES_SPREAD:
-                table[i, j] = _series_dd(xs[i : j + 1])
-            else:
-                table[i, j] = (table[i + 1, j] - table[i, j - 1]) / (xs[j] - xs[i])
-    return table[0, m]
-
-
-def _series_dd(ts) -> float:
-    mu = float(np.mean(ts))
-    return math.exp(mu) * _shifted_series(ts - mu, len(ts) - 1)
 
 
 def _series_terms(r: float) -> int:
@@ -108,19 +67,6 @@ def _series_terms(r: float) -> int:
     return K
 
 
-def _shifted_series(xi, m) -> float:
-    # exp[t] = e^mu sum_k h_k(xi) / (m+k)! with h_k the complete homogeneous
-    # symmetric polynomials; appending node x multiplies the generating
-    # series of H by 1 / (1 - x z), a convolution with the powers of x
-    K = _series_terms(float(np.max(np.abs(xi))))
-    powers = np.arange(K)
-    H = np.zeros(K)
-    H[0] = 1.0
-    for x in xi:
-        H = np.convolve(H, x**powers)[:K]
-    return float(H @ _inverse_factorials(m + 1, K)[m])
-
-
 @lru_cache(maxsize=None)
 def _inverse_factorials(M: int, K: int) -> np.ndarray:
     """Row m < M holds 1/(m+k)! for k < K, each correctly rounded (to zero
@@ -129,9 +75,6 @@ def _inverse_factorials(M: int, K: int) -> np.ndarray:
     inv.flags.writeable = False
     return inv
 
-
-# ---------------------------------------------------------------------------
-# batched divided differences of exp
 
 # the largest t with a finite e^t; math.exp raises OverflowError past it
 _EXP_MAX = math.log(sys.float_info.max)
@@ -157,9 +100,13 @@ def _windows(M: int):
 
 
 def _narrow_series(xs, lo, hi) -> np.ndarray:
-    """_series_dd of each row's window xs[lo..hi], all rows at once.
+    """exp[xs[lo..hi]] of each row's window by a mean-shifted series, all rows at once.
 
-    Nodes outside the window are shifted to zero, which leaves the series
+    With mu the window's mean and xi = xs - mu, exp[t] = e^mu sum_k
+    h_k(xi) / (m+k)!, h_k the complete homogeneous symmetric polynomials,
+    cut where its error bound falls below 2^-56 relative (_series_terms):
+    at most 26 terms on a window no wider than 2, where |xi_i| < 2. Nodes
+    outside the window are shifted to zero, which leaves the series
     unchanged. One K serves every row: the fewest terms for the largest
     shifted node. For fixed k, h_k <- h_k + x h_{k-1} over the nodes in order
     is a running sum, so each term costs one product and one accumulate over
@@ -186,10 +133,11 @@ def _dd_exp_sorted(xs, layout) -> np.ndarray:
 
     Columns from size_r on are pads, each more than 2 above the column
     before it, so every window that reaches a pad is wide and feeds only
-    entries no row reads. The table is divided_difference_exp's: narrow
-    windows from the series, wide ones from the recurrence. A narrow window
-    is read only by a wide parent clear of the pads, or as the row's whole
-    window, so the series runs on those windows alone.
+    entries no row reads. Windows no wider than 2 come from the series
+    (_narrow_series), where the recurrence cancels catastrophically; wider
+    ones from the recurrence, whose denominators are then bounded away from
+    zero. A narrow window is read only by a wide parent clear of the pads,
+    or as the row's whole window, so the series runs on those windows alone.
     """
     lo, hi, left, right = _windows(xs.shape[2])
     real, clear, whole, last = layout
@@ -235,16 +183,26 @@ def _index_layout(raw: bytes, shape, dtype: str):
 def _dd_exp_batch(t, index) -> np.ndarray:
     """exp[t_s[index_r]] for every node row t_s of t (S, k) and index row r.
 
-    index is (R, M) with -1 padding the shorter rows; returns (S, R). The
-    same algorithm as divided_difference_exp, vectorised over all S R
-    node multisets: each row is sorted with its pads spaced 4 apart above
-    its largest node.
+    index is (R, M) with -1 padding the shorter rows; returns (S, R). Each
+    of the S R node multisets is sorted with its pads spaced 4 apart above
+    its largest node, and all are tabulated at once (_dd_exp_sorted).
     """
     if np.max(t) > _EXP_MAX:
         raise OverflowError("math range error")
     (safe, pad, offset), layout = _index_layout(index.tobytes(), index.shape, index.dtype.str)
     X = np.where(pad, np.max(t, axis=1)[:, None, None] + offset, t[:, safe])
     return _dd_exp_sorted(np.sort(X, axis=-1), layout)
+
+
+def divided_difference_exp(nodes) -> float:
+    """exp[t_0, ..., t_m]: the divided difference of e^t, repeated nodes allowed.
+
+    The one-row form of _dd_exp_batch.
+    """
+    t = np.asarray(nodes, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("nodes must be a nonempty 1-d sequence")
+    return float(_dd_exp_batch(t[None, :], np.arange(t.size)[None, :])[0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -566,8 +524,7 @@ def _geometry(P: LabeledPolyhedron) -> _Geometry:
     sk = _skeleton(P)
     if sk.lineality:
         line = sk.lineality[0]
-        raise DivergentWeight(
-            f"polyhedron contains the line {line}; no weight is integrable", ray=line)
+        raise DivergentWeight(f"polyhedron contains the line {line}; no weight is integrable")
     verts = np.array([p for p, _ in sk.vertices], dtype=float)
     rays = np.array([r for r, _ in sk.rays], dtype=float).reshape(-1, P.dim)
     # the unbounded edges: a vertex and a ray on n - 1 common facets
@@ -595,7 +552,7 @@ def _weight_skeleton(P: LabeledPolyhedron, b) -> _Geometry:
     bad = np.flatnonzero(g.rays @ b <= 0.0)
     if len(bad):
         r = _skeleton(P).rays[bad[0]][0]
-        raise DivergentWeight(f"weight is not integrable along recession direction {r}", ray=r)
+        raise DivergentWeight(f"weight is not integrable along recession direction {r}")
     return g
 
 

@@ -402,7 +402,7 @@ def _axis_series(F: LabeledPolyhedron, b: float, lo: float, hi: float) -> np.nda
     return stack
 
 
-def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
+def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 32.0,
           tol: float = 1e-11) -> SolveResult:
     """Solve the soliton equation for the correction s in closed form.
 
@@ -421,6 +421,11 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 12.0,
     samples. Away from b_X, a bounded factor has no solution, which the
     residual shows, and an unbounded one a defect: beyond max(tol, 1e-6)
     either raises NoConvergence.
+
+    The grid cuts an unbounded axis at <b, x> = truncation. The default 32
+    lets ding-scan's default tol of 1e-8 read the solution: on the
+    half-line at b_X = 1/2 a cut at T drops e^{-(T+1)} of F(b_X), and the
+    scan's d1 tail estimate, which overstates, first passes near T = 28.
     """
     n = P.dim
     if n > 2:

@@ -449,6 +449,21 @@ def test_quadrant_solve_pipes_into_ding_scan(tmp_path, capfd):
     assert first["D1"] == pytest.approx(np.exp(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("P", [
+    half_line(-2),
+    box([(-2, 1), ("-2/3", None)], labels=[1, 2, 3]),
+    box([(-2, None), (-2, None)]),
+], ids=["half_line", "half_strip", "quadrant"])
+def test_default_solve_pipes_into_ding_scan(P, tmp_path, capfd):
+    # solve's default truncation takes the grid past what the scan's
+    # default tol lets its cut drop
+    path, solved = tmp_path / "P.json", tmp_path / "P.solve.json"
+    save_polyhedron(P, path)
+    assert main(["solve", str(path), "--out", str(solved)]) == 0
+    assert main(["ding-scan", str(path), "--potential", str(solved)]) == 0
+    assert capfd.readouterr().err == ""
+
+
 def test_steep_weight_on_a_bounded_polyhedron_is_integrable(tmp_path, capfd):
     # every weight is integrable on a bounded polyhedron: e^{400 x} on the
     # square overflows a float, but not the verdict
@@ -805,10 +820,10 @@ def test_numeric_subcommands_other_than_ding_scan_load_no_ding(interval_file, tm
 ])
 def test_ding_errors_exit_3_through_the_lazy_import(half_line_file, tmp_path, capsys,
                                                      flags, error):
-    # the half-line's default solve is cut too short for the scan (ROADMAP
-    # item 2); ding is imported only inside ding-scan, in the child process
+    # a half-line solve cut at <b,x> = 12 is too short for the scan's
+    # default tol; ding is imported only inside ding-scan, in the child process
     sol = str(tmp_path / "sol.json")
-    assert main(["solve", half_line_file, "--out", sol]) == 0
+    assert main(["solve", half_line_file, "--truncation", "12", "--out", sol]) == 0
     capsys.readouterr()
     proc = subprocess.run(
         [sys.executable, "-m", "toricshrink", "ding-scan", half_line_file,
