@@ -466,7 +466,8 @@ def _build_parser():
             help="solve the soliton equation")
     p.add_argument("--b", default=None, help="comma-separated weight vector")
     p.add_argument("--grid", type=_at_least(2), default=None,
-                   help="nodes per axis (default 48 in 1D, 24 in 2D)")
+                   help="nodes per axis (default: one node per coefficient of the "
+                        "factor's series, at least 3)")
     p.add_argument("--truncation", type=_finite, default=32.0,
                    help="level <b,x> at which unbounded axes are cut (default 32, "
                         "which ding-scan's default --tol accepts)")

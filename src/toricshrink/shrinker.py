@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -283,15 +283,6 @@ def _solve_domain(P: LabeledPolyhedron, b, truncation):
     return domain, tuple(cuts), factors
 
 
-def _tensor(arrays) -> np.ndarray:
-    """Rows (a_0[i], a_1[j], ...) over the grid of per-axis arrays, C order."""
-    k = len(arrays)
-    out = np.empty(tuple(len(a) for a in arrays) + (k,))
-    for d, a in enumerate(arrays):
-        out[..., d] = a.reshape((-1,) + (1,) * (k - 1 - d))
-    return out.reshape(-1, k)
-
-
 # 1/(k+2)! for k = 16..0: Horner's order for the Taylor series of phi_2
 _PHI2_TAYLOR = [1.0 / math.factorial(k + 2) for k in range(16, -1, -1)]
 # a coefficient of s'' below _CHOP u_P''(0) is noise; the series doubles to at most 256
@@ -414,8 +405,12 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 32.0,
     W = (kappa + n b h)/b^2, gives -m kappa (1 + n b h)/(2h (kappa + n b h)),
     which tends to -m/(2h) at the facet unless kappa = 0 (_defect): s = 0.
     s(0) = grad s(0) = 0 at the origin, interior as the offsets are 2, so the
-    constant does not depend on the grid. offnode_deviation sums each series'
-    tail 2 sum_{k>N} |c_k| past its N + 1 Lobatto nodes: in exact arithmetic,
+    constant does not depend on the grid. Each factor takes grid nodes, or by
+    default one per coefficient of its series, at least 3 to keep one in P.
+    Its residual is taken in 1D: R_P, <grad s, x> - s and log D split (D is
+    the product of the factors' densities), so the value and residual grids
+    are outer sums. offnode_deviation sums each series' tail 2 sum_{k>N} |c_k|
+    past its N + 1 Lobatto nodes, 0 at the default grid: in exact arithmetic,
     it bounds the interpolant's miss (Trefethen, ATAP, Thm 4.2). converged is
     False where it exceeds tol or an s'' series did not resolve in 256
     samples. Away from b_X, a bounded factor has no solution, which the
@@ -431,11 +426,10 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 32.0,
     if n > 2:
         raise NotAProduct("the closed-form solver supports dimensions 1 and 2")
     b = np.array(find_soliton_vector(P).b) if b is None else np.asarray(b, dtype=float)
-    if grid is None:
-        grid = 48 if n == 1 else 24
-    grid = (grid,) * n if isinstance(grid, int) else tuple(grid)
-    if len(grid) != n:
-        raise ValueError(f"a per-axis grid needs {n} entries, one per axis, not {len(grid)}")
+    if grid is not None:
+        grid = (grid,) * n if isinstance(grid, int) else tuple(grid)
+        if len(grid) != n:
+            raise ValueError(f"a per-axis grid needs {n} entries, one per axis, not {len(grid)}")
     domain, cuts, factors = _solve_domain(P, b, truncation)
     if not P.is_shrinker_normalized():
         raise ValueError("the closed-form solver needs shrinker-normalized offsets")
@@ -446,37 +440,38 @@ def solve(P: LabeledPolyhedron, b=None, grid=None, truncation: float = 32.0,
             raise NoConvergence(f"b misses the unbounded axis {d}: its defect "
                                 f"{kappa:.3e} exceeds {bound:.0e}")
 
-    axes = [lobatto_nodes(lo, hi, g) for (lo, hi), g in zip(domain, grid)]
-    jets, offnode, resolved = [], 0.0, True
+    axes, values, residuals, offnode, resolved = [], [], [], 0.0, True
     # far from b_X, W may overflow or vanish: the checks below report that
     with np.errstate(all="ignore"):
-        for F, (lo, hi), x, bd in zip(factors, domain, axes, map(float, b)):
+        for d, (F, (lo, hi), bd) in enumerate(zip(factors, domain, map(float, b))):
             stack = _axis_series(F, bd, lo, hi) if len(F.facets) > 1 else np.zeros((1, 3))
             resolved &= len(stack) - 2 <= 192  # _axis_series chops s'' to at most 192 terms
+            x = lobatto_nodes(lo, hi, max(3, len(stack)) if grid is None else grid[d])
             offnode += 2.0 * np.abs(stack[len(x):, 0]).sum()
             t = (x - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
-            jets.append((C.chebvander(t, len(stack) - 1) @ stack).T)
-        s, ds, dds = (_tensor(j) for j in zip(*jets))
-        try:
-            R = _residual_core(P, b, _tensor(axes), s.sum(axis=1), ds,
-                               dds[:, :, None] * np.eye(n))
-        except NotConvexHere as err:
-            raise NoConvergence(f"b is not the soliton vector: {err}") from err
+            s, ds, dds = (C.chebvander(t, len(stack) - 1) @ stack).T
+            try:
+                residuals.append(_residual_core(F, [bd], x[:, None], s, ds[:, None],
+                                                dds[:, None, None]))
+            except NotConvexHere as err:
+                raise NoConvergence(f"b is not the soliton vector on axis {d}: {err}") from err
+            axes.append(x)
+            values.append(s)
+        R = reduce(np.add.outer, residuals)
         c_star = float(np.mean(R))
         deviation = float(np.max(np.abs(R - c_star)))
     if not deviation <= bound:
         raise NoConvergence(f"residual deviation {deviation:.3e} exceeds {bound:.0e}: "
                             "b is not the soliton vector")
-    correction = GridCorrection(axes, s.sum(axis=1).reshape(grid))
     return SolveResult(
         b=tuple(map(float, b)),
-        correction=correction,
+        correction=GridCorrection(axes, reduce(np.add.outer, values)),
         constant=c_star,
         residual_deviation=deviation,
         offnode_deviation=float(offnode),
         converged=bool(resolved and offnode <= tol),
         iterations=0,
-        grid=grid,
+        grid=tuple(map(len, axes)),
         domain=tuple((float(lo), float(hi)) for lo, hi in domain),
         truncated_axes=tuple(cuts),
         truncation=truncation if cuts else None,
