@@ -88,7 +88,7 @@ def _load_potential(P, path):
         raise _CliError(EXIT_IO, "parse", f"bad potential payload: {err}")
     # a grid that misses a vertex of P was solved on another polyhedron, and its
     # polynomial would be read far outside the grid. Each end may miss by a
-    # rounding gap: a solve grid can end one ulp inside P
+    # rounding gap: a payload written elsewhere can round its ends
     for point, _ in _enumerate_vertices(P):
         for d, (lo, hi) in enumerate(corr.domain):
             gap = 1e-12 * (hi - lo)

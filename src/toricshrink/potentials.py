@@ -84,17 +84,18 @@ class CanonicalPotential:
 # Chebyshev grids
 
 def lobatto_nodes(lo: float, hi: float, count: int) -> np.ndarray:
-    """Chebyshev-Lobatto points mapped to [lo, hi], ascending, from lo.
+    """Chebyshev-Lobatto points mapped to [lo, hi], ascending, from lo to hi.
 
-    The last node is lo + (hi - lo), which can round one ulp short of hi
-    (the teardrop's grid on [-2, 2/3] ends at 0.6666666666666665) or past
-    it; clipping to [lo, hi] keeps every node inside.
+    The ends are lo and hi exactly: lo + (hi - lo) can round one ulp short
+    of hi (0.6666666666666665 on [-2, 2/3]) or past it.
     """
     if count < 2:
         raise ValueError("need at least two nodes")
     k = np.arange(count)
     t = -np.cos(np.pi * k / (count - 1))
-    return np.clip(lo + (hi - lo) * (t + 1.0) / 2.0, lo, hi)
+    x = lo + (hi - lo) * (t + 1.0) / 2.0
+    x[0], x[-1] = lo, hi
+    return x
 
 
 class GridCorrection:

@@ -670,7 +670,7 @@ def test_a_payload_solved_on_another_polyhedron_is_a_parse_error(
         teardrop_file, interval_file, zero_potential_file, tmp_path, capsys, argv):
     # the teardrop's grid [-2, 2/3] misses the vertex 2 of [-2, 2]; read there,
     # its polynomial would pass for a nonconvex potential. On the teardrop the
-    # grid's end, one ulp inside 2/3, is a rounding gap
+    # grid ends at the vertex 2/3 exactly
     other = str(tmp_path / "teardrop.solve.json")
     assert main(["solve", teardrop_file, "--out", other]) == 0
     argv = [a.format(other=other, zero=zero_potential_file) for a in argv]
@@ -680,7 +680,7 @@ def test_a_payload_solved_on_another_polyhedron_is_a_parse_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: parse: bad potential payload: grid axis 0 spans "
-                            "[-2.0, 0.6666666666666665], which misses vertex (2.0,) "
+                            "[-2.0, 0.6666666666666666], which misses vertex (2.0,) "
                             "of the polyhedron\n")
 
 

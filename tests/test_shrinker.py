@@ -649,7 +649,7 @@ def test_an_overflowing_profile_is_not_blamed_on_b():
 
 def test_the_last_grid_node_stays_in_the_factor():
     # lo + (hi - lo) rounds past hi on [-2, 2e-5], where the residual was
-    # asked for outside P (ValueError); with the nodes clipped to [lo, hi],
+    # asked for outside P (ValueError); with the ends set to lo and hi,
     # solve reports the profile's overflow
     P = interval(-2, "1/50000", 1, 100000)
     assert lobatto_nodes(-2.0, 2e-5, 64)[-1] == 2e-5
