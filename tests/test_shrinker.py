@@ -10,10 +10,11 @@ from numpy.polynomial import chebyshev as C
 from scipy.optimize import brentq
 
 from toricshrink.cli import main
+from toricshrink.ding import convexity_scan
 from toricshrink.polyhedra import box, from_halfspaces, half_line, interval, \
     save_polyhedron
-from toricshrink.potentials import CorrectedPotential, GridCorrection, NoConvergence, \
-    lobatto_nodes
+from toricshrink.potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
+    NoConvergence, lobatto_nodes
 from toricshrink.quadrature import DivergentWeight
 from toricshrink.shrinker import (
     NotAProduct,
@@ -603,17 +604,62 @@ def test_the_offnode_bound_dominates_the_midpoint_sample(P, grid):
         assert res.offnode_deviation <= 1.5 * sample
 
 
-@pytest.mark.parametrize("labels, converged", [
-    ((1, 10), True), ((1, 30), False), ((1, 60), True), ((7, 200), False),
+@pytest.mark.parametrize("labels, converged, grid", [
+    ((1, 10), True, (28,)), ((1, 30), False, (258,)), ((1, 60), True, (64,)),
+    ((7, 200), False, (258,)),
 ], ids=["1_10", "1_30", "1_60", "7_200"])
-def test_an_unresolved_series_is_not_converged(labels, converged):
+def test_an_unresolved_series_is_not_converged(labels, converged, grid):
     # on x >= -2/m_0, -x >= -2/m_1 at b_X, the s'' series of (1, 30) and
-    # (7, 200) does not chop by n = 256, though the tail bound and the
-    # residual both meet tol: converged says so
+    # (7, 200) does not chop by n = 256, though the residual meets tol and
+    # the default grid, one node per coefficient, leaves no tail: converged
+    # says so
     P = from_halfspaces(1, [((1,), labels[0], 2), ((-1,), labels[1], 2)])
     res = solve(P, b=find_soliton_vector(P).b)
-    assert res.converged is converged
-    assert res.offnode_deviation <= 1e-12 and res.residual_deviation <= 1e-10
+    assert res.converged is converged and res.grid == grid
+    assert res.offnode_deviation == 0.0 and res.residual_deviation <= 1e-10
+
+
+QUADRANT = box([(-2, None), (-2, None)])
+DEFAULT_GRIDS = [(TEARDROP, (17,)), (ORBIFOLD_RECTANGLE, (17, 14)), (HALF_STRIP, (14, 3)),
+                 (half_line(-2), (3,)), (QUADRANT, (3, 3))]
+DEFAULT_IDS = ["teardrop", "rectangle", "half_strip", "half_line", "quadrant"]
+
+
+@pytest.mark.parametrize("P, grid", DEFAULT_GRIDS, ids=DEFAULT_IDS)
+def test_a_default_solve_takes_one_node_per_series_coefficient(P, grid):
+    # on as many Lobatto nodes as its series has coefficients, a factor's
+    # interpolant is its series, so the tail bound is exactly 0; an
+    # unbounded factor, where s = 0, keeps 3 nodes, one of them inside P
+    res = solve(P)
+    assert res.grid == grid and res.correction.values.shape == grid
+    assert res.offnode_deviation == 0.0 and res.converged is True
+
+
+@pytest.mark.parametrize("grid", [None, 16], ids=["default", "16"])
+@pytest.mark.parametrize("P", [ORBIFOLD_RECTANGLE, HALF_STRIP], ids=["rectangle", "half_strip"])
+def test_the_factor_residuals_sum_to_the_2d_residual(P, grid):
+    # R_P, <grad s, x> - s and log D split over the factors, so the outer sum
+    # of the 1D residuals that solve takes is the 2D residual of the tensor
+    # sum, read here through the grid correction at every node
+    res = solve(P, grid=grid)
+    X = np.stack(np.meshgrid(*res.correction.axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    R = residual(P, res.b, X, correction=res.correction)
+    assert abs(float(np.mean(R)) - res.constant) <= 1e-14
+    assert res.residual_deviation <= 1e-14
+    assert float(np.max(np.abs(R - np.mean(R)))) <= 1e-14
+
+
+@pytest.mark.parametrize("P", [P for P, _ in DEFAULT_GRIDS], ids=DEFAULT_IDS)
+def test_a_scan_to_a_default_solve_reads_what_a_fine_grid_gives(P):
+    # the default grid holds each factor's series whole, so the Ding scan
+    # from the canonical potential sees the solution that 48 nodes (1D) or
+    # 24 per axis carry
+    u = CanonicalPotential(P)
+    new, old = (convexity_scan(u, CorrectedPotential(P, solve(P, grid=g).correction), P,
+                               num_t=3) for g in (None, 48 if P.dim == 1 else 24))
+    for a, b in zip(new, old):
+        assert a.d1 == pytest.approx(b.d1, rel=1e-14, abs=0.0)
+        assert a.value == pytest.approx(b.value, rel=1e-14, abs=0.0)
 
 
 def test_teardrop_verdicts_near_the_soliton_vector():
