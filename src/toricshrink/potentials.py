@@ -101,8 +101,12 @@ def lobatto_nodes(lo: float, hi: float, count: int) -> np.ndarray:
 class GridCorrection:
     """Polynomial correction s sampled on a tensor product of node axes.
 
-    The stored values determine the unique tensor interpolant. Its jet is
-    one stacked tensor of Chebyshev coefficients, derived on first use: s,
+    The stored values determine the unique tensor interpolant. Its Chebyshev
+    coefficients are fitted on first read (coefficients), not at
+    construction, since solve's callers read only axes and values; basis
+    and vander take the coefficient shape from the axes and fit nothing.
+    from_dict fits at load, so axes that admit no fit are a parse error.
+    The jet is one stacked tensor of coefficients, derived on first use: s,
     then the first partials, then the second partials (i, j), i <= j, each
     scaled to x and zero-padded to the shape of the value grid. jet is the
     one evaluator: it contracts the whole stack with one Vandermonde matrix
@@ -130,7 +134,6 @@ class GridCorrection:
         if not (np.isfinite(self.domain).all() and np.isfinite(values).all()):
             raise ValueError(f"axis ends and values must be finite (domain {self.domain})")
         self._scale = np.array([2.0 / (hi - lo) for lo, hi in self.domain])
-        self._coef = self._fit()
 
     @property
     def dim(self) -> int:
@@ -143,14 +146,17 @@ class GridCorrection:
     @property
     def basis(self):
         """(domain, coefficient shape), hashable: what fixes vander, moments
-        and the meaning of the coefficients; the values do not enter."""
-        return self.domain, self._coef.shape
+        and the meaning of the coefficients. The shape is the value grid's;
+        the values do not enter, and nothing is fitted."""
+        return self.domain, self.values.shape
 
     def _map(self, X):
         lo, hi = np.array(self.domain).T
         return (2.0 * X - (lo + hi)) / (hi - lo)
 
-    def _fit(self):
+    @cached_property
+    def coefficients(self):
+        """The interpolant's Chebyshev coefficients, fitted on first read."""
         V = [C.chebvander((2.0 * a - (lo + hi)) / (hi - lo), len(a) - 1)
              for a, (lo, hi) in zip(self.axes, self.domain)]
         if self.dim == 1:
@@ -164,19 +170,19 @@ class GridCorrection:
         Shape (1 + n + n(n+1)/2, *grid shape), with a trailing unit axis in
         1D so that both dimensions contract the same way.
         """
-        n = self.dim
-        first = [C.chebder(self._coef, 1, axis=i) * self._scale[i] for i in range(n)]
+        n, coef = self.dim, self.coefficients
+        first = [C.chebder(coef, 1, axis=i) * self._scale[i] for i in range(n)]
         second = [C.chebder(first[i], 1, axis=j) * self._scale[j]
                   for i in range(n) for j in range(i, n)]
-        stack = np.zeros((1 + len(first) + len(second),) + self._coef.shape)
-        for k, c in enumerate([self._coef] + first + second):
+        stack = np.zeros((1 + len(first) + len(second),) + coef.shape)
+        for k, c in enumerate([coef] + first + second):
             stack[(k,) + tuple(slice(0, m) for m in c.shape)] = c
         return stack[..., None] if n == 1 else stack
 
     def vander(self, X):
         """One Chebyshev Vandermonde matrix per axis at the points X (m, n)."""
         T = self._map(X)
-        return [C.chebvander(T[:, d], k - 1) for d, k in enumerate(self._coef.shape)]
+        return [C.chebvander(T[:, d], k - 1) for d, k in enumerate(self.values.shape)]
 
     def moments(self, X, W):
         """M with sum_i W_i s(X_i) = <coefficients of s, M> for every s on this grid.
@@ -189,7 +195,7 @@ class GridCorrection:
 
     def pair(self, M) -> float:
         """<coefficients of s, M>: the integral of s against the rule behind M."""
-        return float(np.vdot(self._coef, M))
+        return float(np.vdot(self.coefficients, M))
 
     def jet(self, x, vander=None):
         """(s, grad s, Hess s) at x: the whole stack contracted with one
@@ -247,6 +253,7 @@ class GridCorrection:
         g = cls(tuple(np.array(a) for a in d["axes"]), np.array(d["values"]))
         if "orders" in d and tuple(d["orders"]) != g.orders:
             raise ValueError("stored orders disagree with axis lengths")
+        g.coefficients  # fitted at load: axes that admit no interpolant fail here
         return g
 
     @classmethod

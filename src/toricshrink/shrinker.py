@@ -313,20 +313,18 @@ def _axis_second_derivative(F: LabeledPolyhedron, b: float):
     Math. 9, 1998). Seen from a facet at distance h = L/m with offset 2, it
     is W = 2h/m - kappa h^2 phi_2(n b h), and 1/W minus the facet's own
     u_P'' = m/(2h) is kappa m h phi_2(n b h)/(2W), smooth up to the facet.
-    W is taken from the nearer facet, less the other facet's u_P''. Each
-    facet's kappa and 2/m are computed once, here.
+    W is taken from the nearer facet, less the other facet's u_P''. Both
+    facets are sampled in one pass: n, m, 2/m and kappa are (2, 1) columns,
+    and each row of the (2, len(x)) pass takes one facet's operations in order.
     """
-    facets = F.facets
-    two_m = [2.0 / f.label for f in facets]
-    kappas = [_defect(f, b) for f in facets]
+    n, m, kappa = np.array([(f.normal[0], f.label, _defect(f, b)) for f in F.facets]).T[..., None]
+    two_m = 2.0 / m
 
     def profile(x):
-        h = [f.normal[0] * x + t for f, t in zip(facets, two_m)]
-        near = []
-        for f, kappa, hk, ho, fo in zip(facets, kappas, h, h[::-1], facets[::-1]):
-            m, p = f.label, _phi2(f.normal[0] * b * hk)
-            W = 2.0 * hk / m - kappa * hk * hk * p
-            near.append(kappa * m * hk * p / (2.0 * W) - fo.label / (2.0 * ho))
+        h = n * x + two_m
+        p = _phi2(n * b * h)
+        W = 2.0 * h / m - kappa * h * h * p
+        near = kappa * m * h * p / (2.0 * W) - m[::-1] / (2.0 * h[::-1])
         return np.where(h[0] <= h[1], near[0], near[1])
 
     return profile

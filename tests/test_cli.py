@@ -649,6 +649,21 @@ def test_a_non_finite_correction_payload_is_a_parse_error(interval_file, tmp_pat
 
 
 @pytest.mark.parametrize("command", ["residual", "check-potential", "ding-scan"])
+def test_a_payload_whose_axis_admits_no_fit_is_a_parse_error(interval_file, tmp_path, capsys,
+                                                             command):
+    # 0 and 5e-324 ascend, yet both map to the same Chebyshev point, so the
+    # fit's Vandermonde matrix is singular: the fit runs at load, not at the
+    # correction's first evaluation
+    payload = {"kind": "chebyshev-tensor", "axes": [[-2, 0, 5e-324, 2]], "values": [0] * 4}
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, interval_file, "--potential", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: parse: bad potential payload: Singular matrix\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["residual", "check-potential", "ding-scan"])
 @pytest.mark.parametrize("payload", ["[1, 2]", '"abc"', '{"correction": 5}'])
 def test_a_potential_payload_that_is_no_object_is_a_parse_error(interval_file, tmp_path, capsys,
                                                                 command, payload):

@@ -124,7 +124,7 @@ def _reference_partials(g, X):
 
     # each value comes with the sum of |coefficients| behind it, the scale of
     # the rounding error of either summation order, since |T_k| <= 1
-    c = g._coef
+    c = g.coefficients
     dims = range(g.dim)
     value = (ev(c), np.sum(np.abs(c)))
     grad = [(ev(der(c, i)) * scale[i], np.sum(np.abs(der(c, i))) * scale[i])

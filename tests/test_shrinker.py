@@ -22,6 +22,7 @@ from toricshrink.shrinker import (
     _axis_second_derivative,
     _axis_series,
     _defect,
+    _phi2,
     _product_factors,
     find_soliton_vector,
     grad_hess_F,
@@ -662,6 +663,29 @@ def test_a_scan_to_a_default_solve_reads_what_a_fine_grid_gives(P):
         assert a.value == pytest.approx(b.value, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("grid", [None, 14], ids=["default", "14"])
+@pytest.mark.parametrize("P", [TEARDROP, ORBIFOLD_RECTANGLE, HALF_STRIP],
+                         ids=["teardrop", "rectangle", "half_strip"])
+def test_solve_fits_no_coefficients(P, grid, monkeypatch):
+    # solve's callers read the correction's axes and values, and its artifact
+    # is to_dict: neither fits the coefficients, which are fitted on first
+    # read and then carry the bits of a correction built from the same grid
+    b = find_soliton_vector(P).b
+    fits = []
+    linear_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: fits.append(a) or linear_solve(*a))
+    corr = solve(P, b=b, grid=grid).correction
+    corr.to_dict()
+    assert fits == []
+    monkeypatch.undo()
+    fresh = GridCorrection(corr.axes, corr.values)
+    assert corr.coefficients.tobytes() == fresh.coefficients.tobytes()
+    X = np.vstack([P.sample_interior(np.random.default_rng(3), 20),
+                   np.stack(np.meshgrid(*corr.axes, indexing="ij"), -1).reshape(-1, P.dim)])
+    for got, ref in zip(corr.jet(X), fresh.jet(X), strict=True):
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_teardrop_verdicts_near_the_soliton_vector():
     # away from b_X, W from the two facets disagrees by O(|b - b_X|), and
     # the residual shows it
@@ -710,6 +734,46 @@ def test_a_per_axis_grid_has_one_entry_per_axis(grid):
         solve(rect, grid=grid)
 
 
+def per_facet_profile(F, b, phi2=_phi2):
+    """s'' facet by facet: the loop over the two facets that
+    _axis_second_derivative's one (2, len(x)) pass replaces, as the
+    reference for its bits."""
+    facets = F.facets
+    two_m = [2.0 / f.label for f in facets]
+    kappas = [_defect(f, b) for f in facets]
+
+    def profile(x):
+        h = [f.normal[0] * x + t for f, t in zip(facets, two_m)]
+        near = []
+        for f, kappa, hk, ho, fo in zip(facets, kappas, h, h[::-1], facets[::-1]):
+            m, p = f.label, phi2(f.normal[0] * b * hk)
+            W = 2.0 * hk / m - kappa * hk * hk * p
+            near.append(kappa * m * hk * p / (2.0 * W) - fo.label / (2.0 * ho))
+        return np.where(h[0] <= h[1], near[0], near[1])
+
+    return profile
+
+
+# the labels of the interval map -2/m_0 <= x <= 2/m_1: 196 pairs, up to the
+# ratio 300
+LABEL_MAP = (1, 2, 3, 5, 7, 10, 15, 20, 30, 45, 60, 100, 200, 300)
+
+
+@pytest.mark.parametrize("m0", LABEL_MAP)
+def test_the_one_pass_profile_is_bitwise_the_per_facet_loop(m0):
+    # at each interval's soliton vector, on every sample set _axis_series reads
+    for m1 in LABEL_MAP:
+        F = from_halfspaces(1, [((1,), m0, 2), ((-1,), m1, 2)])
+        b = find_soliton_vector(F).b[0]
+        lo, hi = -2.0 / m0, 2.0 / m1
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        got, ref = _axis_second_derivative(F, b), per_facet_profile(F, b)
+        with np.errstate(all="ignore"):
+            for n in (16, 32, 64, 128, 256):
+                x = mid + half * C.chebpts1(n)
+                assert got(x).tobytes() == ref(x).tobytes(), (m0, m1, n)
+
+
 def reference_axis_series(F, b, lo, hi):
     """The factor series as numpy's chebinterpolate, chebint and pad form
     it, with phi_2's Taylor series through np.polyval: the reference that
@@ -719,15 +783,7 @@ def reference_axis_series(F, b, lo, hi):
         zb = np.where(small, 1.0, z)
         return np.where(small, np.polyval(_PHI2_TAYLOR, z), (np.expm1(zb) - zb) / zb**2)
 
-    def profile(x):
-        h = [f.normal[0] * x + 2.0 / f.label for f in F.facets]
-        near = []
-        for f, hk, ho, fo in zip(F.facets, h, h[::-1], F.facets[::-1]):
-            m, kappa, p = f.label, _defect(f, b), phi2(f.normal[0] * b * hk)
-            W = 2.0 * hk / m - kappa * hk * hk * p
-            near.append(kappa * m * hk * p / (2.0 * W) - fo.label / (2.0 * ho))
-        return np.where(h[0] <= h[1], near[0], near[1])
-
+    profile = per_facet_profile(F, b, phi2)
     level = 2.0**-50 * sum(f.label**2 / 4.0 for f in F.facets)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     for n in (16, 32, 64, 128, 256):
