@@ -42,7 +42,8 @@ check: a scan's corrected endpoints share one basis, their nodes may differ.
 The weight is taken as e^{-<b_X,x>-c}, c the largest -<b_X,x> on P; e^{-c}
 cancels in D. Along v_t = (1-t) v_0 + t v_1, g and <C, M> are affine in t
 and D is a polynomial of degree n <= 2 in t, so a scan samples each
-endpoint once and D at t = 1/2, and every t costs one exponential per node.
+endpoint once and D at t = 1/2, and takes its t values as (t, node) array
+passes over the m d1 nodes, max(1, _SCAN_NODES // m) t values at a time.
 The numerics cover dimensions 1 and 2.
 """
 
@@ -87,6 +88,7 @@ _CANONICAL_ORDER = 20  # order of both Gauss rules on the l-pieces of the canoni
 _PIECES = 4096         # _refined stops halving at this many pieces
 _HELD_NODES = _PIECES * _ORDER ** 2  # d1 nodes held over all keys: one 2D quadrature at the cap
 _HELD_KEYS = 64        # quadratures held, each with its refinements and M
+_SCAN_NODES = _CHUNK * _ORDER ** 2  # d1 nodes per t block of a scan: bounds its (t, node) arrays
 
 
 def _beta(P: LabeledPolyhedron) -> np.ndarray:
@@ -340,6 +342,15 @@ class _DingQuadrature:
         g and <C, M> blend linearly; the density, quadratic in the Hessian,
         is D(t) = (1-t)^2 D_0 + 2t(1-t) D_m + t^2 D_1 with
         D_m = 2 D(1/2) - (D_0 + D_1)/2, exact in dimensions 1 and 2.
+
+        D(t), g(t) and the terms base e^{-g(t)} D(t) are (t, node) arrays,
+        one row per t, over as many t at once as keep a block within
+        _SCAN_NODES nodes, and at least one. Each row takes the one-t
+        formulas and sums in their order, so it is bitwise the scan of its t
+        alone. The checks run in t order: the linear part finite, D > 0, d1
+        finite and positive, and d1's tail estimate within tol relative to
+        d1. The first failure raises, and no later t of its block warns
+        before it.
         """
         if self.dropped > self.tol:
             raise NotInE(f"correction grid too small for the soliton weight: the cut "
@@ -353,24 +364,41 @@ class _DingQuadrature:
         D1 = _density_at(self.form, H1)
         Dm = 2.0 * _density_at(self.form, 0.5 * (H0 + H1)) - 0.5 * (D0 + D1)
         out = []
-        for t in ts:
-            linear = (self.canonical + ((1.0 - t) * lin0 + t * lin1)) / self.F
-            if not math.isfinite(linear):
-                raise NotInE("potential integral against the soliton weight is not finite")
-            D = (1.0 - t) ** 2 * D0 + 2.0 * t * (1.0 - t) * Dm + t * t * D1
-            if np.any(D <= 0.0):
-                raise _nonconvex(self.X, D)
-            terms = self.base * np.exp(-((1.0 - t) * g0 + t * g1)) * D
-            dual = stable_sum(np.sum(terms.reshape(-1, self.q), axis=1))
-            if not (math.isfinite(dual) and dual > 0.0):
-                raise DivergentD1(f"dual volume evaluated to {dual} at t = {t}")
-            if self.tail / dual > self.tol:
-                raise DivergentD1(
-                    f"truncation tail estimate {self.tail:.3e} exceeds "
-                    f"tolerance {self.tol:g} relative to d1 = {dual:.6g} at t = {t}"
-                )
-            out.append(DingValue(t=float(t), d1=float(dual),
-                                 value=float(linear - math.log(dual))))
+        step = max(1, _SCAN_NODES // len(self.X))
+        for s in range(0, len(ts), step):
+            block = ts[s:s + step]
+            # D's weights as each t's own scalars: a scalar (1-t)**2 is a pow,
+            # which may round otherwise than an array's square
+            w0, wm, w1 = np.array([((1.0 - t) ** 2, 2.0 * t * (1.0 - t), t * t)
+                                   for t in block]).T[..., None]
+            tc = np.array(block, dtype=float)[:, None]
+            # a t past the first failing one may overflow here; the checks
+            # below raise at the failing t first
+            with np.errstate(over="ignore", invalid="ignore"):
+                D = w0 * D0 + wm * Dm + w1 * D1
+                terms = (1.0 - tc) * g0  # base e^{-g} D, in place
+                terms += tc * g1
+                np.exp(np.negative(terms, out=terms), out=terms)
+                terms *= self.base
+                terms *= D
+                sums = terms.reshape(len(block), -1, self.q).sum(axis=2)
+            bent = (D <= 0.0).any(axis=1)
+            for i, t in enumerate(block):
+                linear = (self.canonical + ((1.0 - t) * lin0 + t * lin1)) / self.F
+                if not math.isfinite(linear):
+                    raise NotInE("potential integral against the soliton weight is not finite")
+                if bent[i]:
+                    raise _nonconvex(self.X, D[i])
+                dual = stable_sum(sums[i])
+                if not (math.isfinite(dual) and dual > 0.0):
+                    raise DivergentD1(f"dual volume evaluated to {dual} at t = {t}")
+                if self.tail / dual > self.tol:
+                    raise DivergentD1(
+                        f"truncation tail estimate {self.tail:.3e} exceeds "
+                        f"tolerance {self.tol:g} relative to d1 = {dual:.6g} at t = {t}"
+                    )
+                out.append(DingValue(t=float(t), d1=float(dual),
+                                     value=float(linear - math.log(dual))))
         return out
 
 

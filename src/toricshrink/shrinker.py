@@ -302,8 +302,9 @@ def _phi2(z):
 
 
 def _defect(f: Facet, b: float) -> float:
-    """kappa = (m - a n b)/m for the facet n x >= -a/m of a 1D factor."""
-    return float((f.label - f.offset * f.normal[0] * b) / f.label)
+    """kappa = (m - a n b)/m for the facet n x >= -a/m of a 1D factor, in
+    floats: a is rounded once, and n = +-1 leaves a n exact."""
+    return float((f.label - float(f.offset) * f.normal[0] * b) / f.label)
 
 
 def _axis_second_derivative(F: LabeledPolyhedron, b: float):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -27,11 +28,12 @@ from toricshrink.potentials import (
     CorrectedPotential,
     GridCorrection,
     NotConvexHere,
+    _density_at,
     correction_of,
 )
 from toricshrink.quadrature import Simplex, _dd_exp_batch, _line_rules, _reference_rule, \
     gauss_rules, gauss_simplex_rule, plan as build_plan, stable_sum
-from toricshrink.shrinker import find_soliton_vector, residual, solve
+from toricshrink.shrinker import _nonconvex, find_soliton_vector, residual, solve
 
 TEARDROP = interval(-2, "2/3", 1, 3)
 
@@ -862,6 +864,151 @@ def test_warm_scans_equal_scans_from_a_fresh_quadrature(held, geodesics, kind):
     end = ding(v1, P, b_X=b)
     assert (end.d1, end.value) == (ref[-1].d1, ref[-1].value)
     assert list(held.entries.values()) == [q]
+
+
+# ---------------------------------------------------------------------------
+# the scan's (t, node) array pass
+
+def per_t_scan(q, sample0, sample1, ts):
+    """A scan one t at a time: the loop over t that _DingQuadrature.scan's
+    (t, node) array pass replaces, as the reference for its bits, its errors
+    and the t at which it raises."""
+    (g0, H0, lin0), (g1, H1, lin1) = sample0, sample1
+    D0 = _density_at(q.form, H0)
+    D1 = _density_at(q.form, H1)
+    Dm = 2.0 * _density_at(q.form, 0.5 * (H0 + H1)) - 0.5 * (D0 + D1)
+    out = []
+    for t in ts:
+        linear = (q.canonical + ((1.0 - t) * lin0 + t * lin1)) / q.F
+        if not math.isfinite(linear):
+            raise NotInE("potential integral against the soliton weight is not finite")
+        D = (1.0 - t) ** 2 * D0 + 2.0 * t * (1.0 - t) * Dm + t * t * D1
+        if np.any(D <= 0.0):
+            raise _nonconvex(q.X, D)
+        terms = q.base * np.exp(-((1.0 - t) * g0 + t * g1)) * D
+        dual = stable_sum(np.sum(terms.reshape(-1, q.q), axis=1))
+        if not (math.isfinite(dual) and dual > 0.0):
+            raise DivergentD1(f"dual volume evaluated to {dual} at t = {t}")
+        if q.tail / dual > q.tol:
+            raise DivergentD1(
+                f"truncation tail estimate {q.tail:.3e} exceeds "
+                f"tolerance {q.tol:g} relative to d1 = {dual:.6g} at t = {t}"
+            )
+        out.append(DingValue(t=float(t), d1=float(dual),
+                             value=float(linear - math.log(dual))))
+    return out
+
+
+def first_raising(scan, ts):
+    """The index of the first t at which scan(ts) raises: the length of the
+    longest prefix of ts that it returns on."""
+    for k in range(1, len(ts) + 1):
+        try:
+            scan(ts[:k])
+        except ValueError:
+            return k - 1
+    return None
+
+
+@pytest.mark.parametrize("num_t", [2, 9, 33])
+@pytest.mark.parametrize("kind", ["square", "teardrop", "rectangle", "half_line", "affine"])
+def test_the_array_scan_is_bitwise_the_per_t_loop(geodesics, kind, num_t):
+    P, v0, v1, b = geodesics[kind]
+    c0, c1 = correction_of(v0), correction_of(v1)
+    q = _DingQuadrature(P, c1 if c0 is None else c0, 1e-8, b)
+    s0, s1 = q.sample(c0), q.sample(c1)
+    if P.dim == 2:  # 1,250 nodes: 33 t values take blocks of 16, 16 and 1
+        assert ding_module._SCAN_NODES // len(q.X) == 16
+    ts = np.linspace(0.0, 1.0, num_t)
+    got, ref = q.scan(s0, s1, ts), per_t_scan(q, s0, s1, ts)
+    assert [(s.t, s.d1.hex(), s.value.hex()) for s in got] == \
+        [(s.t, s.d1.hex(), s.value.hex()) for s in ref]
+
+
+@pytest.mark.parametrize("P, f, dom", [
+    (interval(-2, 2), lambda x: -0.3 * x[0] ** 2, [(-2.0, 2.0)]),
+    (box([(-2, 2), (-2, 2)]), lambda x: -0.3 * float(np.sum(x**2)), [(-2.0, 2.0)] * 2),
+])
+def test_a_nonconvex_scan_raises_where_the_per_t_loop_does(P, f, dom):
+    # from u_P toward a bent endpoint the density first turns nonpositive at
+    # an interior t; the point named is the per-t loop's
+    s = GridCorrection.from_function(f, dom, [8] * P.dim)
+    q = _DingQuadrature(P, s, 1e-8, [0.0] * P.dim)
+    s0, s1 = q.sample(None), q.sample(s)
+    ts = np.linspace(0.0, 1.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConvexHere, match="density nonpositive near") as got:
+            q.scan(s0, s1, ts)
+        with pytest.raises(NotConvexHere) as ref:
+            per_t_scan(q, s0, s1, ts)
+        first = first_raising(lambda ts: q.scan(s0, s1, ts), ts)
+        assert first == first_raising(lambda ts: per_t_scan(q, s0, s1, ts), ts)
+    assert 0 < first < len(ts) - 1
+    assert str(got.value) == str(ref.value)
+
+
+def test_a_tail_past_tol_raises_at_the_t_of_the_per_t_loop(held, half_line_at_32):
+    # d1 falls along the geodesic from v + 0.05 x^2/64 to v, so its tail
+    # estimate relative to d1 first passes a tol set between its ratios at
+    # t = 3/8 and 1/2 at t = 1/2. The cut is the grid's at every tol
+    P, v = half_line_at_32
+    s = v.correction
+    bumped = CorrectedPotential(P, GridCorrection(s.axes, s.values + 0.05 * s.axes[0] ** 2 / 64.0))
+    ts = np.linspace(0.0, 1.0, 9)
+    loose = _DingQuadrature(P, s, 1.0, [0.5])
+    d1 = [x.d1 for x in loose.scan(loose.sample(bumped.correction), loose.sample(s), ts)]
+    assert np.all(np.diff(d1) < 0.0)
+    tol = loose.tail / (0.5 * (d1[3] + d1[4]))
+    q = _DingQuadrature(P, s, tol, [0.5])
+    assert q.tail == loose.tail and max(q.dropped, q.spill) <= tol
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergentD1, match=r"truncation tail estimate .* at t = 0\.5$") as got:
+            convexity_scan(bumped, v, P, b_X=[0.5], tol=tol)
+        with pytest.raises(DivergentD1) as ref:
+            per_t_scan(q, q.sample(bumped.correction), q.sample(s), ts)
+    assert str(got.value) == str(ref.value)
+
+
+def test_a_dual_volume_past_the_float_range_is_the_library_error():
+    # g(t) = g_0 - c t: e^{-g} first overflows at t = 1/2 and at every later
+    # t, where d1 is inf. With warnings as errors the scan raises its own
+    # DivergentD1 at t = 1/2, with the message of the per-t loop, whose
+    # overflow warning is ignored here
+    P = interval(-2, 2)
+    s = GridCorrection.from_function(lambda x: 0.1 * x[0] ** 2, [(-2.0, 2.0)], [8])
+    q = _DingQuadrature(P, s, 1e-8, [0.0])
+    g0, H0, lin0 = q.sample(s)
+    s0, s1 = (g0, H0, lin0), (g0 - 2.0 * (712.0 - np.max(-g0)), H0, lin0)
+    ts = np.linspace(0.0, 1.0, 9)
+    with np.errstate(over="ignore"), pytest.raises(DivergentD1) as ref:
+        per_t_scan(q, s0, s1, ts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergentD1, match=r"^dual volume evaluated to inf at t = 0\.5$") as got:
+            q.scan(s0, s1, ts)
+        assert len(q.scan(s0, s1, ts[:4])) == 4  # d1 is finite up to t = 3/8
+    assert str(got.value) == str(ref.value)
+
+
+def test_a_scan_holds_a_bounded_block_of_nodes():
+    # labels (16, 1, 1, 1) on the square make beta = (7.5, 0), and _refined
+    # cuts it into 162 pieces: 101,250 d1 nodes, so a block holds one t. The
+    # endpoint densities and their Hessian temporaries take about 7 MiB, and
+    # one (9, m) array alone as much again
+    P = box([(-2, 2), (-2, 2)], labels=[16, 1, 1, 1])
+    corr = GridCorrection.from_function(lambda x: 0.01 * float(x @ x), [(-2.0, 2.0)] * 2, (8, 8))
+    q = _DingQuadrature(P, corr, 1e-8, [0.0, 0.0])
+    sample = q.sample(corr)
+    tracemalloc.start()
+    try:
+        scan = q.scan(sample, sample, np.linspace(0.0, 1.0, 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(q.X) == 101_250 and len(scan) == 9
+    assert peak <= 12 * 2**20
 
 
 @pytest.mark.parametrize("kind", ["rectangle", "half_line"])

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 from toricshrink.cli import main
 from toricshrink.ding import convexity_scan
-from toricshrink.polyhedra import box, from_halfspaces, half_line, interval, \
+from toricshrink.polyhedra import Facet, box, from_halfspaces, half_line, interval, \
     save_polyhedron
 from toricshrink.potentials import CanonicalPotential, CorrectedPotential, GridCorrection, \
     NoConvergence, lobatto_nodes
@@ -772,6 +772,34 @@ def test_the_one_pass_profile_is_bitwise_the_per_facet_loop(m0):
             for n in (16, 32, 64, 128, 256):
                 x = mid + half * C.chebpts1(n)
                 assert got(x).tobytes() == ref(x).tobytes(), (m0, m1, n)
+
+
+def fraction_defect(f, b):
+    """kappa as the exact-looking Fraction expression forms it: Fraction *
+    float rounds a n to a float first, so it is float arithmetic; the
+    reference for _defect's bits."""
+    return float((f.label - f.offset * f.normal[0] * b) / f.label)
+
+
+@pytest.mark.parametrize("m0", LABEL_MAP)
+def test_defect_is_bitwise_the_fraction_expression(m0):
+    # every facet of the interval map at its soliton vector and at seeded b
+    rng = np.random.default_rng(m0)
+    for m1 in LABEL_MAP:
+        F = from_halfspaces(1, [((1,), m0, 2), ((-1,), m1, 2)])
+        for b in (find_soliton_vector(F).b[0], *rng.uniform(-5.0, 5.0, 4),
+                  *rng.standard_normal(4) * 1e3):
+            for f in F.facets:
+                assert _defect(f, b).hex() == fraction_defect(f, b).hex(), (m0, m1, b)
+
+
+def test_defect_is_bitwise_the_fraction_expression_at_general_offsets():
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        f = Facet(normal=(int(rng.choice([-1, 1])),), label=int(rng.integers(1, 1000)),
+                  offset=Fraction(int(rng.integers(1, 10**9)), int(rng.integers(1, 10**9))))
+        b = float(rng.uniform(-10.0, 10.0)) * 10.0 ** int(rng.integers(-6, 4))
+        assert _defect(f, b).hex() == fraction_defect(f, b).hex(), (f, b)
 
 
 def reference_axis_series(F, b, lo, hi):
